@@ -1,18 +1,17 @@
 """Command-line front end: spectrogram, frame, reconstruct, diagnose.
 
 All structured output is JSON with shortest round-trip float printing;
-images are binary PGM.  Runs are fully deterministic for a fixed config and
-inputs, independent of the thread count: worker threads only change the
-scheduling of per-region jobs, never any numeric path.  Wall-clock timings
-are therefore opt-in (``--timings``); without the flag the ``timings`` field
-of ``report.json`` is null and every output byte is reproducible.
+images are binary PGM.  tfloc starts no threads of its own, and the
+output bytes are reproducible for a fixed config, fixed inputs and a
+fixed BLAS thread setting.  Wall-clock timings are therefore opt-in
+(``--timings``); without the flag the ``timings`` field of ``report.json``
+is null.  ``--threads`` is accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -42,10 +41,10 @@ from .frames import (
     FrameCertificate,
     SelectionPolicy,
     assemble_frame,
-    epsilon_sweep,
     frame_certificate,
-    norm_equivalence_constants,
+    norm_equivalence_from_spectra,
     read_frame,
+    region_spectra,
     reconstruct,
     write_certificate_json,
     write_frame,
@@ -85,10 +84,21 @@ def _exactly_one(name: str, present: list[str]) -> None:
         )
 
 
+def _number(section: dict, key: str, path: Path, default=None):
+    """A JSON number from the config, or ``default`` when the key is absent."""
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float, type(None))):
+        raise InvalidArgumentError(f"config {key!r} must be a number, not {value!r}", path=str(path))
+    return value
+
+
 def load_config(path) -> RunConfig:
     path = Path(path)
     with open(path) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:
+            raise InvalidArgumentError(f"config is not valid JSON: {exc}", path=str(path)) from None
     try:
         L = int(raw["L"])
     except KeyError:
@@ -119,9 +129,9 @@ def load_config(path) -> RunConfig:
     pol = raw.get("policy", {})
     policy = SelectionPolicy(
         mode=pol.get("mode", "epsilon"),
-        alpha=pol.get("alpha"),
-        epsilon=pol.get("epsilon"),
-        n_max=int(pol.get("n_max", L)),
+        alpha=_number(pol, "alpha", path),
+        epsilon=_number(pol, "epsilon", path),
+        n_max=int(_number(pol, "n_max", path, L)),
     )
 
     lattice = None
@@ -221,17 +231,17 @@ def _region_rows(frame: EigenFrame, n_regions: int, masses: list[float]) -> list
     return rows
 
 
-def _build_frame(cfg: RunConfig, cover: Cover, phi: Window, threads: int):
+def _build_frame(cfg: RunConfig, cover: Cover, phi: Window):
     """Grid or lattice pipeline; returns (frame, certificate, extras-for-report)."""
     if cfg.lattice is None:
-        frame = assemble_frame(cover, phi, cfg.policy, cfg.weighted, threads=threads)
+        frame = assemble_frame(cover, phi, cfg.policy, cfg.weighted)
         cert = frame_certificate(frame)
         masses = [s.mass for s in cover.regions]
         extras = {"lattice": None, "measure": "l1_mass / L (operator trace)"}
     else:
         phit = canonical_tight(phi, cfg.lattice)
         sys_ = LatticeGaborSystem.build(phit, cfg.lattice)
-        frame, cert = gabor_eigenframe(cover, sys_, cfg.policy, cfg.weighted, threads=threads)
+        frame, cert = gabor_eigenframe(cover, sys_, cfg.policy, cfg.weighted)
         masses = lattice_masses(cover, cfg.lattice)
         extras = {
             "lattice": {"a": cfg.lattice.a, "b": cfg.lattice.b},
@@ -241,7 +251,7 @@ def _build_frame(cfg: RunConfig, cover: Cover, phi: Window, threads: int):
     return frame, cert, masses, extras
 
 
-def cmd_spectrogram(cfg: RunConfig, signal_path, out_dir: Path, threads: int) -> int:
+def cmd_spectrogram(cfg: RunConfig, signal_path, out_dir: Path) -> int:
     f = read_signal_csv(signal_path)
     if f.length != cfg.L:
         raise InvalidArgumentError(
@@ -262,7 +272,7 @@ def cmd_spectrogram(cfg: RunConfig, signal_path, out_dir: Path, threads: int) ->
     return 0
 
 
-def cmd_frame(cfg: RunConfig, out_dir: Path, threads: int, timings: bool = False) -> int:
+def cmd_frame(cfg: RunConfig, out_dir: Path, timings: bool = False) -> int:
     t0 = time.perf_counter()
     phi = resolve_window(cfg)
     cover = resolve_cover(cfg)
@@ -303,7 +313,7 @@ def cmd_frame(cfg: RunConfig, out_dir: Path, threads: int, timings: bool = False
         )
 
     t1 = time.perf_counter()
-    frame, cert, masses, extras = _build_frame(cfg, cover, phi, threads)
+    frame, cert, masses, extras = _build_frame(cfg, cover, phi)
     t2 = time.perf_counter()
 
     write_frame(out_dir / "frame.json", out_dir / "frame_atoms.tfat", frame)
@@ -341,7 +351,7 @@ def cmd_frame(cfg: RunConfig, out_dir: Path, threads: int, timings: bool = False
     return 0 if cert.is_frame else 1
 
 
-def _load_or_build_frame(cfg: RunConfig, out_dir: Path, threads: int) -> tuple[EigenFrame, FrameCertificate]:
+def _load_or_build_frame(cfg: RunConfig, out_dir: Path) -> tuple[EigenFrame, FrameCertificate]:
     manifest = out_dir / "frame.json"
     atoms = out_dir / "frame_atoms.tfat"
     if manifest.exists() and atoms.exists():
@@ -353,18 +363,18 @@ def _load_or_build_frame(cfg: RunConfig, out_dir: Path, threads: int) -> tuple[E
         return frame, frame_certificate(frame)
     phi = resolve_window(cfg)
     cover = resolve_cover(cfg)
-    frame, cert, _, _ = _build_frame(cfg, cover, phi, threads)
+    frame, cert, _, _ = _build_frame(cfg, cover, phi)
     return frame, cert
 
 
-def cmd_reconstruct(cfg: RunConfig, signal_path, out_dir: Path, threads: int) -> int:
+def cmd_reconstruct(cfg: RunConfig, signal_path, out_dir: Path) -> int:
     f = read_signal_csv(signal_path)
     if f.length != cfg.L:
         raise InvalidArgumentError(
             f"signal length {f.length} does not match config L={cfg.L}",
             path=str(signal_path),
         )
-    frame, cert = _load_or_build_frame(cfg, out_dir, threads)
+    frame, cert = _load_or_build_frame(cfg, out_dir)
     _, rel_error = reconstruct(frame, f, cert)
     ok = rel_error <= cfg.reconstruct_tol
     _write_json(
@@ -375,14 +385,15 @@ def cmd_reconstruct(cfg: RunConfig, signal_path, out_dir: Path, threads: int) ->
     return 0 if ok else 1
 
 
-def cmd_diagnose(cfg: RunConfig, out_dir: Path, threads: int) -> int:
+def cmd_diagnose(cfg: RunConfig, out_dir: Path) -> int:
     phi = resolve_window(cfg)
     cover = resolve_cover(cfg)
     eps = cfg.policy.epsilon if cfg.policy.mode == "epsilon" else 1.0 / cfg.policy.alpha
-    c_plain, C_plain = norm_equivalence_constants(cover, phi, "plain", threads=threads)
-    c_sq, C_sq = norm_equivalence_constants(cover, phi, "squared", threads=threads)
-    c_th, C_th = norm_equivalence_constants(cover, phi, "thresholded", epsilon=eps, threads=threads)
-    sweep = epsilon_sweep(cover, phi, SWEEP_EPSILONS, threads=threads)
+    spectra = region_spectra(cover, phi)
+    c_plain, C_plain = norm_equivalence_from_spectra(spectra, "plain")
+    c_sq, C_sq = norm_equivalence_from_spectra(spectra, "squared")
+    c_th, C_th = norm_equivalence_from_spectra(spectra, "thresholded", eps)
+    sweep = [(e, *norm_equivalence_from_spectra(spectra, "thresholded", e)) for e in SWEEP_EPSILONS]
 
     cs = [row[1] for row in sweep]
     for prev, nxt in zip(cs, cs[1:]):
@@ -431,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=None,
-            help="worker threads for per-region jobs (default: $TFLOC_THREADS or 1)",
+            help="accepted for compatibility; has no effect",
         )
 
     common(sub.add_parser("spectrogram", help="export |STFT|^2 as CSV and PGM"), signal=True)
@@ -447,12 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("TFLOC_THREADS", "1"))
-    if threads < 1:
-        threads = 1
-
     out_dir: Path | None = Path(args.out) if args.out else None
     try:
         cfg = load_config(args.config)
@@ -460,13 +465,13 @@ def main(argv=None) -> int:
             out_dir = cfg.output_dir or Path.cwd()
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "spectrogram":
-            return cmd_spectrogram(cfg, args.signal, out_dir, threads)
+            return cmd_spectrogram(cfg, args.signal, out_dir)
         if args.command == "frame":
-            return cmd_frame(cfg, out_dir, threads, timings=args.timings)
+            return cmd_frame(cfg, out_dir, timings=args.timings)
         if args.command == "reconstruct":
-            return cmd_reconstruct(cfg, args.signal, out_dir, threads)
+            return cmd_reconstruct(cfg, args.signal, out_dir)
         if args.command == "diagnose":
-            return cmd_diagnose(cfg, out_dir, threads)
+            return cmd_diagnose(cfg, out_dir)
         raise InternalError(f"unhandled command {args.command!r}")
     except (TflocError, OSError) as exc:
         payload = _error_payload(exc)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,16 +129,39 @@ class FrameCertificate:
     a_tol: float
 
 
-def _map_ordered(fn, items, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
-def region_operators(cover: Cover, phi: Window, threads: int = 1) -> list[LocOperator]:
+def region_operators(cover: Cover, phi: Window) -> list[LocOperator]:
     """One localization operator per region, in region order."""
-    return _map_ordered(lambda s: assemble_locop(s, phi), cover.regions, threads)
+    return [assemble_locop(s, phi) for s in cover.regions]
+
+
+def eigenframe_from_operators(L: int, ops: list[LocOperator], policy: SelectionPolicy,
+                              weighted: bool) -> EigenFrame:
+    """Frame of the selected eigenpairs of one operator per region; trace = measure."""
+    spectra = [op.spectrum() for op in ops]
+    counts = select_eigenfunctions(spectra, [op.trace for op in ops], policy)
+
+    atoms: list[FrameAtom] = []
+    for gamma, (spec, n) in enumerate(zip(spectra, counts)):
+        if spec.eigenvalues[0] <= _DEGENERATE_TOL:
+            warnings.warn(
+                f"region {gamma} has a numerically zero operator; contributing no atoms",
+                stacklevel=3,
+            )
+            continue
+        for k in range(n):
+            lam = float(spec.eigenvalues[k])
+            atoms.append(
+                FrameAtom(
+                    vector=spec.eigenvectors[:, k].copy(),
+                    weight=lam if weighted else 1.0,
+                    gamma=gamma,
+                    k=k + 1,
+                    lam=lam,
+                )
+            )
+    if not atoms:
+        raise EmptyFrameError("selection produced no atoms")
+    return EigenFrame(L, tuple(atoms), weighted)
 
 
 def assemble_frame(
@@ -147,7 +169,6 @@ def assemble_frame(
     phi: Window,
     policy: SelectionPolicy,
     weighted: bool = True,
-    threads: int = 1,
 ) -> EigenFrame:
     """Build the eigenfunction frame of a cover.
 
@@ -169,34 +190,7 @@ def assemble_frame(
                 "radius-1 ball must lie inside its region's support "
                 f"(measured min inner radius {report.min_inner_radius})"
             )
-
-    ops = region_operators(cover, phi, threads)
-    spectra = _map_ordered(lambda op: op.spectrum(), ops, threads)
-    measures = [op.trace for op in ops]
-    counts = select_eigenfunctions(spectra, measures, policy)
-
-    atoms: list[FrameAtom] = []
-    for gamma, (spec, n) in enumerate(zip(spectra, counts)):
-        if spec.eigenvalues[0] <= _DEGENERATE_TOL:
-            warnings.warn(
-                f"region {gamma} has a numerically zero operator; contributing no atoms",
-                stacklevel=2,
-            )
-            continue
-        for k in range(n):
-            lam = float(spec.eigenvalues[k])
-            atoms.append(
-                FrameAtom(
-                    vector=spec.eigenvectors[:, k].copy(),
-                    weight=lam if weighted else 1.0,
-                    gamma=gamma,
-                    k=k + 1,
-                    lam=lam,
-                )
-            )
-    if not atoms:
-        raise EmptyFrameError("selection produced no atoms")
-    return EigenFrame(cover.L, tuple(atoms), weighted)
+    return eigenframe_from_operators(cover.L, region_operators(cover, phi), policy, weighted)
 
 
 def frame_operator(frame: EigenFrame) -> np.ndarray:
@@ -262,45 +256,46 @@ def _gram_from_spectra(spectra: list[Spectrum], power: float, epsilon: float | N
     return G
 
 
+def region_spectra(cover: Cover, phi: Window) -> list[Spectrum]:
+    """One eigensolve per region of a cover that covers the grid."""
+    _, sum_min, _ = sum_symbols(cover)
+    if sum_min <= 0.0:
+        raise PreconditionViolation("cover does not cover the grid")
+    return [op.spectrum() for op in region_operators(cover, phi)]
+
+
+_GRAM_POWER = {"plain": 2.0, "squared": 4.0, "thresholded": 2.0}
+
+
+def norm_equivalence_from_spectra(
+    spectra: list[Spectrum], variant: str = "plain", epsilon: float | None = None
+) -> tuple[float, float]:
+    """(c, C) = extreme eigenvalues of the Gram sum for the chosen variant."""
+    if variant not in _GRAM_POWER:
+        raise InvalidArgumentError(f"unknown variant {variant!r}")
+    if variant != "thresholded":
+        epsilon = None
+    elif epsilon is None or epsilon < 0.0:
+        raise InvalidArgumentError("thresholded variant requires epsilon >= 0")
+    ev = np.linalg.eigvalsh(_gram_from_spectra(spectra, _GRAM_POWER[variant], epsilon))
+    return float(ev[0]), float(ev[-1])
+
+
 def norm_equivalence_constants(
     cover: Cover,
     phi: Window,
     variant: str = "plain",
     epsilon: float | None = None,
-    threads: int = 1,
 ) -> tuple[float, float]:
-    """(c, C) = extreme eigenvalues of the Gram sum for the chosen variant."""
-    _, sum_min, _ = sum_symbols(cover)
-    if sum_min <= 0.0:
-        raise PreconditionViolation("cover does not cover the grid")
-    ops = region_operators(cover, phi, threads)
-    spectra = _map_ordered(lambda op: op.spectrum(), ops, threads)
-    if variant == "plain":
-        G = _gram_from_spectra(spectra, 2.0, None)
-    elif variant == "squared":
-        G = _gram_from_spectra(spectra, 4.0, None)
-    elif variant == "thresholded":
-        if epsilon is None or epsilon < 0.0:
-            raise InvalidArgumentError("thresholded variant requires epsilon >= 0")
-        G = _gram_from_spectra(spectra, 2.0, epsilon)
-    else:
-        raise InvalidArgumentError(f"unknown variant {variant!r}")
-    ev = np.linalg.eigvalsh(G)
-    return float(ev[0]), float(ev[-1])
+    """(c, C) of one variant, computed from the region spectra of ``cover``."""
+    return norm_equivalence_from_spectra(region_spectra(cover, phi), variant, epsilon)
 
 
-def epsilon_sweep(
-    cover: Cover, phi: Window, epsilons, threads: int = 1
-) -> list[tuple[float, float, float]]:
+def epsilon_sweep(cover: Cover, phi: Window, epsilons) -> list[tuple[float, float, float]]:
     """(epsilon, c, C) rows of the thresholded constants; one eigensolve per region."""
-    ops = region_operators(cover, phi, threads)
-    spectra = _map_ordered(lambda op: op.spectrum(), ops, threads)
-    rows = []
-    for eps in epsilons:
-        G = _gram_from_spectra(spectra, 2.0, float(eps))
-        ev = np.linalg.eigvalsh(G)
-        rows.append((float(eps), float(ev[0]), float(ev[-1])))
-    return rows
+    spectra = region_spectra(cover, phi)
+    return [(float(e), *norm_equivalence_from_spectra(spectra, "thresholded", float(e)))
+            for e in epsilons]
 
 
 def ball_operator_spectrum(L: int, phi: Window, radius: int) -> np.ndarray:
@@ -358,6 +353,10 @@ def read_frame(manifest_path, atoms_path) -> EigenFrame:
     atoms = []
     for entry in manifest["atoms"]:
         off = int(entry["offset"])
+        if off < 4 or off + 16 * L > len(blob):
+            raise InvalidArgumentError(
+                f"atom record at offset {off} overruns the atoms file", path=str(atoms_path)
+            )
         data = np.frombuffer(blob, dtype="<f8", count=2 * L, offset=off).reshape(L, 2)
         atoms.append(
             FrameAtom(

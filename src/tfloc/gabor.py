@@ -8,12 +8,12 @@ multiplier masks the tight expansion:
 
     GM_m = A sum_{lam} m(lam) |pi(lam) phi><pi(lam) phi|,
 
-so GM_1 is the identity and trace(GM_m) = A ||phi||^2 sum m.
+so GM_1 is the identity and trace(GM_m) = A ||phi||^2 sum m.  GM_m is
+assembled as the localization operator of the lattice symbol eta = A L m.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,21 +21,18 @@ import numpy as np
 from .core import Window
 from .covers import Cover, Symbol
 from .errors import (
-    EmptyFrameError,
     InvalidArgumentError,
     NotAFrameError,
     PreconditionViolation,
 )
 from .frames import (
     EigenFrame,
-    FrameAtom,
     FrameCertificate,
     SelectionPolicy,
-    _map_ordered,
+    eigenframe_from_operators,
     frame_certificate,
-    select_eigenfunctions,
 )
-from .locop import LocOperator, shifted_window_columns
+from .locop import LocOperator, assemble_locop, shifted_window_columns
 
 _FRAME_FLOOR_RTOL = 1e-9
 _TIGHT_CONDITION_TOL = 1e-8
@@ -140,27 +137,35 @@ def _lattice_values(m, lattice: Lattice) -> np.ndarray:
     return arr.reshape(-1)
 
 
-def gabor_multiplier(m, sys: LatticeGaborSystem) -> LocOperator:
-    """GM_m = A sum m(lam) |pi(lam) phi><pi(lam) phi| for a tight system.
-
-    ``m`` is an (L/a, L/b) nonnegative array over the lattice index grid.
-    """
+def _require_tight(sys: LatticeGaborSystem) -> None:
     if not sys.tight:
         raise PreconditionViolation(
             "Gabor multipliers need a tight system; run canonical_tight first "
             f"(condition {sys.B_gab / sys.A_gab if sys.A_gab > 0 else float('inf')!r})"
         )
-    vals = _lattice_values(m, sys.lattice)
-    pts = sys.lattice.points()
-    A = sys.tight_constant
+
+
+def _multiplier_symbol(vals: np.ndarray, sys: LatticeGaborSystem, center=(0, 0)) -> Symbol:
+    """The grid symbol eta = A L m on the lattice, so that H_eta = GM_m.
+
+    ``vals`` is the flat mask over lattice.points().  The support is the
+    points with m > 0, in that order; an all-zero mask keeps one zero-weight
+    point, which gives the zero operator.
+    """
+    keep = vals > 0.0
+    keep[0] |= not keep.any()
     L = sys.lattice.L
-    M = np.zeros((L, L), dtype=np.complex128)
-    scale = np.sqrt(A * vals)
-    nz = scale > 0.0
-    if np.any(nz):
-        W = shifted_window_columns(L, np.asarray(sys.window.samples), pts[nz]) * scale[nz][None, :]
-        M = W @ W.conj().T
-    return LocOperator(M, symbol_ref="gabor-multiplier")
+    return Symbol(L, center, sys.lattice.points()[keep], sys.tight_constant * L * vals[keep])
+
+
+def gabor_multiplier(m, sys: LatticeGaborSystem) -> LocOperator:
+    """GM_m = A sum m(lam) |pi(lam) phi><pi(lam) phi| for a tight system.
+
+    ``m`` is an (L/a, L/b) nonnegative array over the lattice index grid.
+    """
+    _require_tight(sys)
+    vals = _lattice_values(m, sys.lattice)
+    return assemble_locop(_multiplier_symbol(vals, sys), sys.window)
 
 
 def symbol_on_lattice(symbol: Symbol, lattice: Lattice) -> np.ndarray:
@@ -194,15 +199,16 @@ def gabor_eigenframe(
     sys: LatticeGaborSystem,
     policy: SelectionPolicy,
     weighted: bool = True,
-    threads: int = 1,
 ) -> tuple[EigenFrame, FrameCertificate]:
     """Eigenfunction frame from per-region Gabor multipliers.
 
     Region symbols must be supported on the lattice, their sum must be
     strictly positive at every lattice point, and all centers must be lattice
-    points.  Selection uses the multiplier trace as the region measure, like
-    the grid pipeline.
+    points.  Each region's multiplier is the localization operator of its
+    lattice symbol scaled by A L, and selection runs through the grid
+    pipeline's back end with the multiplier trace as the region measure.
     """
+    _require_tight(sys)
     masks = [symbol_on_lattice(s, sys.lattice) for s in cover.regions]
     total = np.zeros_like(masks[0])
     for mask in masks:
@@ -217,31 +223,9 @@ def gabor_eigenframe(
                 f"region {i} center {s.center} is not a lattice point"
             )
 
-    ops = _map_ordered(lambda mask: gabor_multiplier(mask, sys), masks, threads)
-    spectra = _map_ordered(lambda op: op.spectrum(), ops, threads)
-    measures = [op.trace for op in ops]
-    counts = select_eigenfunctions(spectra, measures, policy)
-
-    atoms: list[FrameAtom] = []
-    for gamma, (spec, n) in enumerate(zip(spectra, counts)):
-        if spec.eigenvalues[0] <= 1e-14:
-            warnings.warn(
-                f"region {gamma} has a numerically zero multiplier; contributing no atoms",
-                stacklevel=2,
-            )
-            continue
-        for k in range(n):
-            lam = float(spec.eigenvalues[k])
-            atoms.append(
-                FrameAtom(
-                    vector=spec.eigenvectors[:, k].copy(),
-                    weight=lam if weighted else 1.0,
-                    gamma=gamma,
-                    k=k + 1,
-                    lam=lam,
-                )
-            )
-    if not atoms:
-        raise EmptyFrameError("selection produced no atoms")
-    frame = EigenFrame(cover.L, tuple(atoms), weighted)
+    ops = [
+        assemble_locop(_multiplier_symbol(mask.reshape(-1), sys, s.center), sys.window)
+        for mask, s in zip(masks, cover.regions)
+    ]
+    frame = eigenframe_from_operators(cover.L, ops, policy, weighted)
     return frame, frame_certificate(frame)

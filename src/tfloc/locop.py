@@ -52,14 +52,13 @@ class LocOperator:
     """Dense Hermitian localization operator with a cached eigendecomposition."""
 
     def __init__(self, matrix: np.ndarray, symbol: Symbol | None = None,
-                 window: Window | None = None, symbol_ref: str = ""):
+                 window: Window | None = None):
         matrix = np.asarray(matrix, dtype=np.complex128)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise InvalidArgumentError(f"operator matrix must be square, got {matrix.shape}")
         self.matrix = matrix
         self.symbol = symbol
         self.window = window
-        self.symbol_ref = symbol_ref or (f"symbol@{symbol.center}" if symbol else "")
         self._spectrum: Spectrum | None = None
 
     @property

@@ -47,6 +47,22 @@ def direct_assemble(L, cells, values, phi):
     return M
 
 
+def direct_gabor_multiplier(L, a, b, phi, m):
+    """A sum_lam m(lam) |pi(lam)phi><pi(lam)phi| over the lattice aZ x bZ.
+
+    ``phi`` is the unit-norm tight window, so the expansion constant is
+    A = L / |Lambda| = a b / L; ``m`` is indexed by lattice index (j, k).
+    """
+    A = a * b / L
+    M = np.zeros((L, L), complex)
+    for j in range(L // a):
+        for k in range(L // b):
+            if m[j, k] != 0.0:
+                w = direct_shift(L, j * a, k * b, phi)
+                M += (A * m[j, k]) * np.outer(w, w.conj())
+    return M
+
+
 def random_signal(rng, L, unit=False):
     v = rng.normal(size=L) + 1j * rng.normal(size=L)
     if unit:

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tfloc.cli import main
+import tfloc.locop
+from tfloc.cli import load_config, main, resolve_cover
 from tfloc.core import Signal, write_signal_csv
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -66,6 +67,23 @@ class TestConfig:
         assert main(["frame", "--config", str(tmp_path / "nope.json"), "--out", str(out)]) == 1
         err = json.loads((out / "error.json").read_text())
         assert err["code"] == "io-error"
+
+    def test_truncated_config_json_is_invalid_argument(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(basic_config())[:40])
+        out = tmp_path / "o"
+        assert main(["frame", "--config", str(cfg), "--out", str(out)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["code"] == "invalid-argument"
+        assert err["context"]["path"] == str(cfg)
+
+    def test_non_numeric_epsilon_is_invalid_argument(self, tmp_path):
+        cfg = write_config(tmp_path, basic_config(policy={"epsilon": "0.1"}))
+        out = tmp_path / "o"
+        assert main(["frame", "--config", str(cfg), "--out", str(out)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["code"] == "invalid-argument"
+        assert "epsilon" in err["message"]
 
     def test_window_from_file(self, tmp_path):
         # an unnormalized file window is normalized on load
@@ -225,6 +243,11 @@ class TestFrame:
         report = json.loads((out / "report.json").read_text())
         assert report["rank_rtol"] == 1e-12
 
+    def test_bad_threads_env_is_ignored(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, basic_config())
+        monkeypatch.setenv("TFLOC_THREADS", "abc")
+        assert main(["frame", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
     def test_threads_env_fallback(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, basic_config())
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -272,6 +295,18 @@ class TestReconstruct:
         err = json.loads((out / "error.json").read_text())
         assert err["code"] == "not-a-frame"
 
+    def test_truncated_atoms_file_is_invalid_argument(self, tmp_path):
+        cfg = write_config(tmp_path, basic_config())
+        sig = write_random_signal(tmp_path)
+        out = tmp_path / "o"
+        assert main(["frame", "--config", str(cfg), "--out", str(out)]) == 0
+        atoms = out / "frame_atoms.tfat"
+        atoms.write_bytes(atoms.read_bytes()[:-8])
+        assert main(["reconstruct", "--config", str(cfg), "--signal", str(sig), "--out", str(out)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["code"] == "invalid-argument"
+        assert err["context"]["path"] == str(atoms)
+
     def test_wedge32_end_to_end(self, tmp_path):
         sig = write_random_signal(tmp_path, L=32, seed=3)
         out = tmp_path / "o"
@@ -301,3 +336,16 @@ class TestDiagnose:
         assert d["plain"]["c"] > 0
         assert d["epsilon_sweep"][0]["c"] == pytest.approx(d["plain"]["c"], abs=1e-10)
         assert d["largest_epsilon_with_positive_c"] is not None
+
+    def test_one_eigensolve_per_region(self, tmp_path, monkeypatch):
+        cfg = CONFIG_DIR / "irregular16.json"
+        calls = []
+        eigendecomp = tfloc.locop.eigendecomp
+
+        def counting(op):
+            calls.append(op)
+            return eigendecomp(op)
+
+        monkeypatch.setattr(tfloc.locop, "eigendecomp", counting)
+        assert main(["diagnose", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == len(resolve_cover(load_config(cfg)).regions)

@@ -308,17 +308,6 @@ class TestUnweighted:
         assert assemble_frame(cover, phi16, policy, weighted=True) is not None
 
 
-class TestThreading:
-    def test_thread_count_does_not_change_results(self, boxes16, phi16):
-        policy = SelectionPolicy("epsilon", epsilon=0.2, n_max=L16)
-        f1 = assemble_frame(boxes16, phi16, policy, threads=1)
-        f4 = assemble_frame(boxes16, phi16, policy, threads=4)
-        assert len(f1.atoms) == len(f4.atoms)
-        for a, b in zip(f1.atoms, f4.atoms):
-            np.testing.assert_array_equal(a.vector, b.vector)
-            assert a.weight == b.weight
-
-
 class TestFrameIo:
     def test_round_trip_exact(self, frame16, tmp_path):
         manifest, atoms = tmp_path / "frame.json", tmp_path / "atoms.tfat"

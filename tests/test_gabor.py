@@ -19,6 +19,8 @@ from tfloc.gabor import (
 )
 from tfloc.locop import assemble_locop, tf_shift_matrix
 
+from helpers import direct_gabor_multiplier
+
 L16 = 16
 
 # golden values for L=16, a=b=2 with the Gaussian window (independent
@@ -138,6 +140,13 @@ class TestGaborMultiplier:
         assert ev[0] == pytest.approx(tight22.tight_constant, abs=1e-10)
         assert np.max(np.abs(ev[1:])) <= 1e-10
 
+    def test_matches_outer_product_oracle(self, tight22):
+        rng = np.random.default_rng(43)
+        m = rng.random((8, 8)) * (rng.random((8, 8)) < 0.3)
+        GM = gabor_multiplier(m, tight22)
+        expected = direct_gabor_multiplier(L16, 2, 2, tight22.window.samples, m)
+        assert np.max(np.abs(GM.matrix - expected)) <= 1e-12
+
     def test_block_mask_golden_spectrum(self, tight22):
         m = np.zeros((8, 8))
         m[:4, :4] = 1.0
@@ -221,11 +230,10 @@ class TestGaborEigenframe:
         # frame operator oracle: sum over regions of (GM^eps)^2
         expected = np.zeros((L16, L16), complex)
         for s in cover.regions:
-            GM = gabor_multiplier(symbol_on_lattice(s, tight22.lattice), tight22)
-            spec = GM.spectrum()
-            keep = spec.eigenvalues > 0.1
-            Q = spec.eigenvectors[:, keep]
-            expected += (Q * spec.eigenvalues[keep] ** 2) @ Q.conj().T
+            m = symbol_on_lattice(s, tight22.lattice)
+            lam, Q = np.linalg.eigh(direct_gabor_multiplier(L16, 2, 2, tight22.window.samples, m))
+            keep = lam > 0.1
+            expected += (Q[:, keep] * lam[keep] ** 2) @ Q[:, keep].conj().T
         assert np.max(np.abs(frame_operator(frame) - expected)) <= 1e-9
 
     def test_noncovering_lattice_rejected(self, tight22):
