@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -70,7 +70,7 @@ class RunConfig:
     policy: SelectionPolicy
     weighted: bool
     lattice: Lattice | None
-    admissibility: dict
+    admissibility: dict  # validate_cover keywords R, r, w
     seed: int | None
     reconstruct_tol: float
     output_dir: Path | None
@@ -84,15 +84,57 @@ def _exactly_one(name: str, present: list[str]) -> None:
         )
 
 
-def _number(section: dict, key: str, path: Path, default=None):
-    """A JSON number from the config, or ``default`` when the key is absent."""
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float, type(None))):
-        raise InvalidArgumentError(f"config {key!r} must be a number, not {value!r}", path=str(path))
+def _number(section: dict, key: str, default=None, integer: bool = False,
+            required: bool = False):
+    """A JSON number (an integer if ``integer``) from the config.
+
+    An absent or null key gives ``default``, or an error when ``required``.
+    """
+    value = section.get(key)
+    if value is None:
+        if required:
+            raise InvalidArgumentError(f"config is missing {key!r}")
+        return default
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise InvalidArgumentError(f"config {key!r} must be {kind}, not {value!r}")
     return value
 
 
+def _object(section: dict, key: str) -> dict:
+    """A JSON object from the config; ``{}`` when the key is absent or null."""
+    value = section.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise InvalidArgumentError(f"config {key!r} must be an object, not {value!r}")
+    return value
+
+
+def _cover_params(kind: str, spec: dict) -> dict:
+    """Checked generator parameters of a "regular", "wedge" or "irregular" cover."""
+    if kind == "regular":
+        return {k: _number(spec, k, integer=True, required=True) for k in ("bx", "by")}
+    if kind == "irregular":
+        return {
+            "seed": _number(spec, "seed", integer=True),
+            "target_size": _number(spec, "target_size", integer=True, required=True),
+            "overlap": float(_number(spec, "overlap", 0.5)),
+        }
+    bands = spec.get("bands")
+    if not isinstance(bands, list) or not all(
+        isinstance(b, list) and len(b) == 3
+        and all(isinstance(v, int) and not isinstance(v, bool) for v in b)
+        for b in bands
+    ):
+        raise InvalidArgumentError(
+            'config "bands" must be a list of [xi_lo, xi_hi, time_step] integer triples'
+        )
+    return {"bands": [tuple(b) for b in bands]}
+
+
 def load_config(path) -> RunConfig:
+    """Read and check a run config; every config error carries its path."""
     path = Path(path)
     with open(path) as fh:
         try:
@@ -100,55 +142,74 @@ def load_config(path) -> RunConfig:
         except ValueError as exc:
             raise InvalidArgumentError(f"config is not valid JSON: {exc}", path=str(path)) from None
     try:
-        L = int(raw["L"])
-    except KeyError:
-        raise InvalidArgumentError("config is missing 'L'", path=str(path)) from None
+        return _parse_config(raw, path)
+    except InvalidArgumentError as exc:
+        exc.context.setdefault("path", str(path))
+        raise
 
-    window = raw.get("window", "gauss")
-    if window == "gauss":
+
+def _parse_config(raw, path: Path) -> RunConfig:
+    if not isinstance(raw, dict):
+        raise InvalidArgumentError(f"config must be a JSON object, not {type(raw).__name__}")
+    L = _number(raw, "L", integer=True, required=True)
+
+    window = raw.get("window")
+    if window is None or window == "gauss":
         window_source: str | Path = "gauss"
-    elif isinstance(window, dict) and set(window) == {"file"}:
+    elif isinstance(window, dict) and set(window) == {"file"} and isinstance(window["file"], str):
         window_source = path.parent / window["file"]
     else:
         raise InvalidArgumentError(
             'config "window" must be "gauss" or {"file": path}', got=window
         )
 
-    cover = raw.get("cover")
-    if not isinstance(cover, dict):
-        raise InvalidArgumentError('config is missing a "cover" object')
+    cover = _object(raw, "cover")
     known = [k for k in ("regular", "wedge", "irregular", "file") if k in cover]
     _exactly_one("cover", known)
     kind = known[0]
     cover_source: tuple[str, dict] | Path
     if kind == "file":
+        if not isinstance(cover["file"], str):
+            raise InvalidArgumentError('config cover "file" must be a path')
         cover_source = path.parent / cover["file"]
     else:
-        cover_source = (kind, dict(cover[kind]))
+        cover_source = (kind, _cover_params(kind, _object(cover, kind)))
 
-    pol = raw.get("policy", {})
+    pol = _object(raw, "policy")
     policy = SelectionPolicy(
         mode=pol.get("mode", "epsilon"),
-        alpha=_number(pol, "alpha", path),
-        epsilon=_number(pol, "epsilon", path),
-        n_max=int(_number(pol, "n_max", path, L)),
+        alpha=_number(pol, "alpha"),
+        epsilon=_number(pol, "epsilon"),
+        n_max=_number(pol, "n_max", L, integer=True),
     )
 
     lattice = None
     if raw.get("lattice") is not None:
-        lattice = Lattice(L, int(raw["lattice"]["a"]), int(raw["lattice"]["b"]))
+        lat = _object(raw, "lattice")
+        lattice = Lattice(L, *(_number(lat, k, integer=True, required=True) for k in ("a", "b")))
 
+    weighted = True if raw.get("weighted") is None else raw["weighted"]
+    if not isinstance(weighted, bool):
+        raise InvalidArgumentError(f'config "weighted" must be true or false, not {weighted!r}')
+
+    adm = _object(raw, "admissibility")
     out = raw.get("output_dir")
+    if out is not None and not isinstance(out, str):
+        raise InvalidArgumentError(f'config "output_dir" must be a path, not {out!r}')
     return RunConfig(
         L=L,
         window_source=window_source,
         cover_source=cover_source,
         policy=policy,
-        weighted=bool(raw.get("weighted", True)),
+        weighted=weighted,
         lattice=lattice,
-        admissibility=dict(raw.get("admissibility", {})),
-        seed=raw.get("seed"),
-        reconstruct_tol=float(raw.get("reconstruct_tol", 1e-8)),
+        admissibility={
+            "R": _number(adm, "R", L // 2, integer=True),
+            "r": _number(adm, "r", integer=True),
+            "w": _number(adm, "w", 1, integer=True),
+        },
+        seed=_number(raw, "seed", integer=True),
+        reconstruct_tol=float(_number(raw, "reconstruct_tol", 1e-8)),
         output_dir=path.parent / out if out else None,
         base_dir=path.parent,
     )
@@ -177,15 +238,13 @@ def resolve_cover(cfg: RunConfig) -> Cover:
         return cover
     kind, params = cfg.cover_source
     if kind == "regular":
-        return gen_regular_boxes(cfg.L, int(params["bx"]), int(params["by"]))
+        return gen_regular_boxes(cfg.L, params["bx"], params["by"])
     if kind == "wedge":
-        return gen_wedge_cover(cfg.L, [tuple(b) for b in params["bands"]])
-    seed = params.get("seed", cfg.seed)
+        return gen_wedge_cover(cfg.L, params["bands"])
+    seed = cfg.seed if params["seed"] is None else params["seed"]
     if seed is None:
         raise InvalidArgumentError("irregular cover needs a seed (in cover spec or top level)")
-    return gen_random_irregular(
-        cfg.L, int(seed), int(params["target_size"]), float(params.get("overlap", 0.5))
-    )
+    return gen_random_irregular(cfg.L, seed, params["target_size"], params["overlap"])
 
 
 def _write_json(path: Path, payload) -> None:
@@ -277,25 +336,8 @@ def cmd_frame(cfg: RunConfig, out_dir: Path, timings: bool = False) -> int:
     phi = resolve_window(cfg)
     cover = resolve_cover(cfg)
 
-    adm = cfg.admissibility
-    report = validate_cover(
-        cover,
-        R=int(adm.get("R", cfg.L // 2)),
-        r=adm.get("r"),
-        w=int(adm.get("w", 1)),
-    )
-    adm_payload = {
-        "covers_grid": report.covers_grid,
-        "outer_radius_ok": report.outer_radius_ok,
-        "max_outer_radius": report.max_outer_radius,
-        "inner_radius_ok": report.inner_radius_ok,
-        "min_inner_radius": report.min_inner_radius,
-        "spreadness": report.spreadness,
-        "window": report.window,
-        "sum_min": report.sum_min,
-        "sum_max": report.sum_max,
-        "duplicate_centers": report.duplicate_centers,
-    }
+    report = validate_cover(cover, **cfg.admissibility)
+    adm_payload = asdict(report)
     if cfg.lattice is not None:
         # symbols are restricted to the lattice: coverage is judged there,
         # outer radius stays a full-grid notion
@@ -309,7 +351,7 @@ def cmd_frame(cfg: RunConfig, out_dir: Path, timings: bool = False) -> int:
         raise PreconditionViolation("cover does not cover the lattice")
     if not report.outer_radius_ok:
         raise PreconditionViolation(
-            f"outer radius {report.max_outer_radius} exceeds configured R={adm.get('R', cfg.L // 2)}"
+            f"outer radius {report.max_outer_radius} exceeds configured R={cfg.admissibility['R']}"
         )
 
     t1 = time.perf_counter()
@@ -324,12 +366,7 @@ def cmd_frame(cfg: RunConfig, out_dir: Path, timings: bool = False) -> int:
     report_payload = {
         "L": cfg.L,
         "weighted": cfg.weighted,
-        "policy": {
-            "mode": cfg.policy.mode,
-            "alpha": cfg.policy.alpha,
-            "epsilon": cfg.policy.epsilon,
-            "n_max": cfg.policy.n_max,
-        },
+        "policy": asdict(cfg.policy),
         "implied_alpha": cfg.policy.implied_alpha,
         "atom_count": len(frame.atoms),
         "regions": _region_rows(frame, len(cover.regions), masses),
@@ -415,13 +452,11 @@ def cmd_diagnose(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _error_payload(exc: Exception) -> dict:
+def _error_payload(exc: TflocError | OSError) -> dict:
     if isinstance(exc, TflocError):
         return {"code": exc.code, "message": str(exc), "context": exc.context}
-    if isinstance(exc, OSError):
-        ctx = {"path": exc.filename} if getattr(exc, "filename", None) else {}
-        return {"code": "io-error", "message": str(exc), "context": ctx}
-    return {"code": "internal-error", "message": f"{type(exc).__name__}: {exc}", "context": {}}
+    ctx = {"path": exc.filename} if exc.filename else {}
+    return {"code": "io-error", "message": str(exc), "context": ctx}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -195,7 +195,7 @@ def istft(F: PhasePlaneArray, phi: Window) -> Signal:
 
 
 # ---------------------------------------------------------------------------
-# CSV formats: signals are `t,re,im`, phase-plane arrays are `x,xi,re,im`.
+# Signal CSV format: `t,re,im`, one row per sample t = 0 .. L-1.
 # Floats are printed with repr() (shortest round-trip form).
 # ---------------------------------------------------------------------------
 
@@ -216,19 +216,13 @@ def read_signal_csv(path) -> Signal:
         rows = [line.strip() for line in fh if line.strip()]
     samples = np.empty(len(rows), dtype=np.complex128)
     for i, row in enumerate(rows):
-        t_s, re_s, im_s = row.split(",")
-        if int(t_s) != i:
+        try:
+            t_s, re_s, im_s = row.split(",")
+            t, value = int(t_s), complex(float(re_s), float(im_s))
+        except ValueError:
+            raise InvalidArgumentError(f"malformed signal CSV row {row!r}", path=str(path)) from None
+        if t != i:
             raise InvalidArgumentError(f"non-contiguous sample index {t_s}", path=str(path))
-        samples[i] = complex(float(re_s), float(im_s))
+        samples[i] = value
     return Signal(samples)
 
-
-def write_phase_plane_csv(path, F: PhasePlaneArray) -> None:
-    L = F.length
-    lines = ["x,xi,re,im"]
-    for x in range(L):
-        for xi in range(L):
-            v = F.values[x, xi]
-            lines.append(f"{x},{xi},{float(v.real)!r},{float(v.imag)!r}")
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,12 +113,6 @@ class EigenFrame:
         G = np.stack([a.vector * a.weight for a in self.atoms], axis=1)
         return G
 
-    def counts_per_region(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for a in self.atoms:
-            out[a.gamma] = max(out.get(a.gamma, 0), a.k)
-        return out
-
 
 @dataclass(frozen=True)
 class FrameCertificate:
@@ -134,20 +129,25 @@ def region_operators(cover: Cover, phi: Window) -> list[LocOperator]:
     return [assemble_locop(s, phi) for s in cover.regions]
 
 
-def eigenframe_from_operators(L: int, ops: list[LocOperator], policy: SelectionPolicy,
+def eigenframe_from_operators(L: int, ops: Iterable[LocOperator], policy: SelectionPolicy,
                               weighted: bool) -> EigenFrame:
-    """Frame of the selected eigenpairs of one operator per region; trace = measure."""
-    spectra = [op.spectrum() for op in ops]
-    counts = select_eigenfunctions(spectra, [op.trace for op in ops], policy)
+    """Frame of the selected eigenpairs of one operator per region; trace = measure.
 
+    ``ops`` yields the region operators in region order and is consumed in a
+    single pass: each region's atoms depend only on its own spectrum and
+    trace, so its operator and spectrum are dropped once its atoms are
+    copied.  Given a generator, one region's matrices are alive at a time.
+    """
     atoms: list[FrameAtom] = []
-    for gamma, (spec, n) in enumerate(zip(spectra, counts)):
+    for gamma, op in enumerate(ops):
+        spec = op.spectrum()
+        (n,) = select_eigenfunctions([spec], [op.trace], policy)
         if spec.eigenvalues[0] <= _DEGENERATE_TOL:
             warnings.warn(
                 f"region {gamma} has a numerically zero operator; contributing no atoms",
                 stacklevel=3,
             )
-            continue
+            n = 0
         for k in range(n):
             lam = float(spec.eigenvalues[k])
             atoms.append(
@@ -159,6 +159,7 @@ def eigenframe_from_operators(L: int, ops: list[LocOperator], policy: SelectionP
                     lam=lam,
                 )
             )
+        del op, spec
     if not atoms:
         raise EmptyFrameError("selection produced no atoms")
     return EigenFrame(L, tuple(atoms), weighted)
@@ -190,7 +191,8 @@ def assemble_frame(
                 "radius-1 ball must lie inside its region's support "
                 f"(measured min inner radius {report.min_inner_radius})"
             )
-    return eigenframe_from_operators(cover.L, region_operators(cover, phi), policy, weighted)
+    ops = (assemble_locop(s, phi) for s in cover.regions)
+    return eigenframe_from_operators(cover.L, ops, policy, weighted)
 
 
 def frame_operator(frame: EigenFrame) -> np.ndarray:
@@ -261,7 +263,7 @@ def region_spectra(cover: Cover, phi: Window) -> list[Spectrum]:
     _, sum_min, _ = sum_symbols(cover)
     if sum_min <= 0.0:
         raise PreconditionViolation("cover does not cover the grid")
-    return [op.spectrum() for op in region_operators(cover, phi)]
+    return [assemble_locop(s, phi).spectrum() for s in cover.regions]
 
 
 _GRAM_POWER = {"plain": 2.0, "squared": 4.0, "thresholded": 2.0}
@@ -344,43 +346,43 @@ def write_frame(manifest_path, atoms_path, frame: EigenFrame) -> None:
 
 def read_frame(manifest_path, atoms_path) -> EigenFrame:
     with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    L = int(manifest["L"])
+        try:
+            manifest = json.load(fh)
+            L = int(manifest["L"])
+            weighted = bool(manifest["weighted"])
+            entries = [
+                (int(e["offset"]), float(e["weight"]), int(e["gamma"]), int(e["k"]),
+                 float(e["lambda"]))
+                for e in manifest["atoms"]
+            ]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise InvalidArgumentError(
+                f"malformed frame manifest ({type(exc).__name__}: {exc})", path=str(manifest_path)
+            ) from None
     with open(atoms_path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != b"TFAT":
         raise InvalidArgumentError(f"bad atoms magic {blob[:4]!r}", path=str(atoms_path))
     atoms = []
-    for entry in manifest["atoms"]:
-        off = int(entry["offset"])
+    for off, weight, gamma, k, lam in entries:
         if off < 4 or off + 16 * L > len(blob):
             raise InvalidArgumentError(
                 f"atom record at offset {off} overruns the atoms file", path=str(atoms_path)
             )
         data = np.frombuffer(blob, dtype="<f8", count=2 * L, offset=off).reshape(L, 2)
-        atoms.append(
-            FrameAtom(
-                vector=(data[:, 0] + 1j * data[:, 1]).copy(),
-                weight=float(entry["weight"]),
-                gamma=int(entry["gamma"]),
-                k=int(entry["k"]),
-                lam=float(entry["lambda"]),
-            )
-        )
-    return EigenFrame(L, tuple(atoms), bool(manifest["weighted"]))
+        vector = (data[:, 0] + 1j * data[:, 1]).copy()
+        atoms.append(FrameAtom(vector=vector, weight=weight, gamma=gamma, k=k, lam=lam))
+    return EigenFrame(L, tuple(atoms), weighted)
 
 
-def certificate_to_dict(cert: FrameCertificate) -> dict:
-    return {
+def write_certificate_json(path, cert: FrameCertificate) -> None:
+    payload = {
         "A": cert.A,
         "B": cert.B,
         "condition": cert.condition,
         "is_frame": cert.is_frame,
         "atol": cert.a_tol,
     }
-
-
-def write_certificate_json(path, cert: FrameCertificate) -> None:
     with open(path, "w", newline="") as fh:
-        json.dump(certificate_to_dict(cert), fh, indent=1)
+        json.dump(payload, fh, indent=1)
         fh.write("\n")

@@ -223,9 +223,9 @@ def gabor_eigenframe(
                 f"region {i} center {s.center} is not a lattice point"
             )
 
-    ops = [
+    ops = (
         assemble_locop(_multiplier_symbol(mask.reshape(-1), sys, s.center), sys.window)
         for mask, s in zip(masks, cover.regions)
-    ]
+    )
     frame = eigenframe_from_operators(cover.L, ops, policy, weighted)
     return frame, frame_certificate(frame)

@@ -12,7 +12,6 @@ and eta >= 0 makes H positive semidefinite.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,19 +122,10 @@ class ThresholdedOp:
     epsilon: float
     rank: int
 
-    @property
-    def kept_indices(self) -> range:
-        return range(self.rank)
-
     def apply(self, v: np.ndarray) -> np.ndarray:
         spec = self.source.spectrum()
         Q = spec.eigenvectors[:, : self.rank]
         return Q @ (spec.eigenvalues[: self.rank] * (Q.conj().T @ v))
-
-    def matrix(self) -> np.ndarray:
-        spec = self.source.spectrum()
-        Q = spec.eigenvectors[:, : self.rank]
-        return (Q * spec.eigenvalues[: self.rank]) @ Q.conj().T
 
     def squared_matrix(self) -> np.ndarray:
         """(H^eps)^2, assembled from the kept eigenpairs."""
@@ -199,38 +189,3 @@ def shift_symbol_conjugation_check(op: LocOperator, z: tuple[int, int]) -> Conju
         np.max(np.abs(op.spectrum().eigenvalues - shifted_op.spectrum().eigenvalues))
     )
     return ConjugationReport(tuple(int(c) for c in z), dev, spec_dev)
-
-
-# ---------------------------------------------------------------------------
-# Operator binary format: magic b"TFLO", little-endian u32 L, then L^2
-# little-endian f64 (re, im) pairs in row-major order.
-# Spectrum CSV: header `k,lambda`, k starting at 1, descending.
-# ---------------------------------------------------------------------------
-
-def write_operator_binary(path, op: LocOperator) -> None:
-    L = op.L
-    interleaved = np.empty((L * L, 2), dtype="<f8")
-    interleaved[:, 0] = op.matrix.real.ravel()
-    interleaved[:, 1] = op.matrix.imag.ravel()
-    with open(path, "wb") as fh:
-        fh.write(b"TFLO")
-        fh.write(struct.pack("<I", L))
-        fh.write(interleaved.tobytes())
-
-
-def read_operator_binary(path) -> LocOperator:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != b"TFLO":
-            raise InvalidArgumentError(f"bad operator magic {magic!r}", path=str(path))
-        (L,) = struct.unpack("<I", fh.read(4))
-        data = np.frombuffer(fh.read(L * L * 16), dtype="<f8").reshape(L * L, 2)
-    return LocOperator((data[:, 0] + 1j * data[:, 1]).reshape(L, L))
-
-
-def write_spectrum_csv(path, spec: Spectrum) -> None:
-    lines = ["k,lambda"]
-    for k, lam in enumerate(spec.eigenvalues, start=1):
-        lines.append(f"{k},{float(lam)!r}")
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")

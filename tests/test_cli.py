@@ -1,8 +1,11 @@
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tfloc.locop
 from tfloc.cli import load_config, main, resolve_cover
@@ -43,6 +46,22 @@ def write_random_signal(tmp_path, L=16, seed=0, name="sig.csv"):
     return path
 
 
+# fields of configs/regular16.json that the fuzz test replaces, as key paths
+FUZZ_FIELDS = [
+    ("L",), ("policy",), ("policy", "epsilon"), ("policy", "n_max"), ("weighted",),
+    ("lattice",), ("cover", "regular", "bx"), ("admissibility", "R"), ("reconstruct_tol",),
+    ("seed",), ("window",),
+]
+# wrong-typed JSON values; numbers stay small so no example asks for a large grid
+WRONG_TYPED = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.lists(st.integers(0, 4), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 4), max_size=2),
+)
+
+
 def read_tree(out_dir: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir()) if p.is_file()}
 
@@ -68,22 +87,50 @@ class TestConfig:
         err = json.loads((out / "error.json").read_text())
         assert err["code"] == "io-error"
 
-    def test_truncated_config_json_is_invalid_argument(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            pytest.param(json.dumps(basic_config())[:40], None, id="truncated"),
+            pytest.param(json.dumps([basic_config()]), None, id="array"),
+            pytest.param(json.dumps(basic_config(L="sixteen")), "L", id="L-text"),
+            pytest.param(json.dumps(basic_config(L=[16])), "L", id="L-list"),
+            pytest.param(json.dumps(basic_config(policy=[1, 2])), "policy", id="policy-list"),
+            pytest.param(json.dumps(basic_config(policy="epsilon")), "policy", id="policy-text"),
+            pytest.param(json.dumps(basic_config(policy={"epsilon": "0.1"})), "epsilon", id="epsilon-text"),
+            pytest.param(json.dumps(basic_config(lattice=[2, 2])), "lattice", id="lattice-list"),
+            pytest.param(json.dumps(basic_config(lattice={"a": "x", "b": 2})), "a", id="lattice-a-text"),
+            pytest.param(json.dumps(basic_config(cover={"regular": {"bx": 4}})), "by", id="regular-missing-by"),
+            pytest.param(json.dumps(basic_config(reconstruct_tol="x")), "reconstruct_tol", id="reconstruct_tol-text"),
+            pytest.param(json.dumps(basic_config(admissibility={"R": "x"})), "R", id="R-text"),
+            pytest.param(json.dumps(basic_config(weighted="false")), "weighted", id="weighted-text"),
+        ],
+    )
+    def test_malformed_config_is_invalid_argument(self, tmp_path, text, key):
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(basic_config())[:40])
+        cfg.write_text(text)
         out = tmp_path / "o"
         assert main(["frame", "--config", str(cfg), "--out", str(out)]) == 1
         err = json.loads((out / "error.json").read_text())
         assert err["code"] == "invalid-argument"
         assert err["context"]["path"] == str(cfg)
+        if key is not None:
+            assert key in err["message"]
 
-    def test_non_numeric_epsilon_is_invalid_argument(self, tmp_path):
-        cfg = write_config(tmp_path, basic_config(policy={"epsilon": "0.1"}))
-        out = tmp_path / "o"
-        assert main(["frame", "--config", str(cfg), "--out", str(out)]) == 1
-        err = json.loads((out / "error.json").read_text())
-        assert err["code"] == "invalid-argument"
-        assert "epsilon" in err["message"]
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(field=st.sampled_from(FUZZ_FIELDS), value=WRONG_TYPED)
+    def test_fuzzed_config_field_exits_cleanly(self, field, value):
+        payload = json.loads((CONFIG_DIR / "regular16.json").read_text())
+        section = payload
+        for key in field[:-1]:
+            section = section.setdefault(key, {})
+        section[field[-1]] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_config(Path(tmp), payload)
+            out = Path(tmp) / "o"
+            rc = main(["frame", "--config", str(cfg), "--out", str(out)])
+            assert rc in (0, 1)
+            if rc == 1:
+                assert (out / "error.json").exists()
 
     def test_window_from_file(self, tmp_path):
         # an unnormalized file window is normalized on load
@@ -296,16 +343,28 @@ class TestReconstruct:
         assert err["code"] == "not-a-frame"
 
     def test_truncated_atoms_file_is_invalid_argument(self, tmp_path):
+        # also a truncated manifest, one without "atoms" and one with a bad "L";
+        # each corrupted file is restored before the next case
         cfg = write_config(tmp_path, basic_config())
         sig = write_random_signal(tmp_path)
         out = tmp_path / "o"
         assert main(["frame", "--config", str(cfg), "--out", str(out)]) == 0
-        atoms = out / "frame_atoms.tfat"
-        atoms.write_bytes(atoms.read_bytes()[:-8])
-        assert main(["reconstruct", "--config", str(cfg), "--signal", str(sig), "--out", str(out)]) == 1
-        err = json.loads((out / "error.json").read_text())
-        assert err["code"] == "invalid-argument"
-        assert err["context"]["path"] == str(atoms)
+        atoms, manifest = out / "frame_atoms.tfat", out / "frame.json"
+        stored = {path: path.read_bytes() for path in (atoms, manifest)}
+        parsed = json.loads(stored[manifest])
+        cases = [
+            (atoms, stored[atoms][:-8]),
+            (manifest, stored[manifest][:100]),
+            (manifest, json.dumps({"L": 16, "weighted": True}).encode()),
+            (manifest, json.dumps({**parsed, "L": "x"}).encode()),
+        ]
+        for path, data in cases:
+            path.write_bytes(data)
+            assert main(["reconstruct", "--config", str(cfg), "--signal", str(sig), "--out", str(out)]) == 1
+            err = json.loads((out / "error.json").read_text())
+            assert err["code"] == "invalid-argument"
+            assert err["context"]["path"] == str(path)
+            path.write_bytes(stored[path])
 
     def test_wedge32_end_to_end(self, tmp_path):
         sig = write_random_signal(tmp_path, L=32, seed=3)

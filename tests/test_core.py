@@ -11,7 +11,6 @@ from tfloc.core import (
     read_signal_csv,
     stft,
     tf_shift,
-    write_phase_plane_csv,
     write_signal_csv,
 )
 from tfloc.errors import DimensionError, InvalidArgumentError
@@ -220,16 +219,11 @@ class TestSignalCsv:
         np.testing.assert_array_equal(g.samples, f.samples)
 
     def test_header_checked(self, tmp_path):
+        # and every row: too few fields, a bad index, a bad number
         path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n0,1,2\n")
-        with pytest.raises(InvalidArgumentError):
-            read_signal_csv(path)
-
-    def test_phase_plane_export_format(self, tmp_path):
-        F = PhasePlaneArray(np.arange(4, dtype=complex).reshape(2, 2))
-        path = tmp_path / "F.csv"
-        write_phase_plane_csv(path, F)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x,xi,re,im"
-        assert lines[1] == "0,0,0.0,0.0"
-        assert len(lines) == 5
+        for text in ("a,b,c\n0,1,2\n", "t,re,im\n0,1.0\n", "t,re,im\nx,1.0,0.0\n",
+                     "t,re,im\n0,abc,0.0\n"):
+            path.write_text(text)
+            with pytest.raises(InvalidArgumentError) as info:
+                read_signal_csv(path)
+            assert info.value.context["path"] == str(path)

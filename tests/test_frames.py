@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from tfloc.frames import (
     write_certificate_json,
     write_frame,
 )
+from tfloc.gabor import Lattice, LatticeGaborSystem, canonical_tight, gabor_eigenframe
 from tfloc.locop import threshold
 
 from helpers import random_signal
@@ -178,6 +180,51 @@ class TestAssembleFrame:
         spectra = [op.spectrum().eigenvalues for op in region_operators(boxes16, phi16)]
         for ev in spectra[1:]:
             np.testing.assert_allclose(ev, spectra[0], atol=1e-9)
+
+
+def lattice_box_cover(L, box, step):
+    """box x box tiles of the grid, each restricted to the lattice (step Z)^2."""
+    regions = []
+    for x0 in range(0, L, box):
+        for xi0 in range(0, L, box):
+            cells = [(x, xi) for x in range(x0, x0 + box, step) for xi in range(xi0, xi0 + box, step)]
+            regions.append(Symbol.indicator(L, (x0 + box // 2, xi0 + box // 2), cells))
+    return Cover(L, tuple(regions))
+
+
+def traced_peak_bytes(build) -> int:
+    """Peak bytes traced while ``build()`` runs; numpy reports its buffers too."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOnePass:
+    """Frame assembly holds one region's operator and spectrum at a time.
+
+    One L x L complex operator is L^2 * 16 bytes; holding every region's
+    operator or spectrum at once would take one such matrix per region.
+    """
+
+    L = 64
+    POLICY = SelectionPolicy("epsilon", epsilon=0.1, n_max=64)
+
+    def test_grid_frame_peak(self):
+        cover, phi = gen_regular_boxes(self.L, 8, 8), gauss_window(self.L)
+        assert len(cover.regions) == 64
+        peak = traced_peak_bytes(lambda: assemble_frame(cover, phi, self.POLICY))
+        assert peak < 20 * self.L**2 * 16
+
+    def test_lattice_frame_peak(self):
+        lattice = Lattice(self.L, 4, 4)
+        cover = lattice_box_cover(self.L, 16, 4)
+        sys_ = LatticeGaborSystem.build(canonical_tight(gauss_window(self.L), lattice), lattice)
+        assert len(cover.regions) == 16
+        peak = traced_peak_bytes(lambda: gabor_eigenframe(cover, sys_, self.POLICY))
+        assert peak < 20 * self.L**2 * 16
 
 
 class TestCertificate:

@@ -9,11 +9,8 @@ from tfloc.locop import (
     assemble_locop,
     concentration,
     eigendecomp,
-    read_operator_binary,
     shift_symbol_conjugation_check,
     threshold,
-    write_operator_binary,
-    write_spectrum_csv,
 )
 
 from helpers import direct_assemble, orthonormal_set, random_signal
@@ -180,10 +177,6 @@ class TestThreshold:
     def test_golden_rank(self, box_op):
         assert threshold(box_op, 0.5).rank == 4
 
-    def test_kept_indices_prefix(self, box_op):
-        th = threshold(box_op, 0.3)
-        assert list(th.kept_indices) == list(range(th.rank))
-
     def test_markov_bound(self, box_op):
         for eps in (0.05, 0.1, 0.3, 0.7):
             th = threshold(box_op, eps)
@@ -276,27 +269,3 @@ class TestConjugation:
         bare = LocOperator(box_op.matrix)
         with pytest.raises(InvalidArgumentError):
             shift_symbol_conjugation_check(bare, (1, 1))
-
-
-class TestOperatorIo:
-    def test_binary_round_trip_exact(self, box_op, tmp_path):
-        path = tmp_path / "op.tflo"
-        write_operator_binary(path, box_op)
-        back = read_operator_binary(path)
-        np.testing.assert_array_equal(back.matrix, box_op.matrix)
-        assert path.read_bytes()[:4] == b"TFLO"
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.tflo"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(InvalidArgumentError):
-            read_operator_binary(path)
-
-    def test_spectrum_csv(self, box_op, tmp_path):
-        path = tmp_path / "spec.csv"
-        write_spectrum_csv(path, box_op.spectrum())
-        lines = path.read_text().splitlines()
-        assert lines[0] == "k,lambda"
-        assert lines[1].startswith("1,")
-        vals = [float(line.split(",")[1]) for line in lines[1:]]
-        assert vals == sorted(vals, reverse=True)
