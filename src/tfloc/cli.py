@@ -5,7 +5,7 @@ images are binary PGM.  tfloc starts no threads of its own, and the
 output bytes are reproducible for a fixed config, fixed inputs and a
 fixed BLAS thread setting.  Wall-clock timings are therefore opt-in
 (``--timings``); without the flag the ``timings`` field of ``report.json``
-is null.  ``--threads`` is accepted for compatibility and has no effect.
+is null.
 """
 
 from __future__ import annotations
@@ -14,10 +14,15 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
+
+try:  # CPython's own SHA-256; hashlib also loads OpenSSL, about 3.5 MB more peak RSS
+    from _sha256 import sha256
+except ImportError:  # renamed _sha2 in Python 3.12
+    from hashlib import sha256
 
 from . import __version__
 from .core import Window, gauss_window, read_signal_csv, stft
@@ -42,10 +47,10 @@ from .frames import (
     SelectionPolicy,
     assemble_frame,
     frame_certificate,
-    norm_equivalence_from_spectra,
+    norm_equivalence,
     read_frame,
-    region_spectra,
     reconstruct,
+    region_operators,
     write_certificate_json,
     write_frame,
 )
@@ -57,6 +62,7 @@ from .gabor import (
     gabor_eigenframe,
     lattice_coverage_min,
     lattice_masses,
+    multiplier_operators,
 )
 
 SWEEP_EPSILONS = [round(0.1 * i, 1) for i in range(10)]
@@ -74,7 +80,6 @@ class RunConfig:
     seed: int | None
     reconstruct_tol: float
     output_dir: Path | None
-    base_dir: Path
 
 
 def _exactly_one(name: str, present: list[str]) -> None:
@@ -211,7 +216,6 @@ def _parse_config(raw, path: Path) -> RunConfig:
         seed=_number(raw, "seed", integer=True),
         reconstruct_tol=float(_number(raw, "reconstruct_tol", 1e-8)),
         output_dir=path.parent / out if out else None,
-        base_dir=path.parent,
     )
 
 
@@ -290,6 +294,10 @@ def _region_rows(frame: EigenFrame, n_regions: int, masses: list[float]) -> list
     return rows
 
 
+def _tight_system(phi: Window, lattice: Lattice) -> LatticeGaborSystem:
+    return LatticeGaborSystem.build(canonical_tight(phi, lattice), lattice)
+
+
 def _build_frame(cfg: RunConfig, cover: Cover, phi: Window):
     """Grid or lattice pipeline; returns (frame, certificate, extras-for-report)."""
     if cfg.lattice is None:
@@ -298,8 +306,7 @@ def _build_frame(cfg: RunConfig, cover: Cover, phi: Window):
         masses = [s.mass for s in cover.regions]
         extras = {"lattice": None, "measure": "l1_mass / L (operator trace)"}
     else:
-        phit = canonical_tight(phi, cfg.lattice)
-        sys_ = LatticeGaborSystem.build(phit, cfg.lattice)
+        sys_ = _tight_system(phi, cfg.lattice)
         frame, cert = gabor_eigenframe(cover, sys_, cfg.policy, cfg.weighted)
         masses = lattice_masses(cover, cfg.lattice)
         extras = {
@@ -308,6 +315,19 @@ def _build_frame(cfg: RunConfig, cover: Cover, phi: Window):
             "measure": "tight_constant * lattice l1_mass (multiplier trace)",
         }
     return frame, cert, masses, extras
+
+
+def _frame_source(cfg: RunConfig, cover: Cover, phi: Window) -> str:
+    """SHA-256 of what a frame is built from: L, window, cover, policy, weighting, lattice."""
+    h = sha256()
+    lattice = None if cfg.lattice is None else (cfg.lattice.a, cfg.lattice.b)
+    h.update(repr((cfg.L, asdict(cfg.policy), cfg.weighted, lattice)).encode())
+    h.update(np.ascontiguousarray(phi.samples))
+    for s in cover.regions:
+        h.update(repr((s.center, s.cells.shape[0])).encode())
+        h.update(np.ascontiguousarray(s.cells))
+        h.update(np.ascontiguousarray(s.values))
+    return h.hexdigest()
 
 
 def cmd_spectrogram(cfg: RunConfig, signal_path, out_dir: Path) -> int:
@@ -345,10 +365,6 @@ def cmd_frame(cfg: RunConfig, out_dir: Path, timings: bool = False) -> int:
         adm_payload["lattice_sum_min"] = lat_min
         adm_payload["covers_lattice"] = lat_min > 0.0
     _write_json(out_dir / "admissibility.json", adm_payload)
-    if cfg.lattice is None and not report.covers_grid:
-        raise PreconditionViolation("cover does not cover the grid")
-    if cfg.lattice is not None and not adm_payload["covers_lattice"]:
-        raise PreconditionViolation("cover does not cover the lattice")
     if not report.outer_radius_ok:
         raise PreconditionViolation(
             f"outer radius {report.max_outer_radius} exceeds configured R={cfg.admissibility['R']}"
@@ -357,6 +373,7 @@ def cmd_frame(cfg: RunConfig, out_dir: Path, timings: bool = False) -> int:
     t1 = time.perf_counter()
     frame, cert, masses, extras = _build_frame(cfg, cover, phi)
     t2 = time.perf_counter()
+    frame = replace(frame, source=_frame_source(cfg, cover, phi))
 
     write_frame(out_dir / "frame.json", out_dir / "frame_atoms.tfat", frame)
     write_certificate_json(out_dir / "certificate.json", cert)
@@ -389,17 +406,14 @@ def cmd_frame(cfg: RunConfig, out_dir: Path, timings: bool = False) -> int:
 
 
 def _load_or_build_frame(cfg: RunConfig, out_dir: Path) -> tuple[EigenFrame, FrameCertificate]:
+    """The frame stored in ``out_dir`` if it was built from this config's inputs, else a new one."""
     manifest = out_dir / "frame.json"
     atoms = out_dir / "frame_atoms.tfat"
-    if manifest.exists() and atoms.exists():
-        frame = read_frame(manifest, atoms)
-        if frame.L != cfg.L:
-            raise InvalidArgumentError(
-                f"stored frame has L={frame.L}, config L={cfg.L}", path=str(manifest)
-            )
-        return frame, frame_certificate(frame)
+    stored = read_frame(manifest, atoms) if manifest.exists() and atoms.exists() else None
     phi = resolve_window(cfg)
     cover = resolve_cover(cfg)
+    if stored is not None and stored.source == _frame_source(cfg, cover, phi):
+        return stored, frame_certificate(stored)
     frame, cert, _, _ = _build_frame(cfg, cover, phi)
     return frame, cert
 
@@ -425,12 +439,14 @@ def cmd_reconstruct(cfg: RunConfig, signal_path, out_dir: Path) -> int:
 def cmd_diagnose(cfg: RunConfig, out_dir: Path) -> int:
     phi = resolve_window(cfg)
     cover = resolve_cover(cfg)
+    if cfg.lattice is None:
+        ops = region_operators(cover, phi)
+    else:
+        ops = multiplier_operators(cover, _tight_system(phi, cfg.lattice))
     eps = cfg.policy.epsilon if cfg.policy.mode == "epsilon" else 1.0 / cfg.policy.alpha
-    spectra = region_spectra(cover, phi)
-    c_plain, C_plain = norm_equivalence_from_spectra(spectra, "plain")
-    c_sq, C_sq = norm_equivalence_from_spectra(spectra, "squared")
-    c_th, C_th = norm_equivalence_from_spectra(spectra, "thresholded", eps)
-    sweep = [(e, *norm_equivalence_from_spectra(spectra, "thresholded", e)) for e in SWEEP_EPSILONS]
+    terms = [(2.0, None), (4.0, None), (2.0, eps)] + [(2.0, e) for e in SWEEP_EPSILONS]
+    (c_plain, C_plain), (c_sq, C_sq), (c_th, C_th), *rows = norm_equivalence(ops, terms)
+    sweep = [(e, c, C) for e, (c, C) in zip(SWEEP_EPSILONS, rows)]
 
     cs = [row[1] for row in sweep]
     for prev, nxt in zip(cs, cs[1:]):
@@ -473,12 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
         if signal:
             p.add_argument("--signal", required=True, help="signal CSV (t,re,im)")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="accepted for compatibility; has no effect",
-        )
 
     common(sub.add_parser("spectrogram", help="export |STFT|^2 as CSV and PGM"), signal=True)
     p_frame = sub.add_parser("frame", help="build a frame, certificate and report")

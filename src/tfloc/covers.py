@@ -303,25 +303,38 @@ def cover_to_dict(cover: Cover) -> dict:
     return {"L": cover.L, "regions": regions}
 
 
-def cover_from_dict(data: dict) -> Cover:
+def _json_array(value, kinds: str) -> np.ndarray | None:
+    """``value`` as an array if every entry has a dtype kind in ``kinds``, else None."""
     try:
-        L = int(data["L"])
-        raw_regions = data["regions"]
-    except (KeyError, TypeError) as exc:
-        raise InvalidArgumentError(f"malformed cover JSON: missing {exc}") from exc
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        return None
+    return arr if arr.dtype.kind in kinds else None
+
+
+def cover_from_dict(data) -> Cover:
+    """Cover from parsed cover JSON; a malformed entry is an InvalidArgumentError."""
+    L = data.get("L") if isinstance(data, dict) else None
+    if isinstance(L, bool) or not isinstance(L, int) or not isinstance(data.get("regions"), list):
+        raise InvalidArgumentError('cover JSON must be an object with an integer "L" and a "regions" list')
     regions = []
-    for i, entry in enumerate(raw_regions):
-        cells = np.asarray(entry["cells"], dtype=np.int64).reshape(-1, 2)
+    for i, entry in enumerate(data["regions"]):
+        if not isinstance(entry, dict):
+            raise InvalidArgumentError(f"region {i} must be an object")
+        center = _json_array(entry.get("center"), "iu")
+        if center is None or center.shape != (2,):
+            raise InvalidArgumentError(f'region {i}: "center" must be [x, xi] integers')
+        cells = _json_array(entry.get("cells"), "iu")
+        if cells is None or cells.ndim != 2 or cells.shape[1] != 2:
+            raise InvalidArgumentError(f'region {i}: "cells" must be a list of [x, xi] integer pairs')
         values = entry.get("values")
         if values is None:
             values = np.ones(cells.shape[0])
         else:
-            values = np.asarray(values, dtype=np.float64)
-            if values.shape[0] != cells.shape[0]:
-                raise InvalidArgumentError(
-                    f"region {i}: {values.shape[0]} values for {cells.shape[0]} cells"
-                )
-        regions.append(Symbol(L, tuple(entry["center"]), cells, values))
+            values = _json_array(values, "iuf")
+            if values is None or values.shape != (cells.shape[0],):
+                raise InvalidArgumentError(f'region {i}: "values" must be one number per cell')
+        regions.append(Symbol(L, tuple(center), cells, values))
     return Cover(L, tuple(regions))
 
 
@@ -332,5 +345,14 @@ def write_cover_json(path, cover: Cover) -> None:
 
 
 def read_cover_json(path) -> Cover:
+    """Cover from a JSON file; a malformed file is an InvalidArgumentError with its path."""
     with open(path) as fh:
-        return cover_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise InvalidArgumentError(f"cover is not valid JSON: {exc}", path=str(path)) from None
+    try:
+        return cover_from_dict(data)
+    except InvalidArgumentError as exc:
+        exc.context.setdefault("path", str(path))
+        raise

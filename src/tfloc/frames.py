@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +29,7 @@ from .errors import (
 from .locop import LocOperator, Spectrum, assemble_locop
 
 _DEGENERATE_TOL = 1e-14
+_UNIT_NORM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -66,27 +67,15 @@ class SelectionPolicy:
         return math.inf if self.epsilon == 0.0 else 1.0 / self.epsilon
 
 
-def select_eigenfunctions(
-    spectra: list[Spectrum], measures: list[float], policy: SelectionPolicy
-) -> list[int]:
-    """Per-region counts N_gamma for the given spectra and trace measures."""
-    if not spectra:
-        raise InvalidArgumentError("no spectra to select from")
-    if len(spectra) != len(measures):
-        raise InvalidArgumentError(
-            f"{len(spectra)} spectra but {len(measures)} measures"
-        )
-    counts = []
-    for spec, measure in zip(spectra, measures):
-        dim = spec.eigenvalues.size
-        if policy.mode == "alpha":
-            n = min(policy.n_max, dim, int(math.ceil(policy.alpha * measure)))
-        elif policy.epsilon == 0.0:
-            n = min(policy.n_max, spec.numerical_rank())
-        else:
-            n = min(policy.n_max, int(np.sum(spec.eigenvalues > policy.epsilon)))
-        counts.append(max(n, 0))
-    return counts
+def select_eigenfunctions(spec: Spectrum, measure: float, policy: SelectionPolicy) -> int:
+    """N_gamma for one region's spectrum and trace measure."""
+    if policy.mode == "alpha":
+        n = min(policy.n_max, spec.eigenvalues.size, int(math.ceil(policy.alpha * measure)))
+    elif policy.epsilon == 0.0:
+        n = min(policy.n_max, spec.numerical_rank())
+    else:
+        n = min(policy.n_max, int(np.sum(spec.eigenvalues > policy.epsilon)))
+    return max(n, 0)
 
 
 @dataclass(frozen=True)
@@ -103,6 +92,7 @@ class EigenFrame:
     L: int
     atoms: tuple[FrameAtom, ...]
     weighted: bool
+    source: str | None = None  # fingerprint of the inputs the frame was built from
 
     def __post_init__(self):
         if not self.atoms:
@@ -124,9 +114,18 @@ class FrameCertificate:
     a_tol: float
 
 
-def region_operators(cover: Cover, phi: Window) -> list[LocOperator]:
-    """One localization operator per region, in region order."""
-    return [assemble_locop(s, phi) for s in cover.regions]
+def region_operators(cover: Cover, phi: Window) -> Iterator[LocOperator]:
+    """The grid stream: each region's localization operator, built lazily in region order.
+
+    The cover must cover the grid; that is checked here, before the first
+    operator is built.
+    """
+    _, sum_min, _ = sum_symbols(cover)
+    if sum_min <= 0.0:
+        raise PreconditionViolation(
+            f"cover does not cover the grid (min symbol sum {sum_min!r})"
+        )
+    return (assemble_locop(s, phi) for s in cover.regions)
 
 
 def eigenframe_from_operators(L: int, ops: Iterable[LocOperator], policy: SelectionPolicy,
@@ -141,7 +140,7 @@ def eigenframe_from_operators(L: int, ops: Iterable[LocOperator], policy: Select
     atoms: list[FrameAtom] = []
     for gamma, op in enumerate(ops):
         spec = op.spectrum()
-        (n,) = select_eigenfunctions([spec], [op.trace], policy)
+        n = select_eigenfunctions(spec, op.trace, policy)
         if spec.eigenvalues[0] <= _DEGENERATE_TOL:
             warnings.warn(
                 f"region {gamma} has a numerically zero operator; contributing no atoms",
@@ -178,11 +177,7 @@ def assemble_frame(
     ball inside its region's support), which is what keeps the selected
     eigenvalues bounded away from zero.
     """
-    _, sum_min, _ = sum_symbols(cover)
-    if sum_min <= 0.0:
-        raise PreconditionViolation(
-            f"cover does not cover the grid (min symbol sum {sum_min!r})"
-        )
+    ops = region_operators(cover, phi)
     if not weighted:
         report = validate_cover(cover, R=cover.L // 2, r=1)
         if not report.inner_radius_ok:
@@ -191,7 +186,6 @@ def assemble_frame(
                 "radius-1 ball must lie inside its region's support "
                 f"(measured min inner radius {report.min_inner_radius})"
             )
-    ops = (assemble_locop(s, phi) for s in cover.regions)
     return eigenframe_from_operators(cover.L, ops, policy, weighted)
 
 
@@ -243,44 +237,31 @@ def reconstruct(
 # (thresholded); the equivalence constants are their square roots.
 # ---------------------------------------------------------------------------
 
-def _gram_from_spectra(spectra: list[Spectrum], power: float, epsilon: float | None) -> np.ndarray:
-    L = spectra[0].eigenvalues.size
-    G = np.zeros((L, L), dtype=np.complex128)
-    for spec in spectra:
-        lam = spec.eigenvalues
-        if epsilon is None:
-            Q = spec.eigenvectors
-            G += (Q * lam**power) @ Q.conj().T
-        else:
-            keep = lam > epsilon
-            Q = spec.eigenvectors[:, keep]
-            G += (Q * lam[keep] ** power) @ Q.conj().T
-    return G
-
-
-def region_spectra(cover: Cover, phi: Window) -> list[Spectrum]:
-    """One eigensolve per region of a cover that covers the grid."""
-    _, sum_min, _ = sum_symbols(cover)
-    if sum_min <= 0.0:
-        raise PreconditionViolation("cover does not cover the grid")
-    return [assemble_locop(s, phi).spectrum() for s in cover.regions]
-
-
 _GRAM_POWER = {"plain": 2.0, "squared": 4.0, "thresholded": 2.0}
 
 
-def norm_equivalence_from_spectra(
-    spectra: list[Spectrum], variant: str = "plain", epsilon: float | None = None
-) -> tuple[float, float]:
-    """(c, C) = extreme eigenvalues of the Gram sum for the chosen variant."""
-    if variant not in _GRAM_POWER:
-        raise InvalidArgumentError(f"unknown variant {variant!r}")
-    if variant != "thresholded":
-        epsilon = None
-    elif epsilon is None or epsilon < 0.0:
+def norm_equivalence(
+    ops: Iterable[LocOperator], terms: list[tuple[float, float | None]]
+) -> list[tuple[float, float]]:
+    """(c, C) for each (power, epsilon) term, from one pass over ``ops``.
+
+    A term's Gram sum is sum_gamma Q diag(lam^power) Q* over each region's
+    eigenpairs (lam, Q), keeping only lam > epsilon unless epsilon is None;
+    power 2 is sum K'K for K = H, power 4 for K = H^2.  Equal terms share one
+    sum, and each region's operator and spectrum are dropped once added.
+    """
+    grams = dict.fromkeys(terms, 0.0)
+    if any(eps is not None and eps < 0.0 for _, eps in grams):
         raise InvalidArgumentError("thresholded variant requires epsilon >= 0")
-    ev = np.linalg.eigvalsh(_gram_from_spectra(spectra, _GRAM_POWER[variant], epsilon))
-    return float(ev[0]), float(ev[-1])
+    for op in ops:
+        spec = op.spectrum()
+        lam, Q = spec.eigenvalues, spec.eigenvectors
+        for power, eps in list(grams):
+            keep = slice(None) if eps is None else lam > eps
+            grams[power, eps] += (Q[:, keep] * lam[keep] ** power) @ Q[:, keep].conj().T
+        del op, spec, Q
+    extremes = {key: np.linalg.eigvalsh(G)[[0, -1]] for key, G in grams.items()}
+    return [(float(extremes[t][0]), float(extremes[t][1])) for t in terms]
 
 
 def norm_equivalence_constants(
@@ -289,15 +270,21 @@ def norm_equivalence_constants(
     variant: str = "plain",
     epsilon: float | None = None,
 ) -> tuple[float, float]:
-    """(c, C) of one variant, computed from the region spectra of ``cover``."""
-    return norm_equivalence_from_spectra(region_spectra(cover, phi), variant, epsilon)
+    """(c, C) of one variant: the plain, squared or thresholded operator sum."""
+    if variant not in _GRAM_POWER:
+        raise InvalidArgumentError(f"unknown variant {variant!r}")
+    if variant != "thresholded":
+        epsilon = None
+    elif epsilon is None:
+        raise InvalidArgumentError("thresholded variant requires epsilon >= 0")
+    return norm_equivalence(region_operators(cover, phi), [(_GRAM_POWER[variant], epsilon)])[0]
 
 
 def epsilon_sweep(cover: Cover, phi: Window, epsilons) -> list[tuple[float, float, float]]:
     """(epsilon, c, C) rows of the thresholded constants; one eigensolve per region."""
-    spectra = region_spectra(cover, phi)
-    return [(float(e), *norm_equivalence_from_spectra(spectra, "thresholded", float(e)))
-            for e in epsilons]
+    eps = [float(e) for e in epsilons]
+    rows = norm_equivalence(region_operators(cover, phi), [(2.0, e) for e in eps])
+    return [(e, c, C) for e, (c, C) in zip(eps, rows)]
 
 
 def ball_operator_spectrum(L: int, phi: Window, radius: int) -> np.ndarray:
@@ -338,7 +325,10 @@ def write_frame(manifest_path, atoms_path, frame: EigenFrame) -> None:
                     "offset": offset,
                 }
             )
-    manifest = {"L": frame.L, "weighted": frame.weighted, "atoms": entries}
+    manifest = {"L": frame.L, "weighted": frame.weighted}
+    if frame.source is not None:
+        manifest["source"] = frame.source
+    manifest["atoms"] = entries
     with open(manifest_path, "w", newline="") as fh:
         json.dump(manifest, fh, indent=1)
         fh.write("\n")
@@ -348,8 +338,13 @@ def read_frame(manifest_path, atoms_path) -> EigenFrame:
     with open(manifest_path) as fh:
         try:
             manifest = json.load(fh)
-            L = int(manifest["L"])
-            weighted = bool(manifest["weighted"])
+            L, weighted, source = manifest["L"], manifest["weighted"], manifest.get("source")
+            if isinstance(L, bool) or not isinstance(L, int) or L < 1:
+                raise ValueError(f"L must be a positive integer, not {L!r}")
+            if not isinstance(weighted, bool):
+                raise ValueError(f"weighted must be true or false, not {weighted!r}")
+            if source is not None and not isinstance(source, str):
+                raise ValueError(f"source must be a string, not {source!r}")
             entries = [
                 (int(e["offset"]), float(e["weight"]), int(e["gamma"]), int(e["k"]),
                  float(e["lambda"]))
@@ -371,8 +366,13 @@ def read_frame(manifest_path, atoms_path) -> EigenFrame:
             )
         data = np.frombuffer(blob, dtype="<f8", count=2 * L, offset=off).reshape(L, 2)
         vector = (data[:, 0] + 1j * data[:, 1]).copy()
+        # a NaN or infinite entry fails this too
+        if not abs(np.linalg.norm(vector) - 1.0) <= _UNIT_NORM_TOL:
+            raise InvalidArgumentError(
+                f"atom record at offset {off} is not a finite unit vector", path=str(atoms_path)
+            )
         atoms.append(FrameAtom(vector=vector, weight=weight, gamma=gamma, k=k, lam=lam))
-    return EigenFrame(L, tuple(atoms), weighted)
+    return EigenFrame(L, tuple(atoms), weighted, source)
 
 
 def write_certificate_json(path, cert: FrameCertificate) -> None:

@@ -14,6 +14,7 @@ assembled as the localization operator of the lattice symbol eta = A L m.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,38 +195,43 @@ def lattice_coverage_min(cover: Cover, lattice: Lattice) -> float:
     return float(total.min())
 
 
+def multiplier_operators(cover: Cover, sys: LatticeGaborSystem) -> Iterator[LocOperator]:
+    """The lattice stream: each region's Gabor multiplier, built lazily in region order.
+
+    The system must be tight, region symbols must be supported on the
+    lattice, their sum must be strictly positive at every lattice point, and
+    all centers must be lattice points; all of that is checked here, before
+    the first multiplier is built.  Each multiplier is the localization
+    operator of its region's lattice symbol scaled by A L.
+    """
+    _require_tight(sys)
+    lat_min = lattice_coverage_min(cover, sys.lattice)
+    if lat_min <= 0.0:
+        raise PreconditionViolation(f"cover does not cover the lattice (min symbol sum {lat_min!r})")
+    for i, s in enumerate(cover.regions):
+        if not sys.lattice.contains(s.center):
+            raise InvalidArgumentError(
+                f"region {i} center {s.center} is not a lattice point"
+            )
+    return (
+        assemble_locop(
+            _multiplier_symbol(symbol_on_lattice(s, sys.lattice).reshape(-1), sys, s.center),
+            sys.window,
+        )
+        for s in cover.regions
+    )
+
+
 def gabor_eigenframe(
     cover: Cover,
     sys: LatticeGaborSystem,
     policy: SelectionPolicy,
     weighted: bool = True,
 ) -> tuple[EigenFrame, FrameCertificate]:
-    """Eigenfunction frame from per-region Gabor multipliers.
+    """Eigenfunction frame from per-region Gabor multipliers, and its certificate.
 
-    Region symbols must be supported on the lattice, their sum must be
-    strictly positive at every lattice point, and all centers must be lattice
-    points.  Each region's multiplier is the localization operator of its
-    lattice symbol scaled by A L, and selection runs through the grid
-    pipeline's back end with the multiplier trace as the region measure.
+    Selection runs through the grid pipeline's back end with the multiplier
+    trace as the region measure.
     """
-    _require_tight(sys)
-    masks = [symbol_on_lattice(s, sys.lattice) for s in cover.regions]
-    total = np.zeros_like(masks[0])
-    for mask in masks:
-        total += mask
-    if float(total.min()) <= 0.0:
-        raise PreconditionViolation(
-            f"cover does not cover the lattice (min symbol sum {float(total.min())!r})"
-        )
-    for i, s in enumerate(cover.regions):
-        if not sys.lattice.contains(s.center):
-            raise InvalidArgumentError(
-                f"region {i} center {s.center} is not a lattice point"
-            )
-
-    ops = (
-        assemble_locop(_multiplier_symbol(mask.reshape(-1), sys, s.center), sys.window)
-        for mask, s in zip(masks, cover.regions)
-    )
-    frame = eigenframe_from_operators(cover.L, ops, policy, weighted)
+    frame = eigenframe_from_operators(cover.L, multiplier_operators(cover, sys), policy, weighted)
     return frame, frame_certificate(frame)

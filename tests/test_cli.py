@@ -7,9 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tfloc.cli
 import tfloc.locop
 from tfloc.cli import load_config, main, resolve_cover
-from tfloc.core import Signal, write_signal_csv
+from tfloc.core import Signal, gauss_window, write_signal_csv
+from tfloc.covers import cover_to_dict, gen_regular_boxes
+from tfloc.gabor import canonical_tight, symbol_on_lattice
+
+from helpers import direct_gabor_multiplier
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -60,6 +65,13 @@ WRONG_TYPED = st.one_of(
     st.lists(st.integers(0, 4), max_size=3),
     st.dictionaries(st.text(max_size=3), st.integers(0, 4), max_size=2),
 )
+
+
+def with_region(cover, **fields):
+    """``cover`` with region 0's fields replaced; a field set to None is removed."""
+    region = {**cover["regions"][0], **fields}
+    region = {k: v for k, v in region.items() if v is not None}
+    return {**cover, "regions": [region, *cover["regions"][1:]]}
 
 
 def read_tree(out_dir: Path) -> dict[str, bytes]:
@@ -126,6 +138,23 @@ class TestConfig:
         section[field[-1]] = value
         with tempfile.TemporaryDirectory() as tmp:
             cfg = write_config(Path(tmp), payload)
+            out = Path(tmp) / "o"
+            rc = main(["frame", "--config", str(cfg), "--out", str(out)])
+            assert rc in (0, 1)
+            if rc == 1:
+                assert (out / "error.json").exists()
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(field=st.sampled_from(["regions", "center", "cells", "values"]), value=WRONG_TYPED)
+    def test_fuzzed_cover_field_exits_cleanly(self, field, value):
+        cover = cover_to_dict(gen_regular_boxes(16, 8, 8))
+        if field == "regions":
+            cover["regions"] = value
+        else:
+            cover["regions"][0][field] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "cover.json").write_text(json.dumps(cover))
+            cfg = write_config(Path(tmp), basic_config(cover={"file": "cover.json"}))
             out = Path(tmp) / "o"
             rc = main(["frame", "--config", str(cfg), "--out", str(out)])
             assert rc in (0, 1)
@@ -241,6 +270,28 @@ class TestFrame:
         assert err["code"] == "precondition-violation"
         assert "cover" in err["message"]
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda text, cover: text[:40], id="truncated"),
+            pytest.param(lambda text, cover: json.dumps({**cover, "regions": 5}), id="regions-int"),
+            pytest.param(lambda text, cover: json.dumps(with_region(cover, cells=None)), id="no-cells"),
+            pytest.param(lambda text, cover: json.dumps(with_region(cover, center=[0])), id="center-short"),
+            pytest.param(lambda text, cover: json.dumps(with_region(cover, cells="ab")), id="cells-text"),
+            pytest.param(lambda text, cover: json.dumps(with_region(cover, cells=[[0, 0, 1]])), id="cells-triple"),
+        ],
+    )
+    def test_malformed_cover_file_is_invalid_argument(self, tmp_path, edit):
+        cover = cover_to_dict(gen_regular_boxes(16, 8, 8))
+        cover_path = tmp_path / "cover.json"
+        cover_path.write_text(edit(json.dumps(cover), cover))
+        cfg = write_config(tmp_path, basic_config(cover={"file": "cover.json"}))
+        out = tmp_path / "o"
+        assert main(["frame", "--config", str(cfg), "--out", str(out)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["code"] == "invalid-argument"
+        assert err["context"]["path"] == str(cover_path)
+
     def test_outer_radius_enforced(self, tmp_path):
         cfg = write_config(tmp_path, basic_config(admissibility={"R": 1}))
         out = tmp_path / "o"
@@ -250,9 +301,9 @@ class TestFrame:
 
     def test_determinism_across_thread_counts(self, tmp_path):
         cfg = CONFIG_DIR / "regular16.json"
-        out1, out2 = tmp_path / "t1", tmp_path / "t8"
-        assert main(["frame", "--config", str(cfg), "--out", str(out1), "--threads", "1"]) == 0
-        assert main(["frame", "--config", str(cfg), "--out", str(out2), "--threads", "8"]) == 0
+        out1, out2 = tmp_path / "r1", tmp_path / "r2"
+        assert main(["frame", "--config", str(cfg), "--out", str(out1)]) == 0
+        assert main(["frame", "--config", str(cfg), "--out", str(out2)]) == 0
         assert read_tree(out1) == read_tree(out2)
 
     def test_seeded_irregular_run_twice_identical(self, tmp_path):
@@ -343,8 +394,9 @@ class TestReconstruct:
         assert err["code"] == "not-a-frame"
 
     def test_truncated_atoms_file_is_invalid_argument(self, tmp_path):
-        # also a truncated manifest, one without "atoms" and one with a bad "L";
-        # each corrupted file is restored before the next case
+        # also a truncated manifest, one without "atoms", a bad or non-positive
+        # "L", a non-boolean "weighted", and atoms that are not finite unit
+        # vectors; each corrupted file is restored before the next case
         cfg = write_config(tmp_path, basic_config())
         sig = write_random_signal(tmp_path)
         out = tmp_path / "o"
@@ -352,11 +404,21 @@ class TestReconstruct:
         atoms, manifest = out / "frame_atoms.tfat", out / "frame.json"
         stored = {path: path.read_bytes() for path in (atoms, manifest)}
         parsed = json.loads(stored[manifest])
+        first = np.frombuffer(stored[atoms], dtype="<f8", count=32, offset=4)  # atom 0
+
+        def with_first(record):
+            return stored[atoms][:4] + record.astype("<f8").tobytes() + stored[atoms][4 + 256:]
+
         cases = [
             (atoms, stored[atoms][:-8]),
             (manifest, stored[manifest][:100]),
             (manifest, json.dumps({"L": 16, "weighted": True}).encode()),
             (manifest, json.dumps({**parsed, "L": "x"}).encode()),
+            (manifest, json.dumps({**parsed, "L": -1}).encode()),
+            (manifest, json.dumps({**parsed, "L": 0}).encode()),
+            (manifest, json.dumps({**parsed, "weighted": "false"}).encode()),
+            (atoms, with_first(np.r_[np.nan, first[1:]])),
+            (atoms, with_first(2.0 * first)),
         ]
         for path, data in cases:
             path.write_bytes(data)
@@ -365,6 +427,22 @@ class TestReconstruct:
             assert err["code"] == "invalid-argument"
             assert err["context"]["path"] == str(path)
             path.write_bytes(stored[path])
+
+    def test_frame_of_another_config_is_not_reused(self, tmp_path, monkeypatch):
+        sig = write_random_signal(tmp_path)
+        out, fresh = tmp_path / "o", tmp_path / "fresh"
+        assert main(["frame", "--config", str(CONFIG_DIR / "regular16.json"), "--out", str(out)]) == 0
+        builds = []
+        build_frame = tfloc.cli._build_frame
+        monkeypatch.setattr(tfloc.cli, "_build_frame", lambda *a: builds.append(a) or build_frame(*a))
+        regular = ["reconstruct", "--config", str(CONFIG_DIR / "regular16.json"), "--signal", str(sig)]
+        assert main([*regular, "--out", str(out)]) == 0
+        assert builds == []  # same inputs: the stored frame is reused
+        irregular = ["reconstruct", "--config", str(CONFIG_DIR / "irregular16.json"), "--signal", str(sig)]
+        assert main([*irregular, "--out", str(out)]) == 0
+        assert len(builds) == 1
+        assert main([*irregular, "--out", str(fresh)]) == 0
+        assert (out / "reconstruction.json").read_bytes() == (fresh / "reconstruction.json").read_bytes()
 
     def test_wedge32_end_to_end(self, tmp_path):
         sig = write_random_signal(tmp_path, L=32, seed=3)
@@ -395,6 +473,31 @@ class TestDiagnose:
         assert d["plain"]["c"] > 0
         assert d["epsilon_sweep"][0]["c"] == pytest.approx(d["plain"]["c"], abs=1e-10)
         assert d["largest_epsilon_with_positive_c"] is not None
+
+    def test_lattice_config_against_oracle(self, tmp_path):
+        cfg_path = CONFIG_DIR / "gabor16.json"
+        assert main(["diagnose", "--config", str(cfg_path), "--out", str(tmp_path / "d")]) == 0
+        assert main(["frame", "--config", str(cfg_path), "--out", str(tmp_path / "f")]) == 0
+        d = json.loads((tmp_path / "d" / "diagnostics.json").read_text())
+        cert = json.loads((tmp_path / "f" / "certificate.json").read_text())
+
+        cfg = load_config(cfg_path)
+        lat = cfg.lattice
+        phit = canonical_tight(gauss_window(cfg.L), lat).samples
+        G2 = np.zeros((cfg.L, cfg.L), complex)
+        G4 = np.zeros((cfg.L, cfg.L), complex)
+        for s in resolve_cover(cfg).regions:
+            GM = direct_gabor_multiplier(cfg.L, lat.a, lat.b, phit, symbol_on_lattice(s, lat))
+            G2 += GM @ GM
+            G4 += GM @ GM @ GM @ GM
+        for variant, G in (("plain", G2), ("squared", G4)):
+            ev = np.linalg.eigvalsh(G)
+            assert d[variant]["c"] == pytest.approx(ev[0], abs=1e-9)
+            assert d[variant]["C"] == pytest.approx(ev[-1], abs=1e-9)
+        # the weighted epsilon-policy frame operator is the thresholded sum
+        assert d["thresholded"]["epsilon"] == cfg.policy.epsilon
+        assert d["thresholded"]["c"] == pytest.approx(cert["A"], rel=1e-12)
+        assert d["thresholded"]["C"] == pytest.approx(cert["B"], rel=1e-12)
 
     def test_one_eigensolve_per_region(self, tmp_path, monkeypatch):
         cfg = CONFIG_DIR / "irregular16.json"

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tfloc.cli import main
 from tfloc.core import Signal, gauss_window
 from tfloc.covers import Cover, Symbol, gen_random_irregular, gen_regular_boxes, gen_wedge_cover, sum_symbols
 from tfloc.errors import EmptyFrameError, InvalidArgumentError, NotAFrameError, PreconditionViolation
@@ -82,33 +83,22 @@ class TestSelectionPolicy:
 
 class TestSelection:
     def test_epsilon_counts_golden(self, boxes16, phi16):
-        ops = region_operators(boxes16, phi16)
-        spectra = [op.spectrum() for op in ops]
-        counts = select_eigenfunctions(
-            spectra, [op.trace for op in ops], SelectionPolicy("epsilon", epsilon=0.2, n_max=L16)
-        )
+        policy = SelectionPolicy("epsilon", epsilon=0.2, n_max=L16)
+        counts = [select_eigenfunctions(op.spectrum(), op.trace, policy)
+                  for op in region_operators(boxes16, phi16)]
         assert counts == [REGULAR16_N_EPS02] * 16  # identical by covariance
 
     def test_epsilon_zero_gives_numerical_rank(self, boxes16, phi16):
-        ops = region_operators(boxes16, phi16)
-        spectra = [op.spectrum() for op in ops]
-        counts = select_eigenfunctions(
-            spectra, [op.trace for op in ops], SelectionPolicy("epsilon", epsilon=0.0, n_max=L16)
-        )
-        assert counts == [spec.numerical_rank() for spec in spectra]
+        policy = SelectionPolicy("epsilon", epsilon=0.0, n_max=L16)
+        for op in region_operators(boxes16, phi16):
+            spec = op.spectrum()
+            assert select_eigenfunctions(spec, op.trace, policy) == spec.numerical_rank()
 
     def test_alpha_mode_ceil_of_measure(self, boxes16, phi16):
-        ops = region_operators(boxes16, phi16)
-        spectra = [op.spectrum() for op in ops]
-        measures = [op.trace for op in ops]  # = mass/L = 1.0 per region
-        counts = select_eigenfunctions(spectra, measures, SelectionPolicy("alpha", alpha=2.5, n_max=L16))
-        assert counts == [3] * 16
-        capped = select_eigenfunctions(spectra, measures, SelectionPolicy("alpha", alpha=2.5, n_max=2))
-        assert capped == [2] * 16
-
-    def test_empty_spectra_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            select_eigenfunctions([], [], SelectionPolicy("epsilon", epsilon=0.1))
+        for op in region_operators(boxes16, phi16):
+            spec, measure = op.spectrum(), op.trace  # = mass/L = 1.0 per region
+            assert select_eigenfunctions(spec, measure, SelectionPolicy("alpha", alpha=2.5, n_max=L16)) == 3
+            assert select_eigenfunctions(spec, measure, SelectionPolicy("alpha", alpha=2.5, n_max=2)) == 2
 
 
 class TestAssembleFrame:
@@ -203,7 +193,7 @@ def traced_peak_bytes(build) -> int:
 
 
 class TestOnePass:
-    """Frame assembly holds one region's operator and spectrum at a time.
+    """Frame assembly and diagnose hold one region's operator and spectrum at a time.
 
     One L x L complex operator is L^2 * 16 bytes; holding every region's
     operator or spectrum at once would take one such matrix per region.
@@ -225,6 +215,21 @@ class TestOnePass:
         assert len(cover.regions) == 16
         peak = traced_peak_bytes(lambda: gabor_eigenframe(cover, sys_, self.POLICY))
         assert peak < 20 * self.L**2 * 16
+
+    def test_diagnose_peak(self, tmp_path):
+        # diagnose keeps one Gram sum per distinct term (12 here) plus one
+        # region's operator and spectrum
+        config = {
+            "L": self.L,
+            "cover": {"regular": {"bx": 8, "by": 8}},
+            "policy": {"mode": "epsilon", "epsilon": 0.1, "n_max": self.L},
+        }
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["diagnose", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        assert main(argv) == 0  # the first run imports modules lazily; trace the second
+        peak = traced_peak_bytes(lambda: main(argv))
+        assert peak < 32 * self.L**2 * 16
 
 
 class TestCertificate:
