@@ -19,11 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-try:  # CPython's own SHA-256; hashlib also loads OpenSSL, about 3.5 MB more peak RSS
-    from _sha256 import sha256
-except ImportError:  # renamed _sha2 in Python 3.12
-    from hashlib import sha256
-
 from . import __version__
 from .core import Window, gauss_window, read_signal_csv, stft
 from .covers import (
@@ -63,6 +58,7 @@ from .gabor import (
     lattice_coverage_min,
     lattice_masses,
     multiplier_operators,
+    require_lattice_cover,
 )
 
 SWEEP_EPSILONS = [round(0.1 * i, 1) for i in range(10)]
@@ -294,7 +290,9 @@ def _region_rows(frame: EigenFrame, n_regions: int, masses: list[float]) -> list
     return rows
 
 
-def _tight_system(phi: Window, lattice: Lattice) -> LatticeGaborSystem:
+def _tight_system(cover: Cover, phi: Window, lattice: Lattice) -> LatticeGaborSystem:
+    """The canonical tight system, built only for a cover the lattice stream accepts."""
+    require_lattice_cover(cover, lattice)
     return LatticeGaborSystem.build(canonical_tight(phi, lattice), lattice)
 
 
@@ -306,7 +304,7 @@ def _build_frame(cfg: RunConfig, cover: Cover, phi: Window):
         masses = [s.mass for s in cover.regions]
         extras = {"lattice": None, "measure": "l1_mass / L (operator trace)"}
     else:
-        sys_ = _tight_system(phi, cfg.lattice)
+        sys_ = _tight_system(cover, phi, cfg.lattice)
         frame, cert = gabor_eigenframe(cover, sys_, cfg.policy, cfg.weighted)
         masses = lattice_masses(cover, cfg.lattice)
         extras = {
@@ -319,6 +317,11 @@ def _build_frame(cfg: RunConfig, cover: Cover, phi: Window):
 
 def _frame_source(cfg: RunConfig, cover: Cover, phi: Window) -> str:
     """SHA-256 of what a frame is built from: L, window, cover, policy, weighting, lattice."""
+    # hashlib loads OpenSSL (about 3.4 MB resident); importing it here, after
+    # the frame is built, keeps that out of the build's peak and out of the
+    # commands that never fingerprint a frame
+    from hashlib import sha256
+
     h = sha256()
     lattice = None if cfg.lattice is None else (cfg.lattice.a, cfg.lattice.b)
     h.update(repr((cfg.L, asdict(cfg.policy), cfg.weighted, lattice)).encode())
@@ -442,9 +445,10 @@ def cmd_diagnose(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.lattice is None:
         ops = region_operators(cover, phi)
     else:
-        ops = multiplier_operators(cover, _tight_system(phi, cfg.lattice))
+        ops = multiplier_operators(cover, _tight_system(cover, phi, cfg.lattice))
     eps = cfg.policy.epsilon if cfg.policy.mode == "epsilon" else 1.0 / cfg.policy.alpha
-    terms = [(2.0, None), (4.0, None), (2.0, eps)] + [(2.0, e) for e in SWEEP_EPSILONS]
+    terms = [("plain", None), ("squared", None), ("thresholded", eps)]
+    terms += [("thresholded", e) for e in SWEEP_EPSILONS]
     (c_plain, C_plain), (c_sq, C_sq), (c_th, C_th), *rows = norm_equivalence(ops, terms)
     sweep = [(e, c, C) for e, (c, C) in zip(SWEEP_EPSILONS, rows)]
 

@@ -293,14 +293,15 @@ def gen_random_irregular(L: int, seed: int, target_size: int, overlap: float) ->
 # `values` is omitted when all 1.0; readers accept any key order.
 # ---------------------------------------------------------------------------
 
+def _region_entry(s: Symbol) -> dict:
+    entry = {"center": list(s.center), "cells": s.cells.tolist()}
+    if not np.all(s.values == 1.0):
+        entry["values"] = [float(v) for v in s.values]
+    return entry
+
+
 def cover_to_dict(cover: Cover) -> dict:
-    regions = []
-    for s in cover.regions:
-        entry = {"center": list(s.center), "cells": s.cells.tolist()}
-        if not np.all(s.values == 1.0):
-            entry["values"] = [float(v) for v in s.values]
-        regions.append(entry)
-    return {"L": cover.L, "regions": regions}
+    return {"L": cover.L, "regions": [_region_entry(s) for s in cover.regions]}
 
 
 def _json_array(value, kinds: str) -> np.ndarray | None:
@@ -339,9 +340,18 @@ def cover_from_dict(data) -> Cover:
 
 
 def write_cover_json(path, cover: Cover) -> None:
+    """The bytes of ``json.dump(cover_to_dict(cover), indent=1)``, one region at a time.
+
+    The nested cell lists take several times the memory of the cell arrays,
+    so only one region's lists are built at once.
+    """
     with open(path, "w", newline="") as fh:
-        json.dump(cover_to_dict(cover), fh, indent=1)
-        fh.write("\n")
+        fh.write(f'{{\n "L": {cover.L},\n "regions": [')
+        sep = "\n  "
+        for s in cover.regions:
+            fh.write(sep + json.dumps(_region_entry(s), indent=1).replace("\n", "\n  "))
+            sep = ",\n  "
+        fh.write("\n ]\n}\n")
 
 
 def read_cover_json(path) -> Cover:

@@ -241,18 +241,24 @@ _GRAM_POWER = {"plain": 2.0, "squared": 4.0, "thresholded": 2.0}
 
 
 def norm_equivalence(
-    ops: Iterable[LocOperator], terms: list[tuple[float, float | None]]
+    ops: Iterable[LocOperator], terms: list[tuple[str, float | None]]
 ) -> list[tuple[float, float]]:
-    """(c, C) for each (power, epsilon) term, from one pass over ``ops``.
+    """(c, C) for each (variant, epsilon) term, from one pass over ``ops``.
 
     A term's Gram sum is sum_gamma Q diag(lam^power) Q* over each region's
-    eigenpairs (lam, Q), keeping only lam > epsilon unless epsilon is None;
-    power 2 is sum K'K for K = H, power 4 for K = H^2.  Equal terms share one
-    sum, and each region's operator and spectrum are dropped once added.
+    eigenpairs (lam, Q): power 2 for the plain (K = H) and thresholded
+    variants, 4 for squared (K = H^2); the thresholded variant keeps only
+    lam > epsilon, the others ignore epsilon.  Equal sums are kept once, and
+    each region's operator and spectrum are dropped once added.
     """
-    grams = dict.fromkeys(terms, 0.0)
-    if any(eps is not None and eps < 0.0 for _, eps in grams):
-        raise InvalidArgumentError("thresholded variant requires epsilon >= 0")
+    keys = []
+    for variant, eps in terms:
+        if variant not in _GRAM_POWER:
+            raise InvalidArgumentError(f"unknown variant {variant!r}")
+        if variant == "thresholded" and (eps is None or eps < 0.0):
+            raise InvalidArgumentError("thresholded variant requires epsilon >= 0")
+        keys.append((_GRAM_POWER[variant], eps if variant == "thresholded" else None))
+    grams = dict.fromkeys(keys, 0.0)
     for op in ops:
         spec = op.spectrum()
         lam, Q = spec.eigenvalues, spec.eigenvectors
@@ -261,7 +267,7 @@ def norm_equivalence(
             grams[power, eps] += (Q[:, keep] * lam[keep] ** power) @ Q[:, keep].conj().T
         del op, spec, Q
     extremes = {key: np.linalg.eigvalsh(G)[[0, -1]] for key, G in grams.items()}
-    return [(float(extremes[t][0]), float(extremes[t][1])) for t in terms]
+    return [(float(extremes[k][0]), float(extremes[k][1])) for k in keys]
 
 
 def norm_equivalence_constants(
@@ -271,19 +277,13 @@ def norm_equivalence_constants(
     epsilon: float | None = None,
 ) -> tuple[float, float]:
     """(c, C) of one variant: the plain, squared or thresholded operator sum."""
-    if variant not in _GRAM_POWER:
-        raise InvalidArgumentError(f"unknown variant {variant!r}")
-    if variant != "thresholded":
-        epsilon = None
-    elif epsilon is None:
-        raise InvalidArgumentError("thresholded variant requires epsilon >= 0")
-    return norm_equivalence(region_operators(cover, phi), [(_GRAM_POWER[variant], epsilon)])[0]
+    return norm_equivalence(region_operators(cover, phi), [(variant, epsilon)])[0]
 
 
 def epsilon_sweep(cover: Cover, phi: Window, epsilons) -> list[tuple[float, float, float]]:
     """(epsilon, c, C) rows of the thresholded constants; one eigensolve per region."""
     eps = [float(e) for e in epsilons]
-    rows = norm_equivalence(region_operators(cover, phi), [(2.0, e) for e in eps])
+    rows = norm_equivalence(region_operators(cover, phi), [("thresholded", e) for e in eps])
     return [(e, c, C) for e, (c, C) in zip(eps, rows)]
 
 

@@ -195,24 +195,30 @@ def lattice_coverage_min(cover: Cover, lattice: Lattice) -> float:
     return float(total.min())
 
 
-def multiplier_operators(cover: Cover, sys: LatticeGaborSystem) -> Iterator[LocOperator]:
-    """The lattice stream: each region's Gabor multiplier, built lazily in region order.
-
-    The system must be tight, region symbols must be supported on the
-    lattice, their sum must be strictly positive at every lattice point, and
-    all centers must be lattice points; all of that is checked here, before
-    the first multiplier is built.  Each multiplier is the localization
-    operator of its region's lattice symbol scaled by A L.
+def require_lattice_cover(cover: Cover, lattice: Lattice) -> None:
+    """The lattice stream's cover checks: every cell and center is a lattice
+    point, and the symbol sum is strictly positive at every lattice point.
+    They need no Gabor system, so they can run before ``canonical_tight``.
     """
-    _require_tight(sys)
-    lat_min = lattice_coverage_min(cover, sys.lattice)
+    lat_min = lattice_coverage_min(cover, lattice)
     if lat_min <= 0.0:
         raise PreconditionViolation(f"cover does not cover the lattice (min symbol sum {lat_min!r})")
     for i, s in enumerate(cover.regions):
-        if not sys.lattice.contains(s.center):
+        if not lattice.contains(s.center):
             raise InvalidArgumentError(
                 f"region {i} center {s.center} is not a lattice point"
             )
+
+
+def multiplier_operators(cover: Cover, sys: LatticeGaborSystem) -> Iterator[LocOperator]:
+    """The lattice stream: each region's Gabor multiplier, built lazily in region order.
+
+    The system must be tight and the cover must pass ``require_lattice_cover``;
+    both are checked before the first multiplier, the localization operator
+    of its region's lattice symbol scaled by A L, is built.
+    """
+    _require_tight(sys)
+    require_lattice_cover(cover, sys.lattice)
     return (
         assemble_locop(
             _multiplier_symbol(symbol_on_lattice(s, sys.lattice).reshape(-1), sys, s.center),

@@ -330,6 +330,21 @@ class TestFrame:
         adm = json.loads((out / "admissibility.json").read_text())
         assert adm["covers_lattice"] is True
 
+    @pytest.mark.parametrize("command", ["frame", "diagnose"])
+    def test_lattice_cover_rejected_before_tight_window(self, tmp_path, monkeypatch, command):
+        cover = json.loads((CONFIG_DIR / "gabor16_cover.json").read_text())
+        (tmp_path / "cover.json").write_text(json.dumps({**cover, "regions": cover["regions"][1:]}))
+        payload = json.loads((CONFIG_DIR / "gabor16.json").read_text())
+        cfg = write_config(tmp_path, {**payload, "cover": {"file": "cover.json"}})
+        calls = []
+        monkeypatch.setattr(tfloc.cli, "canonical_tight", lambda *a: calls.append(a))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["code"] == "precondition-violation"
+        assert "does not cover the lattice" in err["message"]
+        assert calls == []
+
     def test_bundled_config_golden_certificate(self, tmp_path):
         # frozen from the independent oracle pipeline for the bundled
         # regular16 config (eps = 0.1)

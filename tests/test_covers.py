@@ -223,6 +223,20 @@ class TestCoverJson:
         back = read_cover_json(path)
         assert json.dumps(cover_to_dict(back)) == json.dumps(cover_to_dict(cover))
 
+    @pytest.mark.parametrize(
+        "cover",
+        [
+            gen_random_irregular(16, seed=5, target_size=5, overlap=0.4),
+            Cover(4, (Symbol(4, (1, 1), [(1, 1)], [0.5]),)),
+            Cover(4, (Symbol(4, (0, 0), [(0, 0), (1, 1)], [1.0, 1.0]), Symbol(4, (2, 2), [(2, 2)], [0.25]))),
+        ],
+        ids=["irregular", "one-weighted", "mixed"],
+    )
+    def test_written_bytes_are_json_dump(self, tmp_path, cover):
+        path = tmp_path / "cover.json"
+        write_cover_json(path, cover)
+        assert path.read_text() == json.dumps(cover_to_dict(cover), indent=1) + "\n"
+
     def test_values_default_to_one(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"L": 4, "regions": [{"center": [0, 0], "cells": [[0, 0], [1, 1]]}]}))
