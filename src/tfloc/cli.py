@@ -2,8 +2,8 @@
 
 All structured output is JSON with shortest round-trip float printing;
 images are binary PGM.  tfloc starts no threads of its own, and the
-output bytes are reproducible for a fixed config, fixed inputs and a
-fixed BLAS thread setting.  Wall-clock timings are therefore opt-in
+output bytes are reproducible for a fixed config, fixed inputs, a fixed
+BLAS build and a fixed BLAS thread setting.  Wall-clock timings are therefore opt-in
 (``--timings``); without the flag the ``timings`` field of ``report.json``
 is null.
 """
@@ -45,7 +45,7 @@ from .frames import (
     norm_equivalence,
     read_frame,
     reconstruct,
-    region_operators,
+    region_classes,
     write_certificate_json,
     write_frame,
 )
@@ -57,7 +57,7 @@ from .gabor import (
     gabor_eigenframe,
     lattice_coverage_min,
     lattice_masses,
-    multiplier_operators,
+    multiplier_classes,
     require_lattice_cover,
 )
 
@@ -443,13 +443,13 @@ def cmd_diagnose(cfg: RunConfig, out_dir: Path) -> int:
     phi = resolve_window(cfg)
     cover = resolve_cover(cfg)
     if cfg.lattice is None:
-        ops = region_operators(cover, phi)
+        classes = region_classes(cover, phi)
     else:
-        ops = multiplier_operators(cover, _tight_system(cover, phi, cfg.lattice))
+        classes = multiplier_classes(cover, _tight_system(cover, phi, cfg.lattice))
     eps = cfg.policy.epsilon if cfg.policy.mode == "epsilon" else 1.0 / cfg.policy.alpha
     terms = [("plain", None), ("squared", None), ("thresholded", eps)]
     terms += [("thresholded", e) for e in SWEEP_EPSILONS]
-    (c_plain, C_plain), (c_sq, C_sq), (c_th, C_th), *rows = norm_equivalence(ops, terms)
+    (c_plain, C_plain), (c_sq, C_sq), (c_th, C_th), *rows = norm_equivalence(classes, terms)
     sweep = [(e, c, C) for e, (c, C) in zip(SWEEP_EPSILONS, rows)]
 
     cs = [row[1] for row in sweep]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -305,12 +306,20 @@ def cover_to_dict(cover: Cover) -> dict:
 
 
 def _json_array(value, kinds: str) -> np.ndarray | None:
-    """``value`` as an array if every entry has a dtype kind in ``kinds``, else None."""
+    """``value`` as an array if every entry has a dtype kind in ``kinds``, else None.
+
+    A JSON boolean is no number here, although numpy reads [true, 1] as [1, 1].
+    """
     try:
         arr = np.asarray(value)
     except ValueError:  # ragged nesting
         return None
-    return arr if arr.dtype.kind in kinds else None
+    if arr.dtype.kind not in kinds:
+        return None
+    entries = value
+    for _ in range(arr.ndim - 1):
+        entries = chain.from_iterable(entries)
+    return None if arr.ndim and bool in set(map(type, entries)) else arr
 
 
 def cover_from_dict(data) -> Cover:

@@ -15,6 +15,7 @@ import math
 import warnings
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .errors import (
     NotAFrameError,
     PreconditionViolation,
 )
-from .locop import LocOperator, Spectrum, assemble_locop
+from .locop import ClassSpectrum, Spectrum, assemble_locop, class_spectra
 
 _DEGENERATE_TOL = 1e-14
 _UNIT_NORM_TOL = 1e-9
@@ -100,7 +101,20 @@ class EigenFrame:
 
     def atom_matrix(self) -> np.ndarray:
         """L x n matrix whose columns are the weighted atoms w_i v_i."""
-        G = np.stack([a.vector * a.weight for a in self.atoms], axis=1)
+        G = np.empty((self.L, len(self.atoms)), dtype=np.complex128)
+        for i, a in enumerate(self.atoms):
+            np.multiply(a.vector, a.weight, out=G[:, i])
+        return G
+
+    @cached_property
+    def _kept_atom_matrix(self) -> np.ndarray:
+        """``atom_matrix()``, built once and kept for repeated reconstructions.
+
+        ``frame_certificate`` builds its own and drops it, so a frame that is
+        only certified holds no copy (L x n, 2 MB at L=256 with 512 atoms).
+        """
+        G = self.atom_matrix()
+        G.flags.writeable = False
         return G
 
 
@@ -113,9 +127,15 @@ class FrameCertificate:
     is_frame: bool
     a_tol: float
 
+    @cached_property
+    def factorization(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, Q) with S = Q diag(w) Q*; computed on first use, so that
+        ``frame_certificate`` alone pays only for the eigenvalues."""
+        return np.linalg.eigh(self.frame_operator)
 
-def region_operators(cover: Cover, phi: Window) -> Iterator[LocOperator]:
-    """The grid stream: each region's localization operator, built lazily in region order.
+
+def region_classes(cover: Cover, phi: Window) -> Iterator[ClassSpectrum]:
+    """The grid stream: the region operators' spectra, one per shape class (``class_spectra``).
 
     The cover must cover the grid; that is checked here, before the first
     operator is built.
@@ -125,43 +145,47 @@ def region_operators(cover: Cover, phi: Window) -> Iterator[LocOperator]:
         raise PreconditionViolation(
             f"cover does not cover the grid (min symbol sum {sum_min!r})"
         )
-    return (assemble_locop(s, phi) for s in cover.regions)
+    return class_spectra(cover.regions, phi)
 
 
-def eigenframe_from_operators(L: int, ops: Iterable[LocOperator], policy: SelectionPolicy,
-                              weighted: bool) -> EigenFrame:
-    """Frame of the selected eigenpairs of one operator per region; trace = measure.
+def eigenframe_from_classes(L: int, classes: Iterable[ClassSpectrum], policy: SelectionPolicy,
+                            weighted: bool) -> EigenFrame:
+    """Frame of the selected eigenpairs of each region; its class trace is the measure.
 
-    ``ops`` yields the region operators in region order and is consumed in a
-    single pass: each region's atoms depend only on its own spectrum and
-    trace, so its operator and spectrum are dropped once its atoms are
-    copied.  Given a generator, one region's matrices are alive at a time.
+    ``classes`` is a shape-class stream (``class_spectra``), consumed in a
+    single pass.  The count is selected once per class; each member region
+    gets the selected columns translated to it (``Spectrum.translated``), and
+    the class spectrum is dropped before the next class is solved.  The atoms
+    are emitted in region order.
     """
-    atoms: list[FrameAtom] = []
-    for gamma, op in enumerate(ops):
-        spec = op.spectrum()
-        n = select_eigenfunctions(spec, op.trace, policy)
+    by_region: dict[int, list[FrameAtom]] = {}
+    for spec, trace, members in classes:
+        n = select_eigenfunctions(spec, trace, policy)
         if spec.eigenvalues[0] <= _DEGENERATE_TOL:
-            warnings.warn(
-                f"region {gamma} has a numerically zero operator; contributing no atoms",
-                stacklevel=3,
-            )
+            for gamma, _ in members:
+                warnings.warn(
+                    f"region {gamma} has a numerically zero operator; contributing no atoms",
+                    stacklevel=3,
+                )
             n = 0
-        for k in range(n):
-            lam = float(spec.eigenvalues[k])
-            atoms.append(
+        lams = [float(lam) for lam in spec.eigenvalues[:n]]
+        for gamma, z in members:
+            V = spec.translated(z, n)
+            by_region[gamma] = [
                 FrameAtom(
-                    vector=spec.eigenvectors[:, k].copy(),
+                    vector=V[:, k].copy(),
                     weight=lam if weighted else 1.0,
                     gamma=gamma,
                     k=k + 1,
                     lam=lam,
                 )
-            )
-        del op, spec
+                for k, lam in enumerate(lams)
+            ]
+        del spec
+    atoms = tuple(atom for gamma in sorted(by_region) for atom in by_region[gamma])
     if not atoms:
         raise EmptyFrameError("selection produced no atoms")
-    return EigenFrame(L, tuple(atoms), weighted)
+    return EigenFrame(L, atoms, weighted)
 
 
 def assemble_frame(
@@ -177,7 +201,7 @@ def assemble_frame(
     ball inside its region's support), which is what keeps the selected
     eigenvalues bounded away from zero.
     """
-    ops = region_operators(cover, phi)
+    classes = region_classes(cover, phi)
     if not weighted:
         report = validate_cover(cover, R=cover.L // 2, r=1)
         if not report.inner_radius_ok:
@@ -186,7 +210,7 @@ def assemble_frame(
                 "radius-1 ball must lie inside its region's support "
                 f"(measured min inner radius {report.min_inner_radius})"
             )
-    return eigenframe_from_operators(cover.L, ops, policy, weighted)
+    return eigenframe_from_classes(cover.L, classes, policy, weighted)
 
 
 def frame_operator(frame: EigenFrame) -> np.ndarray:
@@ -210,7 +234,8 @@ def reconstruct(
 ) -> tuple[Signal, float]:
     """Canonical dual reconstruction f_rec = S^{-1} sum <f, w v> (w v).
 
-    The Hermitian solve reuses the eigendecomposition of the frame operator.
+    The Hermitian solve uses the certificate's factorization of the frame
+    operator and the frame's atom matrix, both computed once and kept.
     Returns (f_rec, relative error); the zero signal reconstructs to zero with
     error 0 by convention.
     """
@@ -223,9 +248,9 @@ def reconstruct(
         raise InvalidArgumentError(f"signal length {f.length} != frame length {frame.L}")
     if f.norm == 0.0:
         return Signal(np.zeros(frame.L, dtype=np.complex128)), 0.0
-    G = frame.atom_matrix()
+    G = frame._kept_atom_matrix
     y = G @ (G.conj().T @ f.samples)
-    w, Q = np.linalg.eigh(cert.frame_operator)
+    w, Q = cert.factorization
     f_rec = Q @ ((Q.conj().T @ y) / w)
     rel = float(np.linalg.norm(f_rec - f.samples) / f.norm)
     return Signal(f_rec), rel
@@ -241,15 +266,16 @@ _GRAM_POWER = {"plain": 2.0, "squared": 4.0, "thresholded": 2.0}
 
 
 def norm_equivalence(
-    ops: Iterable[LocOperator], terms: list[tuple[str, float | None]]
+    classes: Iterable[ClassSpectrum], terms: list[tuple[str, float | None]]
 ) -> list[tuple[float, float]]:
-    """(c, C) for each (variant, epsilon) term, from one pass over ``ops``.
+    """(c, C) for each (variant, epsilon) term, from one pass over a shape-class stream.
 
     A term's Gram sum is sum_gamma Q diag(lam^power) Q* over each region's
     eigenpairs (lam, Q): power 2 for the plain (K = H) and thresholded
     variants, 4 for squared (K = H^2); the thresholded variant keeps only
-    lam > epsilon, the others ignore epsilon.  Equal sums are kept once, and
-    each region's operator and spectrum are dropped once added.
+    lam > epsilon, the others ignore epsilon.  Equal sums are kept once.  A
+    member region's Q is its class spectrum translated to it, and each class
+    spectrum is dropped once all its members are added.
     """
     keys = []
     for variant, eps in terms:
@@ -259,13 +285,14 @@ def norm_equivalence(
             raise InvalidArgumentError("thresholded variant requires epsilon >= 0")
         keys.append((_GRAM_POWER[variant], eps if variant == "thresholded" else None))
     grams = dict.fromkeys(keys, 0.0)
-    for op in ops:
-        spec = op.spectrum()
-        lam, Q = spec.eigenvalues, spec.eigenvectors
-        for power, eps in list(grams):
-            keep = slice(None) if eps is None else lam > eps
-            grams[power, eps] += (Q[:, keep] * lam[keep] ** power) @ Q[:, keep].conj().T
-        del op, spec, Q
+    for spec, _, members in classes:
+        lam = spec.eigenvalues
+        for _, z in members:
+            Q = spec.translated(z)
+            for power, eps in list(grams):
+                keep = slice(None) if eps is None else lam > eps
+                grams[power, eps] += (Q[:, keep] * lam[keep] ** power) @ Q[:, keep].conj().T
+        del spec, Q
     extremes = {key: np.linalg.eigvalsh(G)[[0, -1]] for key, G in grams.items()}
     return [(float(extremes[k][0]), float(extremes[k][1])) for k in keys]
 
@@ -277,13 +304,13 @@ def norm_equivalence_constants(
     epsilon: float | None = None,
 ) -> tuple[float, float]:
     """(c, C) of one variant: the plain, squared or thresholded operator sum."""
-    return norm_equivalence(region_operators(cover, phi), [(variant, epsilon)])[0]
+    return norm_equivalence(region_classes(cover, phi), [(variant, epsilon)])[0]
 
 
 def epsilon_sweep(cover: Cover, phi: Window, epsilons) -> list[tuple[float, float, float]]:
-    """(epsilon, c, C) rows of the thresholded constants; one eigensolve per region."""
+    """(epsilon, c, C) rows of the thresholded constants; one eigensolve per shape class."""
     eps = [float(e) for e in epsilons]
-    rows = norm_equivalence(region_operators(cover, phi), [("thresholded", e) for e in eps])
+    rows = norm_equivalence(region_classes(cover, phi), [("thresholded", e) for e in eps])
     return [(e, c, C) for e, (c, C) in zip(eps, rows)]
 
 

@@ -30,10 +30,10 @@ from .frames import (
     EigenFrame,
     FrameCertificate,
     SelectionPolicy,
-    eigenframe_from_operators,
+    eigenframe_from_classes,
     frame_certificate,
 )
-from .locop import LocOperator, assemble_locop, shifted_window_columns
+from .locop import ClassSpectrum, LocOperator, assemble_locop, class_spectra, shifted_window_columns
 
 _FRAME_FLOOR_RTOL = 1e-9
 _TIGHT_CONDITION_TOL = 1e-8
@@ -210,22 +210,21 @@ def require_lattice_cover(cover: Cover, lattice: Lattice) -> None:
             )
 
 
-def multiplier_operators(cover: Cover, sys: LatticeGaborSystem) -> Iterator[LocOperator]:
-    """The lattice stream: each region's Gabor multiplier, built lazily in region order.
+def multiplier_classes(cover: Cover, sys: LatticeGaborSystem) -> Iterator[ClassSpectrum]:
+    """The lattice stream: the Gabor multipliers' spectra, one per shape class.
 
-    The system must be tight and the cover must pass ``require_lattice_cover``;
-    both are checked before the first multiplier, the localization operator
-    of its region's lattice symbol scaled by A L, is built.
+    A region's multiplier is the localization operator of its lattice symbol
+    scaled by A L, so the stream is ``class_spectra`` of those symbols.  The
+    system must be tight and the cover must pass ``require_lattice_cover``;
+    both are checked before the first multiplier is built.
     """
     _require_tight(sys)
     require_lattice_cover(cover, sys.lattice)
-    return (
-        assemble_locop(
-            _multiplier_symbol(symbol_on_lattice(s, sys.lattice).reshape(-1), sys, s.center),
-            sys.window,
-        )
+    symbols = [
+        _multiplier_symbol(symbol_on_lattice(s, sys.lattice).reshape(-1), sys, s.center)
         for s in cover.regions
-    )
+    ]
+    return class_spectra(symbols, sys.window)
 
 
 def gabor_eigenframe(
@@ -239,5 +238,5 @@ def gabor_eigenframe(
     Selection runs through the grid pipeline's back end with the multiplier
     trace as the region measure.
     """
-    frame = eigenframe_from_operators(cover.L, multiplier_operators(cover, sys), policy, weighted)
+    frame = eigenframe_from_classes(cover.L, multiplier_classes(cover, sys), policy, weighted)
     return frame, frame_certificate(frame)

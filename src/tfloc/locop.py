@@ -12,6 +12,7 @@ and eta >= 0 makes H positive semidefinite.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,18 +34,39 @@ class Spectrum:
     """Descending eigenpairs of a Hermitian operator.
 
     Column k of ``eigenvectors`` belongs to ``eigenvalues[k]``.  Each column is
-    scaled so its largest-magnitude entry (lowest index on ties) is real and
-    positive; within a degenerate cluster only the spanned subspace is
-    meaningful.
+    scaled so its entry at ``anchors[k]``, its largest-magnitude entry (lowest
+    index on ties), is real and positive; within a degenerate cluster only the
+    spanned subspace is meaningful.
+
+    By covariance, pi(z) H pi(z)* has the same eigenvalues and the
+    eigenvectors pi(z) v_k; ``translated`` carries the phase convention
+    along with them.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    anchors: np.ndarray
 
     def numerical_rank(self) -> int:
         if self.eigenvalues.size == 0 or self.eigenvalues[0] <= 0.0:
             return 0
         return int(np.sum(self.eigenvalues > RANK_RTOL * self.eigenvalues[0]))
+
+    def translated(self, z: tuple[int, int], n: int | None = None) -> np.ndarray:
+        """The first ``n`` (default all) eigenvectors of pi(z) H pi(z)*, in O(L n).
+
+        Column k is pi(z) v_k times the unimodular constant that makes its
+        entry at the translated anchor (anchors[k] + x) mod L real and
+        positive, z = (x, xi).  For z = (0, 0) the columns are copied
+        unchanged.
+        """
+        V = self.eigenvectors[:, :n]
+        x, xi = z
+        if x == 0 and xi == 0:
+            return V.copy()
+        L = V.shape[0]
+        turns = (xi * (np.arange(L)[:, None] - x - self.anchors[None, :n])) % L
+        return np.roll(V, x, axis=0) * np.exp((2j * np.pi / L) * np.arange(L))[turns]
 
 
 class LocOperator:
@@ -111,7 +133,44 @@ def eigendecomp(op: LocOperator) -> Spectrum:
     safe = mag > 0.0
     factors = np.ones_like(ph)
     factors[safe] = np.conj(ph[safe]) / mag[safe]
-    return Spectrum(w, Q * factors[None, :])
+    return Spectrum(w, Q * factors[None, :], lead)
+
+
+# one shape class: the representative's spectrum and trace, and each member
+# region gamma with its translation z from the representative
+ClassSpectrum = tuple[Spectrum, float, list[tuple[int, tuple[int, int]]]]
+
+
+def class_spectra(symbols: Sequence[Symbol], phi: Window) -> Iterator[ClassSpectrum]:
+    """The spectra of a family of symbols, one eigensolve per shape class.
+
+    Two symbols are in one class when their cells relative to their centers
+    (mod L) and their values are byte-equal.  Then one is the other
+    translated by z, the difference of their centers, and by covariance
+    H_{eta(. - z)} = pi(z) H_eta pi(z)* shares its eigenvalues and has the
+    eigenvectors pi(z) v (``Spectrum.translated``).  The classes are grouped
+    here; each is then assembled and solved from its representative, its
+    first symbol, only when the stream reaches it.  Classes come in the order
+    of their representatives, each with its members in index order.
+    """
+    classes: dict[tuple[bytes, bytes], list[int]] = {}
+    for gamma, s in enumerate(symbols):
+        rel = (s.cells - np.asarray(s.center)) % s.L
+        order = np.lexsort((rel[:, 1], rel[:, 0]))
+        classes.setdefault((rel[order].tobytes(), s.values[order].tobytes()), []).append(gamma)
+    # a generator expression keeps no class alive once it is handed out
+    return (_class_spectrum(symbols, members, phi) for members in classes.values())
+
+
+def _class_spectrum(symbols: Sequence[Symbol], members: list[int], phi: Window) -> ClassSpectrum:
+    rep = symbols[members[0]]
+    op = assemble_locop(rep, phi)
+    (rx, rxi), L = rep.center, rep.L
+    shifts = []
+    for gamma in members:
+        x, xi = symbols[gamma].center
+        shifts.append((gamma, ((x - rx) % L, (xi - rxi) % L)))
+    return op.spectrum(), op.trace, shifts
 
 
 @dataclass(frozen=True)

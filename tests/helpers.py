@@ -6,6 +6,8 @@ formulas; the test suite compares library outputs against these.
 
 import numpy as np
 
+from tfloc.locop import assemble_locop
+
 
 def direct_shift(L, x, xi, v):
     out = np.zeros(L, complex)
@@ -45,6 +47,15 @@ def direct_assemble(L, cells, values, phi):
         w = direct_shift(L, int(x), int(xi), phi)
         M += (v / L) * np.outer(w, w.conj())
     return M
+
+
+def region_operators(cover, phi):
+    """Each region's localization operator, assembled and solved on its own.
+
+    The direct per-region path that the library's one-eigensolve-per-shape-
+    class stream must reproduce.
+    """
+    return (assemble_locop(s, phi) for s in cover.regions)
 
 
 def direct_gabor_multiplier(L, a, b, phi, m):

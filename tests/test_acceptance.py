@@ -23,7 +23,6 @@ from tfloc.frames import (
     frame_operator,
     norm_equivalence_constants,
     reconstruct,
-    region_operators,
 )
 from tfloc.gabor import (
     Lattice,
@@ -35,7 +34,7 @@ from tfloc.gabor import (
 )
 from tfloc.locop import assemble_locop, threshold
 
-from helpers import orthonormal_set, random_signal
+from helpers import orthonormal_set, random_signal, region_operators
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

@@ -279,6 +279,8 @@ class TestFrame:
             pytest.param(lambda text, cover: json.dumps(with_region(cover, center=[0])), id="center-short"),
             pytest.param(lambda text, cover: json.dumps(with_region(cover, cells="ab")), id="cells-text"),
             pytest.param(lambda text, cover: json.dumps(with_region(cover, cells=[[0, 0, 1]])), id="cells-triple"),
+            pytest.param(lambda text, cover: json.dumps(with_region(cover, center=[True, 1])), id="center-bool"),
+            pytest.param(lambda text, cover: json.dumps(with_region(cover, cells=[[0, 0], [True, 1]])), id="cells-bool"),
         ],
     )
     def test_malformed_cover_file_is_invalid_argument(self, tmp_path, edit):
@@ -514,8 +516,9 @@ class TestDiagnose:
         assert d["thresholded"]["c"] == pytest.approx(cert["A"], rel=1e-12)
         assert d["thresholded"]["C"] == pytest.approx(cert["B"], rel=1e-12)
 
-    def test_one_eigensolve_per_region(self, tmp_path, monkeypatch):
-        cfg = CONFIG_DIR / "irregular16.json"
+    def test_one_eigensolve_per_shape_class(self, tmp_path, monkeypatch):
+        # regions that are translates of one another (equal cells relative to
+        # the center mod L, equal values) share one eigensolve
         calls = []
         eigendecomp = tfloc.locop.eigendecomp
 
@@ -524,5 +527,16 @@ class TestDiagnose:
             return eigendecomp(op)
 
         monkeypatch.setattr(tfloc.locop, "eigendecomp", counting)
-        assert main(["diagnose", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-        assert len(calls) == len(resolve_cover(load_config(cfg)).regions)
+        for name in ("irregular16.json", "gabor16.json"):
+            cfg = CONFIG_DIR / name
+            regions = resolve_cover(load_config(cfg)).regions
+            shapes = {
+                (frozenset(((x - s.center[0]) % s.L, (xi - s.center[1]) % s.L, v)
+                           for (x, xi), v in zip(s.cells.tolist(), s.values.tolist())))
+                for s in regions
+            }
+            assert len(shapes) < len(regions)
+            for command in ("frame", "diagnose"):
+                calls.clear()
+                assert main([command, "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+                assert len(calls) == len(shapes), (name, command)

@@ -1,10 +1,12 @@
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tfloc.cli import main
+import tfloc.locop
+from tfloc.cli import load_config, main, resolve_cover
 from tfloc.core import Signal, gauss_window
 from tfloc.covers import Cover, Symbol, gen_random_irregular, gen_regular_boxes, gen_wedge_cover, sum_symbols
 from tfloc.errors import EmptyFrameError, InvalidArgumentError, NotAFrameError, PreconditionViolation
@@ -18,17 +20,17 @@ from tfloc.frames import (
     norm_equivalence_constants,
     read_frame,
     reconstruct,
-    region_operators,
     select_eigenfunctions,
     write_certificate_json,
     write_frame,
 )
-from tfloc.gabor import Lattice, LatticeGaborSystem, canonical_tight, gabor_eigenframe
-from tfloc.locop import threshold
+from tfloc.gabor import Lattice, LatticeGaborSystem, canonical_tight, gabor_eigenframe, symbol_on_lattice
+from tfloc.locop import LocOperator, threshold
 
-from helpers import random_signal
+from helpers import direct_gabor_multiplier, random_signal, region_operators
 
 L16 = 16
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 # golden values for the L=16 regular 4x4 partition with the Gaussian window
 # (independent double-loop assembly + eigensolve, frozen before the build)
@@ -172,6 +174,118 @@ class TestAssembleFrame:
             np.testing.assert_allclose(ev, spectra[0], atol=1e-9)
 
 
+def direct_region_operators(cfg, cover, phi):
+    """The direct per-region operators of a config: grid operators, or the
+    double-loop Gabor multipliers of the canonical tight window."""
+    if cfg.lattice is None:
+        return list(region_operators(cover, phi))
+    lat = cfg.lattice
+    phit = canonical_tight(phi, lat).samples
+    return [
+        LocOperator(direct_gabor_multiplier(cfg.L, lat.a, lat.b, phit, symbol_on_lattice(s, lat)))
+        for s in cover.regions
+    ]
+
+
+def assert_matches_direct_path(frame, ops, policy, A, B):
+    """Per region, the selected atoms span the direct eigensolve's selection
+    (skipped where the cutoff splits a cluster), with its eigenvalues; the
+    frame bounds match the direct frame operator to 1e-12 relative."""
+    L = frame.L
+    S = np.zeros((L, L), complex)
+    compared = 0
+    for gamma, op in enumerate(ops):
+        spec = op.spectrum()
+        n = select_eigenfunctions(spec, op.trace, policy)
+        lam, V = spec.eigenvalues, spec.eigenvectors
+        S += (V[:, :n] * lam[:n] ** 2) @ V[:, :n].conj().T
+        atoms = [a for a in frame.atoms if a.gamma == gamma]
+        if 0 < n < L and lam[n - 1] - lam[n] <= 1e-8 * lam[0]:
+            continue
+        compared += 1
+        assert len(atoms) == n
+        np.testing.assert_allclose([a.lam for a in atoms], lam[:n], rtol=0, atol=1e-12)
+        P = sum((np.outer(a.vector, a.vector.conj()) for a in atoms), np.zeros((L, L), complex))
+        assert np.max(np.abs(P - V[:, :n] @ V[:, :n].conj().T)) <= 1e-10
+    assert compared > 0
+    ev = np.linalg.eigvalsh(S)
+    assert A == pytest.approx(ev[0], rel=1e-12)
+    assert B == pytest.approx(ev[-1], rel=1e-12)
+
+
+class TestShapeClasses:
+    """One eigensolve per shape class agrees with solving every region directly."""
+
+    @pytest.mark.parametrize("name", ["regular16.json", "irregular16.json", "gabor16.json"])
+    def test_config_against_direct_path(self, tmp_path, name):
+        cfg_path = CONFIG_DIR / name
+        assert main(["frame", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        assert main(["diagnose", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        frame = read_frame(tmp_path / "frame.json", tmp_path / "frame_atoms.tfat")
+        cert = json.loads((tmp_path / "certificate.json").read_text())
+        d = json.loads((tmp_path / "diagnostics.json").read_text())
+        cfg = load_config(cfg_path)
+        cover, phi = resolve_cover(cfg), gauss_window(cfg.L)
+        ops = direct_region_operators(cfg, cover, phi)
+        assert_matches_direct_path(frame, ops, cfg.policy, cert["A"], cert["B"])
+
+        def constants(power, eps=-np.inf):
+            G = np.zeros((cfg.L, cfg.L), complex)
+            for op in ops:
+                lam, V = op.spectrum().eigenvalues, op.spectrum().eigenvectors
+                keep = lam > eps
+                G += (V[:, keep] * lam[keep] ** power) @ V[:, keep].conj().T
+            ev = np.linalg.eigvalsh(G)
+            return ev[0], ev[-1]
+
+        # constants near 0 are compared on the scale of C_plain
+        scale = d["plain"]["C"]
+        want = [(d["plain"], constants(2)), (d["squared"], constants(4)),
+                (d["thresholded"], constants(2, cfg.policy.epsilon))]
+        want += [(row, constants(2, row["epsilon"])) for row in d["epsilon_sweep"]]
+        for got, (c, C) in want:
+            assert abs(got["c"] - c) <= 1e-12 * max(abs(c), scale)
+            assert abs(got["C"] - C) <= 1e-12 * max(abs(C), scale)
+
+    def test_translates_wrapping_the_edge_and_unequal_values(self, phi16, monkeypatch):
+        def box(center, x0, xi0, value):
+            cells = [((x0 + i) % L16, (xi0 + j) % L16) for i in range(4) for j in range(4)]
+            return Symbol(L16, center, cells, np.full(16, value))
+
+        regions = (
+            box((2, 2), 0, 0, 1.0),
+            box((0, 8), 14, 6, 1.0),  # region 0 translated across the x edge
+            box((8, 8), 6, 6, 2.0),  # region 0's cells, other values: another class
+            box((8, 15), 6, 13, 2.0),  # region 2 translated across the xi edge
+            Symbol(L16, (8, 8), whole_grid_cover(L16).regions[0].cells, np.full(L16 * L16, 0.05)),
+        )
+        cover = Cover(L16, regions)
+        policy = SelectionPolicy("epsilon", epsilon=0.1, n_max=L16)
+        calls = []
+        eigendecomp = tfloc.locop.eigendecomp
+        monkeypatch.setattr(tfloc.locop, "eigendecomp", lambda op: calls.append(op) or eigendecomp(op))
+        frame = assemble_frame(cover, phi16, policy)
+        cert = frame_certificate(frame)
+        c, C = norm_equivalence_constants(cover, phi16, "squared")
+        assert len(calls) == 2 * 3
+        monkeypatch.undo()
+        ops = list(region_operators(cover, phi16))
+        assert_matches_direct_path(frame, ops, policy, cert.A, cert.B)
+        ev = np.linalg.eigvalsh(sum(op.matrix @ op.matrix @ op.matrix @ op.matrix for op in ops))
+        assert c == pytest.approx(ev[0], rel=1e-12)
+        assert C == pytest.approx(ev[-1], rel=1e-12)
+        # the translated atoms follow the phase convention: real and positive
+        # at the representative's anchor moved by x
+        rep = [a for a in frame.atoms if a.gamma == 0]
+        moved = [a for a in frame.atoms if a.gamma == 1]
+        anchors = ops[0].spectrum().anchors
+        for a, b, anchor in zip(rep, moved, anchors):
+            assert a.vector[anchor].real > 0 and abs(a.vector[anchor].imag) <= 1e-15
+            t = (anchor + 14) % L16
+            assert b.vector[t].real > 0 and abs(b.vector[t].imag) <= 1e-15
+            assert abs(b.vector[t]) == pytest.approx(abs(a.vector[anchor]), abs=1e-15)
+
+
 def lattice_box_cover(L, box, step):
     """box x box tiles of the grid, each restricted to the lattice (step Z)^2."""
     regions = []
@@ -193,10 +307,10 @@ def traced_peak_bytes(build) -> int:
 
 
 class TestOnePass:
-    """Frame assembly and diagnose hold one region's operator and spectrum at a time.
+    """Frame assembly and diagnose hold one shape class's operator and spectrum at a time.
 
-    One L x L complex operator is L^2 * 16 bytes; holding every region's
-    operator or spectrum at once would take one such matrix per region.
+    One L x L complex operator is L^2 * 16 bytes; holding every class's
+    operator or spectrum at once would take one such matrix per class.
     """
 
     L = 64
@@ -279,6 +393,24 @@ class TestReconstruct:
             f = Signal(random_signal(rng, L))
             _, rel = reconstruct(frame, f, cert)
             assert rel <= 1e-8
+
+    def test_frame_operator_factored_once(self, boxes16, phi16, monkeypatch):
+        frame = assemble_frame(boxes16, phi16, SelectionPolicy("epsilon", epsilon=0.2, n_max=L16))
+        cert = frame_certificate(frame)
+        eigh = np.linalg.eigh
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        G = frame.atom_matrix()
+        rng = np.random.default_rng(34)
+        for _ in range(5):
+            f = random_signal(rng, L16)
+            rec, rel = reconstruct(frame, Signal(f), cert)
+            # the per-call formula: S^{-1} G G* f with S factored afresh
+            w, Q = eigh(cert.frame_operator)
+            expected = Q @ ((Q.conj().T @ (G @ (G.conj().T @ f))) / w)
+            assert np.max(np.abs(rec.samples - expected)) <= 1e-12 * np.linalg.norm(f)
+            assert rel == pytest.approx(np.linalg.norm(expected - f) / np.linalg.norm(f), abs=1e-12)
+        assert len(calls) == 1
 
     def test_not_a_frame_raises(self, phi16):
         frame = assemble_frame(
