@@ -348,18 +348,40 @@ def cover_from_dict(data) -> Cover:
     return Cover(L, tuple(regions))
 
 
+# one cell of a region as json.dumps(..., indent=1) lays it out inside the
+# regions list
+_CELL_JSON = "\n    [\n     %d,\n     %d\n    ]"
+
+
+def _region_json(s: Symbol) -> str:
+    """``json.dumps(_region_entry(s), indent=1)``, indented two more spaces.
+
+    Filled from fixed templates: integers as %d, values as repr(float),
+    which is how the json encoder writes them.
+    """
+    parts = [
+        '  {\n   "center": [\n    %d,\n    %d\n   ],\n   "cells": [' % s.center,
+        ",".join([_CELL_JSON] * s.cells.shape[0]) % tuple(s.cells.ravel().tolist()),
+        "\n   ]",
+    ]
+    if not np.all(s.values == 1.0):
+        parts += [',\n   "values": [\n    ', ",\n    ".join(map(repr, s.values.tolist())), "\n   ]"]
+    parts.append("\n  }")
+    return "".join(parts)
+
+
 def write_cover_json(path, cover: Cover) -> None:
     """The bytes of ``json.dump(cover_to_dict(cover), indent=1)``, one region at a time.
 
-    The nested cell lists take several times the memory of the cell arrays,
-    so only one region's lists are built at once.
+    The text of a region takes several times the memory of its cell array, so
+    only one region's text is built at once.
     """
     with open(path, "w", newline="") as fh:
         fh.write(f'{{\n "L": {cover.L},\n "regions": [')
-        sep = "\n  "
+        sep = "\n"
         for s in cover.regions:
-            fh.write(sep + json.dumps(_region_entry(s), indent=1).replace("\n", "\n  "))
-            sep = ",\n  "
+            fh.write(sep + _region_json(s))
+            sep = ",\n"
         fh.write("\n ]\n}\n")
 
 

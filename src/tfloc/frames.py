@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -361,6 +362,27 @@ def write_frame(manifest_path, atoms_path, frame: EigenFrame) -> None:
         fh.write("\n")
 
 
+def _manifest_atom(e) -> tuple[int, float, int, int, float]:
+    """(offset, weight, gamma, k, lambda) of one manifest entry; ValueError if malformed.
+
+    The integers must be JSON integers (offset, gamma >= 0, k >= 1), the
+    weight a finite number >= 0 and lambda a finite number; a JSON boolean
+    is neither.
+    """
+    for key, low in (("offset", 0), ("gamma", 0), ("k", 1)):
+        v = e[key]
+        if isinstance(v, bool) or not isinstance(v, int) or v < low:
+            raise ValueError(f"{key} must be an integer >= {low}, not {v!r}")
+    for key in ("weight", "lambda"):
+        v = e[key]
+        # NaN fails the comparison, and so does an int past the float range
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+            raise ValueError(f"{key} must be a finite number, not {v!r}")
+    if e["weight"] < 0:
+        raise ValueError(f"weight must be >= 0, not {e['weight']!r}")
+    return e["offset"], float(e["weight"]), e["gamma"], e["k"], float(e["lambda"])
+
+
 def read_frame(manifest_path, atoms_path) -> EigenFrame:
     with open(manifest_path) as fh:
         try:
@@ -372,11 +394,9 @@ def read_frame(manifest_path, atoms_path) -> EigenFrame:
                 raise ValueError(f"weighted must be true or false, not {weighted!r}")
             if source is not None and not isinstance(source, str):
                 raise ValueError(f"source must be a string, not {source!r}")
-            entries = [
-                (int(e["offset"]), float(e["weight"]), int(e["gamma"]), int(e["k"]),
-                 float(e["lambda"]))
-                for e in manifest["atoms"]
-            ]
+            entries = [_manifest_atom(e) for e in manifest["atoms"]]
+            if not entries:
+                raise ValueError("the manifest lists no atoms")
         except (ValueError, KeyError, TypeError) as exc:
             raise InvalidArgumentError(
                 f"malformed frame manifest ({type(exc).__name__}: {exc})", path=str(manifest_path)
@@ -393,8 +413,10 @@ def read_frame(manifest_path, atoms_path) -> EigenFrame:
             )
         data = np.frombuffer(blob, dtype="<f8", count=2 * L, offset=off).reshape(L, 2)
         vector = (data[:, 0] + 1j * data[:, 1]).copy()
-        # a NaN or infinite entry fails this too
-        if not abs(np.linalg.norm(vector) - 1.0) <= _UNIT_NORM_TOL:
+        # a NaN or infinite entry fails this too, and so does one whose square overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = np.linalg.norm(vector)
+        if not abs(norm - 1.0) <= _UNIT_NORM_TOL:
             raise InvalidArgumentError(
                 f"atom record at offset {off} is not a finite unit vector", path=str(atoms_path)
             )

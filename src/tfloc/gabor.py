@@ -10,6 +10,19 @@ multiplier masks the tight expansion:
 
 so GM_1 is the identity and trace(GM_m) = A ||phi||^2 sum m.  GM_m is
 assembled as the localization operator of the lattice symbol eta = A L m.
+
+S is never formed densely.  Summing the modulations over bZ_{L/b} leaves
+S[t, t'] = 0 unless t = t' mod L/b, where
+
+    S[t, t'] = (L/b) sum_j phi(t - ja) conj(phi(t' - ja))
+
+(the Walnut representation; Groechenig, Foundations of Time-Frequency
+Analysis, 6.3).  So S is an (L/b, b, b) stack of blocks, block r acting on
+the samples t = r + p L/b, p < b, built from one gather of L * L/a window
+samples.  The frame bounds are the extremes of the block eigenvalues, and
+S^{-1/2} acts block by block: O(L^2 b / a + L b^2) work and O(L^2 / a)
+memory, in place of the O(L^2 |Lambda| + L^3) work and the L x |Lambda|
+matrix of shifted windows that the dense S costs.
 """
 
 from __future__ import annotations
@@ -19,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Window
+from .core import Window, _as_complex_vector
 from .covers import Cover, Symbol
 from .errors import (
     InvalidArgumentError,
@@ -33,7 +46,7 @@ from .frames import (
     eigenframe_from_classes,
     frame_certificate,
 )
-from .locop import ClassSpectrum, LocOperator, assemble_locop, class_spectra, shifted_window_columns
+from .locop import ClassSpectrum, LocOperator, assemble_locop, class_spectra
 
 _FRAME_FLOOR_RTOL = 1e-9
 _TIGHT_CONDITION_TOL = 1e-8
@@ -67,25 +80,51 @@ class Lattice:
         return cell[0] % self.a == 0 and cell[1] % self.b == 0
 
 
+def _residue_rows(v: np.ndarray, lattice: Lattice) -> np.ndarray:
+    """``v`` as (L/b, b): row r holds v[r + p L/b], p < b."""
+    return v.reshape(lattice.b, lattice.L // lattice.b).T
+
+
+def _walnut_blocks(phi: Window, lattice: Lattice) -> np.ndarray:
+    """S as its (L/b, b, b) Walnut blocks: blocks[r, p, q] = S[r + p L/b, r + q L/b]."""
+    L, M = lattice.L, lattice.L // lattice.b
+    w = _as_complex_vector(phi.samples, L)
+    t = _residue_rows(np.arange(L), lattice)[:, :, None]
+    G = w[(t - lattice.a * np.arange(L // lattice.a)) % L]  # (L/b, b, L/a)
+    return M * (G @ G.conj().transpose(0, 2, 1))
+
+
 def gabor_frame_operator(phi: Window, lattice: Lattice) -> tuple[np.ndarray, float, float]:
-    """Frame operator of the Gabor system and its frame bounds (A_gab, B_gab).
+    """Frame operator of the Gabor system as its Walnut blocks, and its frame
+    bounds (A_gab, B_gab).
 
     Rank deficiency (fewer lattice points than the dimension) shows up as
     A_gab = 0 in the report; it is not an error.
     """
-    W = shifted_window_columns(lattice.L, np.asarray(phi.samples), lattice.points())
-    S = W @ W.conj().T
-    ev = np.linalg.eigvalsh(S)
-    return S, float(ev[0]), float(ev[-1])
+    blocks = _walnut_blocks(phi, lattice)
+    ev = np.linalg.eigvalsh(blocks)
+    return blocks, float(ev.min()), float(ev.max())
 
 
 @dataclass(frozen=True)
 class LatticeGaborSystem:
+    """A window on a lattice with the spectrum of its frame operator S.
+
+    ``block_eigenvalues`` is (L/b, b): row r holds the ascending eigenvalues
+    of S's Walnut block r.
+    """
+
     window: Window
     lattice: Lattice
-    frame_operator: np.ndarray
-    A_gab: float
-    B_gab: float
+    block_eigenvalues: np.ndarray
+
+    @property
+    def A_gab(self) -> float:
+        return float(self.block_eigenvalues.min())
+
+    @property
+    def B_gab(self) -> float:
+        return float(self.block_eigenvalues.max())
 
     @property
     def tight(self) -> bool:
@@ -98,29 +137,30 @@ class LatticeGaborSystem:
         Computed as L / trace(S) = 1 / (mean eigenvalue); for a tight system
         this equals 1/lambda(S).
         """
-        return self.lattice.L / float(np.trace(self.frame_operator).real)
+        return self.lattice.L / float(self.block_eigenvalues.sum())
 
     @staticmethod
     def build(phi: Window, lattice: Lattice) -> "LatticeGaborSystem":
-        S, A_gab, B_gab = gabor_frame_operator(phi, lattice)
-        return LatticeGaborSystem(phi, lattice, S, A_gab, B_gab)
+        return LatticeGaborSystem(phi, lattice, np.linalg.eigvalsh(_walnut_blocks(phi, lattice)))
 
 
 def canonical_tight(phi: Window, lattice: Lattice) -> Window:
-    """The unit-norm canonical tight window S^{-1/2} phi.
+    """The unit-norm canonical tight window S^{-1/2} phi, block by block.
 
     Rejects systems whose frame operator is numerically singular
     (lambda_min <= 1e-9 * lambda_max).
     """
-    S, A_gab, B_gab = gabor_frame_operator(phi, lattice)
+    w, Q = np.linalg.eigh(_walnut_blocks(phi, lattice))
+    A_gab, B_gab = float(w.min()), float(w.max())
     if A_gab <= _FRAME_FLOOR_RTOL * max(B_gab, 1.0):
         raise NotAFrameError(
             f"Gabor system is not a frame (A_gab={A_gab!r}, B_gab={B_gab!r})",
             n_points=lattice.n_points,
             L=lattice.L,
         )
-    w, Q = np.linalg.eigh(S)
-    phit = Q @ ((Q.conj().T @ phi.samples) / np.sqrt(w))
+    f = _residue_rows(_as_complex_vector(phi.samples, lattice.L), lattice)[:, :, None]
+    g = Q @ ((Q.conj().transpose(0, 2, 1) @ f) / np.sqrt(w)[:, :, None])
+    phit = g[:, :, 0].T.reshape(-1)
     phit = phit / np.linalg.norm(phit)
     return Window(phit, normalized=True)
 
@@ -171,14 +211,15 @@ def gabor_multiplier(m, sys: LatticeGaborSystem) -> LocOperator:
 
 def symbol_on_lattice(symbol: Symbol, lattice: Lattice) -> np.ndarray:
     """Restrict a grid symbol to the lattice index grid; off-lattice cells error."""
+    x, xi = symbol.cells[:, 0], symbol.cells[:, 1]
+    off = np.flatnonzero((x % lattice.a != 0) | (xi % lattice.b != 0))
+    if off.size:
+        i = int(off[0])
+        raise InvalidArgumentError(
+            f"cell ({x[i]}, {xi[i]}) is not a lattice point", cell_index=i
+        )
     out = np.zeros((lattice.L // lattice.a, lattice.L // lattice.b))
-    for i in range(symbol.cells.shape[0]):
-        x, xi = int(symbol.cells[i, 0]), int(symbol.cells[i, 1])
-        if x % lattice.a or xi % lattice.b:
-            raise InvalidArgumentError(
-                f"cell ({x}, {xi}) is not a lattice point", cell_index=i
-            )
-        out[x // lattice.a, xi // lattice.b] = symbol.values[i]
+    out[x // lattice.a, xi // lattice.b] = symbol.values
     return out
 
 

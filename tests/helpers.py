@@ -74,6 +74,19 @@ def direct_gabor_multiplier(L, a, b, phi, m):
     return M
 
 
+def dense_gabor_frame_operator(L, a, b, phi):
+    """S = W W* over the lattice aZ x bZ, W the L x |Lambda| matrix whose
+    columns are the shifted windows pi(ja, kb) phi, each from its definition.
+
+    The dense counterpart of the library's Walnut blocks: O(L^2 |Lambda|).
+    """
+    t = np.arange(L)[:, None]
+    x = np.repeat(np.arange(0, L, a), L // b)
+    xi = np.tile(np.arange(0, L, b), L // a)
+    W = np.exp(2j * np.pi * xi * t / L) * np.asarray(phi)[(t - x) % L]
+    return W @ W.conj().T
+
+
 def random_signal(rng, L, unit=False):
     v = rng.normal(size=L) + 1j * rng.normal(size=L)
     if unit:

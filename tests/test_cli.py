@@ -445,6 +445,41 @@ class TestReconstruct:
             assert err["context"]["path"] == str(path)
             path.write_bytes(stored[path])
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("weight", float("nan")),
+            ("weight", float("inf")),
+            ("weight", -1.0),
+            ("weight", True),
+            ("lambda", float("nan")),
+            ("lambda", float("-inf")),
+            ("lambda", False),
+            ("lambda", 10**400),
+            ("gamma", -1),
+            ("gamma", True),
+            ("k", -1),
+            ("k", 1.0),
+            ("offset", True),
+        ],
+    )
+    def test_bad_stored_atom_entry_is_invalid_argument(self, tmp_path, field, value):
+        # the stored frame still matches the config, so reconstruct would reuse it
+        cfg = write_config(tmp_path, basic_config())
+        sig = write_random_signal(tmp_path)
+        out = tmp_path / "o"
+        assert main(["frame", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = out / "frame.json"
+        parsed = json.loads(manifest.read_text())
+        parsed["atoms"][-1][field] = value
+        manifest.write_text(json.dumps(parsed))
+        assert main(["reconstruct", "--config", str(cfg), "--signal", str(sig), "--out", str(out)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["code"] == "invalid-argument"
+        assert err["context"]["path"] == str(manifest)
+        assert field in err["message"]
+        assert not (out / "reconstruction.json").exists()
+
     def test_frame_of_another_config_is_not_reused(self, tmp_path, monkeypatch):
         sig = write_random_signal(tmp_path)
         out, fresh = tmp_path / "o", tmp_path / "fresh"

@@ -229,8 +229,11 @@ class TestCoverJson:
             gen_random_irregular(16, seed=5, target_size=5, overlap=0.4),
             Cover(4, (Symbol(4, (1, 1), [(1, 1)], [0.5]),)),
             Cover(4, (Symbol(4, (0, 0), [(0, 0), (1, 1)], [1.0, 1.0]), Symbol(4, (2, 2), [(2, 2)], [0.25]))),
+            gen_regular_boxes(16, 4, 8),
+            gen_wedge_cover(16, [(0, 4, 8), (4, 12, 4), (12, 16, 2)]),
+            Cover(8, (Symbol(8, (7, 0), [(7, 0), (0, 7), (3, 5), (6, 6)], [1 / 3, 2.5e20, 1e-300, 0.0]),)),
         ],
-        ids=["irregular", "one-weighted", "mixed"],
+        ids=["irregular", "one-weighted", "mixed", "regular", "wedge", "values"],
     )
     def test_written_bytes_are_json_dump(self, tmp_path, cover):
         path = tmp_path / "cover.json"

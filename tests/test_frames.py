@@ -1,9 +1,12 @@
 import json
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tfloc.locop
 from tfloc.cli import load_config, main, resolve_cover
@@ -46,6 +49,55 @@ REGULAR16_N_EPS02 = 2
 def whole_grid_cover(L):
     cells = [(x, xi) for x in range(L) for xi in range(L)]
     return Cover(L, (Symbol.indicator(L, (0, 0), cells),))
+
+
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.lists(st.integers(0, 4), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 4), max_size=2),
+)
+MANIFEST_KEYS = st.sampled_from(["L", "weighted", "source", "atoms"])
+ATOM_KEYS = st.sampled_from(["offset", "weight", "gamma", "k", "lambda"])
+NAN_BYTES = np.array([np.nan], "<f8").tobytes()
+# one corruption of a stored frame: a manifest field set or dropped (at the
+# top level or in the first or last atom entry), or the atoms file truncated,
+# given another magic, or overwritten at some position by NaN or other bytes
+FRAME_EDITS = st.one_of(
+    st.tuples(st.just("set"), st.none(), MANIFEST_KEYS, JSON_VALUES),
+    st.tuples(st.just("set"), st.sampled_from([0, -1]), ATOM_KEYS, JSON_VALUES),
+    st.tuples(st.just("drop"), st.none(), MANIFEST_KEYS),
+    st.tuples(st.just("drop"), st.sampled_from([0, -1]), ATOM_KEYS),
+    st.tuples(st.just("truncate"), st.floats(0.0, 1.0)),
+    st.tuples(st.just("magic"), st.binary(max_size=4)),
+    st.tuples(
+        st.just("patch"),
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.just(NAN_BYTES) | st.binary(min_size=1, max_size=16),
+    ),
+)
+
+
+def corrupt(manifest, blob, edit):
+    """Apply one FRAME_EDITS entry: (the file it changes, that file's new bytes)."""
+    kind, *args = edit
+    if kind in ("set", "drop"):
+        where, key = args[:2]
+        entry = manifest if where is None else manifest["atoms"][where]
+        if kind == "set":
+            entry[key] = args[2]
+        else:
+            entry.pop(key, None)
+        return "manifest", json.dumps(manifest).encode()
+    if kind == "truncate":
+        return "atoms", blob[: int(args[0] * len(blob))]
+    if kind == "magic":
+        return "atoms", args[0] + blob[4:]
+    pos, patch = 4 + int(args[0] * (len(blob) - 4)), args[1]
+    return "atoms", blob[:pos] + patch + blob[pos + len(patch):]
 
 
 @pytest.fixture(scope="module")
@@ -508,6 +560,23 @@ class TestFrameIo:
         write_frame(manifest, atoms, frame16)
         entries = json.loads(manifest.read_text())["atoms"]
         assert [e["offset"] for e in entries] == [4 + i * 16 * L16 for i in range(len(entries))]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(edit=FRAME_EDITS)
+    def test_fuzzed_stored_frame_loads_or_is_invalid_argument(self, frame16, edit):
+        with tempfile.TemporaryDirectory() as tmp:
+            manifest, atoms = Path(tmp) / "frame.json", Path(tmp) / "atoms.tfat"
+            write_frame(manifest, atoms, frame16)
+            target, data = corrupt(json.loads(manifest.read_text()), atoms.read_bytes(), edit)
+            (manifest if target == "manifest" else atoms).write_bytes(data)
+            try:
+                frame = read_frame(manifest, atoms)
+            except InvalidArgumentError:
+                return
+            assert len(frame.atoms) >= 1
+            for a in frame.atoms:
+                assert np.isfinite(a.weight) and a.weight >= 0 and np.isfinite(a.lam)
+                assert a.gamma >= 0 and a.k >= 1
 
     def test_certificate_json_schema(self, frame16, tmp_path):
         path = tmp_path / "cert.json"

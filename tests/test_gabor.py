@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import fractional_matrix_power
 
+from tfloc import gabor, locop
 from tfloc.core import gauss_window
 from tfloc.covers import Cover, Symbol
 from tfloc.errors import InvalidArgumentError, NotAFrameError, PreconditionViolation
@@ -19,7 +20,7 @@ from tfloc.gabor import (
 )
 from tfloc.locop import assemble_locop, tf_shift_matrix
 
-from helpers import direct_gabor_multiplier
+from helpers import dense_gabor_frame_operator, direct_gabor_multiplier
 
 L16 = 16
 
@@ -54,6 +55,23 @@ def tight22(phi16, lat22):
     return LatticeGaborSystem.build(canonical_tight(phi16, lat22), lat22)
 
 
+def walnut_to_dense(blocks, L):
+    """The L x L matrix that the (L/b, b, b) Walnut blocks stand for."""
+    M, b, _ = blocks.shape
+    S = np.zeros((L, L), complex)
+    for r in range(M):
+        idx = r + M * np.arange(b)
+        S[np.ix_(idx, idx)] = blocks[r]
+    return S
+
+
+def dense_tight(phi, L, a, b):
+    """S^{-1/2} phi / ||.|| from the dense frame operator."""
+    w, Q = np.linalg.eigh(dense_gabor_frame_operator(L, a, b, phi.samples))
+    v = Q @ ((Q.conj().T @ phi.samples) / np.sqrt(w))
+    return v / np.linalg.norm(v)
+
+
 def lattice_block_cover(L=L16, a=2, b=2):
     """Partition of the (L/a) x (L/b) lattice into four quadrant blocks."""
     nj, nk = L // a // 2, L // b // 2
@@ -83,8 +101,11 @@ class TestLattice:
 
 class TestFrameOperator:
     def test_full_grid_is_L_times_identity(self, phi16):
-        S, A, B = gabor_frame_operator(phi16, Lattice(L16, 1, 1))
+        S = dense_gabor_frame_operator(L16, 1, 1, phi16.samples)
         assert np.max(np.abs(S - L16 * np.eye(L16))) <= 1e-9
+        blocks, A, B = gabor_frame_operator(phi16, Lattice(L16, 1, 1))
+        assert blocks.shape == (L16, 1, 1)
+        assert np.max(np.abs(walnut_to_dense(blocks, L16) - L16 * np.eye(L16))) <= 1e-9
         assert A == pytest.approx(L16, abs=1e-9)
         assert B == pytest.approx(L16, abs=1e-9)
 
@@ -99,10 +120,37 @@ class TestFrameOperator:
         assert abs(A) <= 1e-9
 
     def test_commutes_with_lattice_shifts(self, phi16, lat22):
-        S, _, _ = gabor_frame_operator(phi16, lat22)
+        blocks, _, _ = gabor_frame_operator(phi16, lat22)
+        S = walnut_to_dense(blocks, L16)
+        assert np.max(np.abs(S - dense_gabor_frame_operator(L16, 2, 2, phi16.samples))) <= 1e-12
         for z in [(2, 0), (0, 2), (4, 6)]:
             U = tf_shift_matrix(L16, z)
             assert np.max(np.abs(U @ S - S @ U)) <= 1e-9
+
+    @pytest.mark.parametrize("L,a,b", [(16, 1, 1), (16, 2, 2), (240, 4, 6), (256, 8, 4)])
+    def test_blocks_match_dense_oracle(self, L, a, b):
+        phi, lat = gauss_window(L), Lattice(L, a, b)
+        S = dense_gabor_frame_operator(L, a, b, phi.samples)
+        ev = np.linalg.eigvalsh(S)
+        blocks, A, B = gabor_frame_operator(phi, lat)
+        assert np.max(np.abs(walnut_to_dense(blocks, L) - S)) <= 1e-12 * ev[-1]
+        assert A == pytest.approx(ev[0], rel=1e-12)
+        assert B == pytest.approx(ev[-1], rel=1e-12)
+        sys_ = LatticeGaborSystem.build(phi, lat)
+        assert (sys_.A_gab, sys_.B_gab) == (A, B)
+        assert sys_.tight_constant == pytest.approx(L / np.trace(S).real, rel=1e-12)
+        phit = canonical_tight(phi, lat)
+        assert np.max(np.abs(phit.samples - dense_tight(phi, L, a, b))) <= 1e-12
+        assert LatticeGaborSystem.build(phit, lat).tight
+
+    def test_tight_system_builds_no_shifted_window_matrix(self, phi16, lat22, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("shifted_window_columns called")
+
+        monkeypatch.setattr(locop, "shifted_window_columns", forbidden)
+        monkeypatch.setattr(gabor, "shifted_window_columns", forbidden, raising=False)
+        sys_ = LatticeGaborSystem.build(canonical_tight(phi16, lat22), lat22)
+        assert sys_.tight
 
 
 class TestCanonicalTight:
@@ -115,12 +163,14 @@ class TestCanonicalTight:
         assert tight22.B_gab / tight22.A_gab <= 1 + 1e-8
         assert tight22.tight_constant == pytest.approx(L16 / tight22.lattice.n_points, rel=1e-9)
 
-    def test_against_matrix_power_oracle(self, phi16, lat22):
-        phit = canonical_tight(phi16, lat22)
-        S, _, _ = gabor_frame_operator(phi16, lat22)
-        oracle = fractional_matrix_power(S, -0.5) @ phi16.samples
-        oracle = oracle / np.linalg.norm(oracle)
-        assert np.max(np.abs(phit.samples - oracle)) <= 1e-9
+    def test_against_matrix_power_oracle(self):
+        for L, a, b in [(16, 2, 2), (240, 4, 6)]:
+            phi = gauss_window(L)
+            phit = canonical_tight(phi, Lattice(L, a, b))
+            S = dense_gabor_frame_operator(L, a, b, phi.samples)
+            oracle = fractional_matrix_power(S, -0.5) @ phi.samples
+            oracle = oracle / np.linalg.norm(oracle)
+            assert np.max(np.abs(phit.samples - oracle)) <= 1e-9
 
     def test_not_a_frame_rejected(self, phi16):
         with pytest.raises(NotAFrameError):
