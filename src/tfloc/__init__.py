@@ -1,14 +1,11 @@
 """Frames adapted to covers of the finite time-frequency plane Z_L x Z_L."""
 
 from .core import (
-    PhasePlaneArray,
     PhaseSpaceGrid,
     Signal,
     Window,
     gauss_window,
-    istft,
     stft,
-    tf_shift,
 )
 from .covers import (
     AdmissibilityReport,
@@ -38,7 +35,6 @@ from .frames import (
     FrameCertificate,
     SelectionPolicy,
     assemble_frame,
-    ball_operator_spectrum,
     epsilon_sweep,
     frame_certificate,
     norm_equivalence_constants,
@@ -52,19 +48,14 @@ from .gabor import (
     LatticeGaborSystem,
     canonical_tight,
     gabor_eigenframe,
-    gabor_frame_operator,
     gabor_multiplier,
     lattice_masses,
 )
 from .locop import (
     LocOperator,
     Spectrum,
-    ThresholdedOp,
     assemble_locop,
-    concentration,
     eigendecomp,
-    shift_symbol_conjugation_check,
-    threshold,
 )
 
 __version__ = "0.1.0"

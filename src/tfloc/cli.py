@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import Window, gauss_window, read_signal_csv, stft
+from .core import Window, gauss_window, read_json, read_signal_csv, stft
 from .covers import (
     Cover,
     gen_random_irregular,
@@ -87,7 +87,7 @@ def _exactly_one(name: str, present: list[str]) -> None:
 
 def _number(section: dict, key: str, default=None, integer: bool = False,
             required: bool = False):
-    """A JSON number (an integer if ``integer``) from the config.
+    """A finite JSON number (an integer if ``integer``) from the config.
 
     An absent or null key gives ``default``, or an error when ``required``.
     """
@@ -96,8 +96,10 @@ def _number(section: dict, key: str, default=None, integer: bool = False,
         if required:
             raise InvalidArgumentError(f"config is missing {key!r}")
         return default
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        kind = "an integer" if integer else "a number"
+    number = not isinstance(value, bool) and isinstance(value, int if integer else (int, float))
+    # NaN fails the comparison, and so do +-Infinity and an int past the float range
+    if not number or not (integer or abs(value) <= sys.float_info.max):
+        kind = "an integer" if integer else "a finite number"
         raise InvalidArgumentError(f"config {key!r} must be {kind}, not {value!r}")
     return value
 
@@ -137,11 +139,7 @@ def _cover_params(kind: str, spec: dict) -> dict:
 def load_config(path) -> RunConfig:
     """Read and check a run config; every config error carries its path."""
     path = Path(path)
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except ValueError as exc:
-            raise InvalidArgumentError(f"config is not valid JSON: {exc}", path=str(path)) from None
+    raw = read_json(path, "config")
     try:
         return _parse_config(raw, path)
     except InvalidArgumentError as exc:
@@ -341,8 +339,7 @@ def cmd_spectrogram(cfg: RunConfig, signal_path, out_dir: Path) -> int:
             path=str(signal_path),
         )
     phi = resolve_window(cfg)
-    V = stft(f, phi)
-    power = np.abs(V.values) ** 2
+    power = np.abs(stft(f, phi)) ** 2
     L = cfg.L
     lines = ["x,xi,value"]
     for x in range(L):

@@ -7,14 +7,14 @@ window ``phi`` is
     V f(x, xi) = sum_t f(t) conj(phi((t - x) mod L)) exp(-2 pi i xi t / L)
                = <f, pi(x, xi) phi>,
 
-where ``pi(x, xi)`` modulates by ``xi`` and translates by ``x``.  The adjoint
-is normalized with a factor 1/L so that ``istft(stft(f)) == f`` exactly (up to
-rounding), which also makes the localization operator with unit symbol the
-identity.
+where ``pi(x, xi)`` modulates by ``xi`` and translates by ``x``.  The
+synthesis (adjoint) carries a factor 1/L, which inverts the STFT and makes the
+localization operator with unit symbol the identity.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,23 +77,6 @@ class Window(Signal):
 
 
 @dataclass(frozen=True)
-class PhasePlaneArray:
-    """Complex values indexed by (x, xi) in Z_L x Z_L."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise InvalidArgumentError(f"expected a square (L, L) array, got {arr.shape}")
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def length(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
 class PhaseSpaceGrid:
     """The grid Z_L x Z_L with the wrapped sup metric.
 
@@ -110,10 +93,6 @@ class PhaseSpaceGrid:
     def circdist(self, a, b):
         d = np.abs(np.asarray(a) - np.asarray(b)) % self.L
         return np.minimum(d, self.L - d)
-
-    def distance(self, z, w):
-        """Wrapped sup distance between grid points z = (x, xi), w = (x', xi')."""
-        return int(max(self.circdist(z[0], w[0]), self.circdist(z[1], w[1])))
 
     def ball_cells(self, center, radius: int) -> np.ndarray:
         """All grid points within wrapped sup distance ``radius`` of ``center``."""
@@ -153,14 +132,6 @@ def gauss_window(L: int) -> Window:
     return Window(phi.astype(np.complex128), normalized=True)
 
 
-def tf_shift(z: tuple[int, int], f: Signal) -> Signal:
-    """Time-frequency shift pi(x, xi) f(t) = exp(2 pi i xi t / L) f((t - x) mod L)."""
-    L = f.length
-    x, xi = int(z[0]) % L, int(z[1]) % L
-    t = np.arange(L)
-    return Signal(np.exp(2j * np.pi * xi * t / L) * np.roll(f.samples, x))
-
-
 def _require_window(phi: Window, L: int) -> np.ndarray:
     w = _as_complex_vector(phi.samples, L)
     if abs(np.linalg.norm(w) - 1.0) > 1e-9:
@@ -170,8 +141,8 @@ def _require_window(phi: Window, L: int) -> np.ndarray:
     return w
 
 
-def stft(f: Signal, phi: Window) -> PhasePlaneArray:
-    """Full STFT on the grid; V[x, xi] = <f, pi(x, xi) phi>.
+def stft(f: Signal, phi: Window) -> np.ndarray:
+    """Full STFT on the grid as an (L, L) array; V[x, xi] = <f, pi(x, xi) phi>.
 
     Computed with one length-L FFT per time shift x; agrees with the direct
     double sum to ~1e-15 per entry.  Plancherel: sum |V|^2 = L ||f||^2.
@@ -181,32 +152,13 @@ def stft(f: Signal, phi: Window) -> PhasePlaneArray:
     V = np.empty((L, L), dtype=np.complex128)
     for x in range(L):
         V[x] = np.fft.fft(f.samples * np.conj(np.roll(w, x)))
-    return PhasePlaneArray(V)
-
-
-def istft(F: PhasePlaneArray, phi: Window) -> Signal:
-    """Adjoint synthesis (1/L) sum_{x,xi} F(x, xi) pi(x, xi) phi; inverts stft."""
-    L = F.length
-    w = _require_window(phi, L)
-    out = np.zeros(L, dtype=np.complex128)
-    for x in range(L):
-        out += np.fft.ifft(F.values[x]) * np.roll(w, x)
-    return Signal(out)
+    return V
 
 
 # ---------------------------------------------------------------------------
 # Signal CSV format: `t,re,im`, one row per sample t = 0 .. L-1.
 # Floats are printed with repr() (shortest round-trip form).
 # ---------------------------------------------------------------------------
-
-def write_signal_csv(path, f: Signal) -> None:
-    lines = ["t,re,im"]
-    for t in range(f.length):
-        v = f.samples[t]
-        lines.append(f"{t},{float(v.real)!r},{float(v.imag)!r}")
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
 
 def read_signal_csv(path) -> Signal:
     with open(path) as fh:
@@ -226,3 +178,15 @@ def read_signal_csv(path) -> Signal:
         samples[i] = value
     return Signal(samples)
 
+
+def read_json(path, what: str):
+    """The parsed JSON file at ``path``.
+
+    Text that is not JSON, or JSON nested deeper than the parser's recursion
+    limit, is an InvalidArgumentError naming ``what`` and the path.
+    """
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise InvalidArgumentError(f"{what} is not valid JSON: {exc}", path=str(path)) from None

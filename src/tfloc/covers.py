@@ -9,13 +9,12 @@ of centers per window.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .core import PhaseSpaceGrid
+from .core import PhaseSpaceGrid, read_json
 from .errors import InvalidArgumentError
 
 
@@ -24,7 +23,7 @@ class Symbol:
     """One nonnegative mask eta on the grid, stored sparsely.
 
     ``cells`` is an (n, 2) integer array of (x, xi) support points, ``values``
-    the matching positive weights.  ``dense()`` materializes the (L, L) array.
+    the matching positive weights.
     """
 
     L: int
@@ -59,21 +58,6 @@ class Symbol:
     def mass(self) -> float:
         """||eta||_1 = sum of values."""
         return float(self.values.sum())
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros((self.L, self.L))
-        out[self.cells[:, 0], self.cells[:, 1]] = self.values
-        return out
-
-    def shifted(self, z: tuple[int, int]) -> "Symbol":
-        """The translated symbol eta(. - z), support and center moved by z."""
-        dz = np.asarray([int(z[0]), int(z[1])], dtype=np.int64)
-        return Symbol(
-            self.L,
-            tuple((np.asarray(self.center) + dz) % self.L),
-            (self.cells + dz) % self.L,
-            self.values,
-        )
 
     @staticmethod
     def indicator(L: int, center: tuple[int, int], cells) -> "Symbol":
@@ -294,17 +278,6 @@ def gen_random_irregular(L: int, seed: int, target_size: int, overlap: float) ->
 # `values` is omitted when all 1.0; readers accept any key order.
 # ---------------------------------------------------------------------------
 
-def _region_entry(s: Symbol) -> dict:
-    entry = {"center": list(s.center), "cells": s.cells.tolist()}
-    if not np.all(s.values == 1.0):
-        entry["values"] = [float(v) for v in s.values]
-    return entry
-
-
-def cover_to_dict(cover: Cover) -> dict:
-    return {"L": cover.L, "regions": [_region_entry(s) for s in cover.regions]}
-
-
 def _json_array(value, kinds: str) -> np.ndarray | None:
     """``value`` as an array if every entry has a dtype kind in ``kinds``, else None.
 
@@ -354,7 +327,9 @@ _CELL_JSON = "\n    [\n     %d,\n     %d\n    ]"
 
 
 def _region_json(s: Symbol) -> str:
-    """``json.dumps(_region_entry(s), indent=1)``, indented two more spaces.
+    """``json.dumps(entry, indent=1)`` of the region's entry in the cover JSON
+    above (the test oracle ``tests/helpers.py::cover_dict`` builds the entries),
+    indented two more spaces.
 
     Filled from fixed templates: integers as %d, values as repr(float),
     which is how the json encoder writes them.
@@ -371,7 +346,8 @@ def _region_json(s: Symbol) -> str:
 
 
 def write_cover_json(path, cover: Cover) -> None:
-    """The bytes of ``json.dump(cover_to_dict(cover), indent=1)``, one region at a time.
+    """The bytes of ``json.dump(cover_dict(cover), indent=1)``, one region at a time,
+    where ``cover_dict`` is the test oracle in ``tests/helpers.py``.
 
     The text of a region takes several times the memory of its cell array, so
     only one region's text is built at once.
@@ -387,11 +363,7 @@ def write_cover_json(path, cover: Cover) -> None:
 
 def read_cover_json(path) -> Cover:
     """Cover from a JSON file; a malformed file is an InvalidArgumentError with its path."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:
-            raise InvalidArgumentError(f"cover is not valid JSON: {exc}", path=str(path)) from None
+    data = read_json(path, "cover")
     try:
         return cover_from_dict(data)
     except InvalidArgumentError as exc:

@@ -20,15 +20,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import PhaseSpaceGrid, Signal, Window
-from .covers import Cover, Symbol, sum_symbols, validate_cover
+from .core import Signal, Window, read_json
+from .covers import Cover, sum_symbols, validate_cover
 from .errors import (
     EmptyFrameError,
     InvalidArgumentError,
     NotAFrameError,
     PreconditionViolation,
 )
-from .locop import ClassSpectrum, Spectrum, assemble_locop, class_spectra
+from .locop import ClassSpectrum, Spectrum, class_spectra
 
 _DEGENERATE_TOL = 1e-14
 _UNIT_NORM_TOL = 1e-9
@@ -315,18 +315,6 @@ def epsilon_sweep(cover: Cover, phi: Window, epsilons) -> list[tuple[float, floa
     return [(e, c, C) for e, (c, C) in zip(eps, rows)]
 
 
-def ball_operator_spectrum(L: int, phi: Window, radius: int) -> np.ndarray:
-    """Descending spectrum of the indicator operator of a wrapped ball.
-
-    By covariance this does not depend on the ball's center; it provides the
-    floor lambda_k >= c * lambda^{ball}_k for eigenvalues selected from any
-    region whose symbol dominates c times a radius-``radius`` ball indicator.
-    """
-    grid = PhaseSpaceGrid(L)
-    ball = Symbol.indicator(L, (0, 0), grid.ball_cells((0, 0), radius))
-    return assemble_locop(ball, phi).spectrum().eigenvalues
-
-
 # ---------------------------------------------------------------------------
 # Frame files: JSON manifest + binary atom sidecar (magic b"TFAT", then
 # consecutive length-L complex f64 records at the byte offsets recorded in
@@ -384,23 +372,22 @@ def _manifest_atom(e) -> tuple[int, float, int, int, float]:
 
 
 def read_frame(manifest_path, atoms_path) -> EigenFrame:
-    with open(manifest_path) as fh:
-        try:
-            manifest = json.load(fh)
-            L, weighted, source = manifest["L"], manifest["weighted"], manifest.get("source")
-            if isinstance(L, bool) or not isinstance(L, int) or L < 1:
-                raise ValueError(f"L must be a positive integer, not {L!r}")
-            if not isinstance(weighted, bool):
-                raise ValueError(f"weighted must be true or false, not {weighted!r}")
-            if source is not None and not isinstance(source, str):
-                raise ValueError(f"source must be a string, not {source!r}")
-            entries = [_manifest_atom(e) for e in manifest["atoms"]]
-            if not entries:
-                raise ValueError("the manifest lists no atoms")
-        except (ValueError, KeyError, TypeError) as exc:
-            raise InvalidArgumentError(
-                f"malformed frame manifest ({type(exc).__name__}: {exc})", path=str(manifest_path)
-            ) from None
+    manifest = read_json(manifest_path, "frame manifest")
+    try:
+        L, weighted, source = manifest["L"], manifest["weighted"], manifest.get("source")
+        if isinstance(L, bool) or not isinstance(L, int) or L < 1:
+            raise ValueError(f"L must be a positive integer, not {L!r}")
+        if not isinstance(weighted, bool):
+            raise ValueError(f"weighted must be true or false, not {weighted!r}")
+        if source is not None and not isinstance(source, str):
+            raise ValueError(f"source must be a string, not {source!r}")
+        entries = [_manifest_atom(e) for e in manifest["atoms"]]
+        if not entries:
+            raise ValueError("the manifest lists no atoms")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InvalidArgumentError(
+            f"malformed frame manifest ({type(exc).__name__}: {exc})", path=str(manifest_path)
+        ) from None
     with open(atoms_path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != b"TFAT":

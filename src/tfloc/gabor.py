@@ -94,18 +94,6 @@ def _walnut_blocks(phi: Window, lattice: Lattice) -> np.ndarray:
     return M * (G @ G.conj().transpose(0, 2, 1))
 
 
-def gabor_frame_operator(phi: Window, lattice: Lattice) -> tuple[np.ndarray, float, float]:
-    """Frame operator of the Gabor system as its Walnut blocks, and its frame
-    bounds (A_gab, B_gab).
-
-    Rank deficiency (fewer lattice points than the dimension) shows up as
-    A_gab = 0 in the report; it is not an error.
-    """
-    blocks = _walnut_blocks(phi, lattice)
-    ev = np.linalg.eigvalsh(blocks)
-    return blocks, float(ev.min()), float(ev.max())
-
-
 @dataclass(frozen=True)
 class LatticeGaborSystem:
     """A window on a lattice with the spectrum of its frame operator S.

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Signal, Window, stft, _require_window
+from .core import Window, _require_window
 from .covers import Symbol
-from .errors import DimensionError, InvalidArgumentError, NumericError
+from .errors import InvalidArgumentError, NumericError
 
 # columns of shifted windows are materialized in fixed chunks; keeps memory
 # bounded and the accumulation order deterministic
@@ -72,14 +72,11 @@ class Spectrum:
 class LocOperator:
     """Dense Hermitian localization operator with a cached eigendecomposition."""
 
-    def __init__(self, matrix: np.ndarray, symbol: Symbol | None = None,
-                 window: Window | None = None):
+    def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=np.complex128)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise InvalidArgumentError(f"operator matrix must be square, got {matrix.shape}")
         self.matrix = matrix
-        self.symbol = symbol
-        self.window = window
         self._spectrum: Spectrum | None = None
 
     @property
@@ -94,9 +91,6 @@ class LocOperator:
         if self._spectrum is None:
             self._spectrum = eigendecomp(self)
         return self._spectrum
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
 
 
 def shifted_window_columns(L: int, w: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -116,7 +110,7 @@ def assemble_locop(eta: Symbol, phi: Window) -> LocOperator:
         hi = lo + _ASSEMBLY_CHUNK
         A = shifted_window_columns(L, w, eta.cells[lo:hi]) * scale[lo:hi][None, :]
         M += A @ A.conj().T
-    return LocOperator(M, symbol=eta, window=phi)
+    return LocOperator(M)
 
 
 def eigendecomp(op: LocOperator) -> Spectrum:
@@ -171,80 +165,3 @@ def _class_spectrum(symbols: Sequence[Symbol], members: list[int], phi: Window) 
         x, xi = symbols[gamma].center
         shifts.append((gamma, ((x - rx) % L, (xi - rxi) % L)))
     return op.spectrum(), op.trace, shifts
-
-
-@dataclass(frozen=True)
-class ThresholdedOp:
-    """Spectral truncation keeping eigenvalues strictly above ``epsilon``."""
-
-    source: LocOperator
-    epsilon: float
-    rank: int
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        spec = self.source.spectrum()
-        Q = spec.eigenvectors[:, : self.rank]
-        return Q @ (spec.eigenvalues[: self.rank] * (Q.conj().T @ v))
-
-    def squared_matrix(self) -> np.ndarray:
-        """(H^eps)^2, assembled from the kept eigenpairs."""
-        spec = self.source.spectrum()
-        Q = spec.eigenvectors[:, : self.rank]
-        return (Q * spec.eigenvalues[: self.rank] ** 2) @ Q.conj().T
-
-
-def threshold(op: LocOperator, epsilon: float) -> ThresholdedOp:
-    if epsilon < 0.0:
-        raise InvalidArgumentError(f"threshold must be >= 0, got {epsilon}")
-    spec = op.spectrum()
-    rank = int(np.sum(spec.eigenvalues > epsilon))
-    return ThresholdedOp(op, float(epsilon), rank)
-
-
-def concentration(f: Signal, eta: Symbol, phi: Window) -> float:
-    """Time-frequency mass of f inside eta: (1/L) sum_z eta(z) |Vf(z)|^2."""
-    if f.norm == 0.0:
-        raise InvalidArgumentError("concentration of the zero signal is undefined")
-    if f.length != eta.L:
-        raise DimensionError(f"signal length {f.length} != grid {eta.L}")
-    V = stft(f, phi).values
-    vals = np.abs(V[eta.cells[:, 0], eta.cells[:, 1]]) ** 2
-    return float(np.sum(eta.values * vals) / eta.L)
-
-
-def tf_shift_matrix(L: int, z: tuple[int, int]) -> np.ndarray:
-    """The unitary matrix of pi(z) on C^L."""
-    x, xi = int(z[0]) % L, int(z[1]) % L
-    t = np.arange(L)
-    U = np.zeros((L, L), dtype=np.complex128)
-    U[t, (t - x) % L] = np.exp(2j * np.pi * xi * t / L)
-    return U
-
-
-@dataclass(frozen=True)
-class ConjugationReport:
-    shift: tuple[int, int]
-    max_matrix_deviation: float
-    max_spectrum_deviation: float
-
-    @property
-    def ok(self) -> bool:
-        return self.max_matrix_deviation <= 1e-9 and self.max_spectrum_deviation <= 1e-9
-
-
-def shift_symbol_conjugation_check(op: LocOperator, z: tuple[int, int]) -> ConjugationReport:
-    """Compare pi(z) H_eta pi(z)* against the operator of the shifted symbol.
-
-    Both the matrices and the descending spectra are compared; deviations
-    <= 1e-9 constitute a pass.
-    """
-    if op.symbol is None or op.window is None:
-        raise InvalidArgumentError("operator does not carry its source symbol and window")
-    U = tf_shift_matrix(op.L, z)
-    lhs = U @ op.matrix @ U.conj().T
-    shifted_op = assemble_locop(op.symbol.shifted(z), op.window)
-    dev = float(np.max(np.abs(lhs - shifted_op.matrix)))
-    spec_dev = float(
-        np.max(np.abs(op.spectrum().eigenvalues - shifted_op.spectrum().eigenvalues))
-    )
-    return ConjugationReport(tuple(int(c) for c in z), dev, spec_dev)

@@ -1,11 +1,13 @@
 """Direct-definition oracles, deliberately independent of the library paths.
 
-Everything here is written as the plain double/triple loops of the defining
-formulas; the test suite compares library outputs against these.
+Everything here is written from its defining formula, mostly as plain
+double/triple loops, or from the file format it describes; the test suite
+compares library outputs against these.
 """
 
 import numpy as np
 
+from tfloc.covers import Symbol
 from tfloc.locop import assemble_locop
 
 
@@ -14,6 +16,18 @@ def direct_shift(L, x, xi, v):
     for t in range(L):
         out[t] = np.exp(2j * np.pi * xi * t / L) * v[(t - x) % L]
     return out
+
+
+def shift_matrix(L, x, xi):
+    """The unitary matrix of pi(x, xi) on C^L: column t is pi(x, xi) applied to delta_t."""
+    return np.column_stack([direct_shift(L, x, xi, e) for e in np.eye(L)])
+
+
+def shifted_symbol(eta, z):
+    """The translated symbol eta(. - z): support and center moved by z, mod L."""
+    L = eta.L
+    return Symbol(L, ((eta.center[0] + z[0]) % L, (eta.center[1] + z[1]) % L),
+                  (eta.cells + np.asarray(z)) % L, eta.values)
 
 
 def direct_stft(f, phi):
@@ -40,6 +54,20 @@ def direct_istft(V, phi):
     return f
 
 
+def direct_concentration(f, cells, values, phi):
+    """(1/L) sum_z eta(z) |Vf(z)|^2, the time-frequency mass of f inside eta."""
+    L = len(f)
+    V = direct_stft(f, phi)
+    return sum(v * abs(V[x, xi]) ** 2 for (x, xi), v in zip(cells, values)) / L
+
+
+def thresholded(H, eps):
+    """H^eps = sum_{lam_k > eps} lam_k |v_k><v_k| over the eigenpairs of Hermitian H."""
+    lam, Q = np.linalg.eigh(H)
+    keep = lam > eps
+    return (Q[:, keep] * lam[keep]) @ Q[:, keep].conj().T
+
+
 def direct_assemble(L, cells, values, phi):
     """H = (1/L) sum_z eta(z) |pi(z)phi><pi(z)phi| via explicit outer products."""
     M = np.zeros((L, L), complex)
@@ -47,6 +75,14 @@ def direct_assemble(L, cells, values, phi):
         w = direct_shift(L, int(x), int(xi), phi)
         M += (v / L) * np.outer(w, w.conj())
     return M
+
+
+def ball_operator_spectrum(L, phi, radius):
+    """Descending spectrum of the indicator operator of the wrapped sup-metric
+    ball of ``radius`` around (0, 0); by covariance every center gives it."""
+    offs = range(-radius, radius + 1)
+    cells = sorted({(x % L, xi % L) for x in offs for xi in offs})
+    return np.linalg.eigvalsh(direct_assemble(L, cells, np.ones(len(cells)), phi))[::-1]
 
 
 def region_operators(cover, phi):
@@ -105,3 +141,25 @@ def orthonormal_set(rng, L, n):
     A = rng.normal(size=(L, n)) + 1j * rng.normal(size=(L, n))
     Q, _ = np.linalg.qr(A)
     return Q[:, :n]
+
+
+def cover_dict(cover):
+    """A cover as the cover JSON layout: {"L", "regions": [{"center", "cells",
+    "values"}]}, with "values" left out when every value is 1.0."""
+    regions = []
+    for s in cover.regions:
+        entry = {"center": list(s.center), "cells": s.cells.tolist()}
+        if not np.all(s.values == 1.0):
+            entry["values"] = [float(v) for v in s.values]
+        regions.append(entry)
+    return {"L": cover.L, "regions": regions}
+
+
+def write_signal_csv(path, samples):
+    """The signal CSV format: a `t,re,im` header, then one row per sample with
+    the floats in repr() (shortest round-trip) form."""
+    lines = ["t,re,im"]
+    for t, v in enumerate(np.asarray(samples, dtype=complex)):
+        lines.append(f"{t},{float(v.real)!r},{float(v.imag)!r}")
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")

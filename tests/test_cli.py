@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 import tfloc.cli
 import tfloc.locop
 from tfloc.cli import load_config, main, resolve_cover
-from tfloc.core import Signal, gauss_window, write_signal_csv
-from tfloc.covers import cover_to_dict, gen_regular_boxes
+from tfloc.core import gauss_window
+from tfloc.covers import gen_regular_boxes
 from tfloc.gabor import canonical_tight, symbol_on_lattice
 
-from helpers import direct_gabor_multiplier
+from helpers import cover_dict, direct_gabor_multiplier, write_signal_csv
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -47,7 +47,7 @@ def whole_grid_config(**overrides):
 def write_random_signal(tmp_path, L=16, seed=0, name="sig.csv"):
     rng = np.random.default_rng(seed)
     path = tmp_path / name
-    write_signal_csv(path, Signal(rng.normal(size=L) + 1j * rng.normal(size=L)))
+    write_signal_csv(path, rng.normal(size=L) + 1j * rng.normal(size=L))
     return path
 
 
@@ -115,6 +115,14 @@ class TestConfig:
             pytest.param(json.dumps(basic_config(reconstruct_tol="x")), "reconstruct_tol", id="reconstruct_tol-text"),
             pytest.param(json.dumps(basic_config(admissibility={"R": "x"})), "R", id="R-text"),
             pytest.param(json.dumps(basic_config(weighted="false")), "weighted", id="weighted-text"),
+            pytest.param("[" * 100_000, None, id="nested"),
+            pytest.param(json.dumps(basic_config(policy={"mode": "alpha", "alpha": float("nan")})),
+                         "alpha", id="alpha-NaN"),
+            pytest.param(json.dumps(basic_config(policy={"mode": "alpha", "alpha": float("inf")})),
+                         "alpha", id="alpha-Infinity"),
+            pytest.param(json.dumps(basic_config(policy={"epsilon": float("nan")})), "epsilon", id="epsilon-NaN"),
+            pytest.param(json.dumps(basic_config(reconstruct_tol=float("inf"))), "reconstruct_tol",
+                         id="reconstruct_tol-Infinity"),
         ],
     )
     def test_malformed_config_is_invalid_argument(self, tmp_path, text, key):
@@ -147,7 +155,7 @@ class TestConfig:
     @settings(derandomize=True, database=None, deadline=None)
     @given(field=st.sampled_from(["regions", "center", "cells", "values"]), value=WRONG_TYPED)
     def test_fuzzed_cover_field_exits_cleanly(self, field, value):
-        cover = cover_to_dict(gen_regular_boxes(16, 8, 8))
+        cover = cover_dict(gen_regular_boxes(16, 8, 8))
         if field == "regions":
             cover["regions"] = value
         else:
@@ -165,7 +173,7 @@ class TestConfig:
         # an unnormalized file window is normalized on load
         rng = np.random.default_rng(1)
         wpath = tmp_path / "window.csv"
-        write_signal_csv(wpath, Signal(rng.normal(size=16) + 0j))
+        write_signal_csv(wpath, rng.normal(size=16) + 0j)
         cfg = write_config(tmp_path, whole_grid_config(window={"file": "window.csv"}))
         out = tmp_path / "o"
         assert main(["frame", "--config", str(cfg), "--out", str(out)]) == 0
@@ -179,7 +187,7 @@ class TestSpectrogram:
         sig = tmp_path / "delta.csv"
         d = np.zeros(16, complex)
         d[0] = 1.0
-        write_signal_csv(sig, Signal(d))
+        write_signal_csv(sig, d)
         out = tmp_path / "o"
         assert main(["spectrogram", "--config", str(cfg), "--signal", str(sig), "--out", str(out)]) == 0
         pgm = (out / "spectrogram.pgm").read_bytes()
@@ -192,7 +200,7 @@ class TestSpectrogram:
     def test_zero_signal_all_zero_pgm(self, tmp_path):
         cfg = write_config(tmp_path, basic_config())
         sig = tmp_path / "zero.csv"
-        write_signal_csv(sig, Signal(np.zeros(16, complex)))
+        write_signal_csv(sig, np.zeros(16, complex))
         out = tmp_path / "o"
         assert main(["spectrogram", "--config", str(cfg), "--signal", str(sig), "--out", str(out)]) == 0
         pix = np.frombuffer((out / "spectrogram.pgm").read_bytes().split(b"\n", 3)[3], dtype=np.uint8)
@@ -203,7 +211,7 @@ class TestSpectrogram:
         cfg = write_config(tmp_path, basic_config())
         sig = tmp_path / "tone.csv"
         t = np.arange(L)
-        write_signal_csv(sig, Signal(np.exp(2j * np.pi * xi0 * t / L)))
+        write_signal_csv(sig, np.exp(2j * np.pi * xi0 * t / L))
         out = tmp_path / "o"
         assert main(["spectrogram", "--config", str(cfg), "--signal", str(sig), "--out", str(out)]) == 0
         rows = (out / "spectrogram.csv").read_text().splitlines()[1:]
@@ -281,10 +289,11 @@ class TestFrame:
             pytest.param(lambda text, cover: json.dumps(with_region(cover, cells=[[0, 0, 1]])), id="cells-triple"),
             pytest.param(lambda text, cover: json.dumps(with_region(cover, center=[True, 1])), id="center-bool"),
             pytest.param(lambda text, cover: json.dumps(with_region(cover, cells=[[0, 0], [True, 1]])), id="cells-bool"),
+            pytest.param(lambda text, cover: "[" * 100_000, id="nested"),
         ],
     )
     def test_malformed_cover_file_is_invalid_argument(self, tmp_path, edit):
-        cover = cover_to_dict(gen_regular_boxes(16, 8, 8))
+        cover = cover_dict(gen_regular_boxes(16, 8, 8))
         cover_path = tmp_path / "cover.json"
         cover_path.write_text(edit(json.dumps(cover), cover))
         cfg = write_config(tmp_path, basic_config(cover={"file": "cover.json"}))
@@ -385,7 +394,7 @@ class TestReconstruct:
     def test_zero_signal_error_zero(self, tmp_path):
         cfg = write_config(tmp_path, basic_config())
         sig = tmp_path / "zero.csv"
-        write_signal_csv(sig, Signal(np.zeros(16, complex)))
+        write_signal_csv(sig, np.zeros(16, complex))
         out = tmp_path / "o"
         assert main(["reconstruct", "--config", str(cfg), "--signal", str(sig), "--out", str(out)]) == 0
         assert json.loads((out / "reconstruction.json").read_text())["rel_error"] == 0.0
@@ -411,9 +420,10 @@ class TestReconstruct:
         assert err["code"] == "not-a-frame"
 
     def test_truncated_atoms_file_is_invalid_argument(self, tmp_path):
-        # also a truncated manifest, one without "atoms", a bad or non-positive
-        # "L", a non-boolean "weighted", and atoms that are not finite unit
-        # vectors; each corrupted file is restored before the next case
+        # also a truncated or too deeply nested manifest, one without "atoms",
+        # a bad or non-positive "L", a non-boolean "weighted", and atoms that
+        # are not finite unit vectors; each corrupted file is restored before
+        # the next case
         cfg = write_config(tmp_path, basic_config())
         sig = write_random_signal(tmp_path)
         out = tmp_path / "o"
@@ -429,6 +439,7 @@ class TestReconstruct:
         cases = [
             (atoms, stored[atoms][:-8]),
             (manifest, stored[manifest][:100]),
+            (manifest, b"[" * 100_000),
             (manifest, json.dumps({"L": 16, "weighted": True}).encode()),
             (manifest, json.dumps({**parsed, "L": "x"}).encode()),
             (manifest, json.dumps({**parsed, "L": -1}).encode()),

@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from tfloc.core import gauss_window
 from tfloc.covers import (
     Cover,
     Symbol,
-    cover_to_dict,
     gen_random_irregular,
     gen_regular_boxes,
     gen_wedge_cover,
@@ -16,6 +16,9 @@ from tfloc.covers import (
     write_cover_json,
 )
 from tfloc.errors import InvalidArgumentError
+from tfloc.locop import class_spectra
+
+from helpers import cover_dict
 
 
 def whole_grid_symbol(L, center=(0, 0)):
@@ -43,14 +46,16 @@ class TestSymbol:
     def test_mass_and_dense(self):
         s = Symbol(4, (1, 1), [(0, 0), (1, 2)], [0.5, 2.0])
         assert s.mass == pytest.approx(2.5, rel=1e-12)
-        d = s.dense()
+        d, _, _ = sum_symbols(Cover(4, (s,)))
         assert d[0, 0] == 0.5 and d[1, 2] == 2.0 and d.sum() == pytest.approx(2.5)
 
     def test_shifted_wraps(self):
+        # (1, 1) is (3, 3) shifted by (2, 2) mod 4: one shape class, and the
+        # member's translation wraps
         s = Symbol(4, (3, 3), [(3, 3)], [1.0])
-        t = s.shifted((2, 2))
-        assert t.center == (1, 1)
-        assert (t.cells == [[1, 1]]).all()
+        t = Symbol(4, (1, 1), [(1, 1)], [1.0])
+        [(_, _, members)] = class_spectra([s, t], gauss_window(4))
+        assert members == [(0, (0, 0)), (1, (2, 2))]
 
     def test_mass_additivity_for_disjoint_indicators(self):
         a = Symbol.indicator(8, (0, 0), [(0, 0), (0, 1)])
@@ -193,12 +198,12 @@ class TestRandomIrregular:
     def test_deterministic_in_seed(self):
         a = gen_random_irregular(32, seed=123, target_size=8, overlap=0.7)
         b = gen_random_irregular(32, seed=123, target_size=8, overlap=0.7)
-        assert json.dumps(cover_to_dict(a)) == json.dumps(cover_to_dict(b))
+        assert json.dumps(cover_dict(a)) == json.dumps(cover_dict(b))
 
     def test_different_seeds_differ(self):
         a = gen_random_irregular(32, seed=1, target_size=8, overlap=0.7)
         b = gen_random_irregular(32, seed=2, target_size=8, overlap=0.7)
-        assert json.dumps(cover_to_dict(a)) != json.dumps(cover_to_dict(b))
+        assert json.dumps(cover_dict(a)) != json.dumps(cover_dict(b))
 
     @pytest.mark.parametrize("seed", [7, 11, 99])
     def test_covers_and_radius_bound(self, seed):
@@ -221,7 +226,7 @@ class TestCoverJson:
         path = tmp_path / "cover.json"
         write_cover_json(path, cover)
         back = read_cover_json(path)
-        assert json.dumps(cover_to_dict(back)) == json.dumps(cover_to_dict(cover))
+        assert json.dumps(cover_dict(back)) == json.dumps(cover_dict(cover))
 
     @pytest.mark.parametrize(
         "cover",
@@ -238,7 +243,7 @@ class TestCoverJson:
     def test_written_bytes_are_json_dump(self, tmp_path, cover):
         path = tmp_path / "cover.json"
         write_cover_json(path, cover)
-        assert path.read_text() == json.dumps(cover_to_dict(cover), indent=1) + "\n"
+        assert path.read_text() == json.dumps(cover_dict(cover), indent=1) + "\n"
 
     def test_values_default_to_one(self, tmp_path):
         path = tmp_path / "c.json"

@@ -16,7 +16,6 @@ from tfloc.errors import EmptyFrameError, InvalidArgumentError, NotAFrameError, 
 from tfloc.frames import (
     SelectionPolicy,
     assemble_frame,
-    ball_operator_spectrum,
     epsilon_sweep,
     frame_certificate,
     frame_operator,
@@ -28,9 +27,15 @@ from tfloc.frames import (
     write_frame,
 )
 from tfloc.gabor import Lattice, LatticeGaborSystem, canonical_tight, gabor_eigenframe, symbol_on_lattice
-from tfloc.locop import LocOperator, threshold
+from tfloc.locop import LocOperator
 
-from helpers import direct_gabor_multiplier, random_signal, region_operators
+from helpers import (
+    ball_operator_spectrum,
+    direct_gabor_multiplier,
+    random_signal,
+    region_operators,
+    thresholded,
+)
 
 L16 = 16
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -217,7 +222,8 @@ class TestAssembleFrame:
         S = frame_operator(frame16)
         expected = np.zeros((L16, L16), complex)
         for op in region_operators(boxes16, phi16):
-            expected += threshold(op, 0.2).squared_matrix()
+            th = thresholded(op.matrix, 0.2)
+            expected += th @ th
         assert np.max(np.abs(S - expected)) <= 1e-9
 
     def test_covariance_identical_region_spectra(self, boxes16, phi16):
@@ -525,7 +531,7 @@ class TestUnweighted:
         # selected eigenvalues dominate the ball-operator floor (c = 1 here
         # since every region contains the radius-1 ball around its center)
         n_max_selected = max(a.k for a in frame.atoms)
-        ball_ev = ball_operator_spectrum(L16, phi16, 1)
+        ball_ev = ball_operator_spectrum(L16, phi16.samples, 1)
         floor = float(ball_ev[n_max_selected - 1])
         min_selected = min(a.lam for a in frame.atoms)
         assert min_selected >= floor - 1e-9

@@ -12,15 +12,14 @@ from tfloc.gabor import (
     LatticeGaborSystem,
     canonical_tight,
     gabor_eigenframe,
-    gabor_frame_operator,
     gabor_multiplier,
     lattice_coverage_min,
     lattice_masses,
     symbol_on_lattice,
 )
-from tfloc.locop import assemble_locop, tf_shift_matrix
+from tfloc.locop import assemble_locop
 
-from helpers import dense_gabor_frame_operator, direct_gabor_multiplier
+from helpers import dense_gabor_frame_operator, direct_gabor_multiplier, shift_matrix
 
 L16 = 16
 
@@ -103,28 +102,28 @@ class TestFrameOperator:
     def test_full_grid_is_L_times_identity(self, phi16):
         S = dense_gabor_frame_operator(L16, 1, 1, phi16.samples)
         assert np.max(np.abs(S - L16 * np.eye(L16))) <= 1e-9
-        blocks, A, B = gabor_frame_operator(phi16, Lattice(L16, 1, 1))
+        lat = Lattice(L16, 1, 1)
+        blocks = gabor._walnut_blocks(phi16, lat)
         assert blocks.shape == (L16, 1, 1)
         assert np.max(np.abs(walnut_to_dense(blocks, L16) - L16 * np.eye(L16))) <= 1e-9
-        assert A == pytest.approx(L16, abs=1e-9)
-        assert B == pytest.approx(L16, abs=1e-9)
+        sys_ = LatticeGaborSystem.build(phi16, lat)
+        assert sys_.A_gab == pytest.approx(L16, abs=1e-9)
+        assert sys_.B_gab == pytest.approx(L16, abs=1e-9)
 
     def test_golden_bounds(self, phi16, lat22):
-        _, A, B = gabor_frame_operator(phi16, lat22)
-        assert A == pytest.approx(GABOR16_A, abs=1e-8)
-        assert B == pytest.approx(GABOR16_B, abs=1e-8)
+        sys_ = LatticeGaborSystem.build(phi16, lat22)
+        assert sys_.A_gab == pytest.approx(GABOR16_A, abs=1e-8)
+        assert sys_.B_gab == pytest.approx(GABOR16_B, abs=1e-8)
 
     def test_undersampled_reports_zero_lower_bound(self, phi16):
         lat = Lattice(L16, 8, 8)  # 4 points < 16 dimensions
-        _, A, _ = gabor_frame_operator(phi16, lat)
-        assert abs(A) <= 1e-9
+        assert abs(LatticeGaborSystem.build(phi16, lat).A_gab) <= 1e-9
 
     def test_commutes_with_lattice_shifts(self, phi16, lat22):
-        blocks, _, _ = gabor_frame_operator(phi16, lat22)
-        S = walnut_to_dense(blocks, L16)
+        S = walnut_to_dense(gabor._walnut_blocks(phi16, lat22), L16)
         assert np.max(np.abs(S - dense_gabor_frame_operator(L16, 2, 2, phi16.samples))) <= 1e-12
         for z in [(2, 0), (0, 2), (4, 6)]:
-            U = tf_shift_matrix(L16, z)
+            U = shift_matrix(L16, *z)
             assert np.max(np.abs(U @ S - S @ U)) <= 1e-9
 
     @pytest.mark.parametrize("L,a,b", [(16, 1, 1), (16, 2, 2), (240, 4, 6), (256, 8, 4)])
@@ -132,12 +131,11 @@ class TestFrameOperator:
         phi, lat = gauss_window(L), Lattice(L, a, b)
         S = dense_gabor_frame_operator(L, a, b, phi.samples)
         ev = np.linalg.eigvalsh(S)
-        blocks, A, B = gabor_frame_operator(phi, lat)
+        blocks = gabor._walnut_blocks(phi, lat)
         assert np.max(np.abs(walnut_to_dense(blocks, L) - S)) <= 1e-12 * ev[-1]
-        assert A == pytest.approx(ev[0], rel=1e-12)
-        assert B == pytest.approx(ev[-1], rel=1e-12)
         sys_ = LatticeGaborSystem.build(phi, lat)
-        assert (sys_.A_gab, sys_.B_gab) == (A, B)
+        assert sys_.A_gab == pytest.approx(ev[0], rel=1e-12)
+        assert sys_.B_gab == pytest.approx(ev[-1], rel=1e-12)
         assert sys_.tight_constant == pytest.approx(L / np.trace(S).real, rel=1e-12)
         phit = canonical_tight(phi, lat)
         assert np.max(np.abs(phit.samples - dense_tight(phi, L, a, b))) <= 1e-12

@@ -1,19 +1,22 @@
 import numpy as np
 import pytest
 
-from tfloc.core import Signal, gauss_window, tf_shift
+from tfloc.core import gauss_window
 from tfloc.covers import Symbol
 from tfloc.errors import InvalidArgumentError
-from tfloc.locop import (
-    LocOperator,
-    assemble_locop,
-    concentration,
-    eigendecomp,
-    shift_symbol_conjugation_check,
-    threshold,
-)
+from tfloc.frames import SelectionPolicy, select_eigenfunctions
+from tfloc.locop import assemble_locop, eigendecomp
 
-from helpers import direct_assemble, orthonormal_set, random_signal
+from helpers import (
+    direct_assemble,
+    direct_concentration,
+    direct_shift,
+    orthonormal_set,
+    random_signal,
+    shift_matrix,
+    shifted_symbol,
+    thresholded,
+)
 
 L16 = 16
 
@@ -60,7 +63,7 @@ class TestAssemble:
     def test_single_point_rank_one(self, phi16):
         s = Symbol.indicator(L16, (3, 5), [(3, 5)])
         op = assemble_locop(s, phi16)
-        w = tf_shift((3, 5), Signal(phi16.samples)).samples
+        w = direct_shift(L16, 3, 5, phi16.samples)
         expected = np.outer(w, w.conj()) / L16
         assert np.max(np.abs(op.matrix - expected)) <= 1e-12
         ev = op.spectrum().eigenvalues
@@ -159,75 +162,83 @@ class TestEigendecomp:
         np.testing.assert_array_equal(a.eigenvectors, b.eigenvectors)
 
 
+def n_above(op, eps):
+    """The epsilon-mode selection count: the eigenvalues strictly above eps."""
+    return select_eigenfunctions(op.spectrum(), op.trace, SelectionPolicy("epsilon", epsilon=eps))
+
+
+def box16_concentration(f, phi):
+    box = centered_box16()
+    return direct_concentration(f, box.cells, box.values, phi.samples)
+
+
 class TestThreshold:
     def test_above_top_eigenvalue_empty(self, box_op):
         top = box_op.spectrum().eigenvalues[0]
-        assert threshold(box_op, top).rank == 0
-        assert threshold(box_op, top + 1).rank == 0
+        assert n_above(box_op, top) == 0
+        assert n_above(box_op, top + 1) == 0
 
     def test_zero_keeps_strictly_positive_and_preserves_action(self, box_op):
-        th = threshold(box_op, 0.0)
+        th = thresholded(box_op.matrix, 0.0)
         rng = np.random.default_rng(16)
         for _ in range(5):
             f = random_signal(rng, L16)
-            lhs = np.linalg.norm(th.apply(f))
-            rhs = np.linalg.norm(box_op.apply(f))
+            lhs = np.linalg.norm(th @ f)
+            rhs = np.linalg.norm(box_op.matrix @ f)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_golden_rank(self, box_op):
-        assert threshold(box_op, 0.5).rank == 4
+        assert n_above(box_op, 0.5) == 4
 
     def test_markov_bound(self, box_op):
         for eps in (0.05, 0.1, 0.3, 0.7):
-            th = threshold(box_op, eps)
-            assert th.rank <= int(box_op.trace / eps)
+            assert n_above(box_op, eps) <= int(box_op.trace / eps)
 
     def test_sandwich_inequality(self, box_op):
         rng = np.random.default_rng(17)
         for eps in (0.1, 0.5):
-            th = threshold(box_op, eps)
+            th = thresholded(box_op.matrix, eps)
             for _ in range(50):
                 f = random_signal(rng, L16)
                 nf = np.linalg.norm(f)
-                lo = np.linalg.norm(th.apply(f))
-                hi = np.linalg.norm(box_op.apply(f))
+                lo = np.linalg.norm(th @ f)
+                hi = np.linalg.norm(box_op.matrix @ f)
                 assert lo <= hi + 1e-9
                 assert hi <= lo + eps * nf + 1e-9
 
-    def test_rejects_negative(self, box_op):
+    def test_rejects_negative(self):
         with pytest.raises(InvalidArgumentError):
-            threshold(box_op, -0.1)
+            SelectionPolicy("epsilon", epsilon=-0.1)
 
 
 class TestConcentration:
     def test_unit_symbol_total_mass(self, phi16):
         rng = np.random.default_rng(18)
-        f = Signal(random_signal(rng, L16, unit=True))
-        assert concentration(f, full_grid(L16), phi16) == pytest.approx(1.0, abs=1e-10)
+        f = random_signal(rng, L16, unit=True)
+        grid = full_grid(L16)
+        val = direct_concentration(f, grid.cells, grid.values, phi16.samples)
+        assert val == pytest.approx(1.0, abs=1e-10)
+        quad = np.vdot(f, assemble_locop(grid, phi16).matrix @ f).real
+        assert quad == pytest.approx(val, abs=1e-10)
 
     def test_top_eigenvector_attains_lambda1(self, box_op, phi16):
         spec = box_op.spectrum()
-        f = Signal(spec.eigenvectors[:, 0])
-        val = concentration(f, centered_box16(), phi16)
+        val = box16_concentration(spec.eigenvectors[:, 0], phi16)
         assert val == pytest.approx(spec.eigenvalues[0], abs=1e-9)
 
     def test_rayleigh_bound_monte_carlo(self, box_op, phi16):
         rng = np.random.default_rng(19)
         lam1 = box_op.spectrum().eigenvalues[0]
         for _ in range(100):
-            f = Signal(random_signal(rng, L16, unit=True))
-            assert concentration(f, centered_box16(), phi16) <= lam1 + 1e-9
+            f = random_signal(rng, L16, unit=True)
+            assert box16_concentration(f, phi16) <= lam1 + 1e-9
 
     def test_equals_quadratic_form(self, box_op, phi16):
         rng = np.random.default_rng(20)
         f = random_signal(rng, L16)
-        val = concentration(Signal(f), centered_box16(), phi16)
-        quad = np.vdot(f, box_op.apply(f)).real
+        val = box16_concentration(f, phi16)
+        quad = np.vdot(f, box_op.matrix @ f).real
         assert val == pytest.approx(quad, abs=1e-10)
-
-    def test_rejects_zero_signal(self, phi16):
-        with pytest.raises(InvalidArgumentError):
-            concentration(Signal(np.zeros(L16)), full_grid(L16), phi16)
 
 
 class TestCourant:
@@ -238,34 +249,39 @@ class TestCourant:
         bound = float(np.sum(ev[:N]))
         for _ in range(50):
             Q = orthonormal_set(rng, L16, N)
-            total = float(np.sum([np.vdot(Q[:, j], box_op.apply(Q[:, j])).real for j in range(N)]))
+            total = float(np.sum([np.vdot(Q[:, j], box_op.matrix @ Q[:, j]).real for j in range(N)]))
             assert total <= bound + 1e-8
 
     @pytest.mark.parametrize("N", [1, 2, 4])
     def test_equality_at_eigenvectors(self, box_op, N):
         spec = box_op.spectrum()
         Q = spec.eigenvectors[:, :N]
-        total = float(np.sum([np.vdot(Q[:, j], box_op.apply(Q[:, j])).real for j in range(N)]))
+        total = float(np.sum([np.vdot(Q[:, j], box_op.matrix @ Q[:, j]).real for j in range(N)]))
         assert total == pytest.approx(float(np.sum(spec.eigenvalues[:N])), abs=1e-9)
 
 
+def conjugation_deviations(op, eta, phi, z):
+    """Max deviations of pi(z) H_eta pi(z)* from H_{eta(. - z)}, as matrices and
+    as descending spectra; pi(z) and eta(. - z) come from their definitions."""
+    U = shift_matrix(op.L, *z)
+    shifted_op = assemble_locop(shifted_symbol(eta, z), phi)
+    dev = np.max(np.abs(U @ op.matrix @ U.conj().T - shifted_op.matrix))
+    spec_dev = np.max(np.abs(op.spectrum().eigenvalues - shifted_op.spectrum().eigenvalues))
+    return dev, spec_dev
+
+
 class TestConjugation:
-    def test_zero_shift(self, box_op):
-        rep = shift_symbol_conjugation_check(box_op, (0, 0))
-        assert rep.max_matrix_deviation <= 1e-12
-        assert rep.max_spectrum_deviation <= 1e-12
+    def test_zero_shift(self, box_op, phi16):
+        dev, spec_dev = conjugation_deviations(box_op, centered_box16(), phi16, (0, 0))
+        assert dev <= 1e-12
+        assert spec_dev <= 1e-12
 
     def test_point_symbol_shifts_to_point(self, phi16):
-        op = assemble_locop(Symbol.indicator(L16, (2, 3), [(2, 3)]), phi16)
-        rep = shift_symbol_conjugation_check(op, (5, 7))
-        assert rep.ok
+        eta = Symbol.indicator(L16, (2, 3), [(2, 3)])
+        dev, spec_dev = conjugation_deviations(assemble_locop(eta, phi16), eta, phi16, (5, 7))
+        assert dev <= 1e-9 and spec_dev <= 1e-9
 
-    def test_box_shift_spectra_agree(self, box_op):
-        rep = shift_symbol_conjugation_check(box_op, (3, 5))
-        assert rep.max_matrix_deviation <= 1e-9
-        assert rep.max_spectrum_deviation <= 1e-9
-
-    def test_requires_provenance(self, box_op):
-        bare = LocOperator(box_op.matrix)
-        with pytest.raises(InvalidArgumentError):
-            shift_symbol_conjugation_check(bare, (1, 1))
+    def test_box_shift_spectra_agree(self, box_op, phi16):
+        dev, spec_dev = conjugation_deviations(box_op, centered_box16(), phi16, (3, 5))
+        assert dev <= 1e-9
+        assert spec_dev <= 1e-9

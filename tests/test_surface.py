@@ -1,0 +1,37 @@
+"""The library exports only what the CLI, the other modules and the benchmark use.
+
+Every module-level public function and class in ``src/tfloc`` (``__init__.py``
+aside) must be referenced, as a name or an attribute, somewhere in those
+modules or in ``perfbench/child.py`` outside its own definition.  Tests do not
+count: a name that only tests call belongs in ``tests/helpers.py``.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p for p in (ROOT / "src" / "tfloc").glob("*.py") if p.name != "__init__.py")
+
+
+def names_used(node):
+    """The names and attribute names that occur in ``node``."""
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_public_library_name_has_a_caller():
+    trees = [ast.parse(p.read_text()) for p in [*MODULES, ROOT / "perfbench" / "child.py"]]
+    # each top-level statement with the names it uses; a definition's own
+    # statement does not count as a use of it
+    uses = [(node, names_used(node)) for tree in trees for node in tree.body]
+    unused = [
+        f"{path.stem}.{node.name}"
+        for path, tree in zip(MODULES, trees)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        and not any(node.name in names for other, names in uses if other is not node)
+    ]
+    assert not unused, f"public names with no caller outside tests: {unused}"
