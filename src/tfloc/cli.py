@@ -62,6 +62,9 @@ from .gabor import (
 )
 
 SWEEP_EPSILONS = [round(0.1 * i, 1) for i in range(10)]
+# the largest grid a config may ask for; one L x L complex matrix is then 268 MB
+MAX_L = 4096
+INT64_RANGE = (-(2**63), 2**63 - 1)
 
 
 @dataclass
@@ -86,8 +89,8 @@ def _exactly_one(name: str, present: list[str]) -> None:
 
 
 def _number(section: dict, key: str, default=None, integer: bool = False,
-            required: bool = False):
-    """A finite JSON number (an integer if ``integer``) from the config.
+            required: bool = False, bounds: tuple[int, int] = INT64_RANGE):
+    """A finite JSON number (an integer in ``bounds``, inclusive, if ``integer``) from the config.
 
     An absent or null key gives ``default``, or an error when ``required``.
     """
@@ -101,6 +104,10 @@ def _number(section: dict, key: str, default=None, integer: bool = False,
     if not number or not (integer or abs(value) <= sys.float_info.max):
         kind = "an integer" if integer else "a finite number"
         raise InvalidArgumentError(f"config {key!r} must be {kind}, not {value!r}")
+    if integer and not bounds[0] <= value <= bounds[1]:
+        raise InvalidArgumentError(
+            f"config {key!r} must be an integer in [{bounds[0]}, {bounds[1]}], not {value!r}"
+        )
     return value
 
 
@@ -120,7 +127,7 @@ def _cover_params(kind: str, spec: dict) -> dict:
         return {k: _number(spec, k, integer=True, required=True) for k in ("bx", "by")}
     if kind == "irregular":
         return {
-            "seed": _number(spec, "seed", integer=True),
+            "seed": _number(spec, "seed", integer=True, bounds=(0, INT64_RANGE[1])),
             "target_size": _number(spec, "target_size", integer=True, required=True),
             "overlap": float(_number(spec, "overlap", 0.5)),
         }
@@ -150,7 +157,7 @@ def load_config(path) -> RunConfig:
 def _parse_config(raw, path: Path) -> RunConfig:
     if not isinstance(raw, dict):
         raise InvalidArgumentError(f"config must be a JSON object, not {type(raw).__name__}")
-    L = _number(raw, "L", integer=True, required=True)
+    L = _number(raw, "L", integer=True, required=True, bounds=(1, MAX_L))
 
     window = raw.get("window")
     if window is None or window == "gauss":
@@ -207,7 +214,7 @@ def _parse_config(raw, path: Path) -> RunConfig:
             "r": _number(adm, "r", integer=True),
             "w": _number(adm, "w", 1, integer=True),
         },
-        seed=_number(raw, "seed", integer=True),
+        seed=_number(raw, "seed", integer=True, bounds=(0, INT64_RANGE[1])),
         reconstruct_tol=float(_number(raw, "reconstruct_tol", 1e-8)),
         output_dir=path.parent / out if out else None,
     )

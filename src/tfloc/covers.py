@@ -160,10 +160,10 @@ def validate_cover(cover: Cover, R: int, r: int | None = None, w: int = 1) -> Ad
     # splat each center onto every window anchor that sees it: anchors in
     # [c - w + 1, c] per axis for half-open w x w windows
     counts = np.zeros((cover.L, cover.L), dtype=np.int64)
-    offs = np.arange(w)
     if w >= cover.L:
         counts[:] = len(cover.centers)
     else:
+        offs = np.arange(w)
         for cx, cxi in cover.centers:
             anchors_x = (cx - offs) % cover.L
             anchors_xi = (cxi - offs) % cover.L

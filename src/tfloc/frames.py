@@ -4,8 +4,8 @@ For each region, the top eigenvectors of its localization operator are
 selected (by an eigenvalue threshold or by a count proportional to the
 region's trace measure) and collected, weighted by their eigenvalues or left
 unweighted.  The frame operator S = sum w^2 |v><v| certifies the frame bounds
-A = lambda_min(S), B = lambda_max(S), and its inverse performs canonical dual
-reconstruction.
+A = lambda_min(S), B = lambda_max(S), and the canonical dual atoms S^{-1} g_i
+reconstruct f = sum_i <f, g_i> S^{-1} g_i.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ import math
 import sys
 import warnings
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -107,17 +106,6 @@ class EigenFrame:
             np.multiply(a.vector, a.weight, out=G[:, i])
         return G
 
-    @cached_property
-    def _kept_atom_matrix(self) -> np.ndarray:
-        """``atom_matrix()``, built once and kept for repeated reconstructions.
-
-        ``frame_certificate`` builds its own and drops it, so a frame that is
-        only certified holds no copy (L x n, 2 MB at L=256 with 512 atoms).
-        """
-        G = self.atom_matrix()
-        G.flags.writeable = False
-        return G
-
 
 @dataclass(frozen=True)
 class FrameCertificate:
@@ -127,12 +115,24 @@ class FrameCertificate:
     frame_operator: np.ndarray
     is_frame: bool
     a_tol: float
+    # [frame, G*, S^{-1} G] of the last frame reconstructed with this certificate
+    _dual: list = field(default_factory=list, init=False, repr=False, compare=False)
 
-    @cached_property
-    def factorization(self) -> tuple[np.ndarray, np.ndarray]:
-        """(w, Q) with S = Q diag(w) Q*; computed on first use, so that
-        ``frame_certificate`` alone pays only for the eigenvalues."""
-        return np.linalg.eigh(self.frame_operator)
+    def dual_frame(self, frame: EigenFrame) -> tuple[np.ndarray, np.ndarray]:
+        """(G*, S^{-1} G) of ``frame``: its analysis operator and its canonical dual atoms.
+
+        G is the L x n matrix of the weighted atoms.  One solve of S against G,
+        on first use, and the pair is kept with ``frame``, so a later call with
+        another frame solves again and never reuses this one.
+        ``frame_certificate`` alone never solves.
+        """
+        if not self._dual or self._dual[0] is not frame:
+            G = frame.atom_matrix()
+            dual = np.linalg.solve(self.frame_operator, G)
+            analysis = G.conj().T
+            analysis.flags.writeable = dual.flags.writeable = False
+            self._dual[:] = [frame, analysis, dual]
+        return self._dual[1], self._dual[2]
 
 
 def region_classes(cover: Cover, phi: Window) -> Iterator[ClassSpectrum]:
@@ -233,12 +233,13 @@ def frame_certificate(frame: EigenFrame, a_tol: float | None = None) -> FrameCer
 def reconstruct(
     frame: EigenFrame, f: Signal, certificate: FrameCertificate | None = None
 ) -> tuple[Signal, float]:
-    """Canonical dual reconstruction f_rec = S^{-1} sum <f, w v> (w v).
+    """Canonical dual reconstruction f_rec = sum_i <f, g_i> S^{-1} g_i, g_i = w_i v_i.
 
-    The Hermitian solve uses the certificate's factorization of the frame
-    operator and the frame's atom matrix, both computed once and kept.
-    Returns (f_rec, relative error); the zero signal reconstructs to zero with
-    error 0 by convention.
+    Each call computes the analysis coefficients c = G* f and synthesizes
+    f_rec = (S^{-1} G) c from the dual atoms, two O(L n) products; the dual
+    atoms are solved once per (frame, certificate) pair
+    (``FrameCertificate.dual_frame``).  Returns (f_rec, relative error); the
+    zero signal reconstructs to zero with error 0 by convention.
     """
     cert = certificate if certificate is not None else frame_certificate(frame)
     if not cert.is_frame:
@@ -249,10 +250,8 @@ def reconstruct(
         raise InvalidArgumentError(f"signal length {f.length} != frame length {frame.L}")
     if f.norm == 0.0:
         return Signal(np.zeros(frame.L, dtype=np.complex128)), 0.0
-    G = frame._kept_atom_matrix
-    y = G @ (G.conj().T @ f.samples)
-    w, Q = cert.factorization
-    f_rec = Q @ ((Q.conj().T @ y) / w)
+    analysis, dual = cert.dual_frame(frame)
+    f_rec = dual @ (analysis @ f.samples)
     rel = float(np.linalg.norm(f_rec - f.samples) / f.norm)
     return Signal(f_rec), rel
 
@@ -274,8 +273,10 @@ def norm_equivalence(
     A term's Gram sum is sum_gamma Q diag(lam^power) Q* over each region's
     eigenpairs (lam, Q): power 2 for the plain (K = H) and thresholded
     variants, 4 for squared (K = H^2); the thresholded variant keeps only
-    lam > epsilon, the others ignore epsilon.  Equal sums are kept once.  A
-    member region's Q is its class spectrum translated to it, and each class
+    lam > epsilon, the others ignore epsilon.  Only the first
+    ``numerical_rank()`` eigenpairs enter: the dropped terms have
+    lam^2 <= RANK_RTOL^2 lam_1^2.  Equal sums are kept once.  A member
+    region's Q is its class spectrum translated to it, and each class
     spectrum is dropped once all its members are added.
     """
     keys = []
@@ -287,9 +288,10 @@ def norm_equivalence(
         keys.append((_GRAM_POWER[variant], eps if variant == "thresholded" else None))
     grams = dict.fromkeys(keys, 0.0)
     for spec, _, members in classes:
-        lam = spec.eigenvalues
+        r = spec.numerical_rank()
+        lam = spec.eigenvalues[:r]
         for _, z in members:
-            Q = spec.translated(z)
+            Q = spec.translated(z, r)
             for power, eps in list(grams):
                 keep = slice(None) if eps is None else lam > eps
                 grams[power, eps] += (Q[:, keep] * lam[keep] ** power) @ Q[:, keep].conj().T
@@ -350,25 +352,27 @@ def write_frame(manifest_path, atoms_path, frame: EigenFrame) -> None:
         fh.write("\n")
 
 
-def _manifest_atom(e) -> tuple[int, float, int, int, float]:
-    """(offset, weight, gamma, k, lambda) of one manifest entry; ValueError if malformed.
+def _manifest_columns(entries) -> list[list]:
+    """The offset, weight, gamma, k and lambda columns of the manifest's atom entries.
 
-    The integers must be JSON integers (offset, gamma >= 0, k >= 1), the
-    weight a finite number >= 0 and lambda a finite number; a JSON boolean
-    is neither.
+    ValueError if an entry is malformed: the integers must be JSON integers
+    (offset, gamma >= 0, k >= 1), the weight a finite number >= 0 and lambda
+    a finite number; a JSON boolean is neither.
     """
+    cols = {key: [e[key] for e in entries] for key in ("offset", "weight", "gamma", "k", "lambda")}
     for key, low in (("offset", 0), ("gamma", 0), ("k", 1)):
-        v = e[key]
-        if isinstance(v, bool) or not isinstance(v, int) or v < low:
-            raise ValueError(f"{key} must be an integer >= {low}, not {v!r}")
+        bad = [v for v in cols[key] if type(v) is not int or v < low]
+        if bad:
+            raise ValueError(f"{key} must be an integer >= {low}, not {bad[0]!r}")
     for key in ("weight", "lambda"):
-        v = e[key]
         # NaN fails the comparison, and so does an int past the float range
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
-            raise ValueError(f"{key} must be a finite number, not {v!r}")
-    if e["weight"] < 0:
-        raise ValueError(f"weight must be >= 0, not {e['weight']!r}")
-    return e["offset"], float(e["weight"]), e["gamma"], e["k"], float(e["lambda"])
+        bad = [v for v in cols[key] if type(v) not in (int, float) or not abs(v) <= sys.float_info.max]
+        if bad:
+            raise ValueError(f"{key} must be a finite number, not {bad[0]!r}")
+    bad = [v for v in cols["weight"] if v < 0]
+    if bad:
+        raise ValueError(f"weight must be >= 0, not {bad[0]!r}")
+    return list(cols.values())
 
 
 def read_frame(manifest_path, atoms_path) -> EigenFrame:
@@ -381,8 +385,8 @@ def read_frame(manifest_path, atoms_path) -> EigenFrame:
             raise ValueError(f"weighted must be true or false, not {weighted!r}")
         if source is not None and not isinstance(source, str):
             raise ValueError(f"source must be a string, not {source!r}")
-        entries = [_manifest_atom(e) for e in manifest["atoms"]]
-        if not entries:
+        offsets, weights, gammas, ks, lams = _manifest_columns(manifest["atoms"])
+        if not offsets:
             raise ValueError("the manifest lists no atoms")
     except (ValueError, KeyError, TypeError) as exc:
         raise InvalidArgumentError(
@@ -392,23 +396,30 @@ def read_frame(manifest_path, atoms_path) -> EigenFrame:
         blob = fh.read()
     if blob[:4] != b"TFAT":
         raise InvalidArgumentError(f"bad atoms magic {blob[:4]!r}", path=str(atoms_path))
-    atoms = []
-    for off, weight, gamma, k, lam in entries:
-        if off < 4 or off + 16 * L > len(blob):
+    record_len = 16 * L
+    for off in offsets:
+        if off < 4 or off + record_len > len(blob):
             raise InvalidArgumentError(
                 f"atom record at offset {off} overruns the atoms file", path=str(atoms_path)
             )
-        data = np.frombuffer(blob, dtype="<f8", count=2 * L, offset=off).reshape(L, 2)
-        vector = (data[:, 0] + 1j * data[:, 1]).copy()
-        # a NaN or infinite entry fails this too, and so does one whose square overflows
-        with np.errstate(over="ignore", invalid="ignore"):
-            norm = np.linalg.norm(vector)
-        if not abs(norm - 1.0) <= _UNIT_NORM_TOL:
-            raise InvalidArgumentError(
-                f"atom record at offset {off} is not a finite unit vector", path=str(atoms_path)
-            )
-        atoms.append(FrameAtom(vector=vector, weight=weight, gamma=gamma, k=k, lam=lam))
-    return EigenFrame(L, tuple(atoms), weighted, source)
+    # every record in one gather: row i holds the record_len bytes at offsets[i]
+    records = np.lib.stride_tricks.sliding_window_view(np.frombuffer(blob, np.uint8), record_len)
+    data = records[offsets].view("<f8").reshape(-1, L, 2)
+    # a NaN or infinite entry fails this too, and so does one whose square overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(data.reshape(-1, 2 * L), axis=1)
+    bad = ~(np.abs(norms - 1.0) <= _UNIT_NORM_TOL)
+    if bad.any():
+        raise InvalidArgumentError(
+            f"atom record at offset {offsets[int(np.argmax(bad))]} is not a finite unit vector",
+            path=str(atoms_path),
+        )
+    vectors = data[:, :, 0] + 1j * data[:, :, 1]
+    atoms = tuple(
+        FrameAtom(vector=v, weight=float(w), gamma=g, k=k, lam=float(lam))
+        for v, w, g, k, lam in zip(vectors, weights, gammas, ks, lams)
+    )
+    return EigenFrame(L, atoms, weighted, source)
 
 
 def write_certificate_json(path, cert: FrameCertificate) -> None:

@@ -123,6 +123,16 @@ def dense_gabor_frame_operator(L, a, b, phi):
     return W @ W.conj().T
 
 
+def canonical_dual(frame):
+    """(S, S^{-1} G) of a frame: S = sum_i g_i g_i* summed over its weighted
+    atoms g_i = w_i v_i, and the canonical dual atoms as columns, solved from S."""
+    G = np.column_stack([a.weight * a.vector for a in frame.atoms])
+    S = np.zeros((frame.L, frame.L), complex)
+    for g in G.T:
+        S += np.outer(g, g.conj())
+    return S, np.linalg.solve(S, G)
+
+
 def random_signal(rng, L, unit=False):
     v = rng.normal(size=L) + 1j * rng.normal(size=L)
     if unit:

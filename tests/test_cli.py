@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tfloc.cli
+import tfloc.frames
 import tfloc.locop
 from tfloc.cli import load_config, main, resolve_cover
 from tfloc.core import gauss_window
@@ -55,7 +56,7 @@ def write_random_signal(tmp_path, L=16, seed=0, name="sig.csv"):
 FUZZ_FIELDS = [
     ("L",), ("policy",), ("policy", "epsilon"), ("policy", "n_max"), ("weighted",),
     ("lattice",), ("cover", "regular", "bx"), ("admissibility", "R"), ("reconstruct_tol",),
-    ("seed",), ("window",),
+    ("seed",), ("window",), ("admissibility", "w"),
 ]
 # wrong-typed JSON values; numbers stay small so no example asks for a large grid
 WRONG_TYPED = st.one_of(
@@ -65,6 +66,10 @@ WRONG_TYPED = st.one_of(
     st.lists(st.integers(0, 4), max_size=3),
     st.dictionaries(st.text(max_size=3), st.integers(0, 4), max_size=2),
 )
+
+
+# integers past the 64-bit range, which no integer config field accepts
+HUGE_INTEGERS = st.integers(min_value=2**63) | st.integers(max_value=-(2**63) - 1)
 
 
 def with_region(cover, **fields):
@@ -123,6 +128,15 @@ class TestConfig:
             pytest.param(json.dumps(basic_config(policy={"epsilon": float("nan")})), "epsilon", id="epsilon-NaN"),
             pytest.param(json.dumps(basic_config(reconstruct_tol=float("inf"))), "reconstruct_tol",
                          id="reconstruct_tol-Infinity"),
+            pytest.param(json.dumps(basic_config(L=10**30)), "L", id="L-huge"),
+            # bx = 3 does not divide 4097 either, so nothing large is built if the bound slips
+            pytest.param(json.dumps(basic_config(L=4097, cover={"regular": {"bx": 3, "by": 3}})),
+                         "[1, 4096]", id="L-past-max"),
+            pytest.param(json.dumps(basic_config(admissibility={"w": 10**30})), "w", id="w-huge"),
+            pytest.param(json.dumps(basic_config(policy={"epsilon": 0.1, "n_max": 10**30})),
+                         "n_max", id="n_max-huge"),
+            pytest.param(json.dumps(basic_config(seed=-1, cover={"irregular": {"target_size": 6}})),
+                         "seed", id="seed-negative"),
         ],
     )
     def test_malformed_config_is_invalid_argument(self, tmp_path, text, key):
@@ -137,7 +151,7 @@ class TestConfig:
             assert key in err["message"]
 
     @settings(derandomize=True, database=None, deadline=None)
-    @given(field=st.sampled_from(FUZZ_FIELDS), value=WRONG_TYPED)
+    @given(field=st.sampled_from(FUZZ_FIELDS), value=WRONG_TYPED | HUGE_INTEGERS)
     def test_fuzzed_config_field_exits_cleanly(self, field, value):
         payload = json.loads((CONFIG_DIR / "regular16.json").read_text())
         section = payload
@@ -506,6 +520,22 @@ class TestReconstruct:
         assert len(builds) == 1
         assert main([*irregular, "--out", str(fresh)]) == 0
         assert (out / "reconstruction.json").read_bytes() == (fresh / "reconstruction.json").read_bytes()
+
+    @pytest.mark.parametrize("name", ["regular16.json", "gabor16.json"])
+    def test_only_reconstruct_builds_the_dual(self, tmp_path, monkeypatch, name):
+        # the dual atoms cost one solve of S against G; frame and diagnose never pay it
+        duals, solves = [], []
+        dual_frame, solve = tfloc.frames.FrameCertificate.dual_frame, np.linalg.solve
+        monkeypatch.setattr(tfloc.frames.FrameCertificate, "dual_frame",
+                            lambda cert, frame: duals.append(frame) or dual_frame(cert, frame))
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a) or solve(a, b))
+        cfg, out = str(CONFIG_DIR / name), str(tmp_path / "o")
+        assert main(["frame", "--config", cfg, "--out", out]) == 0
+        assert main(["diagnose", "--config", cfg, "--out", out]) == 0
+        assert (duals, solves) == ([], [])
+        sig = write_random_signal(tmp_path)
+        assert main(["reconstruct", "--config", cfg, "--signal", str(sig), "--out", out]) == 0
+        assert (len(duals), len(solves)) == (1, 1)
 
     def test_wedge32_end_to_end(self, tmp_path):
         sig = write_random_signal(tmp_path, L=32, seed=3)

@@ -31,6 +31,7 @@ from tfloc.locop import LocOperator
 
 from helpers import (
     ball_operator_spectrum,
+    canonical_dual,
     direct_gabor_multiplier,
     random_signal,
     region_operators,
@@ -453,22 +454,71 @@ class TestReconstruct:
             assert rel <= 1e-8
 
     def test_frame_operator_factored_once(self, boxes16, phi16, monkeypatch):
+        # the O(L^3) step is the solve of S against G for the dual atoms
         frame = assemble_frame(boxes16, phi16, SelectionPolicy("epsilon", epsilon=0.2, n_max=L16))
         cert = frame_certificate(frame)
-        eigh = np.linalg.eigh
+        solve = np.linalg.solve
         calls = []
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(a) or solve(a, b))
         G = frame.atom_matrix()
         rng = np.random.default_rng(34)
         for _ in range(5):
             f = random_signal(rng, L16)
             rec, rel = reconstruct(frame, Signal(f), cert)
             # the per-call formula: S^{-1} G G* f with S factored afresh
-            w, Q = eigh(cert.frame_operator)
+            w, Q = np.linalg.eigh(cert.frame_operator)
             expected = Q @ ((Q.conj().T @ (G @ (G.conj().T @ f))) / w)
             assert np.max(np.abs(rec.samples - expected)) <= 1e-12 * np.linalg.norm(f)
             assert rel == pytest.approx(np.linalg.norm(expected - f) / np.linalg.norm(f), abs=1e-12)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", ["regular16.json", "irregular16.json", "gabor16.json"])
+    def test_dual_atoms_against_oracle(self, tmp_path, name):
+        assert main(["frame", "--config", str(CONFIG_DIR / name), "--out", str(tmp_path)]) == 0
+        frame = read_frame(tmp_path / "frame.json", tmp_path / "frame_atoms.tfat")
+        cert = frame_certificate(frame)
+        S, dual = canonical_dual(frame)
+        assert np.max(np.abs(cert.frame_operator - S)) <= 1e-12
+        analysis, lib_dual = cert.dual_frame(frame)
+        scale = np.max(np.abs(dual))
+        assert np.max(np.abs(lib_dual - dual)) <= 1e-10 * scale
+        rng = np.random.default_rng(35)
+        f = random_signal(rng, frame.L)
+        np.testing.assert_allclose(analysis @ f, [np.vdot(a.weight * a.vector, f) for a in frame.atoms],
+                                   rtol=0, atol=1e-12 * np.linalg.norm(f))
+        # f = sum_i <f, g_i> g~_i, summed atom by atom
+        synthesized = sum(np.vdot(a.weight * a.vector, f) * dual[:, i] for i, a in enumerate(frame.atoms))
+        assert np.linalg.norm(synthesized - f) <= 1e-10 * np.linalg.norm(f)
+        rec, _ = reconstruct(frame, Signal(f), cert)
+        assert np.linalg.norm(rec.samples - synthesized) <= 1e-10 * np.linalg.norm(f)
+
+    def test_dual_is_not_reused_across_pairs(self, boxes16, phi16, monkeypatch):
+        policy = SelectionPolicy("epsilon", epsilon=0.2, n_max=L16)
+        frame_a = assemble_frame(boxes16, phi16, policy)
+        frame_b = assemble_frame(gen_regular_boxes(L16, 8, 2), phi16, policy)
+        cert_a, cert_b = frame_certificate(frame_a), frame_certificate(frame_b)
+        solve = np.linalg.solve
+        calls = []
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(a) or solve(a, b))
+        f = random_signal(np.random.default_rng(36), L16)
+
+        def expected(frame, cert):
+            # S_cert^{-1} G G* f for this pair, from the direct formula
+            G = np.column_stack([a.weight * a.vector for a in frame.atoms])
+            return solve(cert.frame_operator, G @ (G.conj().T @ f))
+
+        pairs = [(frame_a, cert_a), (frame_b, cert_b), (frame_b, cert_a), (frame_a, cert_a),
+                 (frame_a, cert_b), (frame_a, cert_b)]
+        for frame, cert in pairs:
+            rec, _ = reconstruct(frame, Signal(f), cert)
+            assert np.max(np.abs(rec.samples - expected(frame, cert))) <= 1e-12 * np.linalg.norm(f)
+        # one solve per change of pair; the repeated last pair reuses its dual
+        assert len(calls) == 5
+        # a rebuilt frame with the same atoms is another frame: it is solved again
+        rebuilt = assemble_frame(boxes16, phi16, policy)
+        reconstruct(rebuilt, Signal(f), cert_a)
+        reconstruct(rebuilt, Signal(f), cert_a)
+        assert len(calls) == 6
 
     def test_not_a_frame_raises(self, phi16):
         frame = assemble_frame(
@@ -566,6 +616,24 @@ class TestFrameIo:
         write_frame(manifest, atoms, frame16)
         entries = json.loads(manifest.read_text())["atoms"]
         assert [e["offset"] for e in entries] == [4 + i * 16 * L16 for i in range(len(entries))]
+
+    def test_records_read_at_manifest_offsets(self, frame16, tmp_path):
+        # records in reverse order, each after 3 bytes of padding, so no offset is 8-byte aligned
+        manifest, atoms = tmp_path / "frame.json", tmp_path / "atoms.tfat"
+        write_frame(manifest, atoms, frame16)
+        parsed, blob = json.loads(manifest.read_text()), atoms.read_bytes()
+        record_len = 16 * L16
+        records = [blob[e["offset"]:e["offset"] + record_len] for e in parsed["atoms"]]
+        moved = b"TFAT"
+        for i in reversed(range(len(records))):
+            moved += b"\xff" * 3
+            parsed["atoms"][i]["offset"] = len(moved)
+            moved += records[i]
+        manifest.write_text(json.dumps(parsed))
+        atoms.write_bytes(moved)
+        back = read_frame(manifest, atoms)
+        for a, b in zip(frame16.atoms, back.atoms):
+            np.testing.assert_array_equal(a.vector, b.vector)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(edit=FRAME_EDITS)
