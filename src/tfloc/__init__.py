@@ -31,7 +31,6 @@ from .errors import (
 )
 from .frames import (
     EigenFrame,
-    FrameAtom,
     FrameCertificate,
     SelectionPolicy,
     assemble_frame,
@@ -52,7 +51,6 @@ from .gabor import (
     lattice_masses,
 )
 from .locop import (
-    LocOperator,
     Spectrum,
     assemble_locop,
     eigendecomp,

@@ -11,7 +11,6 @@ is null.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import Window, gauss_window, read_json, read_signal_csv, stft
+from .core import Window, gauss_window, read_json, read_signal_csv, stft, write_json
 from .covers import (
     Cover,
     gen_random_irregular,
@@ -252,12 +251,6 @@ def resolve_cover(cfg: RunConfig) -> Cover:
     return gen_random_irregular(cfg.L, seed, params["target_size"], params["overlap"])
 
 
-def _write_json(path: Path, payload) -> None:
-    with open(path, "w", newline="") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
-
-
 def write_pgm(path: Path, values: np.ndarray) -> None:
     """8-bit PGM of a phase-plane magnitude array indexed [x, xi].
 
@@ -277,18 +270,15 @@ def write_pgm(path: Path, values: np.ndarray) -> None:
 
 
 def _region_rows(frame: EigenFrame, n_regions: int, masses: list[float]) -> list[dict]:
-    per: dict[int, list[float]] = {}
-    for atom in frame.atoms:
-        per.setdefault(atom.gamma, []).append(atom.lam)
     rows = []
     for gamma in range(n_regions):
-        lams = per.get(gamma, [])
+        lams = frame.lams[frame.gammas == gamma]
         rows.append(
             {
                 "gamma": gamma,
-                "count": len(lams),
-                "lambda_max": max(lams) if lams else None,
-                "lambda_min": min(lams) if lams else None,
+                "count": lams.size,
+                "lambda_max": float(lams.max()) if lams.size else None,
+                "lambda_min": float(lams.min()) if lams.size else None,
                 "mass": masses[gamma],
             }
         )
@@ -371,7 +361,7 @@ def cmd_frame(cfg: RunConfig, out_dir: Path, timings: bool = False) -> int:
         lat_min = lattice_coverage_min(cover, cfg.lattice)
         adm_payload["lattice_sum_min"] = lat_min
         adm_payload["covers_lattice"] = lat_min > 0.0
-    _write_json(out_dir / "admissibility.json", adm_payload)
+    write_json(out_dir / "admissibility.json", adm_payload)
     if not report.outer_radius_ok:
         raise PreconditionViolation(
             f"outer radius {report.max_outer_radius} exceeds configured R={cfg.admissibility['R']}"
@@ -392,7 +382,7 @@ def cmd_frame(cfg: RunConfig, out_dir: Path, timings: bool = False) -> int:
         "weighted": cfg.weighted,
         "policy": asdict(cfg.policy),
         "implied_alpha": cfg.policy.implied_alpha,
-        "atom_count": len(frame.atoms),
+        "atom_count": frame.lams.size,
         "regions": _region_rows(frame, len(cover.regions), masses),
         "A": cert.A,
         "B": cert.B,
@@ -408,7 +398,7 @@ def cmd_frame(cfg: RunConfig, out_dir: Path, timings: bool = False) -> int:
             "assemble_s": t2 - t1,
             "total_s": time.perf_counter() - t0,
         }
-    _write_json(out_dir / "report.json", report_payload)
+    write_json(out_dir / "report.json", report_payload)
     return 0 if cert.is_frame else 1
 
 
@@ -435,7 +425,7 @@ def cmd_reconstruct(cfg: RunConfig, signal_path, out_dir: Path) -> int:
     frame, cert = _load_or_build_frame(cfg, out_dir)
     _, rel_error = reconstruct(frame, f, cert)
     ok = rel_error <= cfg.reconstruct_tol
-    _write_json(
+    write_json(
         out_dir / "reconstruction.json",
         {"rel_error": rel_error, "tol": cfg.reconstruct_tol, "ok": ok},
     )
@@ -472,7 +462,7 @@ def cmd_diagnose(cfg: RunConfig, out_dir: Path) -> int:
         "largest_epsilon_with_positive_c": max(feasible) if feasible else None,
         "atol": a_tol,
     }
-    _write_json(out_dir / "diagnostics.json", payload)
+    write_json(out_dir / "diagnostics.json", payload)
     return 0
 
 
@@ -530,7 +520,7 @@ def main(argv=None) -> int:
         payload = _error_payload(exc)
         if out_dir is not None:
             out_dir.mkdir(parents=True, exist_ok=True)
-            _write_json(out_dir / "error.json", payload)
+            write_json(out_dir / "error.json", payload)
         print(f"error [{payload['code']}]: {payload['message']}", file=sys.stderr)
         return 1
 

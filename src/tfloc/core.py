@@ -190,3 +190,10 @@ def read_json(path, what: str):
             return json.load(fh)
         except (ValueError, RecursionError) as exc:
             raise InvalidArgumentError(f"{what} is not valid JSON: {exc}", path=str(path)) from None
+
+
+def write_json(path, payload) -> None:
+    """``payload`` as JSON indented by one space, with a final newline."""
+    with open(path, "w", newline="") as fh:
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")

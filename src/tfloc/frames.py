@@ -10,7 +10,6 @@ reconstruct f = sum_i <f, g_i> S^{-1} g_i.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 import warnings
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Signal, Window, read_json
+from .core import Signal, Window, read_json, write_json
 from .covers import Cover, sum_symbols, validate_cover
 from .errors import (
     EmptyFrameError,
@@ -31,6 +30,7 @@ from .locop import ClassSpectrum, Spectrum, class_spectra
 
 _DEGENERATE_TOL = 1e-14
 _UNIT_NORM_TOL = 1e-9
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,9 @@ class SelectionPolicy:
     ``alpha`` mode keeps ceil(alpha * measure) where ``measure`` is the trace
     of the region operator (the grid analogue of the region's area); the
     implied threshold is epsilon = 1/alpha.  ``epsilon`` mode keeps the
-    eigenvalues strictly above ``epsilon``; epsilon = 0 keeps the numerical
-    rank.  Both are capped at ``n_max``.
+    eigenvalues strictly above ``epsilon``.  Both are capped at ``n_max`` and
+    at the numerical rank (``Spectrum.numerical_rank``), so no eigenvector of
+    a numerically zero eigenvalue is selected; epsilon = 0 keeps the rank.
     """
 
     mode: str
@@ -71,39 +72,41 @@ class SelectionPolicy:
 def select_eigenfunctions(spec: Spectrum, measure: float, policy: SelectionPolicy) -> int:
     """N_gamma for one region's spectrum and trace measure."""
     if policy.mode == "alpha":
-        n = min(policy.n_max, spec.eigenvalues.size, int(math.ceil(policy.alpha * measure)))
-    elif policy.epsilon == 0.0:
-        n = min(policy.n_max, spec.numerical_rank())
+        n = math.ceil(policy.alpha * measure)
     else:
-        n = min(policy.n_max, int(np.sum(spec.eigenvalues > policy.epsilon)))
-    return max(n, 0)
-
-
-@dataclass(frozen=True)
-class FrameAtom:
-    vector: np.ndarray  # unit norm, length L
-    weight: float
-    gamma: int  # region index
-    k: int  # 1-based eigenvalue index within the region
-    lam: float
+        n = int(np.sum(spec.eigenvalues > policy.epsilon))
+    return max(min(n, policy.n_max, spec.numerical_rank()), 0)
 
 
 @dataclass(frozen=True)
 class EigenFrame:
+    """The atoms v_i as columns, in region order, with one array entry per atom.
+
+    ``vectors`` holds the unit vectors v_i as the columns of its L x n_j
+    blocks, kept as they were built (one block per region, or one block for
+    a stored frame).  ``weights`` holds w_i, ``gammas`` the region index,
+    ``ks`` the 1-based eigenvalue index within the region and ``lams`` the
+    eigenvalue.
+    """
+
     L: int
-    atoms: tuple[FrameAtom, ...]
+    vectors: tuple[np.ndarray, ...]
+    weights: np.ndarray
+    gammas: np.ndarray
+    ks: np.ndarray
+    lams: np.ndarray
     weighted: bool
     source: str | None = None  # fingerprint of the inputs the frame was built from
 
     def __post_init__(self):
-        if not self.atoms:
+        if not self.lams.size:
             raise EmptyFrameError("frame has no atoms")
 
     def atom_matrix(self) -> np.ndarray:
-        """L x n matrix whose columns are the weighted atoms w_i v_i."""
-        G = np.empty((self.L, len(self.atoms)), dtype=np.complex128)
-        for i, a in enumerate(self.atoms):
-            np.multiply(a.vector, a.weight, out=G[:, i])
+        """The C-contiguous L x n matrix whose columns are the weighted atoms w_i v_i."""
+        G = np.empty((self.L, self.lams.size), dtype=np.complex128)
+        np.concatenate(self.vectors, axis=1, out=G)
+        G *= self.weights
         return G
 
 
@@ -156,10 +159,12 @@ def eigenframe_from_classes(L: int, classes: Iterable[ClassSpectrum], policy: Se
     ``classes`` is a shape-class stream (``class_spectra``), consumed in a
     single pass.  The count is selected once per class; each member region
     gets the selected columns translated to it (``Spectrum.translated``), and
-    the class spectrum is dropped before the next class is solved.  The atoms
-    are emitted in region order.
+    the class spectrum is dropped before the next class is solved.  Each
+    region's block of columns is kept as ``translated`` returns it, in region
+    order: copying the blocks into one matrix here would leave the freed
+    blocks resident and raise the peak memory of a build.
     """
-    by_region: dict[int, list[FrameAtom]] = {}
+    by_region: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for spec, trace, members in classes:
         n = select_eigenfunctions(spec, trace, policy)
         if spec.eigenvalues[0] <= _DEGENERATE_TOL:
@@ -169,24 +174,24 @@ def eigenframe_from_classes(L: int, classes: Iterable[ClassSpectrum], policy: Se
                     stacklevel=3,
                 )
             n = 0
-        lams = [float(lam) for lam in spec.eigenvalues[:n]]
+        lams = spec.eigenvalues[:n].copy()
         for gamma, z in members:
-            V = spec.translated(z, n)
-            by_region[gamma] = [
-                FrameAtom(
-                    vector=V[:, k].copy(),
-                    weight=lam if weighted else 1.0,
-                    gamma=gamma,
-                    k=k + 1,
-                    lam=lam,
-                )
-                for k, lam in enumerate(lams)
-            ]
+            by_region[gamma] = (spec.translated(z, n), lams)
         del spec
-    atoms = tuple(atom for gamma in sorted(by_region) for atom in by_region[gamma])
-    if not atoms:
+    gammas = sorted(by_region)
+    counts = [by_region[gamma][1].size for gamma in gammas]
+    if not sum(counts):
         raise EmptyFrameError("selection produced no atoms")
-    return EigenFrame(L, atoms, weighted)
+    lams = np.concatenate([by_region[gamma][1] for gamma in gammas])
+    return EigenFrame(
+        L,
+        tuple(by_region[gamma][0] for gamma in gammas),
+        lams if weighted else np.ones_like(lams),
+        np.repeat(gammas, counts),
+        np.concatenate([np.arange(1, c + 1) for c in counts]),
+        lams,
+        weighted,
+    )
 
 
 def assemble_frame(
@@ -324,46 +329,34 @@ def epsilon_sweep(cover: Cover, phi: Window, epsilons) -> list[tuple[float, floa
 # ---------------------------------------------------------------------------
 
 def write_frame(manifest_path, atoms_path, frame: EigenFrame) -> None:
-    record_len = frame.L * 16
-    entries = []
     with open(atoms_path, "wb") as fh:
         fh.write(b"TFAT")
-        for i, atom in enumerate(frame.atoms):
-            offset = 4 + i * record_len
-            interleaved = np.empty((frame.L, 2), dtype="<f8")
-            interleaved[:, 0] = atom.vector.real
-            interleaved[:, 1] = atom.vector.imag
-            fh.write(interleaved.tobytes())
-            entries.append(
-                {
-                    "gamma": atom.gamma,
-                    "k": atom.k,
-                    "lambda": atom.lam,
-                    "weight": atom.weight,
-                    "offset": offset,
-                }
-            )
+        for V in frame.vectors:
+            fh.write(np.ascontiguousarray(V.T, dtype="<c16").tobytes())
+    record_len = frame.L * 16
+    columns = zip(frame.gammas.tolist(), frame.ks.tolist(), frame.lams.tolist(), frame.weights.tolist())
     manifest = {"L": frame.L, "weighted": frame.weighted}
     if frame.source is not None:
         manifest["source"] = frame.source
-    manifest["atoms"] = entries
-    with open(manifest_path, "w", newline="") as fh:
-        json.dump(manifest, fh, indent=1)
-        fh.write("\n")
+    manifest["atoms"] = [
+        {"gamma": gamma, "k": k, "lambda": lam, "weight": w, "offset": 4 + i * record_len}
+        for i, (gamma, k, lam, w) in enumerate(columns)
+    ]
+    write_json(manifest_path, manifest)
 
 
-def _manifest_columns(entries) -> list[list]:
+def _manifest_columns(entries) -> list[np.ndarray]:
     """The offset, weight, gamma, k and lambda columns of the manifest's atom entries.
 
     ValueError if an entry is malformed: the integers must be JSON integers
-    (offset, gamma >= 0, k >= 1), the weight a finite number >= 0 and lambda
-    a finite number; a JSON boolean is neither.
+    in the 64-bit range (offset, gamma >= 0, k >= 1), the weight a finite
+    number >= 0 and lambda a finite number; a JSON boolean is neither.
     """
     cols = {key: [e[key] for e in entries] for key in ("offset", "weight", "gamma", "k", "lambda")}
     for key, low in (("offset", 0), ("gamma", 0), ("k", 1)):
-        bad = [v for v in cols[key] if type(v) is not int or v < low]
+        bad = [v for v in cols[key] if type(v) is not int or not low <= v <= _INT64_MAX]
         if bad:
-            raise ValueError(f"{key} must be an integer >= {low}, not {bad[0]!r}")
+            raise ValueError(f"{key} must be an integer in [{low}, {_INT64_MAX}], not {bad[0]!r}")
     for key in ("weight", "lambda"):
         # NaN fails the comparison, and so does an int past the float range
         bad = [v for v in cols[key] if type(v) not in (int, float) or not abs(v) <= sys.float_info.max]
@@ -372,7 +365,8 @@ def _manifest_columns(entries) -> list[list]:
     bad = [v for v in cols["weight"] if v < 0]
     if bad:
         raise ValueError(f"weight must be >= 0, not {bad[0]!r}")
-    return list(cols.values())
+    return [np.array(v, dtype=np.float64 if key in ("weight", "lambda") else np.int64)
+            for key, v in cols.items()]
 
 
 def read_frame(manifest_path, atoms_path) -> EigenFrame:
@@ -386,7 +380,7 @@ def read_frame(manifest_path, atoms_path) -> EigenFrame:
         if source is not None and not isinstance(source, str):
             raise ValueError(f"source must be a string, not {source!r}")
         offsets, weights, gammas, ks, lams = _manifest_columns(manifest["atoms"])
-        if not offsets:
+        if not offsets.size:
             raise ValueError("the manifest lists no atoms")
     except (ValueError, KeyError, TypeError) as exc:
         raise InvalidArgumentError(
@@ -397,7 +391,8 @@ def read_frame(manifest_path, atoms_path) -> EigenFrame:
     if blob[:4] != b"TFAT":
         raise InvalidArgumentError(f"bad atoms magic {blob[:4]!r}", path=str(atoms_path))
     record_len = 16 * L
-    for off in offsets:
+    # as Python ints: record_len can be past the 64-bit range
+    for off in offsets.tolist():
         if off < 4 or off + record_len > len(blob):
             raise InvalidArgumentError(
                 f"atom record at offset {off} overruns the atoms file", path=str(atoms_path)
@@ -415,11 +410,7 @@ def read_frame(manifest_path, atoms_path) -> EigenFrame:
             path=str(atoms_path),
         )
     vectors = data[:, :, 0] + 1j * data[:, :, 1]
-    atoms = tuple(
-        FrameAtom(vector=v, weight=float(w), gamma=g, k=k, lam=float(lam))
-        for v, w, g, k, lam in zip(vectors, weights, gammas, ks, lams)
-    )
-    return EigenFrame(L, atoms, weighted, source)
+    return EigenFrame(L, (vectors.T,), weights, gammas, ks, lams, weighted, source)
 
 
 def write_certificate_json(path, cert: FrameCertificate) -> None:
@@ -430,6 +421,4 @@ def write_certificate_json(path, cert: FrameCertificate) -> None:
         "is_frame": cert.is_frame,
         "atol": cert.a_tol,
     }
-    with open(path, "w", newline="") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    write_json(path, payload)

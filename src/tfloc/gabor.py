@@ -46,7 +46,7 @@ from .frames import (
     eigenframe_from_classes,
     frame_certificate,
 )
-from .locop import ClassSpectrum, LocOperator, assemble_locop, class_spectra
+from .locop import ClassSpectrum, assemble_locop, class_spectra
 
 _FRAME_FLOOR_RTOL = 1e-9
 _TIGHT_CONDITION_TOL = 1e-8
@@ -187,8 +187,8 @@ def _multiplier_symbol(vals: np.ndarray, sys: LatticeGaborSystem, center=(0, 0))
     return Symbol(L, center, sys.lattice.points()[keep], sys.tight_constant * L * vals[keep])
 
 
-def gabor_multiplier(m, sys: LatticeGaborSystem) -> LocOperator:
-    """GM_m = A sum m(lam) |pi(lam) phi><pi(lam) phi| for a tight system.
+def gabor_multiplier(m, sys: LatticeGaborSystem) -> np.ndarray:
+    """GM_m = A sum m(lam) |pi(lam) phi><pi(lam) phi| for a tight system, as an L x L matrix.
 
     ``m`` is an (L/a, L/b) nonnegative array over the lattice index grid.
     """

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import Window, _require_window
 from .covers import Symbol
-from .errors import InvalidArgumentError, NumericError
+from .errors import NumericError
 
 # columns of shifted windows are materialized in fixed chunks; keeps memory
 # bounded and the accumulation order deterministic
@@ -69,30 +69,6 @@ class Spectrum:
         return np.roll(V, x, axis=0) * np.exp((2j * np.pi / L) * np.arange(L))[turns]
 
 
-class LocOperator:
-    """Dense Hermitian localization operator with a cached eigendecomposition."""
-
-    def __init__(self, matrix: np.ndarray):
-        matrix = np.asarray(matrix, dtype=np.complex128)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise InvalidArgumentError(f"operator matrix must be square, got {matrix.shape}")
-        self.matrix = matrix
-        self._spectrum: Spectrum | None = None
-
-    @property
-    def L(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-    def spectrum(self) -> Spectrum:
-        if self._spectrum is None:
-            self._spectrum = eigendecomp(self)
-        return self._spectrum
-
-
 def shifted_window_columns(L: int, w: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """Matrix whose column i is pi(cells[i]) w."""
     t = np.arange(L)[:, None]
@@ -100,8 +76,8 @@ def shifted_window_columns(L: int, w: np.ndarray, cells: np.ndarray) -> np.ndarr
     return phase * w[(t - cells[None, :, 0]) % L]
 
 
-def assemble_locop(eta: Symbol, phi: Window) -> LocOperator:
-    """Assemble H_eta densely; O(L^2 |supp eta|) in fixed chunks."""
+def assemble_locop(eta: Symbol, phi: Window) -> np.ndarray:
+    """H_eta as a dense L x L matrix; O(L^2 |supp eta|) in fixed chunks."""
     w = _require_window(phi, eta.L)
     L = eta.L
     M = np.zeros((L, L), dtype=np.complex128)
@@ -110,13 +86,13 @@ def assemble_locop(eta: Symbol, phi: Window) -> LocOperator:
         hi = lo + _ASSEMBLY_CHUNK
         A = shifted_window_columns(L, w, eta.cells[lo:hi]) * scale[lo:hi][None, :]
         M += A @ A.conj().T
-    return LocOperator(M)
+    return M
 
 
-def eigendecomp(op: LocOperator) -> Spectrum:
-    """Descending eigendecomposition with the deterministic phase convention."""
+def eigendecomp(H: np.ndarray) -> Spectrum:
+    """Descending eigendecomposition of Hermitian H with the deterministic phase convention."""
     try:
-        w, Q = np.linalg.eigh(op.matrix)
+        w, Q = np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
     w = w[::-1].copy()
@@ -158,10 +134,10 @@ def class_spectra(symbols: Sequence[Symbol], phi: Window) -> Iterator[ClassSpect
 
 def _class_spectrum(symbols: Sequence[Symbol], members: list[int], phi: Window) -> ClassSpectrum:
     rep = symbols[members[0]]
-    op = assemble_locop(rep, phi)
+    H = assemble_locop(rep, phi)
     (rx, rxi), L = rep.center, rep.L
     shifts = []
     for gamma in members:
         x, xi = symbols[gamma].center
         shifts.append((gamma, ((x - rx) % L, (xi - rxi) % L)))
-    return op.spectrum(), op.trace, shifts
+    return eigendecomp(H), float(np.trace(H).real), shifts

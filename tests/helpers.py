@@ -2,13 +2,18 @@
 
 Everything here is written from its defining formula, mostly as plain
 double/triple loops, or from the file format it describes; the test suite
-compares library outputs against these.
+compares library outputs against these.  The Hypothesis strategies that
+more than one test module draws from are kept here too.
 """
 
 import numpy as np
+from hypothesis import strategies as st
 
 from tfloc.covers import Symbol
 from tfloc.locop import assemble_locop
+
+# integers past the 64-bit range, which no integer config or manifest field accepts
+HUGE_INTEGERS = st.integers(min_value=2**63) | st.integers(max_value=-(2**63) - 1)
 
 
 def direct_shift(L, x, xi, v):
@@ -86,7 +91,7 @@ def ball_operator_spectrum(L, phi, radius):
 
 
 def region_operators(cover, phi):
-    """Each region's localization operator, assembled and solved on its own.
+    """Each region's localization operator matrix, assembled on its own.
 
     The direct per-region path that the library's one-eigensolve-per-shape-
     class stream must reproduce.
@@ -123,10 +128,16 @@ def dense_gabor_frame_operator(L, a, b, phi):
     return W @ W.conj().T
 
 
+def atom_columns(frame):
+    """The weighted atoms g_i = w_i v_i of a frame as columns, scaled one by one."""
+    V = np.hstack(frame.vectors)
+    return np.column_stack([w * V[:, i] for i, w in enumerate(frame.weights)])
+
+
 def canonical_dual(frame):
     """(S, S^{-1} G) of a frame: S = sum_i g_i g_i* summed over its weighted
     atoms g_i = w_i v_i, and the canonical dual atoms as columns, solved from S."""
-    G = np.column_stack([a.weight * a.vector for a in frame.atoms])
+    G = atom_columns(frame)
     S = np.zeros((frame.L, frame.L), complex)
     for g in G.T:
         S += np.outer(g, g.conj())

@@ -15,7 +15,7 @@ from tfloc.core import gauss_window
 from tfloc.covers import gen_regular_boxes
 from tfloc.gabor import canonical_tight, symbol_on_lattice
 
-from helpers import cover_dict, direct_gabor_multiplier, write_signal_csv
+from helpers import HUGE_INTEGERS, cover_dict, direct_gabor_multiplier, write_signal_csv
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -66,10 +66,6 @@ WRONG_TYPED = st.one_of(
     st.lists(st.integers(0, 4), max_size=3),
     st.dictionaries(st.text(max_size=3), st.integers(0, 4), max_size=2),
 )
-
-
-# integers past the 64-bit range, which no integer config field accepts
-HUGE_INTEGERS = st.integers(min_value=2**63) | st.integers(max_value=-(2**63) - 1)
 
 
 def with_region(cover, **fields):
@@ -486,6 +482,8 @@ class TestReconstruct:
             ("k", -1),
             ("k", 1.0),
             ("offset", True),
+            pytest.param("gamma", 2**63, id="gamma-huge"),
+            pytest.param("k", 2**64, id="k-huge"),
         ],
     )
     def test_bad_stored_atom_entry_is_invalid_argument(self, tmp_path, field, value):

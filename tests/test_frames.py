@@ -27,9 +27,11 @@ from tfloc.frames import (
     write_frame,
 )
 from tfloc.gabor import Lattice, LatticeGaborSystem, canonical_tight, gabor_eigenframe, symbol_on_lattice
-from tfloc.locop import LocOperator
+from tfloc.locop import RANK_RTOL, eigendecomp
 
 from helpers import (
+    HUGE_INTEGERS,
+    atom_columns,
     ball_operator_spectrum,
     canonical_dual,
     direct_gabor_multiplier,
@@ -65,6 +67,7 @@ JSON_VALUES = st.one_of(
     st.text(max_size=4),
     st.lists(st.integers(0, 4), max_size=3),
     st.dictionaries(st.text(max_size=3), st.integers(0, 4), max_size=2),
+    HUGE_INTEGERS,
 )
 MANIFEST_KEYS = st.sampled_from(["L", "weighted", "source", "atoms"])
 ATOM_KEYS = st.sampled_from(["offset", "weight", "gamma", "k", "lambda"])
@@ -144,19 +147,34 @@ class TestSelectionPolicy:
 class TestSelection:
     def test_epsilon_counts_golden(self, boxes16, phi16):
         policy = SelectionPolicy("epsilon", epsilon=0.2, n_max=L16)
-        counts = [select_eigenfunctions(op.spectrum(), op.trace, policy)
+        counts = [select_eigenfunctions(eigendecomp(op), np.trace(op).real, policy)
                   for op in region_operators(boxes16, phi16)]
         assert counts == [REGULAR16_N_EPS02] * 16  # identical by covariance
 
     def test_epsilon_zero_gives_numerical_rank(self, boxes16, phi16):
         policy = SelectionPolicy("epsilon", epsilon=0.0, n_max=L16)
         for op in region_operators(boxes16, phi16):
-            spec = op.spectrum()
-            assert select_eigenfunctions(spec, op.trace, policy) == spec.numerical_rank()
+            spec = eigendecomp(op)
+            assert select_eigenfunctions(spec, np.trace(op).real, policy) == spec.numerical_rank()
+
+    def test_capped_at_numerical_rank(self, boxes16, phi16):
+        # each box operator has numerical rank 12 of 16: its last four
+        # eigenvalues, 3e-13 down to 1e-18, are rounding noise, and neither
+        # ceil(alpha * measure) = 16 nor a threshold below them selects them
+        alpha = SelectionPolicy("alpha", alpha=16.0, n_max=L16)
+        tiny = SelectionPolicy("epsilon", epsilon=1e-16, n_max=L16)
+        for op in region_operators(boxes16, phi16):
+            spec = eigendecomp(op)
+            assert spec.numerical_rank() == 12
+            assert select_eigenfunctions(spec, np.trace(op).real, alpha) == 12
+            assert select_eigenfunctions(spec, np.trace(op).real, tiny) == 12
+        frame = assemble_frame(boxes16, phi16, alpha, weighted=False)
+        assert frame.lams.size == 16 * 12
+        assert frame.lams.min() > RANK_RTOL * frame.lams.max()
 
     def test_alpha_mode_ceil_of_measure(self, boxes16, phi16):
         for op in region_operators(boxes16, phi16):
-            spec, measure = op.spectrum(), op.trace  # = mass/L = 1.0 per region
+            spec, measure = eigendecomp(op), np.trace(op).real  # = mass/L = 1.0 per region
             assert select_eigenfunctions(spec, measure, SelectionPolicy("alpha", alpha=2.5, n_max=L16)) == 3
             assert select_eigenfunctions(spec, measure, SelectionPolicy("alpha", alpha=2.5, n_max=2)) == 2
 
@@ -166,7 +184,7 @@ class TestAssembleFrame:
         frame = assemble_frame(
             whole_grid_cover(L16), phi16, SelectionPolicy("epsilon", epsilon=0.5, n_max=L16)
         )
-        assert len(frame.atoms) == L16
+        assert frame.lams.size == L16
         cert = frame_certificate(frame)
         assert cert.A == pytest.approx(1.0, abs=1e-10)
         assert cert.B == pytest.approx(1.0, abs=1e-10)
@@ -181,22 +199,19 @@ class TestAssembleFrame:
         assert not cert.is_frame
 
     def test_golden_pipeline(self, frame16):
-        assert len(frame16.atoms) == 16 * REGULAR16_N_EPS02
+        assert frame16.lams.size == 16 * REGULAR16_N_EPS02
         cert = frame_certificate(frame16)
         assert cert.A == pytest.approx(REGULAR16_FRAME_A_EPS02, abs=1e-8)
         assert cert.B == pytest.approx(REGULAR16_FRAME_B_EPS02, abs=1e-8)
 
     def test_atom_invariants(self, frame16):
-        by_region: dict[int, list] = {}
-        for atom in frame16.atoms:
-            assert abs(np.linalg.norm(atom.vector) - 1.0) <= 1e-10
-            by_region.setdefault(atom.gamma, []).append(atom)
-        for atoms in by_region.values():
-            ks = sorted(a.k for a in atoms)
-            assert ks == list(range(1, len(atoms) + 1))
-            for i, a in enumerate(atoms):
-                for b in atoms[i + 1 :]:
-                    assert abs(np.vdot(a.vector, b.vector)) <= 1e-9
+        V = np.hstack(frame16.vectors)
+        assert np.all(np.abs(np.linalg.norm(V, axis=0) - 1.0) <= 1e-10)
+        for gamma in np.unique(frame16.gammas):
+            mine = frame16.gammas == gamma
+            assert sorted(frame16.ks[mine]) == list(range(1, mine.sum() + 1))
+            gram = np.abs(V[:, mine].conj().T @ V[:, mine])
+            assert np.all(gram[~np.eye(mine.sum(), dtype=bool)] <= 1e-9)
 
     def test_empty_selection_raises(self, boxes16, phi16):
         with pytest.raises(EmptyFrameError):
@@ -217,18 +232,18 @@ class TestAssembleFrame:
             frame = assemble_frame(
                 cover, phi16, SelectionPolicy("epsilon", epsilon=0.5, n_max=L16)
             )
-        assert all(a.gamma == 0 for a in frame.atoms)
+        assert np.all(frame.gammas == 0)
 
     def test_frame_operator_identity(self, boxes16, phi16, frame16):
         S = frame_operator(frame16)
         expected = np.zeros((L16, L16), complex)
         for op in region_operators(boxes16, phi16):
-            th = thresholded(op.matrix, 0.2)
+            th = thresholded(op, 0.2)
             expected += th @ th
         assert np.max(np.abs(S - expected)) <= 1e-9
 
     def test_covariance_identical_region_spectra(self, boxes16, phi16):
-        spectra = [op.spectrum().eigenvalues for op in region_operators(boxes16, phi16)]
+        spectra = [eigendecomp(op).eigenvalues for op in region_operators(boxes16, phi16)]
         for ev in spectra[1:]:
             np.testing.assert_allclose(ev, spectra[0], atol=1e-9)
 
@@ -241,7 +256,7 @@ def direct_region_operators(cfg, cover, phi):
     lat = cfg.lattice
     phit = canonical_tight(phi, lat).samples
     return [
-        LocOperator(direct_gabor_multiplier(cfg.L, lat.a, lat.b, phit, symbol_on_lattice(s, lat)))
+        direct_gabor_multiplier(cfg.L, lat.a, lat.b, phit, symbol_on_lattice(s, lat))
         for s in cover.regions
     ]
 
@@ -252,19 +267,20 @@ def assert_matches_direct_path(frame, ops, policy, A, B):
     frame bounds match the direct frame operator to 1e-12 relative."""
     L = frame.L
     S = np.zeros((L, L), complex)
+    vectors = np.hstack(frame.vectors)
     compared = 0
     for gamma, op in enumerate(ops):
-        spec = op.spectrum()
-        n = select_eigenfunctions(spec, op.trace, policy)
+        spec = eigendecomp(op)
+        n = select_eigenfunctions(spec, np.trace(op).real, policy)
         lam, V = spec.eigenvalues, spec.eigenvectors
         S += (V[:, :n] * lam[:n] ** 2) @ V[:, :n].conj().T
-        atoms = [a for a in frame.atoms if a.gamma == gamma]
+        mine = frame.gammas == gamma
         if 0 < n < L and lam[n - 1] - lam[n] <= 1e-8 * lam[0]:
             continue
         compared += 1
-        assert len(atoms) == n
-        np.testing.assert_allclose([a.lam for a in atoms], lam[:n], rtol=0, atol=1e-12)
-        P = sum((np.outer(a.vector, a.vector.conj()) for a in atoms), np.zeros((L, L), complex))
+        assert mine.sum() == n
+        np.testing.assert_allclose(frame.lams[mine], lam[:n], rtol=0, atol=1e-12)
+        P = vectors[:, mine] @ vectors[:, mine].conj().T
         assert np.max(np.abs(P - V[:, :n] @ V[:, :n].conj().T)) <= 1e-10
     assert compared > 0
     ev = np.linalg.eigvalsh(S)
@@ -291,7 +307,8 @@ class TestShapeClasses:
         def constants(power, eps=-np.inf):
             G = np.zeros((cfg.L, cfg.L), complex)
             for op in ops:
-                lam, V = op.spectrum().eigenvalues, op.spectrum().eigenvectors
+                spec = eigendecomp(op)
+                lam, V = spec.eigenvalues, spec.eigenvectors
                 keep = lam > eps
                 G += (V[:, keep] * lam[keep] ** power) @ V[:, keep].conj().T
             ev = np.linalg.eigvalsh(G)
@@ -330,19 +347,19 @@ class TestShapeClasses:
         monkeypatch.undo()
         ops = list(region_operators(cover, phi16))
         assert_matches_direct_path(frame, ops, policy, cert.A, cert.B)
-        ev = np.linalg.eigvalsh(sum(op.matrix @ op.matrix @ op.matrix @ op.matrix for op in ops))
+        ev = np.linalg.eigvalsh(sum(op @ op @ op @ op for op in ops))
         assert c == pytest.approx(ev[0], rel=1e-12)
         assert C == pytest.approx(ev[-1], rel=1e-12)
         # the translated atoms follow the phase convention: real and positive
         # at the representative's anchor moved by x
-        rep = [a for a in frame.atoms if a.gamma == 0]
-        moved = [a for a in frame.atoms if a.gamma == 1]
-        anchors = ops[0].spectrum().anchors
-        for a, b, anchor in zip(rep, moved, anchors):
-            assert a.vector[anchor].real > 0 and abs(a.vector[anchor].imag) <= 1e-15
+        V = np.hstack(frame.vectors)
+        rep, moved = V[:, frame.gammas == 0], V[:, frame.gammas == 1]
+        anchors = eigendecomp(ops[0]).anchors
+        for a, b, anchor in zip(rep.T, moved.T, anchors):
+            assert a[anchor].real > 0 and abs(a[anchor].imag) <= 1e-15
             t = (anchor + 14) % L16
-            assert b.vector[t].real > 0 and abs(b.vector[t].imag) <= 1e-15
-            assert abs(b.vector[t]) == pytest.approx(abs(a.vector[anchor]), abs=1e-15)
+            assert b[t].real > 0 and abs(b[t].imag) <= 1e-15
+            assert abs(b[t]) == pytest.approx(abs(a[anchor]), abs=1e-15)
 
 
 def lattice_box_cover(L, box, step):
@@ -389,6 +406,40 @@ class TestOnePass:
         peak = traced_peak_bytes(lambda: gabor_eigenframe(cover, sys_, self.POLICY))
         assert peak < 20 * self.L**2 * 16
 
+    def frame_builder(self, variant):
+        """Builds the grid frame of 64 8x8 boxes, or the lattice frame of 16
+        16x16 boxes on (4Z)^2."""
+        phi = gauss_window(self.L)
+        if variant == "grid":
+            cover = gen_regular_boxes(self.L, 8, 8)
+            return lambda: assemble_frame(cover, phi, self.POLICY)
+        lattice = Lattice(self.L, 4, 4)
+        cover = lattice_box_cover(self.L, 16, 4)
+        sys_ = LatticeGaborSystem.build(canonical_tight(phi, lattice), lattice)
+        return lambda: gabor_eigenframe(cover, sys_, self.POLICY)[0]
+
+    @pytest.mark.parametrize("variant", ["grid", "lattice"])
+    def test_frame_keeps_only_its_atoms(self, monkeypatch, variant):
+        # n atoms take 16 L n bytes; a frame keeps the blocks it was built
+        # from, with no per-atom objects and no class's L x L eigenvectors
+        build = self.frame_builder(variant)
+        build()  # the first run imports modules lazily
+        tracemalloc.start()
+        try:
+            frame = build()
+            held, n = tracemalloc.get_traced_memory()[0], frame.lams.size
+            del frame  # what dropping the frame frees is what it retained
+            retained = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 16 * self.L * n <= retained <= 1.1 * 16 * self.L * n
+        spectra = []
+        eigendecomp = tfloc.locop.eigendecomp
+        monkeypatch.setattr(tfloc.locop, "eigendecomp", lambda H: spectra.append(eigendecomp(H)) or spectra[-1])
+        frame = build()
+        assert spectra
+        assert not any(np.shares_memory(V, s.eigenvectors) for V in frame.vectors for s in spectra)
+
     def test_diagnose_peak(self, tmp_path):
         # diagnose keeps one Gram sum per distinct term (12 here) plus one
         # region's operator and spectrum
@@ -410,7 +461,9 @@ class TestCertificate:
         from tfloc.frames import EigenFrame
 
         cert = frame_certificate(frame16)
-        doubled = EigenFrame(L16, frame16.atoms + frame16.atoms, frame16.weighted)
+        f = frame16
+        columns = (np.tile(c, 2) for c in (f.weights, f.gammas, f.ks, f.lams))
+        doubled = EigenFrame(L16, f.vectors + f.vectors, *columns, f.weighted)
         cert2 = frame_certificate(doubled)
         assert cert2.A == pytest.approx(2 * cert.A, rel=1e-9)
         assert cert2.B == pytest.approx(2 * cert.B, rel=1e-9)
@@ -420,7 +473,7 @@ class TestCertificate:
         S = frame_operator(frame16)
         for _ in range(5):
             f = random_signal(rng, L16)
-            total = sum(abs(np.vdot(a.weight * a.vector, f)) ** 2 for a in frame16.atoms)
+            total = sum(abs(np.vdot(g, f)) ** 2 for g in atom_columns(frame16).T)
             quad = np.vdot(f, S @ f).real
             assert total == pytest.approx(quad, rel=1e-9)
 
@@ -484,10 +537,11 @@ class TestReconstruct:
         assert np.max(np.abs(lib_dual - dual)) <= 1e-10 * scale
         rng = np.random.default_rng(35)
         f = random_signal(rng, frame.L)
-        np.testing.assert_allclose(analysis @ f, [np.vdot(a.weight * a.vector, f) for a in frame.atoms],
+        G = atom_columns(frame)
+        np.testing.assert_allclose(analysis @ f, [np.vdot(g, f) for g in G.T],
                                    rtol=0, atol=1e-12 * np.linalg.norm(f))
         # f = sum_i <f, g_i> g~_i, summed atom by atom
-        synthesized = sum(np.vdot(a.weight * a.vector, f) * dual[:, i] for i, a in enumerate(frame.atoms))
+        synthesized = sum(np.vdot(g, f) * dual[:, i] for i, g in enumerate(G.T))
         assert np.linalg.norm(synthesized - f) <= 1e-10 * np.linalg.norm(f)
         rec, _ = reconstruct(frame, Signal(f), cert)
         assert np.linalg.norm(rec.samples - synthesized) <= 1e-10 * np.linalg.norm(f)
@@ -504,7 +558,7 @@ class TestReconstruct:
 
         def expected(frame, cert):
             # S_cert^{-1} G G* f for this pair, from the direct formula
-            G = np.column_stack([a.weight * a.vector for a in frame.atoms])
+            G = atom_columns(frame)
             return solve(cert.frame_operator, G @ (G.conj().T @ f))
 
         pairs = [(frame_a, cert_a), (frame_b, cert_b), (frame_b, cert_a), (frame_a, cert_a),
@@ -563,7 +617,7 @@ class TestNormEquivalence:
         _, sum_min, _ = sum_symbols(cover)
         total = np.zeros((L16, L16), complex)
         for op in region_operators(cover, phi16):
-            total += op.matrix
+            total += op
         assert np.linalg.eigvalsh(total)[0] >= sum_min - 1e-9
 
     def test_unknown_variant_rejected(self, boxes16, phi16):
@@ -577,13 +631,13 @@ class TestUnweighted:
         frame = assemble_frame(boxes16, phi16, policy, weighted=False)
         cert = frame_certificate(frame)
         assert cert.is_frame and cert.A > 1e-6
-        assert all(a.weight == 1.0 for a in frame.atoms)
+        assert np.all(frame.weights == 1.0)
         # selected eigenvalues dominate the ball-operator floor (c = 1 here
         # since every region contains the radius-1 ball around its center)
-        n_max_selected = max(a.k for a in frame.atoms)
+        n_max_selected = int(frame.ks.max())
         ball_ev = ball_operator_spectrum(L16, phi16.samples, 1)
         floor = float(ball_ev[n_max_selected - 1])
-        min_selected = min(a.lam for a in frame.atoms)
+        min_selected = frame.lams.min()
         assert min_selected >= floor - 1e-9
         assert floor > 0
 
@@ -606,9 +660,9 @@ class TestFrameIo:
         write_frame(manifest, atoms, frame16)
         back = read_frame(manifest, atoms)
         assert back.L == frame16.L and back.weighted == frame16.weighted
-        for a, b in zip(frame16.atoms, back.atoms):
-            np.testing.assert_array_equal(a.vector, b.vector)
-            assert (a.weight, a.gamma, a.k, a.lam) == (b.weight, b.gamma, b.k, b.lam)
+        np.testing.assert_array_equal(np.hstack(back.vectors), np.hstack(frame16.vectors))
+        for column in ("weights", "gammas", "ks", "lams"):
+            np.testing.assert_array_equal(getattr(back, column), getattr(frame16, column))
         assert atoms.read_bytes()[:4] == b"TFAT"
 
     def test_manifest_offsets(self, frame16, tmp_path):
@@ -632,8 +686,7 @@ class TestFrameIo:
         manifest.write_text(json.dumps(parsed))
         atoms.write_bytes(moved)
         back = read_frame(manifest, atoms)
-        for a, b in zip(frame16.atoms, back.atoms):
-            np.testing.assert_array_equal(a.vector, b.vector)
+        np.testing.assert_array_equal(np.hstack(back.vectors), np.hstack(frame16.vectors))
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(edit=FRAME_EDITS)
@@ -647,10 +700,10 @@ class TestFrameIo:
                 frame = read_frame(manifest, atoms)
             except InvalidArgumentError:
                 return
-            assert len(frame.atoms) >= 1
-            for a in frame.atoms:
-                assert np.isfinite(a.weight) and a.weight >= 0 and np.isfinite(a.lam)
-                assert a.gamma >= 0 and a.k >= 1
+            assert frame.lams.size >= 1
+            assert np.all(np.isfinite(frame.weights)) and np.all(frame.weights >= 0)
+            assert np.all(np.isfinite(frame.lams))
+            assert np.all(frame.gammas >= 0) and np.all(frame.ks >= 1)
 
     def test_certificate_json_schema(self, frame16, tmp_path):
         path = tmp_path / "cert.json"
