@@ -1,7 +1,6 @@
 """Frames adapted to covers of the finite time-frequency plane Z_L x Z_L."""
 
 from .core import (
-    PhaseSpaceGrid,
     Signal,
     Window,
     gauss_window,

@@ -76,42 +76,6 @@ class Window(Signal):
         return Window(self.samples / n, normalized=True)
 
 
-@dataclass(frozen=True)
-class PhaseSpaceGrid:
-    """The grid Z_L x Z_L with the wrapped sup metric.
-
-    Distances use circdist(a, b) = min(|a - b|, L - |a - b|) per coordinate and
-    take the max of the two; balls are therefore axis-aligned wrapped boxes.
-    """
-
-    L: int
-
-    def __post_init__(self):
-        if self.L < 1:
-            raise InvalidArgumentError(f"grid length must be positive, got {self.L}")
-
-    def circdist(self, a, b):
-        d = np.abs(np.asarray(a) - np.asarray(b)) % self.L
-        return np.minimum(d, self.L - d)
-
-    def ball_cells(self, center, radius: int) -> np.ndarray:
-        """All grid points within wrapped sup distance ``radius`` of ``center``."""
-        if radius < 0:
-            raise InvalidArgumentError(f"radius must be >= 0, got {radius}")
-        r = min(radius, self.L // 2)
-        offs = np.arange(-r, r + 1)
-        xs = (center[0] + offs) % self.L
-        xis = (center[1] + offs) % self.L
-        xs = np.unique(xs)
-        xis = np.unique(xis)
-        grid = np.stack(np.meshgrid(xs, xis, indexing="ij"), axis=-1).reshape(-1, 2)
-        # dedup handles radius >= L/2 where the box wraps onto itself
-        keep = (self.circdist(grid[:, 0], center[0]) <= radius) & (
-            self.circdist(grid[:, 1], center[1]) <= radius
-        )
-        return grid[keep]
-
-
 def gauss_window(L: int) -> Window:
     """Unit-norm periodized Gaussian phi(t) = c sum_n exp(-pi (t + nL)^2 / L).
 
@@ -126,8 +90,7 @@ def gauss_window(L: int) -> Window:
     vals = np.exp(-np.pi * (half[:, None] + terms[None, :] * L) ** 2 / L).sum(axis=1)
     phi = np.empty(L, dtype=np.float64)
     phi[: L // 2 + 1] = vals
-    for t in range(L // 2 + 1, L):
-        phi[t] = phi[L - t]
+    phi[L // 2 + 1 :] = vals[(L - 1) // 2 : 0 : -1]
     phi /= np.sqrt(np.sum(phi * phi))
     return Window(phi.astype(np.complex128), normalized=True)
 

@@ -14,7 +14,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import PhaseSpaceGrid, read_json
+from .core import read_json
 from .errors import InvalidArgumentError
 
 
@@ -117,45 +117,44 @@ def sum_symbols(cover: Cover) -> tuple[np.ndarray, float, float]:
     return total, float(total.min()), float(total.max())
 
 
-def _largest_inner_radius(grid: PhaseSpaceGrid, support: np.ndarray, center) -> int:
-    """Largest r with the full wrapped ball B_r(center) inside ``support``; -1 if none."""
-    best = -1
-    for r in range(grid.L // 2 + 1):
-        ball = grid.ball_cells(center, r)
-        if np.all(support[ball[:, 0], ball[:, 1]]):
-            best = r
-        else:
-            break
-    return best
+def _circdist(a: np.ndarray, b: int, L: int) -> np.ndarray:
+    """The wrapped distance min(|a - b|, L - |a - b|) on Z_L of entries a, b in [0, L)."""
+    d = np.abs(a - b)
+    return np.minimum(d, L - d)
+
+
+def _inner_radius(d: np.ndarray, L: int) -> int:
+    """Largest r with the full wrapped ball B_r(center) inside the support; -1 if none.
+
+    ``d``: the distinct support cells' wrapped sup distances from the center.
+    B_r has min(2r + 1, L)^2 cells, so it is inside iff that many are within r.
+    """
+    radii = np.arange(L // 2 + 1)
+    within = np.bincount(d, minlength=radii.size).cumsum()
+    full = within == np.minimum(2 * radii + 1, L) ** 2
+    return L // 2 if full.all() else int(np.argmin(full)) - 1
 
 
 def validate_cover(cover: Cover, R: int, r: int | None = None, w: int = 1) -> AdmissibilityReport:
     """Admissibility report for a cover; pure, never raises on well-formed input.
 
-    Outer radius and inner radius are exact integer computations on supports;
-    coverage is sum_min > 0; spreadness is the max number of centers in any
-    wrapped ball of radius ``w``.
+    Outer radius and inner radius are exact integer computations on supports,
+    in the wrapped sup metric; coverage is sum_min > 0; spreadness is the max
+    number of centers in any wrapped half-open ``w`` x ``w`` window.
     """
     if R < 0 or w < 1 or (r is not None and r < 0):
         raise InvalidArgumentError(f"bad radii R={R}, r={r}, w={w}")
-    grid = PhaseSpaceGrid(cover.L)
+    L = cover.L
     _, sum_min, sum_max = sum_symbols(cover)
 
     max_outer = 0
+    min_inner: int | None = None if r is None else L
     for s in cover.regions:
-        dx = grid.circdist(s.cells[:, 0], s.center[0])
-        dxi = grid.circdist(s.cells[:, 1], s.center[1])
-        max_outer = max(max_outer, int(np.max(np.maximum(dx, dxi))))
-
-    min_inner: int | None = None
-    inner_ok: bool | None = None
-    if r is not None:
-        min_inner = cover.L
-        for s in cover.regions:
-            support = np.zeros((cover.L, cover.L), dtype=bool)
-            support[s.cells[:, 0], s.cells[:, 1]] = True
-            min_inner = min(min_inner, _largest_inner_radius(grid, support, s.center))
-        inner_ok = min_inner >= r
+        d = np.maximum(_circdist(s.cells[:, 0], s.center[0], L),
+                       _circdist(s.cells[:, 1], s.center[1], L))
+        max_outer = max(max_outer, int(d.max()))
+        if r is not None:
+            min_inner = min(min_inner, _inner_radius(d, L))
 
     # splat each center onto every window anchor that sees it: anchors in
     # [c - w + 1, c] per axis for half-open w x w windows
@@ -175,7 +174,7 @@ def validate_cover(cover: Cover, R: int, r: int | None = None, w: int = 1) -> Ad
         covers_grid=sum_min > 0.0,
         outer_radius_ok=max_outer <= R,
         max_outer_radius=max_outer,
-        inner_radius_ok=inner_ok,
+        inner_radius_ok=None if r is None else min_inner >= r,
         min_inner_radius=min_inner,
         spreadness=spreadness,
         window=w,

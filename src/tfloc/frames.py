@@ -224,15 +224,14 @@ def frame_operator(frame: EigenFrame) -> np.ndarray:
     return G @ G.conj().T
 
 
-def frame_certificate(frame: EigenFrame, a_tol: float | None = None) -> FrameCertificate:
-    """Frame bounds as the extreme eigenvalues of S = sum w^2 |v><v|."""
+def frame_certificate(frame: EigenFrame) -> FrameCertificate:
+    """Frame bounds as the extreme eigenvalues of S = sum w^2 |v><v|; a frame iff A > 1e-9 B."""
     S = frame_operator(frame)
     ev = np.linalg.eigvalsh(S)
     A, B = float(ev[0]), float(ev[-1])
-    if a_tol is None:
-        a_tol = 1e-9 * B
+    a_tol = 1e-9 * B
     condition = B / A if A > 0.0 else math.inf
-    return FrameCertificate(A, B, condition, S, A > a_tol, float(a_tol))
+    return FrameCertificate(A, B, condition, S, A > a_tol, a_tol)
 
 
 def reconstruct(
@@ -276,13 +275,12 @@ def norm_equivalence(
     """(c, C) for each (variant, epsilon) term, from one pass over a shape-class stream.
 
     A term's Gram sum is sum_gamma Q diag(lam^power) Q* over each region's
-    eigenpairs (lam, Q): power 2 for the plain (K = H) and thresholded
-    variants, 4 for squared (K = H^2); the thresholded variant keeps only
-    lam > epsilon, the others ignore epsilon.  Only the first
-    ``numerical_rank()`` eigenpairs enter: the dropped terms have
-    lam^2 <= RANK_RTOL^2 lam_1^2.  Equal sums are kept once.  A member
-    region's Q is its class spectrum translated to it, and each class
-    spectrum is dropped once all its members are added.
+    eigenpairs (lam, Q) with lam > epsilon (0 for plain and squared): power 2
+    for the plain (K = H) and thresholded variants, 4 for squared (K = H^2).
+    Only the first ``numerical_rank()`` eigenpairs, all positive, enter: the
+    dropped terms have lam^2 <= RANK_RTOL^2 lam_1^2.  Equal sums are kept
+    once.  A member region's Q is its class spectrum translated to it, and
+    each class spectrum is dropped once all its members are added.
     """
     keys = []
     for variant, eps in terms:
@@ -290,7 +288,7 @@ def norm_equivalence(
             raise InvalidArgumentError(f"unknown variant {variant!r}")
         if variant == "thresholded" and (eps is None or eps < 0.0):
             raise InvalidArgumentError("thresholded variant requires epsilon >= 0")
-        keys.append((_GRAM_POWER[variant], eps if variant == "thresholded" else None))
+        keys.append((_GRAM_POWER[variant], eps if variant == "thresholded" else 0.0))
     grams = dict.fromkeys(keys, 0.0)
     for spec, _, members in classes:
         r = spec.numerical_rank()
@@ -298,7 +296,7 @@ def norm_equivalence(
         for _, z in members:
             Q = spec.translated(z, r)
             for power, eps in list(grams):
-                keep = slice(None) if eps is None else lam > eps
+                keep = lam > eps
                 grams[power, eps] += (Q[:, keep] * lam[keep] ** power) @ Q[:, keep].conj().T
         del spec, Q
     extremes = {key: np.linalg.eigvalsh(G)[[0, -1]] for key, G in grams.items()}

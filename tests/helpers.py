@@ -35,6 +35,32 @@ def shifted_symbol(eta, z):
                   (eta.cells + np.asarray(z)) % L, eta.values)
 
 
+def wrapped_sup_distance(L, z, w):
+    """The wrapped sup metric on Z_L x Z_L: the larger over the two axes of the
+    distance on the cycle, the least |a - b + kL| over k."""
+    return max(min(abs(a - b + k * L) for k in (-1, 0, 1)) for a, b in zip(z, w))
+
+
+def ball(L, center, r):
+    """The cells within wrapped sup distance r of ``center``, testing every cell."""
+    return {(x, xi) for x in range(L) for xi in range(L)
+            if wrapped_sup_distance(L, (x, xi), center) <= r}
+
+
+def direct_radii(symbol):
+    """(outer, inner) radius of a symbol's support around its center.
+
+    Outer: the largest distance of a support cell from the center.  Inner:
+    the largest r <= L // 2 whose whole ball B_r(center) lies in the
+    support, -1 if there is none (the center is outside the support).
+    """
+    L, center = symbol.L, symbol.center
+    support = set(map(tuple, symbol.cells.tolist()))
+    outer = max(wrapped_sup_distance(L, z, center) for z in support)
+    inner = max((r for r in range(L // 2 + 1) if ball(L, center, r) <= support), default=-1)
+    return outer, inner
+
+
 def direct_stft(f, phi):
     L = len(f)
     V = np.zeros((L, L), complex)

@@ -18,7 +18,7 @@ from tfloc.covers import (
 from tfloc.errors import InvalidArgumentError
 from tfloc.locop import class_spectra
 
-from helpers import cover_dict
+from helpers import ball, cover_dict, direct_radii, wrapped_sup_distance
 
 
 def whole_grid_symbol(L, center=(0, 0)):
@@ -130,6 +130,65 @@ class TestValidateCover:
         rep = validate_cover(Cover(L, (a, a)), R=L // 2)
         assert rep.duplicate_centers
         assert rep.spreadness == 2
+
+
+def radii_cases(L, rng):
+    """Indicator symbols on Z_L whose radii span -1 .. L // 2: the whole grid,
+    the grid less its center, random sparse supports and boxes that wrap the
+    edge with a few cells punched out, centered inside or outside them."""
+    everything = [(x, xi) for x in range(L) for xi in range(L)]
+    center = tuple(int(v) for v in rng.integers(0, L, 2))
+    yield Symbol.indicator(L, center, everything)
+    yield Symbol.indicator(L, center, [z for z in everything if z != center])
+    for _ in range(15):
+        center = tuple(int(v) for v in rng.integers(0, L, 2))
+        density = rng.uniform(0.5, 1.0)
+        yield Symbol.indicator(L, center, [z for z in everything if z == center or rng.random() < density])
+    for _ in range(25):
+        x0, xi0 = L - rng.integers(1, 4, 2)  # the box runs past L - 1 and wraps
+        wd, ht = rng.integers(2, L + 1, 2)
+        box = [((x0 + i) % L, (xi0 + j) % L) for i in range(wd) for j in range(ht)]
+        holes = rng.random(len(box)) < 0.03
+        cells = [z for z, hole in zip(box, holes) if not hole] or box
+        if rng.random() < 0.8:
+            center = ((x0 + wd // 2) % L, (xi0 + ht // 2) % L)
+        else:
+            center = tuple(int(v) for v in rng.integers(0, L, 2))
+        yield Symbol.indicator(L, center, cells)
+
+
+class TestRadii:
+    """Outer and inner radii against ``direct_radii``, which builds each ball
+    from the wrapped sup metric cell by cell."""
+
+    def test_wrapped_distance(self):
+        for z, w, distance in [((0, 0), (7, 1), 1), ((0, 0), (4, 0), 4), ((1, 6), (6, 1), 3)]:
+            assert wrapped_sup_distance(8, z, w) == distance
+            # a support of one cell lies at the distance between it and the center
+            rep = validate_cover(Cover(8, (Symbol.indicator(8, w, [z]),)), R=4)
+            assert rep.max_outer_radius == distance
+
+    def test_ball_sizes(self):
+        # radius L/2 wraps onto the whole grid
+        for center, r, size in [((0, 0), 0, 1), ((3, 3), 1, 9), ((0, 0), 4, 64)]:
+            cells = sorted(ball(8, center, r))
+            assert len(cells) == size
+            rep = validate_cover(Cover(8, (Symbol.indicator(8, center, cells),)), R=4, r=0)
+            assert rep.max_outer_radius == r and rep.min_inner_radius == r
+
+    @pytest.mark.parametrize("L", [7, 8, 11, 12])
+    def test_match_oracle(self, L):
+        symbols = list(radii_cases(L, np.random.default_rng(L)))
+        expected = [direct_radii(s) for s in symbols]
+        for s, radii in zip(symbols, expected):
+            rep = validate_cover(Cover(L, (s,)), R=L // 2, r=0)
+            assert (rep.max_outer_radius, rep.min_inner_radius) == radii
+        inner = [radii[1] for radii in expected]
+        assert {-1, 0, 1, L // 2} <= set(inner)
+        # over the family, the largest outer and the smallest inner radius
+        rep = validate_cover(Cover(L, tuple(symbols)), R=L // 2, r=1)
+        assert rep.max_outer_radius == max(radii[0] for radii in expected)
+        assert rep.min_inner_radius == -1 and not rep.inner_radius_ok
 
 
 class TestRegularBoxes:
