@@ -47,7 +47,6 @@ from .gabor import (
     canonical_tight,
     gabor_eigenframe,
     gabor_multiplier,
-    lattice_masses,
 )
 from .locop import (
     Spectrum,

@@ -37,7 +37,6 @@ from .errors import (
 )
 from .frames import (
     EigenFrame,
-    FrameCertificate,
     SelectionPolicy,
     assemble_frame,
     frame_certificate,
@@ -55,7 +54,6 @@ from .gabor import (
     canonical_tight,
     gabor_eigenframe,
     lattice_coverage_min,
-    lattice_masses,
     multiplier_classes,
     require_lattice_cover,
 )
@@ -269,9 +267,9 @@ def write_pgm(path: Path, values: np.ndarray) -> None:
         fh.write(pix.tobytes())
 
 
-def _region_rows(frame: EigenFrame, n_regions: int, masses: list[float]) -> list[dict]:
+def _region_rows(frame: EigenFrame, cover: Cover) -> list[dict]:
     rows = []
-    for gamma in range(n_regions):
+    for gamma, s in enumerate(cover.regions):
         lams = frame.lams[frame.gammas == gamma]
         rows.append(
             {
@@ -279,7 +277,7 @@ def _region_rows(frame: EigenFrame, n_regions: int, masses: list[float]) -> list
                 "count": lams.size,
                 "lambda_max": float(lams.max()) if lams.size else None,
                 "lambda_min": float(lams.min()) if lams.size else None,
-                "mass": masses[gamma],
+                "mass": s.mass,
             }
         )
     return rows
@@ -291,23 +289,20 @@ def _tight_system(cover: Cover, phi: Window, lattice: Lattice) -> LatticeGaborSy
     return LatticeGaborSystem.build(canonical_tight(phi, lattice), lattice)
 
 
-def _build_frame(cfg: RunConfig, cover: Cover, phi: Window):
-    """Grid or lattice pipeline; returns (frame, certificate, extras-for-report)."""
+def _build_frame(cfg: RunConfig, cover: Cover, phi: Window) -> tuple[EigenFrame, dict]:
+    """Grid or lattice pipeline; returns (frame, extras-for-report)."""
     if cfg.lattice is None:
         frame = assemble_frame(cover, phi, cfg.policy, cfg.weighted)
-        cert = frame_certificate(frame)
-        masses = [s.mass for s in cover.regions]
         extras = {"lattice": None, "measure": "l1_mass / L (operator trace)"}
     else:
         sys_ = _tight_system(cover, phi, cfg.lattice)
-        frame, cert = gabor_eigenframe(cover, sys_, cfg.policy, cfg.weighted)
-        masses = lattice_masses(cover, cfg.lattice)
+        frame = gabor_eigenframe(cover, sys_, cfg.policy, cfg.weighted)
         extras = {
             "lattice": {"a": cfg.lattice.a, "b": cfg.lattice.b},
             "tight_constant": sys_.tight_constant,
             "measure": "tight_constant * lattice l1_mass (multiplier trace)",
         }
-    return frame, cert, masses, extras
+    return frame, extras
 
 
 def _frame_source(cfg: RunConfig, cover: Cover, phi: Window) -> str:
@@ -368,7 +363,8 @@ def cmd_frame(cfg: RunConfig, out_dir: Path, timings: bool = False) -> int:
         )
 
     t1 = time.perf_counter()
-    frame, cert, masses, extras = _build_frame(cfg, cover, phi)
+    frame, extras = _build_frame(cfg, cover, phi)
+    cert = frame_certificate(frame)
     t2 = time.perf_counter()
     frame = replace(frame, source=_frame_source(cfg, cover, phi))
 
@@ -383,7 +379,7 @@ def cmd_frame(cfg: RunConfig, out_dir: Path, timings: bool = False) -> int:
         "policy": asdict(cfg.policy),
         "implied_alpha": cfg.policy.implied_alpha,
         "atom_count": frame.lams.size,
-        "regions": _region_rows(frame, len(cover.regions), masses),
+        "regions": _region_rows(frame, cover),
         "A": cert.A,
         "B": cert.B,
         "condition": cert.condition,
@@ -402,7 +398,7 @@ def cmd_frame(cfg: RunConfig, out_dir: Path, timings: bool = False) -> int:
     return 0 if cert.is_frame else 1
 
 
-def _load_or_build_frame(cfg: RunConfig, out_dir: Path) -> tuple[EigenFrame, FrameCertificate]:
+def _load_or_build_frame(cfg: RunConfig, out_dir: Path) -> EigenFrame:
     """The frame stored in ``out_dir`` if it was built from this config's inputs, else a new one."""
     manifest = out_dir / "frame.json"
     atoms = out_dir / "frame_atoms.tfat"
@@ -410,9 +406,8 @@ def _load_or_build_frame(cfg: RunConfig, out_dir: Path) -> tuple[EigenFrame, Fra
     phi = resolve_window(cfg)
     cover = resolve_cover(cfg)
     if stored is not None and stored.source == _frame_source(cfg, cover, phi):
-        return stored, frame_certificate(stored)
-    frame, cert, _, _ = _build_frame(cfg, cover, phi)
-    return frame, cert
+        return stored
+    return _build_frame(cfg, cover, phi)[0]
 
 
 def cmd_reconstruct(cfg: RunConfig, signal_path, out_dir: Path) -> int:
@@ -422,8 +417,7 @@ def cmd_reconstruct(cfg: RunConfig, signal_path, out_dir: Path) -> int:
             f"signal length {f.length} does not match config L={cfg.L}",
             path=str(signal_path),
         )
-    frame, cert = _load_or_build_frame(cfg, out_dir)
-    _, rel_error = reconstruct(frame, f, cert)
+    _, rel_error = reconstruct(_load_or_build_frame(cfg, out_dir), f)
     ok = rel_error <= cfg.reconstruct_tol
     write_json(
         out_dir / "reconstruction.json",

@@ -124,22 +124,31 @@ def stft(f: Signal, phi: Window) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def read_signal_csv(path) -> Signal:
-    with open(path) as fh:
-        header = fh.readline().strip()
+    """The signal in the CSV file at ``path``; a file that is not UTF-8 text
+    in this format, or holds no finite samples, is an InvalidArgumentError
+    with the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().strip()
+            rows = [line.strip() for line in fh if line.strip()]
         if header != "t,re,im":
-            raise InvalidArgumentError(f"bad signal CSV header {header!r}", path=str(path))
-        rows = [line.strip() for line in fh if line.strip()]
-    samples = np.empty(len(rows), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        try:
-            t_s, re_s, im_s = row.split(",")
-            t, value = int(t_s), complex(float(re_s), float(im_s))
-        except ValueError:
-            raise InvalidArgumentError(f"malformed signal CSV row {row!r}", path=str(path)) from None
-        if t != i:
-            raise InvalidArgumentError(f"non-contiguous sample index {t_s}", path=str(path))
-        samples[i] = value
-    return Signal(samples)
+            raise InvalidArgumentError(f"bad signal CSV header {header!r}")
+        samples = np.empty(len(rows), dtype=np.complex128)
+        for i, row in enumerate(rows):
+            try:
+                t_s, re_s, im_s = row.split(",")
+                t, value = int(t_s), complex(float(re_s), float(im_s))
+            except ValueError:
+                raise InvalidArgumentError(f"malformed signal CSV row {row!r}") from None
+            if t != i:
+                raise InvalidArgumentError(f"non-contiguous sample index {t_s}")
+            samples[i] = value
+        return Signal(samples)
+    except UnicodeDecodeError as exc:
+        raise InvalidArgumentError(f"signal CSV is not UTF-8 text: {exc}", path=str(path)) from None
+    except InvalidArgumentError as exc:
+        exc.context.setdefault("path", str(path))
+        raise
 
 
 def read_json(path, what: str):

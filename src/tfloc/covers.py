@@ -17,6 +17,8 @@ import numpy as np
 from .core import read_json
 from .errors import InvalidArgumentError
 
+_INT64_MAX = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class Symbol:
@@ -299,6 +301,8 @@ def cover_from_dict(data) -> Cover:
     L = data.get("L") if isinstance(data, dict) else None
     if isinstance(L, bool) or not isinstance(L, int) or not isinstance(data.get("regions"), list):
         raise InvalidArgumentError('cover JSON must be an object with an integer "L" and a "regions" list')
+    if not 1 <= L <= _INT64_MAX:
+        raise InvalidArgumentError(f'cover "L" must be an integer in [1, {_INT64_MAX}], not {L}')
     regions = []
     for i, entry in enumerate(data["regions"]):
         if not isinstance(entry, dict):

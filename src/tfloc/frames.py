@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Signal, Window, read_json, write_json
-from .covers import Cover, sum_symbols, validate_cover
+from .covers import _INT64_MAX, Cover, sum_symbols, validate_cover
 from .errors import (
     EmptyFrameError,
     InvalidArgumentError,
@@ -30,7 +30,6 @@ from .locop import ClassSpectrum, Spectrum, class_spectra
 
 _DEGENERATE_TOL = 1e-14
 _UNIT_NORM_TOL = 1e-9
-_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)

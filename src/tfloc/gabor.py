@@ -33,19 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Window, _as_complex_vector
-from .covers import Cover, Symbol
+from .covers import Cover, Symbol, sum_symbols
 from .errors import (
     InvalidArgumentError,
     NotAFrameError,
     PreconditionViolation,
 )
-from .frames import (
-    EigenFrame,
-    FrameCertificate,
-    SelectionPolicy,
-    eigenframe_from_classes,
-    frame_certificate,
-)
+from .frames import EigenFrame, SelectionPolicy, eigenframe_from_classes
 from .locop import ClassSpectrum, assemble_locop, class_spectra
 
 _FRAME_FLOOR_RTOL = 1e-9
@@ -75,9 +69,6 @@ class Lattice:
         js = np.arange(self.L // self.a) * self.a
         ks = np.arange(self.L // self.b) * self.b
         return np.stack(np.meshgrid(js, ks, indexing="ij"), axis=-1).reshape(-1, 2)
-
-    def contains(self, cell) -> bool:
-        return cell[0] % self.a == 0 and cell[1] % self.b == 0
 
 
 def _residue_rows(v: np.ndarray, lattice: Lattice) -> np.ndarray:
@@ -153,19 +144,6 @@ def canonical_tight(phi: Window, lattice: Lattice) -> Window:
     return Window(phit, normalized=True)
 
 
-def _lattice_values(m, lattice: Lattice) -> np.ndarray:
-    """Coerce a multiplier mask to a flat vector over lattice.points()."""
-    arr = np.asarray(m, dtype=np.float64)
-    shape = (lattice.L // lattice.a, lattice.L // lattice.b)
-    if arr.shape != shape:
-        raise InvalidArgumentError(
-            f"multiplier mask must have shape {shape}, got {arr.shape}"
-        )
-    if not np.all(np.isfinite(arr)) or arr.min() < 0.0:
-        raise InvalidArgumentError("multiplier mask must be finite and >= 0")
-    return arr.reshape(-1)
-
-
 def _require_tight(sys: LatticeGaborSystem) -> None:
     if not sys.tight:
         raise PreconditionViolation(
@@ -174,17 +152,18 @@ def _require_tight(sys: LatticeGaborSystem) -> None:
         )
 
 
-def _multiplier_symbol(vals: np.ndarray, sys: LatticeGaborSystem, center=(0, 0)) -> Symbol:
-    """The grid symbol eta = A L m on the lattice, so that H_eta = GM_m.
+def _multiplier_symbol(symbol: Symbol, sys: LatticeGaborSystem) -> Symbol:
+    """The grid symbol A L eta of a lattice symbol eta, so that H_{A L eta} = GM_eta.
 
-    ``vals`` is the flat mask over lattice.points().  The support is the
-    points with m > 0, in that order; an all-zero mask keeps one zero-weight
-    point, which gives the zero operator.
+    Its support is eta's cells with eta > 0, in lattice.points() order; an
+    all-zero eta keeps one zero-weight cell, which gives the zero operator.
     """
-    keep = vals > 0.0
+    order = np.lexsort((symbol.cells[:, 1], symbol.cells[:, 0]))
+    values = symbol.values[order]
+    keep = values > 0.0
     keep[0] |= not keep.any()
     L = sys.lattice.L
-    return Symbol(L, center, sys.lattice.points()[keep], sys.tight_constant * L * vals[keep])
+    return Symbol(L, symbol.center, symbol.cells[order][keep], sys.tight_constant * L * values[keep])
 
 
 def gabor_multiplier(m, sys: LatticeGaborSystem) -> np.ndarray:
@@ -193,35 +172,26 @@ def gabor_multiplier(m, sys: LatticeGaborSystem) -> np.ndarray:
     ``m`` is an (L/a, L/b) nonnegative array over the lattice index grid.
     """
     _require_tight(sys)
-    vals = _lattice_values(m, sys.lattice)
-    return assemble_locop(_multiplier_symbol(vals, sys), sys.window)
-
-
-def symbol_on_lattice(symbol: Symbol, lattice: Lattice) -> np.ndarray:
-    """Restrict a grid symbol to the lattice index grid; off-lattice cells error."""
-    x, xi = symbol.cells[:, 0], symbol.cells[:, 1]
-    off = np.flatnonzero((x % lattice.a != 0) | (xi % lattice.b != 0))
-    if off.size:
-        i = int(off[0])
-        raise InvalidArgumentError(
-            f"cell ({x[i]}, {xi[i]}) is not a lattice point", cell_index=i
-        )
-    out = np.zeros((lattice.L // lattice.a, lattice.L // lattice.b))
-    out[x // lattice.a, xi // lattice.b] = symbol.values
-    return out
-
-
-def lattice_masses(cover: Cover, lattice: Lattice) -> list[float]:
-    """Per-region l1 masses of the symbols restricted to the lattice."""
-    return [float(symbol_on_lattice(s, lattice).sum()) for s in cover.regions]
+    lat = sys.lattice
+    shape = (lat.L // lat.a, lat.L // lat.b)
+    m = np.asarray(m, dtype=np.float64)
+    if m.shape != shape:
+        raise InvalidArgumentError(f"multiplier mask must have shape {shape}, got {m.shape}")
+    symbol = Symbol(lat.L, (0, 0), lat.points(), m.reshape(-1))  # values must be finite and >= 0
+    return assemble_locop(_multiplier_symbol(symbol, sys), sys.window)
 
 
 def lattice_coverage_min(cover: Cover, lattice: Lattice) -> float:
-    """Min over lattice points of the pointwise symbol sum."""
-    total = np.zeros((lattice.L // lattice.a, lattice.L // lattice.b))
+    """Min over lattice points of the pointwise symbol sum; an off-lattice cell is an error."""
     for s in cover.regions:
-        total += symbol_on_lattice(s, lattice)
-    return float(total.min())
+        x, xi = s.cells[:, 0], s.cells[:, 1]
+        off = np.flatnonzero((x % lattice.a != 0) | (xi % lattice.b != 0))
+        if off.size:
+            i = int(off[0])
+            raise InvalidArgumentError(
+                f"cell ({x[i]}, {xi[i]}) is not a lattice point", cell_index=i
+            )
+    return float(sum_symbols(cover)[0][:: lattice.a, :: lattice.b].min())
 
 
 def require_lattice_cover(cover: Cover, lattice: Lattice) -> None:
@@ -233,7 +203,7 @@ def require_lattice_cover(cover: Cover, lattice: Lattice) -> None:
     if lat_min <= 0.0:
         raise PreconditionViolation(f"cover does not cover the lattice (min symbol sum {lat_min!r})")
     for i, s in enumerate(cover.regions):
-        if not lattice.contains(s.center):
+        if s.center[0] % lattice.a or s.center[1] % lattice.b:
             raise InvalidArgumentError(
                 f"region {i} center {s.center} is not a lattice point"
             )
@@ -249,11 +219,7 @@ def multiplier_classes(cover: Cover, sys: LatticeGaborSystem) -> Iterator[ClassS
     """
     _require_tight(sys)
     require_lattice_cover(cover, sys.lattice)
-    symbols = [
-        _multiplier_symbol(symbol_on_lattice(s, sys.lattice).reshape(-1), sys, s.center)
-        for s in cover.regions
-    ]
-    return class_spectra(symbols, sys.window)
+    return class_spectra([_multiplier_symbol(s, sys) for s in cover.regions], sys.window)
 
 
 def gabor_eigenframe(
@@ -261,11 +227,10 @@ def gabor_eigenframe(
     sys: LatticeGaborSystem,
     policy: SelectionPolicy,
     weighted: bool = True,
-) -> tuple[EigenFrame, FrameCertificate]:
-    """Eigenfunction frame from per-region Gabor multipliers, and its certificate.
+) -> EigenFrame:
+    """Eigenfunction frame from per-region Gabor multipliers.
 
     Selection runs through the grid pipeline's back end with the multiplier
-    trace as the region measure.
+    trace as the region measure; ``frame_certificate`` certifies the frame.
     """
-    frame = eigenframe_from_classes(cover.L, multiplier_classes(cover, sys), policy, weighted)
-    return frame, frame_certificate(frame)
+    return eigenframe_from_classes(cover.L, multiplier_classes(cover, sys), policy, weighted)

@@ -141,6 +141,16 @@ def direct_gabor_multiplier(L, a, b, phi, m):
     return M
 
 
+def lattice_mask(symbol, lattice):
+    """A grid symbol on the lattice index grid, set cell by cell: entry (j, k)
+    is the symbol's value at the lattice point (ja, kb), 0 off its support."""
+    m = np.zeros((lattice.L // lattice.a, lattice.L // lattice.b))
+    for (x, xi), v in zip(symbol.cells.tolist(), symbol.values.tolist()):
+        assert x % lattice.a == 0 and xi % lattice.b == 0, f"({x}, {xi}) is off the lattice"
+        m[x // lattice.a, xi // lattice.b] = v
+    return m
+
+
 def dense_gabor_frame_operator(L, a, b, phi):
     """S = W W* over the lattice aZ x bZ, W the L x |Lambda| matrix whose
     columns are the shifted windows pi(ja, kb) phi, each from its definition.

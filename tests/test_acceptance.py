@@ -231,9 +231,9 @@ def test_criterion_10_gabor_lattice_suite():
             for bk in range(2):
                 cells = [(2 * (4 * bj + j), 2 * (4 * bk + k)) for j in range(4) for k in range(4)]
                 regions.append(Symbol.indicator(L, (2 * (4 * bj + 2) % L, 2 * (4 * bk + 2) % L), cells))
-        _, cert = gabor_eigenframe(
+        cert = frame_certificate(gabor_eigenframe(
             Cover(L, tuple(regions)), sys_, SelectionPolicy("epsilon", epsilon=0.1, n_max=L)
-        )
+        ))
         assert cert.A > 1e-6
 
         # counting case: |Lambda| = 4 < L = 16 is reported, not thrown

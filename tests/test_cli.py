@@ -13,9 +13,9 @@ import tfloc.locop
 from tfloc.cli import load_config, main, resolve_cover
 from tfloc.core import gauss_window
 from tfloc.covers import gen_regular_boxes
-from tfloc.gabor import canonical_tight, symbol_on_lattice
+from tfloc.gabor import canonical_tight
 
-from helpers import HUGE_INTEGERS, cover_dict, direct_gabor_multiplier, write_signal_csv
+from helpers import HUGE_INTEGERS, cover_dict, direct_gabor_multiplier, lattice_mask, write_signal_csv
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -190,6 +190,23 @@ class TestConfig:
         cert = json.loads((out / "certificate.json").read_text())
         assert cert["A"] == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("command", ["reconstruct", "spectrogram", "window"])
+    def test_non_utf8_csv_is_invalid_argument(self, tmp_path, command):
+        # a signal or window file holding byte 0xff
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"t,re,im\n0,1.0,0.0\n1,\xff,0.0\n")
+        if command == "window":
+            cfg = write_config(tmp_path, basic_config(window={"file": "bad.csv"}))
+            args = ["frame", "--config", str(cfg)]
+        else:
+            cfg = write_config(tmp_path, basic_config())
+            args = [command, "--config", str(cfg), "--signal", str(bad)]
+        out = tmp_path / "o"
+        assert main([*args, "--out", str(out)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["code"] == "invalid-argument"
+        assert err["context"]["path"] == str(bad)
+
 
 class TestSpectrogram:
     def test_delta_constant_columns(self, tmp_path):
@@ -300,6 +317,8 @@ class TestFrame:
             pytest.param(lambda text, cover: json.dumps(with_region(cover, center=[True, 1])), id="center-bool"),
             pytest.param(lambda text, cover: json.dumps(with_region(cover, cells=[[0, 0], [True, 1]])), id="cells-bool"),
             pytest.param(lambda text, cover: "[" * 100_000, id="nested"),
+            pytest.param(lambda text, cover: json.dumps({**cover, "L": 2**63}), id="L-2**63"),
+            pytest.param(lambda text, cover: json.dumps({**cover, "L": 2**70}), id="L-2**70"),
         ],
     )
     def test_malformed_cover_file_is_invalid_argument(self, tmp_path, edit):
@@ -350,6 +369,31 @@ class TestFrame:
         assert report["tight_constant"] == pytest.approx(0.25, rel=1e-9)
         adm = json.loads((out / "admissibility.json").read_text())
         assert adm["covers_lattice"] is True
+
+    @pytest.mark.parametrize("valued", [False, True])
+    def test_lattice_cell_order_does_not_change_frame(self, tmp_path, valued):
+        # the multiplier symbols are built from each region's cells sorted
+        # into lattice order, so the file's cell order cannot change a byte
+        rng = np.random.default_rng(11)
+        cover = json.loads((CONFIG_DIR / "gabor16_cover.json").read_text())
+        if valued:
+            for region in cover["regions"]:
+                region["values"] = (0.5 + rng.random(len(region["cells"]))).tolist()
+        shuffled = json.loads(json.dumps(cover))
+        for region in shuffled["regions"]:
+            order = rng.permutation(len(region["cells"]))
+            for key in ("cells", "values") if valued else ("cells",):
+                region[key] = [region[key][i] for i in order]
+        assert shuffled != cover
+        payload = json.loads((CONFIG_DIR / "gabor16.json").read_text())
+        trees = []
+        for name, data in (("plain", cover), ("shuffled", shuffled)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(data))
+            cfg = write_config(tmp_path, {**payload, "cover": {"file": f"{name}.json"}}, f"{name}_config.json")
+            assert main(["frame", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+            trees.append(read_tree(tmp_path / name))
+        for name in ("frame_atoms.tfat", "certificate.json"):
+            assert trees[0][name] == trees[1][name], name
 
     @pytest.mark.parametrize("command", ["frame", "diagnose"])
     def test_lattice_cover_rejected_before_tight_window(self, tmp_path, monkeypatch, command):
@@ -565,6 +609,19 @@ class TestDiagnose:
         assert d["epsilon_sweep"][0]["c"] == pytest.approx(d["plain"]["c"], abs=1e-10)
         assert d["largest_epsilon_with_positive_c"] is not None
 
+    def test_off_lattice_cell_reports_its_index(self, tmp_path):
+        cover = json.loads((CONFIG_DIR / "gabor16_cover.json").read_text())
+        cover["regions"][1]["cells"][5] = [1, 2]
+        (tmp_path / "cover.json").write_text(json.dumps(cover))
+        payload = json.loads((CONFIG_DIR / "gabor16.json").read_text())
+        cfg = write_config(tmp_path, {**payload, "cover": {"file": "cover.json"}})
+        out = tmp_path / "o"
+        assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["code"] == "invalid-argument"
+        assert err["context"]["cell_index"] == 5
+        assert "(1, 2)" in err["message"]
+
     def test_lattice_config_against_oracle(self, tmp_path):
         cfg_path = CONFIG_DIR / "gabor16.json"
         assert main(["diagnose", "--config", str(cfg_path), "--out", str(tmp_path / "d")]) == 0
@@ -578,7 +635,7 @@ class TestDiagnose:
         G2 = np.zeros((cfg.L, cfg.L), complex)
         G4 = np.zeros((cfg.L, cfg.L), complex)
         for s in resolve_cover(cfg).regions:
-            GM = direct_gabor_multiplier(cfg.L, lat.a, lat.b, phit, symbol_on_lattice(s, lat))
+            GM = direct_gabor_multiplier(cfg.L, lat.a, lat.b, phit, lattice_mask(s, lat))
             G2 += GM @ GM
             G4 += GM @ GM @ GM @ GM
         for variant, G in (("plain", G2), ("squared", G4)):

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfloc.core import Signal, Window, gauss_window, read_signal_csv, stft
 from tfloc.errors import DimensionError, InvalidArgumentError
@@ -199,3 +204,23 @@ class TestSignalCsv:
             with pytest.raises(InvalidArgumentError) as info:
                 read_signal_csv(path)
             assert info.value.context["path"] == str(path)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(blob=st.binary(max_size=64) | st.builds(
+        # past the header, rows of CSV-like characters, some bytes not UTF-8
+        lambda rows: b"t,re,im\n" + b"\n".join(rows),
+        st.lists(st.binary(max_size=12) | st.text("0123456789,.-+eEinfa_ \r\x00", max_size=12).map(str.encode),
+                 max_size=5),
+    ) | st.builds(
+        # well-formed rows of any floats, NaN and infinities included
+        lambda xs: ("t,re,im\n" + "".join(f"{t},{x!r},0.0\n" for t, x in enumerate(xs))).encode(),
+        st.lists(st.floats(), max_size=5),
+    ))
+    def test_any_bytes_read_or_invalid_argument(self, blob):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "sig.csv"
+            path.write_bytes(blob)
+            try:
+                assert isinstance(read_signal_csv(path), Signal)
+            except InvalidArgumentError as exc:
+                assert exc.context["path"] == str(path)

@@ -26,7 +26,7 @@ from tfloc.frames import (
     write_certificate_json,
     write_frame,
 )
-from tfloc.gabor import Lattice, LatticeGaborSystem, canonical_tight, gabor_eigenframe, symbol_on_lattice
+from tfloc.gabor import Lattice, LatticeGaborSystem, canonical_tight, gabor_eigenframe
 from tfloc.locop import RANK_RTOL, eigendecomp
 
 from helpers import (
@@ -35,6 +35,7 @@ from helpers import (
     ball_operator_spectrum,
     canonical_dual,
     direct_gabor_multiplier,
+    lattice_mask,
     random_signal,
     region_operators,
     thresholded,
@@ -256,7 +257,7 @@ def direct_region_operators(cfg, cover, phi):
     lat = cfg.lattice
     phit = canonical_tight(phi, lat).samples
     return [
-        direct_gabor_multiplier(cfg.L, lat.a, lat.b, phit, symbol_on_lattice(s, lat))
+        direct_gabor_multiplier(cfg.L, lat.a, lat.b, phit, lattice_mask(s, lat))
         for s in cover.regions
     ]
 
@@ -416,7 +417,7 @@ class TestOnePass:
         lattice = Lattice(self.L, 4, 4)
         cover = lattice_box_cover(self.L, 16, 4)
         sys_ = LatticeGaborSystem.build(canonical_tight(phi, lattice), lattice)
-        return lambda: gabor_eigenframe(cover, sys_, self.POLICY)[0]
+        return lambda: gabor_eigenframe(cover, sys_, self.POLICY)
 
     @pytest.mark.parametrize("variant", ["grid", "lattice"])
     def test_frame_keeps_only_its_atoms(self, monkeypatch, variant):

@@ -6,7 +6,7 @@ from tfloc import gabor, locop
 from tfloc.core import gauss_window
 from tfloc.covers import Cover, Symbol
 from tfloc.errors import InvalidArgumentError, NotAFrameError, PreconditionViolation
-from tfloc.frames import SelectionPolicy, frame_operator
+from tfloc.frames import SelectionPolicy, frame_certificate, frame_operator
 from tfloc.gabor import (
     Lattice,
     LatticeGaborSystem,
@@ -14,12 +14,10 @@ from tfloc.gabor import (
     gabor_eigenframe,
     gabor_multiplier,
     lattice_coverage_min,
-    lattice_masses,
-    symbol_on_lattice,
 )
 from tfloc.locop import assemble_locop, eigendecomp
 
-from helpers import dense_gabor_frame_operator, direct_gabor_multiplier, shift_matrix
+from helpers import dense_gabor_frame_operator, direct_gabor_multiplier, lattice_mask, shift_matrix
 
 L16 = 16
 
@@ -91,7 +89,7 @@ class TestLattice:
         assert lat.n_points == 8 * 4
         pts = lat.points()
         assert pts.shape == (32, 2)
-        assert lat.contains((2, 4)) and not lat.contains((1, 4))
+        assert [2, 4] in pts.tolist() and [1, 4] not in pts.tolist()
 
     def test_rejects_non_divisors(self):
         with pytest.raises(InvalidArgumentError):
@@ -240,32 +238,72 @@ class TestGaborMultiplier:
             gabor_multiplier(np.ones((8, 8)), loose)
 
 
+def random_lattice_cover(rng, L, a, b, n_regions):
+    """Boxes of random size and corner on the lattice index grid, wrapping at
+    its edges, with random values of which about a fifth are zero."""
+    nj, nk = L // a, L // b
+    regions = []
+    for _ in range(n_regions):
+        wj, wk = rng.integers(1, nj + 1), rng.integers(1, nk + 1)
+        j0, k0 = rng.integers(0, nj), rng.integers(0, nk)
+        cells = [(a * ((j0 + j) % nj), b * ((k0 + k) % nk)) for j in range(wj) for k in range(wk)]
+        cells = [cells[i] for i in rng.permutation(len(cells))]
+        values = rng.random(len(cells)) * (rng.random(len(cells)) > 0.2)
+        regions.append(Symbol(L, (a * j0, b * k0), cells, values))
+    return Cover(L, tuple(regions))
+
+
 class TestLatticeSymbols:
-    def test_symbol_restriction(self, lat22):
-        s = Symbol(L16, (0, 0), [(0, 0), (2, 4)], [0.5, 2.0])
-        mask = symbol_on_lattice(s, lat22)
-        assert mask[0, 0] == 0.5 and mask[1, 2] == 2.0
-        assert mask.sum() == pytest.approx(2.5)
+    def test_symbol_restriction(self, tight22):
+        # cells in lattice.points() order, zero values dropped, values scaled by A L
+        s = Symbol(L16, (2, 2), [(2, 4), (0, 6), (4, 0), (0, 0)], [2.0, 0.0, 1.5, 0.5])
+        m = gabor._multiplier_symbol(s, tight22)
+        assert m.center == (2, 2)
+        assert m.cells.tolist() == [[0, 0], [2, 4], [4, 0]]
+        scale = tight22.tight_constant * L16
+        assert m.values.tolist() == [scale * 0.5, scale * 2.0, scale * 1.5]
+        # an all-zero symbol keeps one zero-weight cell: the zero operator
+        zero = gabor._multiplier_symbol(Symbol(L16, (2, 2), [(2, 4), (2, 2)], [0.0, 0.0]), tight22)
+        assert zero.cells.tolist() == [[2, 2]] and zero.values.tolist() == [0.0]
 
     def test_off_lattice_cell_rejected_with_index(self, lat22):
+        full = Symbol.indicator(L16, (0, 0), lat22.points())
         s = Symbol(L16, (0, 0), [(0, 0), (3, 4)], [1.0, 1.0])
         with pytest.raises(InvalidArgumentError) as err:
-            symbol_on_lattice(s, lat22)
+            lattice_coverage_min(Cover(L16, (full, s)), lat22)
         assert err.value.context["cell_index"] == 1
+        assert "(3, 4)" in str(err.value)
 
     def test_masses_match_direct_sums(self, lat22):
         cover = lattice_block_cover()
-        assert lattice_masses(cover, lat22) == [16.0, 16.0, 16.0, 16.0]
+        assert [s.mass for s in cover.regions] == [16.0, 16.0, 16.0, 16.0]
+        assert [lattice_mask(s, lat22).sum() for s in cover.regions] == [16.0, 16.0, 16.0, 16.0]
         assert lattice_coverage_min(cover, lat22) == 1.0
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_coverage_min_matches_oracle(self, seed):
+        # odd seeds add a region over the whole lattice, so the min is positive
+        rng = np.random.default_rng(seed)
+        L, a, b = [(16, 2, 2), (24, 4, 3), (12, 1, 6)][seed % 3]
+        lat = Lattice(L, a, b)
+        cover = random_lattice_cover(rng, L, a, b, n_regions=int(rng.integers(1, 12)))
+        if seed % 2:
+            whole = Symbol(L, (0, 0), lat.points(), 0.5 + rng.random(lat.n_points))
+            cover = Cover(L, (*cover.regions, whole))
+        total = np.zeros((L // a, L // b))
+        for s in cover.regions:
+            total += lattice_mask(s, lat)
+        assert lattice_coverage_min(cover, lat) == total.min()
 
 
 class TestGaborEigenframe:
     def test_whole_lattice_single_region_orthonormal(self, tight22, lat22):
         cells = [tuple(p) for p in lat22.points()]
         cover = Cover(L16, (Symbol.indicator(L16, (0, 0), cells),))
-        frame, cert = gabor_eigenframe(
+        frame = gabor_eigenframe(
             cover, tight22, SelectionPolicy("epsilon", epsilon=0.5, n_max=L16)
         )
+        cert = frame_certificate(frame)
         assert frame.lams.size == L16
         assert cert.A == pytest.approx(1.0, abs=1e-9)
         assert cert.B == pytest.approx(1.0, abs=1e-9)
@@ -273,12 +311,13 @@ class TestGaborEigenframe:
     def test_block_partition_frame_with_oracle(self, tight22):
         cover = lattice_block_cover()
         policy = SelectionPolicy("epsilon", epsilon=0.1, n_max=L16)
-        frame, cert = gabor_eigenframe(cover, tight22, policy)
+        frame = gabor_eigenframe(cover, tight22, policy)
+        cert = frame_certificate(frame)
         assert cert.is_frame and cert.A > 0
         # frame operator oracle: sum over regions of (GM^eps)^2
         expected = np.zeros((L16, L16), complex)
         for s in cover.regions:
-            m = symbol_on_lattice(s, tight22.lattice)
+            m = lattice_mask(s, tight22.lattice)
             lam, Q = np.linalg.eigh(direct_gabor_multiplier(L16, 2, 2, tight22.window.samples, m))
             keep = lam > 0.1
             expected += (Q[:, keep] * lam[keep] ** 2) @ Q[:, keep].conj().T
@@ -295,10 +334,11 @@ class TestGaborEigenframe:
         dead = Symbol(L16, (2, 2), [(2, 2)], [0.0])  # zero mask on the lattice
         cover = Cover(L16, (full, dead))
         with pytest.warns(UserWarning, match="numerically zero"):
-            frame, cert = gabor_eigenframe(
+            frame = gabor_eigenframe(
                 cover, tight22, SelectionPolicy("epsilon", epsilon=0.5, n_max=L16)
             )
         assert np.all(frame.gammas == 0)
+        cert = frame_certificate(frame)
         assert cert.A == pytest.approx(1.0, abs=1e-9)
 
     def test_off_lattice_center_rejected(self, tight22, lat22):
