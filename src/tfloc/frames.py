@@ -36,9 +36,10 @@ _UNIT_NORM_TOL = 1e-9
 class SelectionPolicy:
     """How many eigenfunctions to keep per region.
 
-    ``alpha`` mode keeps ceil(alpha * measure) where ``measure`` is the trace
-    of the region operator (the grid analogue of the region's area); the
-    implied threshold is epsilon = 1/alpha.  ``epsilon`` mode keeps the
+    ``alpha`` mode keeps ceil(alpha * measure) where ``measure`` is
+    ||eta||_1 / L, the trace of the region operator for a unit window (the
+    grid analogue of the region's area); the implied threshold is
+    epsilon = 1/alpha.  ``epsilon`` mode keeps the
     eigenvalues strictly above ``epsilon``.  Both are capped at ``n_max`` and
     at the numerical rank (``Spectrum.numerical_rank``), so no eigenvector of
     a numerically zero eigenvalue is selected; epsilon = 0 keeps the rank.
@@ -153,7 +154,7 @@ def region_classes(cover: Cover, phi: Window) -> Iterator[ClassSpectrum]:
 
 def eigenframe_from_classes(L: int, classes: Iterable[ClassSpectrum], policy: SelectionPolicy,
                             weighted: bool) -> EigenFrame:
-    """Frame of the selected eigenpairs of each region; its class trace is the measure.
+    """Frame of the selected eigenpairs of each region, counted with its class measure ||eta||_1 / L.
 
     ``classes`` is a shape-class stream (``class_spectra``), consumed in a
     single pass.  The count is selected once per class; each member region
@@ -164,8 +165,8 @@ def eigenframe_from_classes(L: int, classes: Iterable[ClassSpectrum], policy: Se
     blocks resident and raise the peak memory of a build.
     """
     by_region: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for spec, trace, members in classes:
-        n = select_eigenfunctions(spec, trace, policy)
+    for spec, measure, members in classes:
+        n = select_eigenfunctions(spec, measure, policy)
         if spec.eigenvalues[0] <= _DEGENERATE_TOL:
             for gamma, _ in members:
                 warnings.warn(
@@ -238,11 +239,13 @@ def reconstruct(
 ) -> tuple[Signal, float]:
     """Canonical dual reconstruction f_rec = sum_i <f, g_i> S^{-1} g_i, g_i = w_i v_i.
 
-    Each call computes the analysis coefficients c = G* f and synthesizes
-    f_rec = (S^{-1} G) c from the dual atoms, two O(L n) products; the dual
-    atoms are solved once per (frame, certificate) pair
-    (``FrameCertificate.dual_frame``).  Returns (f_rec, relative error); the
-    zero signal reconstructs to zero with error 0 by convention.
+    With a certificate, each call computes the analysis coefficients
+    c = G* f and synthesizes f_rec = (S^{-1} G) c from the dual atoms, two
+    O(L n) products; the dual atoms are solved once per (frame, certificate)
+    pair (``FrameCertificate.dual_frame``).  Without one, the frame is
+    certified here and the one signal is solved for, f_rec = S^{-1} (G G* f),
+    with no dual atoms built.  Returns (f_rec, relative error); the zero
+    signal reconstructs to zero with error 0 by convention.
     """
     cert = certificate if certificate is not None else frame_certificate(frame)
     if not cert.is_frame:
@@ -253,8 +256,12 @@ def reconstruct(
         raise InvalidArgumentError(f"signal length {f.length} != frame length {frame.L}")
     if f.norm == 0.0:
         return Signal(np.zeros(frame.L, dtype=np.complex128)), 0.0
-    analysis, dual = cert.dual_frame(frame)
-    f_rec = dual @ (analysis @ f.samples)
+    if certificate is None:
+        G = frame.atom_matrix()
+        f_rec = np.linalg.solve(cert.frame_operator, G @ (G.conj().T @ f.samples))
+    else:
+        analysis, dual = cert.dual_frame(frame)
+        f_rec = dual @ (analysis @ f.samples)
     rel = float(np.linalg.norm(f_rec - f.samples) / f.norm)
     return Signal(f_rec), rel
 

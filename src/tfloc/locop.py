@@ -1,13 +1,23 @@
 """Time-frequency localization operators on Z_L.
 
 The operator attached to a nonnegative mask ``eta`` and a unit-norm window
-``phi`` is the dense Hermitian L x L matrix
+``phi`` is the Hermitian L x L matrix
 
     H[t, t'] = (1/L) sum_z eta(z) (pi(z) phi)(t) conj((pi(z) phi)(t')),
 
 i.e. mask the STFT coefficients by ``eta``, then synthesize.  With the 1/L
 normalization the unit mask gives exactly the identity, trace(H) = ||eta||_1/L,
 and eta >= 0 makes H positive semidefinite.
+
+``assemble_locop`` builds H densely.  The class stream solves each class on
+its time support instead: the indices J where the diagonal
+d[t] = (1/L) sum_x m(x) |phi(t - x)|^2, m(x) = sum_xi eta(x, xi), exceeds
+1e-32 trace(H).  Only the block H[J, J] is assembled and eigensolved, and its
+eigenvectors are zero-padded back to length L.  H is PSD, so the dropped rows
+and columns move H by at most delta + 2 sqrt(lambda_1 delta) in operator
+norm, delta = sum of d off J <= L 1e-32 trace(H): about 1e-16 trace(H).  By
+Weyl and Davis-Kahan the eigenvalues and the selected subspaces move by that
+much (over the cutoff gap, for the subspaces).
 """
 
 from __future__ import annotations
@@ -28,6 +38,15 @@ _ASSEMBLY_CHUNK = 4096
 # eigenvalues <= RANK_RTOL * lambda_1 count as numerically zero in rank reports
 RANK_RTOL = 1e-12
 
+# a class is solved on the time indices whose diagonal entry of H exceeds
+# this fraction of its trace
+_SUPPORT_RTOL = 1e-32
+
+
+def _unit_roots(L: int) -> np.ndarray:
+    """exp(2 pi i k / L) for k < L; the phase e^{2 pi i t xi / L} is entry (t xi) mod L."""
+    return np.exp((2j * np.pi / L) * np.arange(L))
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -36,7 +55,9 @@ class Spectrum:
     Column k of ``eigenvectors`` belongs to ``eigenvalues[k]``.  Each column is
     scaled so its entry at ``anchors[k]``, its largest-magnitude entry (lowest
     index on ties), is real and positive; within a degenerate cluster only the
-    spanned subspace is meaningful.
+    spanned subspace is meaningful.  A class spectrum (``class_spectra``)
+    holds only the |J| eigenpairs of the block on its time support J, as
+    L x |J| eigenvectors; H's other eigenvalues are numerically zero.
 
     By covariance, pi(z) H pi(z)* has the same eigenvalues and the
     eigenvectors pi(z) v_k; ``translated`` carries the phase convention
@@ -66,27 +87,48 @@ class Spectrum:
             return V.copy()
         L = V.shape[0]
         turns = (xi * (np.arange(L)[:, None] - x - self.anchors[None, :n])) % L
-        return np.roll(V, x, axis=0) * np.exp((2j * np.pi / L) * np.arange(L))[turns]
+        return np.roll(V, x, axis=0) * _unit_roots(L)[turns]
 
 
-def shifted_window_columns(L: int, w: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Matrix whose column i is pi(cells[i]) w."""
-    t = np.arange(L)[:, None]
-    phase = np.exp((2j * np.pi / L) * (t * cells[None, :, 1]))
-    return phase * w[(t - cells[None, :, 0]) % L]
+def shifted_window_columns(L: int, w: np.ndarray, cells: np.ndarray,
+                           rows: np.ndarray | None = None) -> np.ndarray:
+    """Matrix whose column i is pi(cells[i]) w, at the time indices ``rows`` (default all)."""
+    t = np.arange(L)[:, None] if rows is None else rows[:, None]
+    return _unit_roots(L)[(t * cells[None, :, 1]) % L] * w[(t - cells[None, :, 0]) % L]
+
+
+def _block_operator(eta: Symbol, w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The principal block H_eta[rows, rows]; O(|rows|^2 |supp eta|) in fixed chunks."""
+    L = eta.L
+    M = np.zeros((rows.size, rows.size), dtype=np.complex128)
+    scale = np.sqrt(eta.values / L)
+    for lo in range(0, eta.cells.shape[0], _ASSEMBLY_CHUNK):
+        hi = lo + _ASSEMBLY_CHUNK
+        A = shifted_window_columns(L, w, eta.cells[lo:hi], rows) * scale[lo:hi][None, :]
+        M += A @ A.conj().T
+    return M
 
 
 def assemble_locop(eta: Symbol, phi: Window) -> np.ndarray:
     """H_eta as a dense L x L matrix; O(L^2 |supp eta|) in fixed chunks."""
-    w = _require_window(phi, eta.L)
+    return _block_operator(eta, _require_window(phi, eta.L), np.arange(eta.L))
+
+
+def _time_support(eta: Symbol, w: np.ndarray) -> np.ndarray:
+    """J, the ascending time indices where H_eta's diagonal exceeds _SUPPORT_RTOL times its trace.
+
+    L times the diagonal, sum_x m(x) |w(t - x)|^2 over the symbol's distinct
+    x, is one gather and matvec of nonnegative terms, so every entry is
+    accurate relative to itself (an FFT convolution would leave noise near
+    1e-16 of the largest entry everywhere).  A zero symbol keeps index 0, so
+    its 1 x 1 block still reports the zero eigenvalue.
+    """
     L = eta.L
-    M = np.zeros((L, L), dtype=np.complex128)
-    scale = np.sqrt(eta.values / L)
-    for lo in range(0, eta.cells.shape[0], _ASSEMBLY_CHUNK):
-        hi = lo + _ASSEMBLY_CHUNK
-        A = shifted_window_columns(L, w, eta.cells[lo:hi]) * scale[lo:hi][None, :]
-        M += A @ A.conj().T
-    return M
+    xs, inv = np.unique(eta.cells[:, 0], return_inverse=True)
+    m = np.bincount(inv, weights=eta.values)
+    d = (np.abs(w) ** 2)[(np.arange(L)[:, None] - xs[None, :]) % L] @ m
+    J = np.flatnonzero(d > _SUPPORT_RTOL * d.sum())
+    return J if J.size else np.zeros(1, dtype=np.int64)
 
 
 def eigendecomp(H: np.ndarray) -> Spectrum:
@@ -106,8 +148,9 @@ def eigendecomp(H: np.ndarray) -> Spectrum:
     return Spectrum(w, Q * factors[None, :], lead)
 
 
-# one shape class: the representative's spectrum and trace, and each member
-# region gamma with its translation z from the representative
+# one shape class: the representative's spectrum and trace measure
+# ||eta||_1 / L, and each member region gamma with its translation z from the
+# representative
 ClassSpectrum = tuple[Spectrum, float, list[tuple[int, tuple[int, int]]]]
 
 
@@ -120,8 +163,11 @@ def class_spectra(symbols: Sequence[Symbol], phi: Window) -> Iterator[ClassSpect
     H_{eta(. - z)} = pi(z) H_eta pi(z)* shares its eigenvalues and has the
     eigenvectors pi(z) v (``Spectrum.translated``).  The classes are grouped
     here; each is then assembled and solved from its representative, its
-    first symbol, only when the stream reaches it.  Classes come in the order
-    of their representatives, each with its members in index order.
+    first symbol, only when the stream reaches it: the block H[J, J] on the
+    representative's time support J (``_time_support``) is eigensolved, so
+    a spectrum has |J| eigenpairs and its eigenvectors are zero off J.
+    Classes come in the order of their representatives, each with its
+    members in index order.
     """
     classes: dict[tuple[bytes, bytes], list[int]] = {}
     for gamma, s in enumerate(symbols):
@@ -134,10 +180,14 @@ def class_spectra(symbols: Sequence[Symbol], phi: Window) -> Iterator[ClassSpect
 
 def _class_spectrum(symbols: Sequence[Symbol], members: list[int], phi: Window) -> ClassSpectrum:
     rep = symbols[members[0]]
-    H = assemble_locop(rep, phi)
     (rx, rxi), L = rep.center, rep.L
+    w = _require_window(phi, L)
+    J = _time_support(rep, w)
+    block = eigendecomp(_block_operator(rep, w, J))
+    V = np.zeros((L, J.size), dtype=np.complex128)
+    V[J] = block.eigenvectors
     shifts = []
     for gamma in members:
         x, xi = symbols[gamma].center
         shifts.append((gamma, ((x - rx) % L, (xi - rxi) % L)))
-    return eigendecomp(H), float(np.trace(H).real), shifts
+    return Spectrum(block.eigenvalues, V, J[block.anchors]), rep.mass / L, shifts

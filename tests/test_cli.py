@@ -11,7 +11,7 @@ import tfloc.cli
 import tfloc.frames
 import tfloc.locop
 from tfloc.cli import load_config, main, resolve_cover
-from tfloc.core import gauss_window
+from tfloc.core import gauss_window, read_signal_csv
 from tfloc.covers import gen_regular_boxes
 from tfloc.gabor import canonical_tight
 
@@ -282,6 +282,18 @@ class TestFrame:
         assert report["timings"] is None
         adm = json.loads((out / "admissibility.json").read_text())
         assert adm["spreadness"] == 1 and adm["inner_radius_ok"] is True
+
+    def test_alpha_count_is_ceil_of_mass_over_L(self, tmp_path):
+        # each 8x8 box at L=64 has measure 64 / 64 = 1, so alpha = 2 keeps 2
+        # atoms; the rounded operator trace, 1.0000000000000004, would keep 3
+        cfg = write_config(tmp_path, basic_config(
+            L=64, cover={"regular": {"bx": 8, "by": 8}},
+            policy={"mode": "alpha", "alpha": 2, "n_max": 64},
+        ))
+        out = tmp_path / "o"
+        assert main(["frame", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert [r["count"] for r in report["regions"]] == [2] * 64
 
     def test_exit_one_when_not_a_frame(self, tmp_path):
         cfg = write_config(
@@ -564,20 +576,28 @@ class TestReconstruct:
         assert (out / "reconstruction.json").read_bytes() == (fresh / "reconstruction.json").read_bytes()
 
     @pytest.mark.parametrize("name", ["regular16.json", "gabor16.json"])
-    def test_only_reconstruct_builds_the_dual(self, tmp_path, monkeypatch, name):
-        # the dual atoms cost one solve of S against G; frame and diagnose never pay it
-        duals, solves = [], []
-        dual_frame, solve = tfloc.frames.FrameCertificate.dual_frame, np.linalg.solve
-        monkeypatch.setattr(tfloc.frames.FrameCertificate, "dual_frame",
-                            lambda cert, frame: duals.append(frame) or dual_frame(cert, frame))
-        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a) or solve(a, b))
-        cfg, out = str(CONFIG_DIR / name), str(tmp_path / "o")
-        assert main(["frame", "--config", cfg, "--out", out]) == 0
-        assert main(["diagnose", "--config", cfg, "--out", out]) == 0
-        assert (duals, solves) == ([], [])
+    def test_cli_never_builds_the_dual(self, tmp_path, monkeypatch, name):
+        # the dual atoms cost one solve of S against all of G; reconstruct
+        # solves S against its one signal, and frame and diagnose never solve
+        def forbidden(cert, frame):
+            raise AssertionError("FrameCertificate.dual_frame called")
+
+        solves, solve = [], np.linalg.solve
+        monkeypatch.setattr(tfloc.frames.FrameCertificate, "dual_frame", forbidden)
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(b.shape) or solve(a, b))
+        cfg, out = str(CONFIG_DIR / name), tmp_path / "o"
+        assert main(["frame", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["diagnose", "--config", cfg, "--out", str(out)]) == 0
+        assert solves == []
         sig = write_random_signal(tmp_path)
-        assert main(["reconstruct", "--config", cfg, "--signal", str(sig), "--out", out]) == 0
-        assert (len(duals), len(solves)) == (1, 1)
+        assert main(["reconstruct", "--config", cfg, "--signal", str(sig), "--out", str(out)]) == 0
+        assert solves == [(16,)]
+        # the same error as the library's cached-dual path on the stored frame
+        monkeypatch.undo()
+        frame = tfloc.frames.read_frame(out / "frame.json", out / "frame_atoms.tfat")
+        _, rel = tfloc.frames.reconstruct(frame, read_signal_csv(sig), tfloc.frames.frame_certificate(frame))
+        rec = json.loads((out / "reconstruction.json").read_text())
+        assert rec["rel_error"] == pytest.approx(rel, abs=1e-12)
 
     def test_wedge32_end_to_end(self, tmp_path):
         sig = write_random_signal(tmp_path, L=32, seed=3)

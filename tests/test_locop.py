@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from tfloc.cli import load_config, resolve_window
 from tfloc.core import gauss_window
-from tfloc.covers import Symbol
+from tfloc.covers import Symbol, gen_random_irregular, gen_regular_boxes, gen_wedge_cover
 from tfloc.errors import InvalidArgumentError
 from tfloc.frames import SelectionPolicy, select_eigenfunctions
-from tfloc.locop import assemble_locop, eigendecomp
+from tfloc.gabor import Lattice, LatticeGaborSystem, _multiplier_symbol, canonical_tight
+from tfloc.locop import _SUPPORT_RTOL, _time_support, assemble_locop, class_spectra, eigendecomp
 
 from helpers import (
     direct_assemble,
@@ -16,6 +18,7 @@ from helpers import (
     shift_matrix,
     shifted_symbol,
     thresholded,
+    write_signal_csv,
 )
 
 L16 = 16
@@ -285,3 +288,125 @@ class TestConjugation:
         dev, spec_dev = conjugation_deviations(box_op, centered_box16(), phi16, (3, 5))
         assert dev <= 1e-9
         assert spec_dev <= 1e-9
+
+
+# the selections whose subspaces the class stream must reproduce
+STREAM_POLICIES = [SelectionPolicy("epsilon", epsilon=0.1), SelectionPolicy("alpha", alpha=1.0)]
+
+
+def assert_stream_matches_dense(symbols, phi):
+    """Each class spectrum of ``class_spectra`` against the dense oracle
+    (``assemble_locop``, then ``eigendecomp``) of its representative: the
+    eigenvalues to 1e-13 lambda_1 over the numerical rank, the measure, the
+    selected counts, and the selected subspaces' projectors to 1e-12 where
+    the cutoff gap is at least 1e-3 lambda_1.  Returns the sizes of J."""
+    sizes, compared = [], 0
+    for spec, measure, members in class_spectra(symbols, phi):
+        rep = symbols[members[0][0]]
+        H = assemble_locop(rep, phi)
+        dense = eigendecomp(H)
+        lam, r = dense.eigenvalues, dense.numerical_rank()
+        sizes.append(spec.eigenvalues.size)
+        assert spec.eigenvectors.shape == (rep.L, sizes[-1])
+        assert spec.numerical_rank() == r
+        np.testing.assert_allclose(spec.eigenvalues[:r], lam[:r], rtol=0, atol=1e-13 * lam[0])
+        assert measure == rep.mass / rep.L
+        assert measure == pytest.approx(np.trace(H).real, rel=1e-12)
+        for policy in STREAM_POLICIES:
+            n = select_eigenfunctions(dense, measure, policy)
+            assert select_eigenfunctions(spec, measure, policy) == n
+            if n == 0 or lam[n - 1] - lam[n] < 1e-3 * lam[0]:
+                continue
+            V, Q = spec.eigenvectors[:, :n], dense.eigenvectors[:, :n]
+            assert np.max(np.abs(V @ V.conj().T - Q @ Q.conj().T)) <= 1e-12
+            compared += 1
+    assert compared > 0
+    return sizes
+
+
+def valued(regions, seed):
+    """The regions with random values in [0.5, 1.5), so each is its own class."""
+    rng = np.random.default_rng(seed)
+    return [Symbol(s.L, s.center, s.cells, 0.5 + rng.random(s.values.size)) for s in regions]
+
+
+def lattice_boxes(L, box, step):
+    """The box x box tiles of Z_L x Z_L restricted to the lattice (step Z)^2."""
+    cells = [(x, xi) for x in range(0, box, step) for xi in range(0, box, step)]
+    return [Symbol.indicator(L, (x0, xi0), (np.array(cells) + (x0, xi0)) % L)
+            for x0 in range(0, L, box) for xi0 in range(0, L, box)]
+
+
+class TestClassStream:
+    """Each class is solved on its time support J; the dense operator is the oracle."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_regular_boxes(64, 8, 8).regions,
+        lambda: gen_regular_boxes(64, 4, 16).regions,
+        lambda: gen_random_irregular(64, 1, 8, 0.5).regions,
+        lambda: gen_random_irregular(64, 2, 8, 0.5).regions,
+        lambda: gen_random_irregular(64, 3, 8, 0.5).regions,
+        lambda: gen_wedge_cover(64, [(0, 32, 8), (32, 64, 16)]).regions,
+        lambda: valued(gen_regular_boxes(64, 8, 8).regions[:16], 5),
+        lambda: valued(gen_random_irregular(64, 4, 8, 0.5).regions[:12], 6),
+    ], ids=["regular8x8", "regular4x16", "irregular1", "irregular2", "irregular3", "wedge",
+            "valued-regular", "valued-irregular"])
+    def test_grid_covers_match_dense(self, make):
+        symbols = make()
+        sizes = assert_stream_matches_dense(symbols, gauss_window(64))
+        assert min(sizes) < 64  # the Gaussian's tails leave indices out
+
+    @pytest.mark.parametrize("valued_seed", [None, 7])
+    def test_lattice_multipliers_match_dense(self, valued_seed):
+        L, lat = 64, Lattice(64, 4, 4)
+        sys_ = LatticeGaborSystem.build(canonical_tight(gauss_window(L), lat), lat)
+        regions = lattice_boxes(L, 16, 4)
+        if valued_seed is not None:
+            regions = valued(regions, valued_seed)
+        symbols = [_multiplier_symbol(s, sys_) for s in regions]
+        assert_stream_matches_dense(symbols, sys_.window)
+
+    def test_window_file_keeps_all_of_L(self, tmp_path):
+        # a window with no small samples: J is all of Z_L, the dense solve
+        rng = np.random.default_rng(8)
+        write_signal_csv(tmp_path / "window.csv", 1.0 + rng.random(32) + 1j * rng.random(32))
+        (tmp_path / "config.json").write_text(
+            '{"L": 32, "window": {"file": "window.csv"}, "cover": {"regular": {"bx": 8, "by": 8}},'
+            ' "policy": {"mode": "epsilon", "epsilon": 0.1}}'
+        )
+        phi = resolve_window(load_config(tmp_path / "config.json"))
+        symbols = gen_random_irregular(32, 9, 8, 0.5).regions
+        assert all(_time_support(s, phi.samples).size == 32 for s in symbols)
+        assert set(assert_stream_matches_dense(symbols, phi)) == {32}
+
+    @pytest.mark.parametrize("seed", [4, 5, 6])
+    def test_dropped_rows_within_bound(self, seed):
+        # H PSD: zeroing all but the J x J block moves H by at most
+        # delta + 2 sqrt(lambda_1 delta) in operator norm, delta = tr(H off J)
+        L = 128
+        phi = gauss_window(L)
+        dropped = 0
+        for s in gen_random_irregular(L, seed, 16, 0.5).regions[:10]:
+            H = assemble_locop(s, phi)
+            J = _time_support(s, phi.samples)
+            off = np.setdiff1d(np.arange(L), J)
+            delta = float(np.trace(H[np.ix_(off, off)]).real)
+            assert delta <= L * _SUPPORT_RTOL * np.trace(H).real
+            E = H.copy()
+            E[np.ix_(J, J)] = 0.0
+            lam1 = np.linalg.eigvalsh(H)[-1]
+            assert np.linalg.norm(E, 2) <= delta + 2.0 * np.sqrt(lam1 * delta)
+            dropped += off.size
+        assert dropped > 0
+
+    def test_support_size_guard(self):
+        # |J| is about b + 7 sqrt(L) for the Gaussian; an FFT-computed
+        # diagonal or a lost threshold would keep nearly all 256 indices
+        phi = gauss_window(256)
+        for s in gen_regular_boxes(256, 16, 16).regions[:3]:
+            assert _time_support(s, phi.samples).size <= 130
+
+    def test_zero_symbol_reports_zero_eigenvalue(self, phi16):
+        [(spec, measure, _)] = class_spectra([Symbol(L16, (3, 3), [(3, 3), (3, 4)], [0.0, 0.0])], phi16)
+        assert spec.eigenvalues.tolist() == [0.0] and measure == 0.0
+        assert spec.numerical_rank() == 0

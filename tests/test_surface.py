@@ -3,10 +3,14 @@
 Every module-level public function and class in ``src/tfloc`` (``__init__.py``
 aside) must be referenced, as a name or an attribute, somewhere in those
 modules or in ``perfbench/child.py`` outside its own definition.  Tests do not
-count: a name that only tests call belongs in ``tests/helpers.py``.
+count: a name that only tests call belongs in ``tests/helpers.py``.  And
+importing the package and its CLI loads no ``scipy``, which only the tests use.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,3 +39,11 @@ def test_every_public_library_name_has_a_caller():
         and not any(node.name in names for other, names in uses if other is not node)
     ]
     assert not unused, f"public names with no caller outside tests: {unused}"
+
+
+def test_import_leaves_scipy_out():
+    # numpy is the only runtime dependency; scipy is a test-only oracle
+    code = "import sys, tfloc, tfloc.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
