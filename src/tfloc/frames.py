@@ -10,6 +10,7 @@ reconstruct f = sum_i <f, g_i> S^{-1} g_i.
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 import warnings
@@ -285,8 +286,12 @@ def norm_equivalence(
     for the plain (K = H) and thresholded variants, 4 for squared (K = H^2).
     Only the first ``numerical_rank()`` eigenpairs, all positive, enter: the
     dropped terms have lam^2 <= RANK_RTOL^2 lam_1^2.  Equal sums are kept
-    once.  A member region's Q is its class spectrum translated to it, and
-    each class spectrum is dropped once all its members are added.
+    once.  The power-2 thresholds, sorted, cut the descending eigenvalues
+    into disjoint bands (e_j, e_{j-1}], each a contiguous slice; each band
+    is added once per region, and a threshold's sum is the bands above it,
+    cumulated from the top.  A member region's Q is its class spectrum
+    translated to it, and each class spectrum is dropped once all its
+    members are added.
     """
     keys = []
     for variant, eps in terms:
@@ -295,17 +300,32 @@ def norm_equivalence(
         if variant == "thresholded" and (eps is None or eps < 0.0):
             raise InvalidArgumentError("thresholded variant requires epsilon >= 0")
         keys.append((_GRAM_POWER[variant], eps if variant == "thresholded" else 0.0))
-    grams = dict.fromkeys(keys, 0.0)
+    cuts = sorted({eps for power, eps in keys if power == 2.0}, reverse=True)
+    quartic = (4.0, 0.0) in keys
+    bands = quartic_sum = None
     for spec, _, members in classes:
         r = spec.numerical_rank()
         lam = spec.eigenvalues[:r]
+        # band j is lam[ends[j]:ends[j + 1]], the eigenvalues in (cuts[j], cuts[j - 1]]
+        ends = [0, *(int(np.sum(lam > eps)) for eps in cuts)]
+        if bands is None:
+            L = spec.eigenvectors.shape[0]
+            bands = [np.zeros((L, L), dtype=np.complex128) for _ in cuts]
+            quartic_sum = np.zeros((L, L), dtype=np.complex128) if quartic else None
         for _, z in members:
             Q = spec.translated(z, r)
-            for power, eps in list(grams):
-                keep = lam > eps
-                grams[power, eps] += (Q[:, keep] * lam[keep] ** power) @ Q[:, keep].conj().T
-        del spec, Q
-    extremes = {key: np.linalg.eigvalsh(G)[[0, -1]] for key, G in grams.items()}
+            QH, Q2 = Q.conj().T, Q * lam ** 2
+            for band, lo, hi in zip(bands, ends, ends[1:]):
+                if hi > lo:
+                    band += Q2[:, lo:hi] @ QH[lo:hi]
+            if quartic:
+                quartic_sum += (Q2 * lam ** 2) @ QH
+        del spec, Q, QH, Q2
+    for above, band in zip(bands, bands[1:]):
+        band += above
+    grams = {(2.0, eps): band for eps, band in zip(cuts, bands)}
+    grams[4.0, 0.0] = quartic_sum
+    extremes = {key: np.linalg.eigvalsh(grams[key])[[0, -1]] for key in set(keys)}
     return [(float(extremes[k][0]), float(extremes[k][1])) for k in keys]
 
 
@@ -332,21 +352,27 @@ def epsilon_sweep(cover: Cover, phi: Window, epsilons) -> list[tuple[float, floa
 # the manifest).  Certificate JSON uses the fixed key set below.
 # ---------------------------------------------------------------------------
 
+# one manifest atom entry as json.dump(..., indent=1) writes it: integers as
+# %d, floats as repr(float), which is how the json encoder writes them
+_ATOM_JSON = '  {\n   "gamma": %d,\n   "k": %d,\n   "lambda": %r,\n   "weight": %r,\n   "offset": %d\n  }'
+
+
 def write_frame(manifest_path, atoms_path, frame: EigenFrame) -> None:
+    """The atoms file, and the manifest with the bytes of ``core.write_json`` from fixed templates."""
     with open(atoms_path, "wb") as fh:
         fh.write(b"TFAT")
         for V in frame.vectors:
             fh.write(np.ascontiguousarray(V.T, dtype="<c16").tobytes())
-    record_len = frame.L * 16
-    columns = zip(frame.gammas.tolist(), frame.ks.tolist(), frame.lams.tolist(), frame.weights.tolist())
-    manifest = {"L": frame.L, "weighted": frame.weighted}
+    offsets = range(4, 4 + frame.lams.size * frame.L * 16, frame.L * 16)
+    columns = zip(frame.gammas.tolist(), frame.ks.tolist(), frame.lams.tolist(),
+                  frame.weights.tolist(), offsets)
+    head = f'{{\n "L": {frame.L},\n "weighted": {"true" if frame.weighted else "false"},\n'
     if frame.source is not None:
-        manifest["source"] = frame.source
-    manifest["atoms"] = [
-        {"gamma": gamma, "k": k, "lambda": lam, "weight": w, "offset": 4 + i * record_len}
-        for i, (gamma, k, lam, w) in enumerate(columns)
-    ]
-    write_json(manifest_path, manifest)
+        head += f' "source": {json.dumps(frame.source)},\n'
+    with open(manifest_path, "w", newline="") as fh:
+        fh.write(head + ' "atoms": [\n')
+        fh.write(",\n".join([_ATOM_JSON % row for row in columns]))
+        fh.write("\n ]\n}\n")
 
 
 def _manifest_columns(entries) -> list[np.ndarray]:

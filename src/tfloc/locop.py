@@ -18,6 +18,21 @@ and columns move H by at most delta + 2 sqrt(lambda_1 delta) in operator
 norm, delta = sum of d off J <= L 1e-32 trace(H): about 1e-16 trace(H).  By
 Weyl and Davis-Kahan the eigenvalues and the selected subspaces move by that
 much (over the cutoff gap, for the subspaces).
+
+For a real window, conjugation gives conj(H_eta) = H_{eta(x, -xi)}.  So when
+eta is symmetric in frequency about an axis c2, eta(x, (c2 - xi) mod L) =
+eta(x, xi) on every cell, as a box, a wedge box and a lattice box are, then
+D* H D is real symmetric, D = diag(e^{i pi c2 t / L}).  The class stream tests
+this exactly (``_frequency_axis``: one candidate axis, then a multiset
+equality of cells and values) and, when it holds and the window is real,
+assembles and eigensolves the block of D* H D in real arithmetic; the
+eigenvectors u map back to D u.  Any other symbol or window gets the complex
+block from the same assembly (``_block_operator``).
+
+Phase convention: each eigenvector is scaled so that its anchor entry is
+real and positive.  The anchor is the lowest index whose magnitude is within
+1e-12 of the column's largest, so exact and rounding-level ties (a mirror
+symmetric region has exact ones) do not let rounding pick it.
 """
 
 from __future__ import annotations
@@ -31,16 +46,16 @@ from .core import Window, _require_window
 from .covers import Symbol
 from .errors import NumericError
 
-# columns of shifted windows are materialized in fixed chunks; keeps memory
-# bounded and the accumulation order deterministic
-_ASSEMBLY_CHUNK = 4096
-
 # eigenvalues <= RANK_RTOL * lambda_1 count as numerically zero in rank reports
 RANK_RTOL = 1e-12
 
 # a class is solved on the time indices whose diagonal entry of H exceeds
 # this fraction of its trace
 _SUPPORT_RTOL = 1e-32
+
+# entries within this fraction of a column's largest magnitude tie for its
+# phase anchor, and the lowest index wins
+_ANCHOR_TIE_RTOL = 1e-12
 
 
 def _unit_roots(L: int) -> np.ndarray:
@@ -53,11 +68,12 @@ class Spectrum:
     """Descending eigenpairs of a Hermitian operator.
 
     Column k of ``eigenvectors`` belongs to ``eigenvalues[k]``.  Each column is
-    scaled so its entry at ``anchors[k]``, its largest-magnitude entry (lowest
-    index on ties), is real and positive; within a degenerate cluster only the
-    spanned subspace is meaningful.  A class spectrum (``class_spectra``)
-    holds only the |J| eigenpairs of the block on its time support J, as
-    L x |J| eigenvectors; H's other eigenvalues are numerically zero.
+    scaled so its entry at ``anchors[k]`` is real and positive: the lowest
+    index whose magnitude is within _ANCHOR_TIE_RTOL of the column's largest.
+    Within a degenerate cluster only the spanned subspace is meaningful.  A
+    class spectrum (``class_spectra``) holds only the |J| eigenpairs of the
+    block on its time support J, as L x |J| eigenvectors; H's other
+    eigenvalues are numerically zero.
 
     By covariance, pi(z) H pi(z)* has the same eigenvalues and the
     eigenvectors pi(z) v_k; ``translated`` carries the phase convention
@@ -90,27 +106,73 @@ class Spectrum:
         return np.roll(V, x, axis=0) * _unit_roots(L)[turns]
 
 
-def shifted_window_columns(L: int, w: np.ndarray, cells: np.ndarray,
-                           rows: np.ndarray | None = None) -> np.ndarray:
-    """Matrix whose column i is pi(cells[i]) w, at the time indices ``rows`` (default all)."""
-    t = np.arange(L)[:, None] if rows is None else rows[:, None]
-    return _unit_roots(L)[(t * cells[None, :, 1]) % L] * w[(t - cells[None, :, 0]) % L]
+def _time_groups(eta: Symbol) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(xs, xis, values): eta's distinct time shifts grouped by equal (xi, value) rows.
+
+    Each group is the time shifts ``xs`` whose cells are exactly
+    (x, xis[k]) with the values ``values[k]``; a box is one group.
+    """
+    order = np.lexsort((eta.cells[:, 1], eta.cells[:, 0]))
+    cells, values = eta.cells[order], eta.values[order]
+    xs, starts = np.unique(cells[:, 0], return_index=True)
+    groups: dict[tuple[bytes, bytes], tuple[np.ndarray, np.ndarray, list[int]]] = {}
+    for x, lo, hi in zip(xs.tolist(), starts, [*starts[1:], cells.shape[0]]):
+        xis, vals = cells[lo:hi, 1], values[lo:hi]
+        groups.setdefault((xis.tobytes(), vals.tobytes()), (xis, vals, []))[2].append(x)
+    return ((np.array(g), xis, vals) for xis, vals, g in groups.values())
 
 
-def _block_operator(eta: Symbol, w: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The principal block H_eta[rows, rows]; O(|rows|^2 |supp eta|) in fixed chunks."""
+def _frequency_axis(eta: Symbol) -> int | None:
+    """A c2 with eta(x, (c2 - xi) mod L) = eta(x, xi) on every cell, or None.
+
+    The one candidate mirrors the arc of the first time column: the xi of
+    its cells, read around the circle from past its widest gap.  The test is
+    exact, a multiset equality of cells and values.
+    """
     L = eta.L
-    M = np.zeros((rows.size, rows.size), dtype=np.complex128)
-    scale = np.sqrt(eta.values / L)
-    for lo in range(0, eta.cells.shape[0], _ASSEMBLY_CHUNK):
-        hi = lo + _ASSEMBLY_CHUNK
-        A = shifted_window_columns(L, w, eta.cells[lo:hi], rows) * scale[lo:hi][None, :]
-        M += A @ A.conj().T
-    return M
+    col = np.sort(eta.cells[eta.cells[:, 0] == eta.cells[:, 0].min(), 1])
+    gaps = np.diff(col, append=col[0] + L)
+    i = int(np.argmax(gaps))
+    c2 = int(col[i] + col[(i + 1) % col.size]) + (L if i + 1 < col.size else 0)
+    flat = eta.cells[:, 0] * L + eta.cells[:, 1]
+    mirrored = flat - eta.cells[:, 1] + (c2 - eta.cells[:, 1]) % L
+    a, b = np.argsort(flat), np.argsort(mirrored)
+    if np.array_equal(flat[a], mirrored[b]) and np.array_equal(eta.values[a], eta.values[b]):
+        return c2 % (2 * L)
+    return None
+
+
+def _block_operator(eta: Symbol, w: np.ndarray, rows: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """The principal block H_eta[rows, rows], or its real form given a frequency axis.
+
+    Summing the modulations of one time group g (``_time_groups``) leaves
+    a Toeplitz factor: H[t, t'] = (1/L) sum_g (sum_{x in g} w(t - x)
+    conj(w(t' - x))) k_g(t - t'), k_g(s) = sum_xi eta(x, xi) e^{2 pi i xi s / L}.
+    Given ``axis`` c2 (``_frequency_axis``) and a real window, the block
+    returned is D* H[rows, rows] D, D = diag(e^{i pi c2 t / L}), assembled in
+    real arithmetic: its kernel is d_g(s) = sum_xi eta cos(pi (2 xi - c2) s / L),
+    which the mirror xi -> c2 - xi makes real.  Every phase is read from
+    the 2L-th roots of unity at an exact integer index.  O(|rows|^2 |supp eta|)
+    at worst; a box costs one |rows| x |rows| product over its time shifts.
+    """
+    L = eta.L
+    roots = _unit_roots(2 * L)
+    if axis is None:
+        axis = 0
+    else:
+        roots, w = roots.real, w.real
+    lags = np.arange(1 - L, L)[:, None]
+    at = rows[:, None] - rows[None, :] + (L - 1)
+    M = np.zeros((rows.size, rows.size), dtype=roots.dtype)
+    for xs, xis, vals in _time_groups(eta):
+        kernel = roots[(lags * (2 * xis - axis)[None, :]) % (2 * L)] @ vals
+        W = w[(rows[:, None] - xs[None, :]) % L]
+        M += (W @ W.conj().T) * kernel[at]
+    return M / L
 
 
 def assemble_locop(eta: Symbol, phi: Window) -> np.ndarray:
-    """H_eta as a dense L x L matrix; O(L^2 |supp eta|) in fixed chunks."""
+    """H_eta as a dense L x L matrix (``_block_operator`` on all rows)."""
     return _block_operator(eta, _require_window(phi, eta.L), np.arange(eta.L))
 
 
@@ -139,7 +201,8 @@ def eigendecomp(H: np.ndarray) -> Spectrum:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
     w = w[::-1].copy()
     Q = Q[:, ::-1].copy()
-    lead = np.argmax(np.abs(Q), axis=0)
+    size = np.abs(Q)
+    lead = np.argmax(size >= (1.0 - _ANCHOR_TIE_RTOL) * size.max(axis=0), axis=0)
     ph = Q[lead, np.arange(Q.shape[1])]
     mag = np.abs(ph)
     safe = mag > 0.0
@@ -164,8 +227,10 @@ def class_spectra(symbols: Sequence[Symbol], phi: Window) -> Iterator[ClassSpect
     eigenvectors pi(z) v (``Spectrum.translated``).  The classes are grouped
     here; each is then assembled and solved from its representative, its
     first symbol, only when the stream reaches it: the block H[J, J] on the
-    representative's time support J (``_time_support``) is eigensolved, so
-    a spectrum has |J| eigenpairs and its eigenvectors are zero off J.
+    representative's time support J (``_time_support``) is eigensolved, as
+    the real D* H[J, J] D when the representative has a frequency axis and
+    the window is real, so a spectrum has |J| eigenpairs and its
+    eigenvectors are zero off J.
     Classes come in the order of their representatives, each with its
     members in index order.
     """
@@ -183,11 +248,16 @@ def _class_spectrum(symbols: Sequence[Symbol], members: list[int], phi: Window) 
     (rx, rxi), L = rep.center, rep.L
     w = _require_window(phi, L)
     J = _time_support(rep, w)
-    block = eigendecomp(_block_operator(rep, w, J))
+    axis = None if w.imag.any() else _frequency_axis(rep)
+    block = eigendecomp(_block_operator(rep, w, J, axis))
+    anchors = J[block.anchors]
     V = np.zeros((L, J.size), dtype=np.complex128)
     V[J] = block.eigenvectors
+    if axis is not None:
+        # D u, times conj(D[anchor]) so that the anchor entry stays positive
+        V[J] *= _unit_roots(2 * L)[(axis * (J[:, None] - anchors[None, :])) % (2 * L)]
     shifts = []
     for gamma in members:
         x, xi = symbols[gamma].center
         shifts.append((gamma, ((x - rx) % L, (xi - rxi) % L)))
-    return Spectrum(block.eigenvalues, V, J[block.anchors]), rep.mass / L, shifts
+    return Spectrum(block.eigenvalues, V, anchors), rep.mass / L, shifts

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tfloc.core import Signal, Window, gauss_window, read_signal_csv, stft
 from tfloc.errors import DimensionError, InvalidArgumentError
-from tfloc.locop import shifted_window_columns
+from tfloc.locop import Spectrum
 
 from helpers import direct_istft, direct_shift, direct_stft, random_signal, write_signal_csv
 
@@ -19,9 +19,14 @@ GAUSS16_PHI1 = 0.48860058332271527519
 
 
 def tf_shift(z, f):
-    """pi(z) f through the library's shifted-window columns, which assemble_locop uses."""
+    """pi(z) f through ``Spectrum.translated``, which moves every class member's eigenvectors.
+
+    With the anchor at -x mod L, the translated anchor is 0, so the phase
+    ``translated`` applies is 1 and the column is pi(z) f itself.
+    """
     L = f.length
-    return Signal(shifted_window_columns(L, f.samples, np.array([z]) % L)[:, 0])
+    x, xi = z[0] % L, z[1] % L
+    return Signal(Spectrum(np.zeros(1), f.samples[:, None], np.array([-x % L])).translated((x, xi))[:, 0])
 
 
 def delta(L, t0=0):

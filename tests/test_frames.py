@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tempfile
 import tracemalloc
@@ -671,6 +672,23 @@ class TestFrameIo:
         write_frame(manifest, atoms, frame16)
         entries = json.loads(manifest.read_text())["atoms"]
         assert [e["offset"] for e in entries] == [4 + i * 16 * L16 for i in range(len(entries))]
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    @pytest.mark.parametrize("source", [None, "3f\"\\é"])
+    def test_manifest_bytes_are_json_dump(self, boxes16, phi16, tmp_path, weighted, source):
+        # the manifest is written from templates; the json encoder is the oracle
+        frame = assemble_frame(boxes16, phi16, SelectionPolicy("epsilon", epsilon=0.2), weighted)
+        frame = dataclasses.replace(frame, source=source)
+        manifest = tmp_path / "frame.json"
+        write_frame(manifest, tmp_path / "atoms.tfat", frame)
+        payload = {"L": frame.L, "weighted": weighted}
+        if source is not None:
+            payload["source"] = source
+        payload["atoms"] = [
+            {"gamma": int(g), "k": int(k), "lambda": float(lam), "weight": float(w), "offset": 4 + i * 16 * L16}
+            for i, (g, k, lam, w) in enumerate(zip(frame.gammas, frame.ks, frame.lams, frame.weights))
+        ]
+        assert manifest.read_bytes() == (json.dumps(payload, indent=1) + "\n").encode()
 
     def test_records_read_at_manifest_offsets(self, frame16, tmp_path):
         # records in reverse order, each after 3 bytes of padding, so no offset is 8-byte aligned

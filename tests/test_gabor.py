@@ -141,10 +141,9 @@ class TestFrameOperator:
 
     def test_tight_system_builds_no_shifted_window_matrix(self, phi16, lat22, monkeypatch):
         def forbidden(*args):
-            raise AssertionError("shifted_window_columns called")
+            raise AssertionError("a grid operator block was assembled")
 
-        monkeypatch.setattr(locop, "shifted_window_columns", forbidden)
-        monkeypatch.setattr(gabor, "shifted_window_columns", forbidden, raising=False)
+        monkeypatch.setattr(locop, "_block_operator", forbidden)
         sys_ = LatticeGaborSystem.build(canonical_tight(phi16, lat22), lat22)
         assert sys_.tight
 

@@ -7,7 +7,15 @@ from tfloc.covers import Symbol, gen_random_irregular, gen_regular_boxes, gen_we
 from tfloc.errors import InvalidArgumentError
 from tfloc.frames import SelectionPolicy, select_eigenfunctions
 from tfloc.gabor import Lattice, LatticeGaborSystem, _multiplier_symbol, canonical_tight
-from tfloc.locop import _SUPPORT_RTOL, _time_support, assemble_locop, class_spectra, eigendecomp
+from tfloc import locop
+from tfloc.locop import (
+    _SUPPORT_RTOL,
+    _frequency_axis,
+    _time_support,
+    assemble_locop,
+    class_spectra,
+    eigendecomp,
+)
 
 from helpers import (
     direct_assemble,
@@ -152,9 +160,14 @@ class TestEigendecomp:
         assert np.max(np.abs(box_op - rec)) <= 1e-8 * (1 + spec.eigenvalues[0])
 
     def test_phase_convention(self, box_op):
-        Q = eigendecomp(box_op).eigenvectors
+        # the anchor is the lowest index whose magnitude is within 1e-12 of
+        # the column's largest: exact and rounding-level ties go to it
+        spec = eigendecomp(box_op)
+        Q = spec.eigenvectors
         for k in range(L16):
-            lead = np.argmax(np.abs(Q[:, k]))
+            mag = np.abs(Q[:, k])
+            lead = min(t for t in range(L16) if mag[t] >= (1 - 1e-12) * mag.max())
+            assert spec.anchors[k] == lead
             v = Q[lead, k]
             assert v.real > 0 and abs(v.imag) <= 1e-12 * abs(v)
 
@@ -324,6 +337,22 @@ def assert_stream_matches_dense(symbols, phi):
     return sizes
 
 
+@pytest.fixture
+def solved(monkeypatch):
+    """The dtypes of the blocks the class stream hands ``eigendecomp``, recorded as it runs."""
+    dtypes = set()
+
+    def recording(H):
+        dtypes.add(H.dtype)
+        return eigendecomp(H)
+
+    monkeypatch.setattr(locop, "eigendecomp", recording)
+    return dtypes
+
+
+REAL, COMPLEX = {np.dtype(np.float64)}, {np.dtype(np.complex128)}
+
+
 def valued(regions, seed):
     """The regions with random values in [0.5, 1.5), so each is its own class."""
     rng = np.random.default_rng(seed)
@@ -340,33 +369,40 @@ def lattice_boxes(L, box, step):
 class TestClassStream:
     """Each class is solved on its time support J; the dense operator is the oracle."""
 
-    @pytest.mark.parametrize("make", [
-        lambda: gen_regular_boxes(64, 8, 8).regions,
-        lambda: gen_regular_boxes(64, 4, 16).regions,
-        lambda: gen_random_irregular(64, 1, 8, 0.5).regions,
-        lambda: gen_random_irregular(64, 2, 8, 0.5).regions,
-        lambda: gen_random_irregular(64, 3, 8, 0.5).regions,
-        lambda: gen_wedge_cover(64, [(0, 32, 8), (32, 64, 16)]).regions,
-        lambda: valued(gen_regular_boxes(64, 8, 8).regions[:16], 5),
-        lambda: valued(gen_random_irregular(64, 4, 8, 0.5).regions[:12], 6),
+    # boxes, wedge boxes and lattice boxes are symmetric in frequency and the
+    # Gaussian and its canonical tight window are real, so they solve real;
+    # random values break the symmetry, and a window file with an imaginary
+    # part keeps every block complex
+    @pytest.mark.parametrize("make, dtypes", [
+        (lambda: gen_regular_boxes(64, 8, 8).regions, REAL),
+        (lambda: gen_regular_boxes(64, 4, 16).regions, REAL),
+        (lambda: gen_random_irregular(64, 1, 8, 0.5).regions, REAL),
+        (lambda: gen_random_irregular(64, 2, 8, 0.5).regions, REAL),
+        (lambda: gen_random_irregular(64, 3, 8, 0.5).regions, REAL),
+        (lambda: gen_wedge_cover(64, [(0, 32, 8), (32, 64, 16)]).regions, REAL),
+        (lambda: valued(gen_regular_boxes(64, 8, 8).regions[:16], 5), COMPLEX),
+        (lambda: valued(gen_random_irregular(64, 4, 8, 0.5).regions[:12], 6), COMPLEX),
     ], ids=["regular8x8", "regular4x16", "irregular1", "irregular2", "irregular3", "wedge",
             "valued-regular", "valued-irregular"])
-    def test_grid_covers_match_dense(self, make):
+    def test_grid_covers_match_dense(self, make, dtypes, solved):
         symbols = make()
         sizes = assert_stream_matches_dense(symbols, gauss_window(64))
         assert min(sizes) < 64  # the Gaussian's tails leave indices out
+        assert solved == dtypes
 
-    @pytest.mark.parametrize("valued_seed", [None, 7])
-    def test_lattice_multipliers_match_dense(self, valued_seed):
+    @pytest.mark.parametrize("valued_seed, dtypes", [(None, REAL), (7, COMPLEX)])
+    def test_lattice_multipliers_match_dense(self, valued_seed, dtypes, solved):
         L, lat = 64, Lattice(64, 4, 4)
         sys_ = LatticeGaborSystem.build(canonical_tight(gauss_window(L), lat), lat)
         regions = lattice_boxes(L, 16, 4)
         if valued_seed is not None:
             regions = valued(regions, valued_seed)
         symbols = [_multiplier_symbol(s, sys_) for s in regions]
+        assert not sys_.window.samples.imag.any()
         assert_stream_matches_dense(symbols, sys_.window)
+        assert solved == dtypes
 
-    def test_window_file_keeps_all_of_L(self, tmp_path):
+    def test_window_file_keeps_all_of_L(self, tmp_path, solved):
         # a window with no small samples: J is all of Z_L, the dense solve
         rng = np.random.default_rng(8)
         write_signal_csv(tmp_path / "window.csv", 1.0 + rng.random(32) + 1j * rng.random(32))
@@ -377,7 +413,31 @@ class TestClassStream:
         phi = resolve_window(load_config(tmp_path / "config.json"))
         symbols = gen_random_irregular(32, 9, 8, 0.5).regions
         assert all(_time_support(s, phi.samples).size == 32 for s in symbols)
+        assert all(_frequency_axis(s) is not None for s in symbols)
         assert set(assert_stream_matches_dense(symbols, phi)) == {32}
+        assert solved == COMPLEX
+
+    @pytest.mark.parametrize("cells, values, axis", [
+        # a box whose xi arc wraps the edge: 61..63, 0..2 mirrors onto itself
+        # about c2 = 61 + 2 + 64 (odd, so D moves by half steps)
+        ([(x, xi % 64) for x in range(20, 26) for xi in range(61, 67)], None, 127),
+        # a lattice column spread over the whole circle
+        ([(x, xi) for x in (0, 4) for xi in range(2, 64, 4)], None, 72),
+        # values that vary in x and, mirrored, in xi
+        ([(x, xi) for x in range(30, 38) for xi in range(10, 17)],
+         [1.0 + 0.25 * x + abs(2 * xi - 26) for x in range(30, 38) for xi in range(10, 17)], 26),
+        # a triangle: column x holds xi = 0..x, no common mirror axis
+        ([(x, xi) for x in range(8) for xi in range(x + 1)], None, None),
+        # a box whose values grow along xi
+        ([(x, xi) for x in range(8) for xi in range(8)], [1.0 + xi for x in range(8) for xi in range(8)], None),
+    ], ids=["wrapping", "lattice-column", "valued", "triangle", "valued-box"])
+    def test_frequency_axis_selects_the_solve(self, cells, values, axis, solved):
+        L = 64
+        values = np.ones(len(cells)) if values is None else np.array(values)
+        s = Symbol(L, cells[len(cells) // 2], cells, values)
+        assert _frequency_axis(s) == axis
+        assert_stream_matches_dense([s], gauss_window(L))
+        assert solved == (COMPLEX if axis is None else REAL)
 
     @pytest.mark.parametrize("seed", [4, 5, 6])
     def test_dropped_rows_within_bound(self, seed):
