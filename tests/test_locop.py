@@ -390,7 +390,8 @@ class TestClassStream:
         assert min(sizes) < 64  # the Gaussian's tails leave indices out
         assert solved == dtypes
 
-    @pytest.mark.parametrize("valued_seed, dtypes", [(None, REAL), (7, COMPLEX)])
+    @pytest.mark.parametrize("valued_seed, dtypes", [(None, REAL), (7, COMPLEX)],
+                             ids=["None", "7"])
     def test_lattice_multipliers_match_dense(self, valued_seed, dtypes, solved):
         L, lat = 64, Lattice(64, 4, 4)
         sys_ = LatticeGaborSystem.build(canonical_tight(gauss_window(L), lat), lat)
