@@ -226,7 +226,7 @@ def resolve_window(cfg: RunConfig) -> Window:
             f"window file has length {sig.length}, config L={cfg.L}",
             path=str(cfg.window_source),
         )
-    return Window(sig.samples).unit()
+    return Window.unit(sig.samples)
 
 
 def resolve_cover(cfg: RunConfig) -> Cover:
@@ -286,7 +286,7 @@ def _region_rows(frame: EigenFrame, cover: Cover) -> list[dict]:
 def _tight_system(cover: Cover, phi: Window, lattice: Lattice) -> LatticeGaborSystem:
     """The canonical tight system, built only for a cover the lattice stream accepts."""
     require_lattice_cover(cover, lattice)
-    return LatticeGaborSystem.build(canonical_tight(phi, lattice), lattice)
+    return canonical_tight(phi, lattice)
 
 
 def _build_frame(cfg: RunConfig, cover: Cover, phi: Window) -> tuple[EigenFrame, dict]:
@@ -440,13 +440,13 @@ def cmd_diagnose(cfg: RunConfig, out_dir: Path) -> int:
     (c_plain, C_plain), (c_sq, C_sq), (c_th, C_th), *rows = norm_equivalence(classes, terms)
     sweep = [(e, c, C) for e, (c, C) in zip(SWEEP_EPSILONS, rows)]
 
-    cs = [row[1] for row in sweep]
-    for prev, nxt in zip(cs, cs[1:]):
-        if nxt > prev + 1e-9:
+    # the constants scale with the square of the symbol values, and so does this tolerance
+    a_tol = 1e-9 * C_plain
+    for (prev, _), (nxt, _) in zip(rows, rows[1:]):
+        if nxt > prev + a_tol:
             raise InternalError(
                 f"thresholded lower constant increased along the sweep: {prev!r} -> {nxt!r}"
             )
-    a_tol = 1e-9 * C_plain
     feasible = [row[0] for row in sweep if row[1] > a_tol]
     payload = {
         "plain": {"c": c_plain, "C": C_plain},

@@ -57,23 +57,20 @@ class Signal:
 
 @dataclass(frozen=True)
 class Window(Signal):
-    """A window on Z_L; ``normalized`` asserts ||phi||_2 = 1 (tol 1e-12)."""
-
-    normalized: bool = False
+    """A unit-norm window on Z_L: ||phi||_2 = 1 to 1e-12, checked on construction."""
 
     def __post_init__(self):
         super().__post_init__()
-        if self.normalized and abs(self.norm - 1.0) > 1e-12:
-            raise InvalidArgumentError(
-                f"window flagged normalized but ||phi||_2 = {self.norm!r}"
-            )
+        if abs(self.norm - 1.0) > 1e-12:
+            raise InvalidArgumentError(f"window must be unit-norm, got ||phi||_2 = {self.norm!r}")
 
-    def unit(self) -> "Window":
-        """Return a unit-norm copy."""
-        n = self.norm
-        if n == 0.0:
+    @staticmethod
+    def unit(samples) -> "Window":
+        """The window ``samples / ||samples||_2``."""
+        sig = Signal(samples)
+        if sig.norm == 0.0:
             raise InvalidArgumentError("cannot normalize the zero window")
-        return Window(self.samples / n, normalized=True)
+        return Window(sig.samples / sig.norm)
 
 
 def gauss_window(L: int) -> Window:
@@ -92,16 +89,7 @@ def gauss_window(L: int) -> Window:
     phi[: L // 2 + 1] = vals
     phi[L // 2 + 1 :] = vals[(L - 1) // 2 : 0 : -1]
     phi /= np.sqrt(np.sum(phi * phi))
-    return Window(phi.astype(np.complex128), normalized=True)
-
-
-def _require_window(phi: Window, L: int) -> np.ndarray:
-    w = _as_complex_vector(phi.samples, L)
-    if abs(np.linalg.norm(w) - 1.0) > 1e-9:
-        raise InvalidArgumentError(
-            f"window must be unit-norm, got ||phi||_2 = {np.linalg.norm(w)!r}"
-        )
-    return w
+    return Window(phi.astype(np.complex128))
 
 
 def stft(f: Signal, phi: Window) -> np.ndarray:
@@ -111,7 +99,7 @@ def stft(f: Signal, phi: Window) -> np.ndarray:
     double sum to ~1e-15 per entry.  Plancherel: sum |V|^2 = L ||f||^2.
     """
     L = f.length
-    w = _require_window(phi, L)
+    w = _as_complex_vector(phi.samples, L)
     V = np.empty((L, L), dtype=np.complex128)
     for x in range(L):
         V[x] = np.fft.fft(f.samples * np.conj(np.roll(w, x)))

@@ -25,6 +25,7 @@ from .errors import (
     EmptyFrameError,
     InvalidArgumentError,
     NotAFrameError,
+    NumericError,
     PreconditionViolation,
 )
 from .locop import ClassSpectrum, Spectrum, class_spectra
@@ -228,6 +229,8 @@ def frame_operator(frame: EigenFrame) -> np.ndarray:
 def frame_certificate(frame: EigenFrame) -> FrameCertificate:
     """Frame bounds as the extreme eigenvalues of S = sum w^2 |v><v|; a frame iff A > 1e-9 B."""
     S = frame_operator(frame)
+    if not np.isfinite(S).all():
+        raise NumericError("frame operator has non-finite entries; the atom weights overflow it")
     ev = np.linalg.eigvalsh(S)
     A, B = float(ev[0]), float(ev[-1])
     a_tol = 1e-9 * B
@@ -325,7 +328,11 @@ def norm_equivalence(
         band += above
     grams = {(2.0, eps): band for eps, band in zip(cuts, bands)}
     grams[4.0, 0.0] = quartic_sum
-    extremes = {key: np.linalg.eigvalsh(grams[key])[[0, -1]] for key in set(keys)}
+    extremes = {}
+    for key in set(keys):
+        if not np.isfinite(grams[key]).all():
+            raise NumericError(f"Gram sum (power, epsilon) = {key} has non-finite entries")
+        extremes[key] = np.linalg.eigvalsh(grams[key])[[0, -1]]
     return [(float(extremes[k][0]), float(extremes[k][1])) for k in keys]
 
 

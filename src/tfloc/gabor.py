@@ -87,47 +87,23 @@ def _walnut_blocks(phi: Window, lattice: Lattice) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LatticeGaborSystem:
-    """A window on a lattice with the spectrum of its frame operator S.
+    """A tight window on a lattice, as only ``canonical_tight`` makes it.
 
-    ``block_eigenvalues`` is (L/b, b): row r holds the ascending eigenvalues
-    of S's Walnut block r.
+    ``tight_constant`` is A of the tight expansion f = A sum <f, pi phi> pi phi:
+    L / trace(S), the inverse mean eigenvalue of S, which is 1/lambda(S).
     """
 
     window: Window
     lattice: Lattice
-    block_eigenvalues: np.ndarray
-
-    @property
-    def A_gab(self) -> float:
-        return float(self.block_eigenvalues.min())
-
-    @property
-    def B_gab(self) -> float:
-        return float(self.block_eigenvalues.max())
-
-    @property
-    def tight(self) -> bool:
-        return self.A_gab > 0.0 and self.B_gab / self.A_gab <= 1.0 + _TIGHT_CONDITION_TOL
-
-    @property
-    def tight_constant(self) -> float:
-        """A of the tight expansion f = A sum <f, pi phi> pi phi.
-
-        Computed as L / trace(S) = 1 / (mean eigenvalue); for a tight system
-        this equals 1/lambda(S).
-        """
-        return self.lattice.L / float(self.block_eigenvalues.sum())
-
-    @staticmethod
-    def build(phi: Window, lattice: Lattice) -> "LatticeGaborSystem":
-        return LatticeGaborSystem(phi, lattice, np.linalg.eigvalsh(_walnut_blocks(phi, lattice)))
+    tight_constant: float
 
 
-def canonical_tight(phi: Window, lattice: Lattice) -> Window:
-    """The unit-norm canonical tight window S^{-1/2} phi, block by block.
+def canonical_tight(phi: Window, lattice: Lattice) -> LatticeGaborSystem:
+    """The tight system of the unit-norm canonical tight window S^{-1/2} phi, block by block.
 
     Rejects systems whose frame operator is numerically singular
-    (lambda_min <= 1e-9 * lambda_max).
+    (lambda_min <= 1e-9 * lambda_max), and a tight window whose own Walnut
+    blocks have condition above 1 + 1e-8, which an ill-conditioned S leaves.
     """
     w, Q = np.linalg.eigh(_walnut_blocks(phi, lattice))
     A_gab, B_gab = float(w.min()), float(w.max())
@@ -140,16 +116,15 @@ def canonical_tight(phi: Window, lattice: Lattice) -> Window:
     f = _residue_rows(_as_complex_vector(phi.samples, lattice.L), lattice)[:, :, None]
     g = Q @ ((Q.conj().transpose(0, 2, 1) @ f) / np.sqrt(w)[:, :, None])
     phit = g[:, :, 0].T.reshape(-1)
-    phit = phit / np.linalg.norm(phit)
-    return Window(phit, normalized=True)
-
-
-def _require_tight(sys: LatticeGaborSystem) -> None:
-    if not sys.tight:
+    window = Window(phit / np.linalg.norm(phit))
+    ev = np.linalg.eigvalsh(_walnut_blocks(window, lattice))
+    condition = float(ev.max() / ev.min()) if ev.min() > 0.0 else float("inf")
+    if condition > 1.0 + _TIGHT_CONDITION_TOL:
         raise PreconditionViolation(
-            "Gabor multipliers need a tight system; run canonical_tight first "
-            f"(condition {sys.B_gab / sys.A_gab if sys.A_gab > 0 else float('inf')!r})"
+            f"canonical tight window is not tight: its Walnut blocks have condition {condition!r} "
+            f"> 1 + {_TIGHT_CONDITION_TOL!r}, left by a window system of condition {B_gab / A_gab!r}"
         )
+    return LatticeGaborSystem(window, lattice, lattice.L / float(ev.sum()))
 
 
 def _multiplier_symbol(symbol: Symbol, sys: LatticeGaborSystem) -> Symbol:
@@ -167,11 +142,10 @@ def _multiplier_symbol(symbol: Symbol, sys: LatticeGaborSystem) -> Symbol:
 
 
 def gabor_multiplier(m, sys: LatticeGaborSystem) -> np.ndarray:
-    """GM_m = A sum m(lam) |pi(lam) phi><pi(lam) phi| for a tight system, as an L x L matrix.
+    """GM_m = A sum m(lam) |pi(lam) phi><pi(lam) phi| as an L x L matrix.
 
     ``m`` is an (L/a, L/b) nonnegative array over the lattice index grid.
     """
-    _require_tight(sys)
     lat = sys.lattice
     shape = (lat.L // lat.a, lat.L // lat.b)
     m = np.asarray(m, dtype=np.float64)
@@ -214,10 +188,9 @@ def multiplier_classes(cover: Cover, sys: LatticeGaborSystem) -> Iterator[ClassS
 
     A region's multiplier is the localization operator of its lattice symbol
     scaled by A L, so the stream is ``class_spectra`` of those symbols.  The
-    system must be tight and the cover must pass ``require_lattice_cover``;
-    both are checked before the first multiplier is built.
+    cover must pass ``require_lattice_cover``, which is checked before the
+    first multiplier is built.
     """
-    _require_tight(sys)
     require_lattice_cover(cover, sys.lattice)
     return class_spectra([_multiplier_symbol(s, sys) for s in cover.regions], sys.window)
 

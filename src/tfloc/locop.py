@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Window, _require_window
+from .core import Window, _as_complex_vector
 from .covers import Symbol
 from .errors import NumericError
 
@@ -173,7 +173,7 @@ def _block_operator(eta: Symbol, w: np.ndarray, rows: np.ndarray, axis: int | No
 
 def assemble_locop(eta: Symbol, phi: Window) -> np.ndarray:
     """H_eta as a dense L x L matrix (``_block_operator`` on all rows)."""
-    return _block_operator(eta, _require_window(phi, eta.L), np.arange(eta.L))
+    return _block_operator(eta, _as_complex_vector(phi.samples, eta.L), np.arange(eta.L))
 
 
 def _time_support(eta: Symbol, w: np.ndarray) -> np.ndarray:
@@ -195,6 +195,8 @@ def _time_support(eta: Symbol, w: np.ndarray) -> np.ndarray:
 
 def eigendecomp(H: np.ndarray) -> Spectrum:
     """Descending eigendecomposition of Hermitian H with the deterministic phase convention."""
+    if not np.isfinite(H).all():
+        raise NumericError("operator has non-finite entries; the symbol values overflow it")
     try:
         w, Q = np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:
@@ -246,7 +248,7 @@ def class_spectra(symbols: Sequence[Symbol], phi: Window) -> Iterator[ClassSpect
 def _class_spectrum(symbols: Sequence[Symbol], members: list[int], phi: Window) -> ClassSpectrum:
     rep = symbols[members[0]]
     (rx, rxi), L = rep.center, rep.L
-    w = _require_window(phi, L)
+    w = _as_complex_vector(phi.samples, L)
     J = _time_support(rep, w)
     axis = None if w.imag.any() else _frequency_axis(rep)
     block = eigendecomp(_block_operator(rep, w, J, axis))

@@ -187,6 +187,18 @@ def random_signal(rng, L, unit=False):
     return v
 
 
+def ill_conditioned_window():
+    """16 window samples whose system on the lattice a = b = 4 has condition
+    between 1e8 and 1e9: the samples at t = 0 mod 4 are (1, 1, 1, 1) plus a
+    3.16e-4 perturbation, so the Walnut block of those samples is nearly the
+    rank-one all-ones matrix; the rest are random (seed 1)."""
+    rng = np.random.default_rng(1)
+    v = np.empty(16, complex)
+    v[::4] = 1.0 + 3.16e-4 * np.array([1.0, 2j, -1.0, 0.5])
+    v[np.arange(16) % 4 != 0] = random_signal(rng, 12)
+    return v
+
+
 def random_symbol_values(rng, L):
     """Nonnegative random mask over the full grid, as (cells, values)."""
     cells = [(x, xi) for x in range(L) for xi in range(L)]

@@ -10,12 +10,19 @@ from hypothesis import strategies as st
 import tfloc.cli
 import tfloc.frames
 import tfloc.locop
-from tfloc.cli import load_config, main, resolve_cover
+from tfloc.cli import load_config, main, resolve_cover, resolve_window
 from tfloc.core import gauss_window, read_signal_csv
-from tfloc.covers import gen_regular_boxes
+from tfloc.covers import gen_random_irregular, gen_regular_boxes
 from tfloc.gabor import canonical_tight
 
-from helpers import HUGE_INTEGERS, cover_dict, direct_gabor_multiplier, lattice_mask, write_signal_csv
+from helpers import (
+    HUGE_INTEGERS,
+    cover_dict,
+    direct_gabor_multiplier,
+    ill_conditioned_window,
+    lattice_mask,
+    write_signal_csv,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -433,6 +440,41 @@ class TestFrame:
         report = json.loads((out / "report.json").read_text())
         assert report["rank_rtol"] == 1e-12
 
+    @pytest.mark.parametrize("value", [1e200, 1e308])
+    @pytest.mark.parametrize("command", ["frame", "diagnose"])
+    def test_huge_symbol_values_are_numeric_errors(self, tmp_path, command, value):
+        # 1e200 overflows S and the Gram sums, 1e308 the region operator itself
+        cover = cover_dict(gen_regular_boxes(16, 4, 4))
+        for region in cover["regions"]:
+            region["values"] = [value] * len(region["cells"])
+        (tmp_path / "cover.json").write_text(json.dumps(cover))
+        cfg = write_config(tmp_path, basic_config(cover={"file": "cover.json"}))
+        out = tmp_path / "o"
+        # numpy warns of the overflow on its way to the typed error
+        with pytest.warns(RuntimeWarning, match="overflow encountered|invalid value encountered"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert json.loads((out / "error.json").read_text())["code"] == "numeric-error"
+
+    @pytest.mark.parametrize("command", ["frame", "diagnose"])
+    def test_ill_conditioned_window_names_the_tightness_condition(self, tmp_path, command):
+        write_signal_csv(tmp_path / "window.csv", ill_conditioned_window())
+        cells = [[x, xi] for x in range(0, 16, 4) for xi in range(0, 16, 4)]
+        cover = {"L": 16, "regions": [{"center": [0, 0], "cells": cells}]}
+        (tmp_path / "cover.json").write_text(json.dumps(cover))
+        cfg = write_config(tmp_path, basic_config(
+            window={"file": "window.csv"}, cover={"file": "cover.json"}, lattice={"a": 4, "b": 4}
+        ))
+        config = load_config(cfg)
+        ev = np.linalg.eigvalsh(tfloc.gabor._walnut_blocks(resolve_window(config), config.lattice))
+        assert 1e8 < ev.max() / ev.min() < 1e9  # inside canonical_tight's 1e-9 frame floor
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["code"] == "precondition-violation"
+        assert "canonical tight window is not tight" in err["message"]
+        assert "condition" in err["message"]
+        assert "run canonical_tight first" not in err["message"]
+
     def test_bad_threads_env_is_ignored(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, basic_config())
         monkeypatch.setenv("TFLOC_THREADS", "abc")
@@ -642,6 +684,30 @@ class TestDiagnose:
         assert err["context"]["cell_index"] == 5
         assert "(1, 2)" in err["message"]
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sweep_check_scales_with_the_values(self, tmp_path, seed):
+        # values near 1e7 put the constants near 5e13, where the sweep's
+        # rounding is far above an absolute 1e-9
+        s = 1e7
+        rng = np.random.default_rng(seed)
+        cover = cover_dict(gen_random_irregular(32, seed, 8, 0.5))
+        for region in cover["regions"]:
+            region["values"] = (0.5 + rng.random(len(region["cells"]))).tolist()
+        diagnostics = []
+        for scale in (1.0, s):
+            scaled = {**cover, "regions": [
+                {**region, "values": [scale * v for v in region["values"]]} for region in cover["regions"]
+            ]}
+            (tmp_path / f"cover{scale}.json").write_text(json.dumps(scaled))
+            cfg = write_config(tmp_path, basic_config(L=32, cover={"file": f"cover{scale}.json"}))
+            out = tmp_path / f"o{scale}"
+            assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == 0
+            diagnostics.append(json.loads((out / "diagnostics.json").read_text()))
+        base, big = diagnostics
+        for variant, power in (("plain", 2), ("squared", 4)):
+            for bound in ("c", "C"):
+                assert big[variant][bound] == pytest.approx(s**power * base[variant][bound], rel=1e-12)
+
     def test_lattice_config_against_oracle(self, tmp_path):
         cfg_path = CONFIG_DIR / "gabor16.json"
         assert main(["diagnose", "--config", str(cfg_path), "--out", str(tmp_path / "d")]) == 0
@@ -651,7 +717,7 @@ class TestDiagnose:
 
         cfg = load_config(cfg_path)
         lat = cfg.lattice
-        phit = canonical_tight(gauss_window(cfg.L), lat).samples
+        phit = canonical_tight(gauss_window(cfg.L), lat).window.samples
         G2 = np.zeros((cfg.L, cfg.L), complex)
         G4 = np.zeros((cfg.L, cfg.L), complex)
         for s in resolve_cover(cfg).regions:

@@ -154,9 +154,8 @@ class TestStft:
             stft(delta(8), gauss_window(16))
 
     def test_rejects_unnormalized_window(self):
-        w = Window(2.0 * gauss_window(8).samples)
         with pytest.raises(InvalidArgumentError):
-            stft(delta(8), w)
+            Window(2.0 * gauss_window(8).samples)
 
 
 class TestIstft:
@@ -188,7 +187,7 @@ class TestSignalValidation:
 
     def test_window_normalized_flag_checked(self):
         with pytest.raises(InvalidArgumentError):
-            Window(np.array([1.0, 1.0]), normalized=True)
+            Window(np.array([1.0, 1.0]))
 
 
 class TestSignalCsv:

@@ -27,7 +27,7 @@ from tfloc.frames import (
     write_certificate_json,
     write_frame,
 )
-from tfloc.gabor import Lattice, LatticeGaborSystem, canonical_tight, gabor_eigenframe
+from tfloc.gabor import Lattice, canonical_tight, gabor_eigenframe
 from tfloc.locop import RANK_RTOL, eigendecomp
 
 from helpers import (
@@ -256,7 +256,7 @@ def direct_region_operators(cfg, cover, phi):
     if cfg.lattice is None:
         return list(region_operators(cover, phi))
     lat = cfg.lattice
-    phit = canonical_tight(phi, lat).samples
+    phit = canonical_tight(phi, lat).window.samples
     return [
         direct_gabor_multiplier(cfg.L, lat.a, lat.b, phit, lattice_mask(s, lat))
         for s in cover.regions
@@ -403,7 +403,7 @@ class TestOnePass:
     def test_lattice_frame_peak(self):
         lattice = Lattice(self.L, 4, 4)
         cover = lattice_box_cover(self.L, 16, 4)
-        sys_ = LatticeGaborSystem.build(canonical_tight(gauss_window(self.L), lattice), lattice)
+        sys_ = canonical_tight(gauss_window(self.L), lattice)
         assert len(cover.regions) == 16
         peak = traced_peak_bytes(lambda: gabor_eigenframe(cover, sys_, self.POLICY))
         assert peak < 20 * self.L**2 * 16
@@ -417,7 +417,7 @@ class TestOnePass:
             return lambda: assemble_frame(cover, phi, self.POLICY)
         lattice = Lattice(self.L, 4, 4)
         cover = lattice_box_cover(self.L, 16, 4)
-        sys_ = LatticeGaborSystem.build(canonical_tight(phi, lattice), lattice)
+        sys_ = canonical_tight(phi, lattice)
         return lambda: gabor_eigenframe(cover, sys_, self.POLICY)
 
     @pytest.mark.parametrize("variant", ["grid", "lattice"])

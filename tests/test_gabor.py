@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import fractional_matrix_power
 
 from tfloc import gabor, locop
-from tfloc.core import gauss_window
+from tfloc.core import Window, gauss_window
 from tfloc.covers import Cover, Symbol
 from tfloc.errors import InvalidArgumentError, NotAFrameError, PreconditionViolation
 from tfloc.frames import SelectionPolicy, frame_certificate, frame_operator
@@ -17,7 +17,13 @@ from tfloc.gabor import (
 )
 from tfloc.locop import assemble_locop, eigendecomp
 
-from helpers import dense_gabor_frame_operator, direct_gabor_multiplier, lattice_mask, shift_matrix
+from helpers import (
+    dense_gabor_frame_operator,
+    direct_gabor_multiplier,
+    ill_conditioned_window,
+    lattice_mask,
+    shift_matrix,
+)
 
 L16 = 16
 
@@ -49,7 +55,7 @@ def lat22():
 
 @pytest.fixture(scope="module")
 def tight22(phi16, lat22):
-    return LatticeGaborSystem.build(canonical_tight(phi16, lat22), lat22)
+    return canonical_tight(phi16, lat22)
 
 
 def walnut_to_dense(blocks, L):
@@ -104,18 +110,18 @@ class TestFrameOperator:
         blocks = gabor._walnut_blocks(phi16, lat)
         assert blocks.shape == (L16, 1, 1)
         assert np.max(np.abs(walnut_to_dense(blocks, L16) - L16 * np.eye(L16))) <= 1e-9
-        sys_ = LatticeGaborSystem.build(phi16, lat)
-        assert sys_.A_gab == pytest.approx(L16, abs=1e-9)
-        assert sys_.B_gab == pytest.approx(L16, abs=1e-9)
+        ev = np.linalg.eigvalsh(blocks)
+        assert ev.min() == pytest.approx(L16, abs=1e-9)
+        assert ev.max() == pytest.approx(L16, abs=1e-9)
 
     def test_golden_bounds(self, phi16, lat22):
-        sys_ = LatticeGaborSystem.build(phi16, lat22)
-        assert sys_.A_gab == pytest.approx(GABOR16_A, abs=1e-8)
-        assert sys_.B_gab == pytest.approx(GABOR16_B, abs=1e-8)
+        ev = np.linalg.eigvalsh(gabor._walnut_blocks(phi16, lat22))
+        assert ev.min() == pytest.approx(GABOR16_A, abs=1e-8)
+        assert ev.max() == pytest.approx(GABOR16_B, abs=1e-8)
 
     def test_undersampled_reports_zero_lower_bound(self, phi16):
         lat = Lattice(L16, 8, 8)  # 4 points < 16 dimensions
-        assert abs(LatticeGaborSystem.build(phi16, lat).A_gab) <= 1e-9
+        assert abs(np.linalg.eigvalsh(gabor._walnut_blocks(phi16, lat)).min()) <= 1e-9
 
     def test_commutes_with_lattice_shifts(self, phi16, lat22):
         S = walnut_to_dense(gabor._walnut_blocks(phi16, lat22), L16)
@@ -131,37 +137,38 @@ class TestFrameOperator:
         ev = np.linalg.eigvalsh(S)
         blocks = gabor._walnut_blocks(phi, lat)
         assert np.max(np.abs(walnut_to_dense(blocks, L) - S)) <= 1e-12 * ev[-1]
-        sys_ = LatticeGaborSystem.build(phi, lat)
-        assert sys_.A_gab == pytest.approx(ev[0], rel=1e-12)
-        assert sys_.B_gab == pytest.approx(ev[-1], rel=1e-12)
-        assert sys_.tight_constant == pytest.approx(L / np.trace(S).real, rel=1e-12)
-        phit = canonical_tight(phi, lat)
-        assert np.max(np.abs(phit.samples - dense_tight(phi, L, a, b))) <= 1e-12
-        assert LatticeGaborSystem.build(phit, lat).tight
+        block_ev = np.linalg.eigvalsh(blocks)
+        assert block_ev.min() == pytest.approx(ev[0], rel=1e-12)
+        assert block_ev.max() == pytest.approx(ev[-1], rel=1e-12)
+        sys_ = canonical_tight(phi, lat)
+        assert np.max(np.abs(sys_.window.samples - dense_tight(phi, L, a, b))) <= 1e-12
+        S_tight = dense_gabor_frame_operator(L, a, b, sys_.window.samples)
+        ev_tight = np.linalg.eigvalsh(S_tight)
+        assert ev_tight[-1] / ev_tight[0] <= 1 + 1e-8
+        assert sys_.tight_constant == pytest.approx(L / np.trace(S_tight).real, rel=1e-12)
 
     def test_tight_system_builds_no_shifted_window_matrix(self, phi16, lat22, monkeypatch):
         def forbidden(*args):
             raise AssertionError("a grid operator block was assembled")
 
         monkeypatch.setattr(locop, "_block_operator", forbidden)
-        sys_ = LatticeGaborSystem.build(canonical_tight(phi16, lat22), lat22)
-        assert sys_.tight
+        assert isinstance(canonical_tight(phi16, lat22), LatticeGaborSystem)
 
 
 class TestCanonicalTight:
     def test_already_tight_returns_same_window(self, phi16):
-        phit = canonical_tight(phi16, Lattice(L16, 1, 1))
+        phit = canonical_tight(phi16, Lattice(L16, 1, 1)).window
         assert abs(abs(np.vdot(phit.samples, phi16.samples)) - 1.0) <= 1e-12
 
     def test_forces_tightness(self, tight22):
-        assert tight22.tight
-        assert tight22.B_gab / tight22.A_gab <= 1 + 1e-8
+        ev = np.linalg.eigvalsh(gabor._walnut_blocks(tight22.window, tight22.lattice))
+        assert ev.max() / ev.min() <= 1 + 1e-8
         assert tight22.tight_constant == pytest.approx(L16 / tight22.lattice.n_points, rel=1e-9)
 
     def test_against_matrix_power_oracle(self):
         for L, a, b in [(16, 2, 2), (240, 4, 6)]:
             phi = gauss_window(L)
-            phit = canonical_tight(phi, Lattice(L, a, b))
+            phit = canonical_tight(phi, Lattice(L, a, b)).window
             S = dense_gabor_frame_operator(L, a, b, phi.samples)
             oracle = fractional_matrix_power(S, -0.5) @ phi.samples
             oracle = oracle / np.linalg.norm(oracle)
@@ -170,6 +177,14 @@ class TestCanonicalTight:
     def test_not_a_frame_rejected(self, phi16):
         with pytest.raises(NotAFrameError):
             canonical_tight(phi16, Lattice(L16, 8, 8))
+
+    def test_ill_conditioned_window_rejected(self):
+        # inside the 1e-9 frame floor, but S^{-1/2} phi misses tightness by about 4e-8
+        phi, lat = Window.unit(ill_conditioned_window()), Lattice(L16, 4, 4)
+        ev = np.linalg.eigvalsh(gabor._walnut_blocks(phi, lat))
+        assert 1e8 < ev.max() / ev.min() < 1e9
+        with pytest.raises(PreconditionViolation, match="canonical tight window is not tight"):
+            canonical_tight(phi, lat)
 
 
 class TestGaborMultiplier:
@@ -216,7 +231,7 @@ class TestGaborMultiplier:
             np.testing.assert_allclose(ev_s, ev, atol=1e-9)
 
     def test_full_grid_bridge_to_locop(self, phi16):
-        sys1 = LatticeGaborSystem.build(phi16, Lattice(L16, 1, 1))
+        sys1 = canonical_tight(phi16, Lattice(L16, 1, 1))
         rng = np.random.default_rng(42)
         m = rng.random((L16, L16))
         GM = gabor_multiplier(m, sys1)
@@ -229,12 +244,6 @@ class TestGaborMultiplier:
         m[0, 0] = -1.0
         with pytest.raises(InvalidArgumentError):
             gabor_multiplier(m, tight22)
-
-    def test_rejects_non_tight_system(self, phi16, lat22):
-        loose = LatticeGaborSystem.build(phi16, lat22)  # condition ~ 1.015
-        assert not loose.tight
-        with pytest.raises(PreconditionViolation):
-            gabor_multiplier(np.ones((8, 8)), loose)
 
 
 def random_lattice_cover(rng, L, a, b, n_regions):

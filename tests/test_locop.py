@@ -6,7 +6,7 @@ from tfloc.core import gauss_window
 from tfloc.covers import Symbol, gen_random_irregular, gen_regular_boxes, gen_wedge_cover
 from tfloc.errors import InvalidArgumentError
 from tfloc.frames import SelectionPolicy, select_eigenfunctions
-from tfloc.gabor import Lattice, LatticeGaborSystem, _multiplier_symbol, canonical_tight
+from tfloc.gabor import Lattice, _multiplier_symbol, canonical_tight
 from tfloc import locop
 from tfloc.locop import (
     _SUPPORT_RTOL,
@@ -394,7 +394,7 @@ class TestClassStream:
                              ids=["None", "7"])
     def test_lattice_multipliers_match_dense(self, valued_seed, dtypes, solved):
         L, lat = 64, Lattice(64, 4, 4)
-        sys_ = LatticeGaborSystem.build(canonical_tight(gauss_window(L), lat), lat)
+        sys_ = canonical_tight(gauss_window(L), lat)
         regions = lattice_boxes(L, 16, 4)
         if valued_seed is not None:
             regions = valued(regions, valued_seed)

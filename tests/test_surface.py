@@ -1,10 +1,11 @@
 """The library exports only what the CLI, the other modules and the benchmark use.
 
 Every module-level public function and class in ``src/tfloc`` (``__init__.py``
-aside) must be referenced, as a name or an attribute, somewhere in those
-modules or in ``perfbench/child.py`` outside its own definition.  Tests do not
-count: a name that only tests call belongs in ``tests/helpers.py``.  And
-importing the package and its CLI loads no ``scipy``, which only the tests use.
+aside), and every public method or property of such a class, must be
+referenced, as a name or an attribute, somewhere in those modules or in
+``perfbench/child.py`` outside its own definition.  Tests do not count: a
+name that only tests call belongs in ``tests/helpers.py``.  And importing the
+package and its CLI loads no ``scipy``, which only the tests use.
 """
 
 import ast
@@ -26,8 +27,13 @@ def names_used(node):
     }
 
 
+def parse_sources():
+    """The syntax trees of the library modules, then of ``perfbench/child.py``."""
+    return [ast.parse(p.read_text()) for p in [*MODULES, ROOT / "perfbench" / "child.py"]]
+
+
 def test_every_public_library_name_has_a_caller():
-    trees = [ast.parse(p.read_text()) for p in [*MODULES, ROOT / "perfbench" / "child.py"]]
+    trees = parse_sources()
     # each top-level statement with the names it uses; a definition's own
     # statement does not count as a use of it
     uses = [(node, names_used(node)) for tree in trees for node in tree.body]
@@ -39,6 +45,28 @@ def test_every_public_library_name_has_a_caller():
         and not any(node.name in names for other, names in uses if other is not node)
     ]
     assert not unused, f"public names with no caller outside tests: {unused}"
+
+
+def test_every_public_method_has_a_caller():
+    trees = parse_sources()
+    # each top-level statement, a class body statement by statement, with the
+    # names it uses; a method's own definition does not count as a use of it
+    uses = [
+        (stmt, names_used(stmt))
+        for tree in trees
+        for node in tree.body
+        for stmt in (node.body if isinstance(node, ast.ClassDef) else [node])
+    ]
+    unused = [
+        f"{path.stem}.{cls.name}.{fn.name}"
+        for path, tree in zip(MODULES, trees)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+        and not any(fn.name in names for other, names in uses if other is not fn)
+    ]
+    assert not unused, f"public methods and properties with no caller outside tests: {unused}"
 
 
 def test_import_leaves_scipy_out():
