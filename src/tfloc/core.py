@@ -66,11 +66,14 @@ class Window(Signal):
 
     @staticmethod
     def unit(samples) -> "Window":
-        """The window ``samples / ||samples||_2``."""
+        """The window ``samples / ||samples||_2``, normed after dividing by the
+        largest magnitude so that the norm neither overflows nor underflows."""
         sig = Signal(samples)
-        if sig.norm == 0.0:
+        peak = np.abs(sig.samples).max()
+        if peak == 0.0:
             raise InvalidArgumentError("cannot normalize the zero window")
-        return Window(sig.samples / sig.norm)
+        scaled = sig.samples / peak
+        return Window(scaled / np.linalg.norm(scaled))
 
 
 def gauss_window(L: int) -> Window:

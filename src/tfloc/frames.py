@@ -43,8 +43,8 @@ class SelectionPolicy:
     grid analogue of the region's area); the implied threshold is
     epsilon = 1/alpha.  ``epsilon`` mode keeps the
     eigenvalues strictly above ``epsilon``.  Both are capped at ``n_max`` and
-    at the numerical rank (``Spectrum.numerical_rank``), so no eigenvector of
-    a numerically zero eigenvalue is selected; epsilon = 0 keeps the rank.
+    at the size of the spectrum, which holds no numerically zero eigenvalue
+    (``Spectrum``); epsilon = 0 keeps them all.
     """
 
     mode: str
@@ -77,7 +77,7 @@ def select_eigenfunctions(spec: Spectrum, measure: float, policy: SelectionPolic
         n = math.ceil(policy.alpha * measure)
     else:
         n = int(np.sum(spec.eigenvalues > policy.epsilon))
-    return max(min(n, policy.n_max, spec.numerical_rank()), 0)
+    return max(min(n, policy.n_max, spec.eigenvalues.size), 0)
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ def eigenframe_from_classes(L: int, classes: Iterable[ClassSpectrum], policy: Se
     by_region: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for spec, measure, members in classes:
         n = select_eigenfunctions(spec, measure, policy)
-        if spec.eigenvalues[0] <= _DEGENERATE_TOL:
+        if spec.eigenvalues.max(initial=0.0) <= _DEGENERATE_TOL:
             for gamma, _ in members:
                 warnings.warn(
                     f"region {gamma} has a numerically zero operator; contributing no atoms",
@@ -287,12 +287,12 @@ def norm_equivalence(
     A term's Gram sum is sum_gamma Q diag(lam^power) Q* over each region's
     eigenpairs (lam, Q) with lam > epsilon (0 for plain and squared): power 2
     for the plain (K = H) and thresholded variants, 4 for squared (K = H^2).
-    Only the first ``numerical_rank()`` eigenpairs, all positive, enter: the
-    dropped terms have lam^2 <= RANK_RTOL^2 lam_1^2.  Equal sums are kept
-    once.  The power-2 thresholds, sorted, cut the descending eigenvalues
-    into disjoint bands (e_j, e_{j-1}], each a contiguous slice; each band
-    is added once per region, and a threshold's sum is the bands above it,
-    cumulated from the top.  A member region's Q is its class spectrum
+    A spectrum holds only the eigenpairs above RANK_RTOL lam_1 (``Spectrum``),
+    so the terms left out have lam^2 <= RANK_RTOL^2 lam_1^2.  Equal sums are
+    kept once.  The power-2 thresholds, sorted, cut the descending
+    eigenvalues into disjoint bands (e_j, e_{j-1}], each a contiguous slice;
+    each band is added once per region, and a threshold's sum is the bands
+    above it, cumulated from the top.  A member region's Q is its class spectrum
     translated to it, and each class spectrum is dropped once all its
     members are added.
     """
@@ -307,8 +307,7 @@ def norm_equivalence(
     quartic = (4.0, 0.0) in keys
     bands = quartic_sum = None
     for spec, _, members in classes:
-        r = spec.numerical_rank()
-        lam = spec.eigenvalues[:r]
+        lam = spec.eigenvalues
         # band j is lam[ends[j]:ends[j + 1]], the eigenvalues in (cuts[j], cuts[j - 1]]
         ends = [0, *(int(np.sum(lam > eps)) for eps in cuts)]
         if bands is None:
@@ -316,7 +315,7 @@ def norm_equivalence(
             bands = [np.zeros((L, L), dtype=np.complex128) for _ in cuts]
             quartic_sum = np.zeros((L, L), dtype=np.complex128) if quartic else None
         for _, z in members:
-            Q = spec.translated(z, r)
+            Q = spec.translated(z)
             QH, Q2 = Q.conj().T, Q * lam ** 2
             for band, lo, hi in zip(bands, ends, ends[1:]):
                 if hi > lo:

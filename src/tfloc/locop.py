@@ -13,11 +13,11 @@ and eta >= 0 makes H positive semidefinite.
 its time support instead: the indices J where the diagonal
 d[t] = (1/L) sum_x m(x) |phi(t - x)|^2, m(x) = sum_xi eta(x, xi), exceeds
 1e-32 trace(H).  Only the block H[J, J] is assembled and eigensolved, and its
-eigenvectors are zero-padded back to length L.  H is PSD, so the dropped rows
-and columns move H by at most delta + 2 sqrt(lambda_1 delta) in operator
-norm, delta = sum of d off J <= L 1e-32 trace(H): about 1e-16 trace(H).  By
-Weyl and Davis-Kahan the eigenvalues and the selected subspaces move by that
-much (over the cutoff gap, for the subspaces).
+kept eigenvectors (``eigendecomp``) are zero-padded to length L.  H is PSD,
+so the dropped rows and columns move H by at most delta + 2 sqrt(lambda_1
+delta) in operator norm, delta = sum of d off J <= L 1e-32 trace(H): about
+1e-16 trace(H).  By Weyl and Davis-Kahan the eigenvalues and the selected
+subspaces move by that much (over the cutoff gap, for the subspaces).
 
 For a real window, conjugation gives conj(H_eta) = H_{eta(x, -xi)}.  So when
 eta is symmetric in frequency about an axis c2, eta(x, (c2 - xi) mod L) =
@@ -46,7 +46,7 @@ from .core import Window, _as_complex_vector
 from .covers import Symbol
 from .errors import NumericError
 
-# eigenvalues <= RANK_RTOL * lambda_1 count as numerically zero in rank reports
+# eigenvalues <= RANK_RTOL * lambda_1 are numerically zero, and a spectrum drops them
 RANK_RTOL = 1e-12
 
 # a class is solved on the time indices whose diagonal entry of H exceeds
@@ -65,15 +65,15 @@ def _unit_roots(L: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Descending eigenpairs of a Hermitian operator.
+    """The r eigenpairs with lambda > RANK_RTOL lambda_1 of a Hermitian operator, descending.
 
+    r is the numerical rank; a numerically zero operator has no eigenpairs.
     Column k of ``eigenvectors`` belongs to ``eigenvalues[k]``.  Each column is
     scaled so its entry at ``anchors[k]`` is real and positive: the lowest
     index whose magnitude is within _ANCHOR_TIE_RTOL of the column's largest.
     Within a degenerate cluster only the spanned subspace is meaningful.  A
-    class spectrum (``class_spectra``) holds only the |J| eigenpairs of the
-    block on its time support J, as L x |J| eigenvectors; H's other
-    eigenvalues are numerically zero.
+    class spectrum (``class_spectra``) holds its L x r eigenvectors
+    zero-padded from the block on its time support J.
 
     By covariance, pi(z) H pi(z)* has the same eigenvalues and the
     eigenvectors pi(z) v_k; ``translated`` carries the phase convention
@@ -83,11 +83,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     anchors: np.ndarray
-
-    def numerical_rank(self) -> int:
-        if self.eigenvalues.size == 0 or self.eigenvalues[0] <= 0.0:
-            return 0
-        return int(np.sum(self.eigenvalues > RANK_RTOL * self.eigenvalues[0]))
 
     def translated(self, z: tuple[int, int], n: int | None = None) -> np.ndarray:
         """The first ``n`` (default all) eigenvectors of pi(z) H pi(z)*, in O(L n).
@@ -183,34 +178,36 @@ def _time_support(eta: Symbol, w: np.ndarray) -> np.ndarray:
     x, is one gather and matvec of nonnegative terms, so every entry is
     accurate relative to itself (an FFT convolution would leave noise near
     1e-16 of the largest entry everywhere).  A zero symbol keeps index 0, so
-    its 1 x 1 block still reports the zero eigenvalue.
+    it still has a block to solve, with an empty spectrum.  A diagonal sum
+    that is not finite is a NumericError.
     """
     L = eta.L
     xs, inv = np.unique(eta.cells[:, 0], return_inverse=True)
     m = np.bincount(inv, weights=eta.values)
     d = (np.abs(w) ** 2)[(np.arange(L)[:, None] - xs[None, :]) % L] @ m
-    J = np.flatnonzero(d > _SUPPORT_RTOL * d.sum())
+    total = d.sum()
+    if not np.isfinite(total):
+        raise NumericError("operator trace overflows; the symbol values are too large")
+    J = np.flatnonzero(d > _SUPPORT_RTOL * total)
     return J if J.size else np.zeros(1, dtype=np.int64)
 
 
 def eigendecomp(H: np.ndarray) -> Spectrum:
-    """Descending eigendecomposition of Hermitian H with the deterministic phase convention."""
+    """The Spectrum of Hermitian H: its eigenpairs with lambda > RANK_RTOL lambda_1."""
     if not np.isfinite(H).all():
         raise NumericError("operator has non-finite entries; the symbol values overflow it")
     try:
         w, Q = np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
-    w = w[::-1].copy()
-    Q = Q[:, ::-1].copy()
+    r = int(np.sum(w > RANK_RTOL * w[-1]))
+    w = w[::-1][:r].copy()
+    Q = Q[:, ::-1][:, :r]
     size = np.abs(Q)
     lead = np.argmax(size >= (1.0 - _ANCHOR_TIE_RTOL) * size.max(axis=0), axis=0)
+    # each anchor entry is its unit column's largest, so it is nonzero
     ph = Q[lead, np.arange(Q.shape[1])]
-    mag = np.abs(ph)
-    safe = mag > 0.0
-    factors = np.ones_like(ph)
-    factors[safe] = np.conj(ph[safe]) / mag[safe]
-    return Spectrum(w, Q * factors[None, :], lead)
+    return Spectrum(w, Q * (np.conj(ph) / np.abs(ph))[None, :], lead)
 
 
 # one shape class: the representative's spectrum and trace measure
@@ -231,7 +228,7 @@ def class_spectra(symbols: Sequence[Symbol], phi: Window) -> Iterator[ClassSpect
     first symbol, only when the stream reaches it: the block H[J, J] on the
     representative's time support J (``_time_support``) is eigensolved, as
     the real D* H[J, J] D when the representative has a frequency axis and
-    the window is real, so a spectrum has |J| eigenpairs and its
+    the window is real, so a spectrum has at most |J| eigenpairs and its
     eigenvectors are zero off J.
     Classes come in the order of their representatives, each with its
     members in index order.
@@ -253,7 +250,7 @@ def _class_spectrum(symbols: Sequence[Symbol], members: list[int], phi: Window) 
     axis = None if w.imag.any() else _frequency_axis(rep)
     block = eigendecomp(_block_operator(rep, w, J, axis))
     anchors = J[block.anchors]
-    V = np.zeros((L, J.size), dtype=np.complex128)
+    V = np.zeros((L, block.eigenvalues.size), dtype=np.complex128)
     V[J] = block.eigenvectors
     if axis is not None:
         # D u, times conj(D[anchor]) so that the anchor entry stays positive

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -197,6 +200,18 @@ class TestConfig:
         cert = json.loads((out / "certificate.json").read_text())
         assert cert["A"] == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("value", [1e200, 1e-170])
+    def test_window_file_of_extreme_magnitude(self, tmp_path, value):
+        # ||samples||_2 overflows at 1e200 and underflows at 1e-170; the
+        # file still normalizes to the unit window of the unscaled samples
+        rng = np.random.default_rng(1)
+        samples = rng.normal(size=16) + 1j * rng.normal(size=16)
+        write_signal_csv(tmp_path / "window.csv", value * samples)
+        cfg = write_config(tmp_path, basic_config(window={"file": "window.csv"}))
+        phi = resolve_window(load_config(cfg))
+        np.testing.assert_allclose(phi.samples, samples / np.linalg.norm(samples), rtol=1e-14, atol=0)
+        assert main(["frame", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
     @pytest.mark.parametrize("command", ["reconstruct", "spectrogram", "window"])
     def test_non_utf8_csv_is_invalid_argument(self, tmp_path, command):
         # a signal or window file holding byte 0xff
@@ -359,11 +374,26 @@ class TestFrame:
         assert err["code"] == "precondition-violation"
 
     def test_determinism_across_thread_counts(self, tmp_path):
-        cfg = CONFIG_DIR / "regular16.json"
-        out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        assert main(["frame", "--config", str(cfg), "--out", str(out1)]) == 0
-        assert main(["frame", "--config", str(cfg), "--out", str(out2)]) == 0
-        assert read_tree(out1) == read_tree(out2)
+        # README's contract: byte-identical under pinned BLAS threads, and A
+        # and B within 1e-12 relative across thread settings
+        cfg = write_config(tmp_path, basic_config(
+            L=128, cover={"irregular": {"seed": 7, "target_size": 16, "overlap": 0.5}},
+            policy={"mode": "epsilon", "epsilon": 0.1, "n_max": 128},
+        ))
+
+        def frame(out, threads):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                       PYTHONPATH=str(Path(tfloc.cli.__file__).parents[1]))
+            argv = [sys.executable, "-m", "tfloc.cli", "frame", "--config", str(cfg), "--out", str(out)]
+            assert subprocess.run(argv, env=env, capture_output=True, timeout=120).returncode == 0
+            return read_tree(out)
+
+        one = frame(tmp_path / "t1", 1)
+        assert frame(tmp_path / "t1b", 1) == one
+        two = json.loads(frame(tmp_path / "t2", 2)["certificate.json"])
+        cert = json.loads(one["certificate.json"])
+        for bound in ("A", "B"):
+            assert two[bound] == pytest.approx(cert[bound], rel=1e-12, abs=0)
 
     def test_seeded_irregular_run_twice_identical(self, tmp_path):
         cfg = CONFIG_DIR / "irregular16.json"
@@ -450,10 +480,29 @@ class TestFrame:
         (tmp_path / "cover.json").write_text(json.dumps(cover))
         cfg = write_config(tmp_path, basic_config(cover={"file": "cover.json"}))
         out = tmp_path / "o"
-        # numpy warns of the overflow on its way to the typed error
-        with pytest.warns(RuntimeWarning, match="overflow encountered|invalid value encountered"):
+        if value == 1e308:
+            # the diagonal of H is infinite, and the trace check stops the run
+            # before numpy computes anything that warns
             assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        else:
+            # numpy warns of the overflow on its way to the typed error
+            with pytest.warns(RuntimeWarning, match="overflow encountered|invalid value encountered"):
+                assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
         assert json.loads((out / "error.json").read_text())["code"] == "numeric-error"
+
+    def test_overflowing_trace_is_a_numeric_error(self, tmp_path):
+        # every diagonal entry of H is finite, but their sum overflows; an
+        # unweighted frame has no S large enough to overflow after it
+        cover = cover_dict(gen_regular_boxes(16, 4, 4))
+        for region in cover["regions"]:
+            region["values"] = [1.5e307] * len(region["cells"])
+        (tmp_path / "cover.json").write_text(json.dumps(cover))
+        cfg = write_config(tmp_path, basic_config(cover={"file": "cover.json"}, weighted=False))
+        out = tmp_path / "o"
+        with pytest.warns(RuntimeWarning, match="overflow encountered in reduce"):
+            assert main(["frame", "--config", str(cfg), "--out", str(out)]) == 1
+        error = json.loads((out / "error.json").read_text())
+        assert error["code"] == "numeric-error" and "trace" in error["message"]
 
     @pytest.mark.parametrize("command", ["frame", "diagnose"])
     def test_ill_conditioned_window_names_the_tightness_condition(self, tmp_path, command):

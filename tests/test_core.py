@@ -189,6 +189,16 @@ class TestSignalValidation:
         with pytest.raises(InvalidArgumentError):
             Window(np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("value", [1e200, 1e-170])
+    def test_unit_scales_before_the_norm(self, value):
+        # ||samples||_2 squares the samples: 1e400 overflows, 1e-340 underflows
+        phi = Window.unit(np.full(16, value))
+        np.testing.assert_allclose(phi.samples, np.full(16, 0.25), rtol=1e-15, atol=0)
+
+    def test_unit_rejects_the_zero_window(self):
+        with pytest.raises(InvalidArgumentError, match="zero window"):
+            Window.unit(np.zeros(16))
+
 
 class TestSignalCsv:
     def test_exact_round_trip(self, tmp_path):

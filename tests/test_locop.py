@@ -5,11 +5,12 @@ from tfloc.cli import load_config, resolve_window
 from tfloc.core import gauss_window
 from tfloc.covers import Symbol, gen_random_irregular, gen_regular_boxes, gen_wedge_cover
 from tfloc.errors import InvalidArgumentError
-from tfloc.frames import SelectionPolicy, select_eigenfunctions
+from tfloc.frames import SelectionPolicy, eigenframe_from_classes, select_eigenfunctions
 from tfloc.gabor import Lattice, _multiplier_symbol, canonical_tight
 from tfloc import locop
 from tfloc.locop import (
     _SUPPORT_RTOL,
+    RANK_RTOL,
     _frequency_axis,
     _time_support,
     assemble_locop,
@@ -77,9 +78,10 @@ class TestAssemble:
         w = direct_shift(L16, 3, 5, phi16.samples)
         expected = np.outer(w, w.conj()) / L16
         assert np.max(np.abs(op - expected)) <= 1e-12
-        ev = eigendecomp(op).eigenvalues
+        ev = np.linalg.eigvalsh(op)[::-1]
         assert ev[0] == pytest.approx(1 / L16, abs=1e-10)
         assert np.max(np.abs(ev[1:])) <= 1e-10
+        assert eigendecomp(op).eigenvalues.size == 1
 
     def test_box_trace_and_golden_spectrum(self, box_op):
         assert np.trace(box_op).real == pytest.approx(64 / 16, rel=1e-10)
@@ -102,7 +104,7 @@ class TestAssemble:
         s = Symbol(L16, (0, 0), s.cells, rng.random(L16 * L16))
         op = assemble_locop(s, phi16)
         assert np.max(np.abs(op - op.conj().T)) <= 1e-10
-        assert eigendecomp(op).eigenvalues[-1] >= -1e-9
+        assert np.linalg.eigvalsh(op)[0] >= -1e-9
 
     def test_linearity(self, phi16):
         rng = np.random.default_rng(12)
@@ -278,11 +280,11 @@ class TestCourant:
 
 def conjugation_deviations(op, eta, phi, z):
     """Max deviations of pi(z) H_eta pi(z)* from H_{eta(. - z)}, as matrices and
-    as descending spectra; pi(z) and eta(. - z) come from their definitions."""
+    as whole spectra; pi(z) and eta(. - z) come from their definitions."""
     U = shift_matrix(op.shape[0], *z)
     shifted_op = assemble_locop(shifted_symbol(eta, z), phi)
     dev = np.max(np.abs(U @ op @ U.conj().T - shifted_op))
-    spec_dev = np.max(np.abs(eigendecomp(op).eigenvalues - eigendecomp(shifted_op).eigenvalues))
+    spec_dev = np.max(np.abs(np.linalg.eigvalsh(op) - np.linalg.eigvalsh(shifted_op)))
     return dev, spec_dev
 
 
@@ -309,20 +311,27 @@ STREAM_POLICIES = [SelectionPolicy("epsilon", epsilon=0.1), SelectionPolicy("alp
 
 def assert_stream_matches_dense(symbols, phi):
     """Each class spectrum of ``class_spectra`` against the dense oracle
-    (``assemble_locop``, then ``eigendecomp``) of its representative: the
-    eigenvalues to 1e-13 lambda_1 over the numerical rank, the measure, the
-    selected counts, and the selected subspaces' projectors to 1e-12 where
-    the cutoff gap is at least 1e-3 lambda_1.  Returns the sizes of J."""
+    (``assemble_locop``) of its representative: both it and ``eigendecomp``
+    of the dense operator hold exactly the eigenvalues of ``eigvalsh`` above
+    RANK_RTOL lambda_1, the class spectrum's to 1e-13 lambda_1 and with
+    eigenvectors that vanish off J; then the measure, the selected counts,
+    and the selected subspaces' projectors to 1e-12 where the cutoff gap is
+    at least 1e-3 lambda_1.  Returns the sizes of J."""
     sizes, compared = [], 0
     for spec, measure, members in class_spectra(symbols, phi):
         rep = symbols[members[0][0]]
         H = assemble_locop(rep, phi)
+        ev = np.linalg.eigvalsh(H)[::-1]
+        r = int(np.sum(ev > RANK_RTOL * ev[0]))
         dense = eigendecomp(H)
-        lam, r = dense.eigenvalues, dense.numerical_rank()
-        sizes.append(spec.eigenvalues.size)
-        assert spec.eigenvectors.shape == (rep.L, sizes[-1])
-        assert spec.numerical_rank() == r
-        np.testing.assert_allclose(spec.eigenvalues[:r], lam[:r], rtol=0, atol=1e-13 * lam[0])
+        lam = dense.eigenvalues
+        assert lam.size == r and spec.eigenvalues.size == r
+        assert np.all(spec.eigenvalues > RANK_RTOL * spec.eigenvalues[0])
+        np.testing.assert_allclose(spec.eigenvalues, ev[:r], rtol=0, atol=1e-13 * ev[0])
+        J = _time_support(rep, phi.samples)
+        sizes.append(J.size)
+        assert spec.eigenvectors.shape == (rep.L, r)
+        assert not np.delete(spec.eigenvectors, J, axis=0).any()
         assert measure == rep.mass / rep.L
         assert measure == pytest.approx(np.trace(H).real, rel=1e-12)
         for policy in STREAM_POLICIES:
@@ -469,5 +478,24 @@ class TestClassStream:
 
     def test_zero_symbol_reports_zero_eigenvalue(self, phi16):
         [(spec, measure, _)] = class_spectra([Symbol(L16, (3, 3), [(3, 3), (3, 4)], [0.0, 0.0])], phi16)
-        assert spec.eigenvalues.tolist() == [0.0] and measure == 0.0
-        assert spec.numerical_rank() == 0
+        assert spec.eigenvalues.size == 0 and spec.eigenvectors.shape == (L16, 0) and measure == 0.0
+
+    def test_spectra_hold_only_numerically_nonzero_eigenpairs(self, phi16):
+        # a 4x4 box has rank 12 of 16, a point rank 1, the whole grid rank 16,
+        # and a zero symbol rank 0; the dense eigvalsh counts them
+        point = Symbol.indicator(L16, (5, 2), [(5, 2)])
+        box = gen_regular_boxes(L16, 4, 4).regions[0]
+        zero = Symbol(L16, (3, 3), [(3, 3), (3, 4)], [0.0, 0.0])
+        symbols = [box, point, full_grid(L16), zero]
+        spectra = list(class_spectra(symbols, phi16))
+        assert [spec.eigenvalues.size for spec, _, _ in spectra] == [12, 1, 16, 0]
+        for (spec, _, _), s in zip(spectra, symbols):
+            H = assemble_locop(s, phi16)
+            ev = np.linalg.eigvalsh(H)
+            r = int(np.sum(ev > RANK_RTOL * ev[-1]))
+            for lam in (spec.eigenvalues, eigendecomp(H).eigenvalues):
+                assert lam.size == r
+                assert np.all(lam > RANK_RTOL * ev[-1])
+        with pytest.warns(UserWarning, match="region 3 has a numerically zero operator"):
+            frame = eigenframe_from_classes(L16, spectra, SelectionPolicy("epsilon", epsilon=0.0), False)
+        assert frame.lams.size == 12 + 1 + 16 and 3 not in frame.gammas
