@@ -14,7 +14,6 @@ from .covers import (
     gen_regular_boxes,
     gen_wedge_cover,
     read_cover_json,
-    sum_symbols,
     validate_cover,
     write_cover_json,
 )

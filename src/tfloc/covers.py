@@ -9,8 +9,11 @@ of centers per window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +49,8 @@ class Symbol:
             raise InvalidArgumentError("cell indices outside [0, L)")
         if not np.all(np.isfinite(values)) or values.min() < 0.0:
             raise InvalidArgumentError("symbol values must be finite and >= 0")
-        flat = cells[:, 0] * self.L + cells[:, 1]
-        if np.unique(flat).size != flat.size:
+        flat = np.sort(cells[:, 0] * self.L + cells[:, 1])
+        if (flat[1:] == flat[:-1]).any():
             raise InvalidArgumentError("duplicate cells in symbol support")
         cx, cxi = int(self.center[0]), int(self.center[1])
         if not (0 <= cx < self.L and 0 <= cxi < self.L):
@@ -67,27 +70,67 @@ class Symbol:
         return Symbol(L, center, cells, np.ones(cells.shape[0]))
 
 
+class ShapeClass(NamedTuple):
+    """The regions of a cover that are translates of one shape: the first
+    one's Symbol, the region indices ascending, and row k of the (m, 2)
+    ``shifts`` the z, mod L, with region members[k] = representative(. - z)."""
+
+    representative: Symbol
+    members: np.ndarray
+    shifts: np.ndarray
+
+
 @dataclass(frozen=True)
 class Cover:
-    """An indexed family of Symbols on a common grid."""
+    """An indexed family of Symbols on a common grid, in shape classes ordered by representative.
+
+    Regions of equal ``shape_keys``, which a generator knows, are one class;
+    without keys, those whose cells relative to their centers (mod L) and values are byte-equal.
+    """
 
     L: int
     regions: tuple[Symbol, ...]
+    shape_keys: InitVar[Sequence | None] = None
+    classes: tuple[ShapeClass, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, shape_keys):
         regions = tuple(self.regions)
         if not regions:
             raise InvalidArgumentError("cover has no regions")
         for s in regions:
             if s.L != self.L:
-                raise InvalidArgumentError(
-                    f"region grid {s.L} does not match cover grid {self.L}"
-                )
+                raise InvalidArgumentError(f"region grid {s.L} does not match cover grid {self.L}")
         object.__setattr__(self, "regions", regions)
+        if shape_keys is None:
+            shape_keys = []
+            for s in regions:
+                rel = (s.cells - np.asarray(s.center)) % self.L
+                order = np.lexsort((rel[:, 1], rel[:, 0]))
+                shape_keys.append((rel[order].tobytes(), s.values[order].tobytes()))
+        groups: dict[object, list[int]] = {}
+        for gamma, key in enumerate(shape_keys):
+            groups.setdefault(key, []).append(gamma)
+        centers = np.array([s.center for s in regions])
+        object.__setattr__(self, "classes", tuple(
+            ShapeClass(regions[m[0]], np.array(m), (centers[m] - centers[m[0]]) % self.L)
+            for m in groups.values()
+        ))
 
-    @property
-    def centers(self) -> list[tuple[int, int]]:
-        return [s.center for s in self.regions]
+    @cached_property
+    def coverage(self) -> tuple[np.ndarray, float, float]:
+        """The pointwise sum of all symbols, read-only, and its extremes, formed on first use
+        by one bincount over every region's cells, so each cell adds its values in region order."""
+        L = self.L
+        cells = np.concatenate([s.cells for s in self.regions])
+        values = np.concatenate([s.values for s in self.regions])
+        total = np.bincount(cells[:, 0] * L + cells[:, 1], values, minlength=L * L).reshape(L, L)
+        total.flags.writeable = False
+        return total, float(total.min()), float(total.max())
+
+    @cached_property
+    def radii(self) -> np.ndarray:
+        """The (outer, inner) radius of each shape class (``_radii``), one row per class."""
+        return np.array([_radii(c.representative) for c in self.classes])
 
 
 @dataclass(frozen=True)
@@ -111,78 +154,54 @@ class AdmissibilityReport:
     duplicate_centers: bool
 
 
-def sum_symbols(cover: Cover) -> tuple[np.ndarray, float, float]:
-    """Pointwise sum of all symbols and its extremes over the grid."""
-    total = np.zeros((cover.L, cover.L))
-    for s in cover.regions:
-        np.add.at(total, (s.cells[:, 0], s.cells[:, 1]), s.values)
-    return total, float(total.min()), float(total.max())
-
-
-def _circdist(a: np.ndarray, b: int, L: int) -> np.ndarray:
-    """The wrapped distance min(|a - b|, L - |a - b|) on Z_L of entries a, b in [0, L)."""
-    d = np.abs(a - b)
-    return np.minimum(d, L - d)
-
-
-def _inner_radius(d: np.ndarray, L: int) -> int:
-    """Largest r with the full wrapped ball B_r(center) inside the support; -1 if none.
-
-    ``d``: the distinct support cells' wrapped sup distances from the center.
-    B_r has min(2r + 1, L)^2 cells, so it is inside iff that many are within r.
-    """
+def _radii(s: Symbol) -> tuple[int, int]:
+    """(outer, inner) radius of a symbol's support around its center, the same for a translate:
+    the largest wrapped sup distance d of a cell, and the largest r with the whole ball B_r, whose
+    min(2r + 1, L)^2 cells are the cells with d <= r, inside the support (-1 if none)."""
+    L = s.L
+    d = np.abs(s.cells - np.asarray(s.center))
+    d = np.minimum(d, L - d).max(axis=1)
     radii = np.arange(L // 2 + 1)
-    within = np.bincount(d, minlength=radii.size).cumsum()
-    full = within == np.minimum(2 * radii + 1, L) ** 2
-    return L // 2 if full.all() else int(np.argmin(full)) - 1
+    full = np.bincount(d, minlength=radii.size).cumsum() == np.minimum(2 * radii + 1, L) ** 2
+    return int(d.max()), L // 2 if full.all() else int(np.argmin(full)) - 1
 
 
 def validate_cover(cover: Cover, R: int, r: int | None = None, w: int = 1) -> AdmissibilityReport:
     """Admissibility report for a cover; pure, never raises on well-formed input.
 
     Outer radius and inner radius are exact integer computations on supports,
-    in the wrapped sup metric; coverage is sum_min > 0; spreadness is the max
+    in the wrapped sup metric, once per shape class (``Cover.radii``);
+    coverage is sum_min > 0 (``Cover.coverage``); spreadness is the max
     number of centers in any wrapped half-open ``w`` x ``w`` window.
     """
     if R < 0 or w < 1 or (r is not None and r < 0):
         raise InvalidArgumentError(f"bad radii R={R}, r={r}, w={w}")
     L = cover.L
-    _, sum_min, sum_max = sum_symbols(cover)
+    _, sum_min, sum_max = cover.coverage
+    max_outer = int(cover.radii[:, 0].max())
+    min_inner = None if r is None else int(cover.radii[:, 1].min())
 
-    max_outer = 0
-    min_inner: int | None = None if r is None else L
-    for s in cover.regions:
-        d = np.maximum(_circdist(s.cells[:, 0], s.center[0], L),
-                       _circdist(s.cells[:, 1], s.center[1], L))
-        max_outer = max(max_outer, int(d.max()))
-        if r is not None:
-            min_inner = min(min_inner, _inner_radius(d, L))
+    centers = np.array([s.center for s in cover.regions])
+    counts = np.bincount(centers[:, 0] * L + centers[:, 1], minlength=L * L).reshape(L, L)
+    duplicate_centers = bool(counts.max() > 1)
+    # wrapped window sums along each axis in turn, from a cumulative sum of the counts
+    # extended by their first w rows; row a sums the window at a + 1, so the max is unchanged
+    w_ = min(w, L)
+    for _ in range(2):
+        c = np.cumsum(np.concatenate([counts, counts[:w_]]), axis=0)
+        counts = (c[w_:] - c[:L]).T
 
-    # splat each center onto every window anchor that sees it: anchors in
-    # [c - w + 1, c] per axis for half-open w x w windows
-    counts = np.zeros((cover.L, cover.L), dtype=np.int64)
-    if w >= cover.L:
-        counts[:] = len(cover.centers)
-    else:
-        offs = np.arange(w)
-        for cx, cxi in cover.centers:
-            anchors_x = (cx - offs) % cover.L
-            anchors_xi = (cxi - offs) % cover.L
-            counts[np.ix_(anchors_x, anchors_xi)] += 1
-    spreadness = int(counts.max())
-
-    centers = cover.centers
     return AdmissibilityReport(
         covers_grid=sum_min > 0.0,
         outer_radius_ok=max_outer <= R,
         max_outer_radius=max_outer,
         inner_radius_ok=None if r is None else min_inner >= r,
         min_inner_radius=min_inner,
-        spreadness=spreadness,
+        spreadness=int(counts.max()),
         window=w,
         sum_min=sum_min,
         sum_max=sum_max,
-        duplicate_centers=len(set(centers)) != len(centers),
+        duplicate_centers=duplicate_centers,
     )
 
 
@@ -190,22 +209,32 @@ def validate_cover(cover: Cover, R: int, r: int | None = None, w: int = 1) -> Ad
 # Generators.  All emit indicator symbols and sum exactly to 1 where stated.
 # ---------------------------------------------------------------------------
 
-def _box_cells(L: int, x0: int, xi0: int, wd: int, ht: int) -> np.ndarray:
-    xs = (x0 + np.arange(wd)) % L
-    xis = (xi0 + np.arange(ht)) % L
-    return np.stack(np.meshgrid(xs, xis, indexing="ij"), axis=-1).reshape(-1, 2)
+def _box_cover(L: int, boxes) -> Cover:
+    """The indicator cover of the boxes (x0, xi0, wd, ht), in order, centered at (x0 + wd // 2,
+    xi0 + ht // 2) mod L.  Boxes of equal sides are one shape class: the first is a checked
+    Symbol, and every other member is that box translated."""
+    first: dict[tuple[int, int], Symbol] = {}
+    regions = []
+    for x0, xi0, wd, ht in boxes:
+        center = ((x0 + wd // 2) % L, (xi0 + ht // 2) % L)
+        rep = first.get((wd, ht))
+        if rep is None:
+            xs, xis = np.meshgrid((x0 + np.arange(wd)) % L, (xi0 + np.arange(ht)) % L, indexing="ij")
+            rep = first[wd, ht] = Symbol.indicator(L, center, np.stack([xs, xis], axis=-1))
+            regions.append(rep)
+        else:  # a translate of the checked first box is valid, so it skips the checks
+            member = object.__new__(Symbol)
+            member.__dict__.update(L=L, center=center, values=rep.values,
+                                   cells=(rep.cells + np.subtract(center, rep.center)) % L)
+            regions.append(member)
+    return Cover(L, tuple(regions), [(wd, ht) for _, _, wd, ht in boxes])
 
 
 def gen_regular_boxes(L: int, bx: int, by: int) -> Cover:
     """Partition into (L/bx) x (L/by) disjoint boxes; centers at box centers."""
     if bx < 1 or by < 1 or L % bx or L % by:
         raise InvalidArgumentError(f"box sides ({bx}, {by}) must divide L={L}")
-    regions = []
-    for x0 in range(0, L, bx):
-        for xi0 in range(0, L, by):
-            center = ((x0 + bx // 2) % L, (xi0 + by // 2) % L)
-            regions.append(Symbol.indicator(L, center, _box_cells(L, x0, xi0, bx, by)))
-    return Cover(L, tuple(regions))
+    return _box_cover(L, [(x0, xi0, bx, by) for x0 in range(0, L, bx) for xi0 in range(0, L, by)])
 
 
 def gen_wedge_cover(L: int, bands: list[tuple[int, int, int]]) -> Cover:
@@ -227,12 +256,7 @@ def gen_wedge_cover(L: int, bands: list[tuple[int, int, int]]) -> Cover:
     for (_, hi, _), (lo2, _, _) in zip(ordered, ordered[1:]):
         if lo2 != hi:
             raise InvalidArgumentError(f"bands overlap or leave a gap at xi={min(hi, lo2)}")
-    regions = []
-    for lo, hi, step in ordered:
-        for x0 in range(0, L, step):
-            center = ((x0 + step // 2) % L, (lo + (hi - lo) // 2) % L)
-            regions.append(Symbol.indicator(L, center, _box_cells(L, x0, lo, step, hi - lo)))
-    return Cover(L, tuple(regions))
+    return _box_cover(L, [(x0, lo, step, hi - lo) for lo, hi, step in ordered for x0 in range(0, L, step)])
 
 
 def gen_random_irregular(L: int, seed: int, target_size: int, overlap: float) -> Cover:
@@ -252,7 +276,7 @@ def gen_random_irregular(L: int, seed: int, target_size: int, overlap: float) ->
     rng = np.random.default_rng(seed)
     jitter = int(overlap * target_size / 2)
     covered = np.zeros((L, L), dtype=bool)
-    regions = []
+    boxes = []
     while not covered.all():
         flat = int(np.argmin(covered))  # first uncovered cell, row-major
         ax, axi = divmod(flat, L)
@@ -265,11 +289,9 @@ def gen_random_irregular(L: int, seed: int, target_size: int, overlap: float) ->
             wd = ht = target_size
             sx = sxi = 0
         x0, xi0 = (ax - sx) % L, (axi - sxi) % L
-        cells = _box_cells(L, x0, xi0, wd, ht)
-        center = ((x0 + wd // 2) % L, (xi0 + ht // 2) % L)
-        regions.append(Symbol.indicator(L, center, cells))
-        covered[cells[:, 0], cells[:, 1]] = True
-    return Cover(L, tuple(regions))
+        boxes.append((x0, xi0, wd, ht))
+        covered[np.ix_((x0 + np.arange(wd)) % L, (xi0 + np.arange(ht)) % L)] = True
+    return _box_cover(L, boxes)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Signal, Window, read_json, write_json
-from .covers import _INT64_MAX, Cover, sum_symbols, validate_cover
+from .covers import _INT64_MAX, Cover
 from .errors import (
     EmptyFrameError,
     InvalidArgumentError,
@@ -30,8 +30,10 @@ from .errors import (
 )
 from .locop import ClassSpectrum, Spectrum, class_spectra
 
-_DEGENERATE_TOL = 1e-14
 _UNIT_NORM_TOL = 1e-9
+# the selected columns are translated to at most this many entries at once,
+# which keeps the gather's temporaries small
+_GATHER_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -146,12 +148,10 @@ def region_classes(cover: Cover, phi: Window) -> Iterator[ClassSpectrum]:
     The cover must cover the grid; that is checked here, before the first
     operator is built.
     """
-    _, sum_min, _ = sum_symbols(cover)
+    sum_min = cover.coverage[1]
     if sum_min <= 0.0:
-        raise PreconditionViolation(
-            f"cover does not cover the grid (min symbol sum {sum_min!r})"
-        )
-    return class_spectra(cover.regions, phi)
+        raise PreconditionViolation(f"cover does not cover the grid (min symbol sum {sum_min!r})")
+    return class_spectra(cover.classes, phi)
 
 
 def eigenframe_from_classes(L: int, classes: Iterable[ClassSpectrum], policy: SelectionPolicy,
@@ -159,26 +159,25 @@ def eigenframe_from_classes(L: int, classes: Iterable[ClassSpectrum], policy: Se
     """Frame of the selected eigenpairs of each region, counted with its class measure ||eta||_1 / L.
 
     ``classes`` is a shape-class stream (``class_spectra``), consumed in a
-    single pass.  The count is selected once per class; each member region
-    gets the selected columns translated to it (``Spectrum.translated``), and
-    the class spectrum is dropped before the next class is solved.  Each
-    region's block of columns is kept as ``translated`` returns it, in region
-    order: copying the blocks into one matrix here would leave the freed
-    blocks resident and raise the peak memory of a build.
+    single pass.  The count is selected once per class, the selected columns
+    are translated to its members in a few gathers (``Spectrum.translated``),
+    and the class spectrum is dropped before the next class is solved; an
+    empty spectrum, a numerically zero operator, gives a warning and no atoms.
+    Each region's block is kept as ``translated`` returns it: copying the blocks
+    into one matrix would leave the freed blocks resident and raise the peak memory.
     """
     by_region: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for spec, measure, members in classes:
+    for spec, measure, cls in classes:
+        if not spec.eigenvalues.size:
+            for gamma in cls.members.tolist():
+                warnings.warn(f"region {gamma} has a numerically zero operator; contributing no atoms",
+                              stacklevel=3)
         n = select_eigenfunctions(spec, measure, policy)
-        if spec.eigenvalues.max(initial=0.0) <= _DEGENERATE_TOL:
-            for gamma, _ in members:
-                warnings.warn(
-                    f"region {gamma} has a numerically zero operator; contributing no atoms",
-                    stacklevel=3,
-                )
-            n = 0
         lams = spec.eigenvalues[:n].copy()
-        for gamma, z in members:
-            by_region[gamma] = (spec.translated(z, n), lams)
+        step = max(1, _GATHER_ENTRIES // max(L * n, 1))
+        for lo in range(0, cls.members.size, step):
+            blocks = spec.translated(cls.shifts[lo:lo + step], n)
+            by_region.update(zip(cls.members[lo:lo + step].tolist(), [(V, lams) for V in blocks]))
         del spec
     gammas = sorted(by_region)
     counts = [by_region[gamma][1].size for gamma in gammas]
@@ -206,18 +205,16 @@ def assemble_frame(
 
     Requires the cover to actually cover the grid; the unweighted variant
     additionally requires inner regularity (each center's radius-1 wrapped
-    ball inside its region's support), which is what keeps the selected
-    eigenvalues bounded away from zero.
+    ball inside its region's support, ``Cover.radii``), which is what keeps
+    the selected eigenvalues bounded away from zero.
     """
     classes = region_classes(cover, phi)
-    if not weighted:
-        report = validate_cover(cover, R=cover.L // 2, r=1)
-        if not report.inner_radius_ok:
-            raise PreconditionViolation(
-                "unweighted frames need inner regularity: every center's "
-                "radius-1 ball must lie inside its region's support "
-                f"(measured min inner radius {report.min_inner_radius})"
-            )
+    inner = int(cover.radii[:, 1].min())
+    if not weighted and inner < 1:
+        raise PreconditionViolation(
+            "unweighted frames need inner regularity: every center's radius-1 ball must lie "
+            f"inside its region's support (measured min inner radius {inner})"
+        )
     return eigenframe_from_classes(cover.L, classes, policy, weighted)
 
 
@@ -306,7 +303,7 @@ def norm_equivalence(
     cuts = sorted({eps for power, eps in keys if power == 2.0}, reverse=True)
     quartic = (4.0, 0.0) in keys
     bands = quartic_sum = None
-    for spec, _, members in classes:
+    for spec, _, cls in classes:
         lam = spec.eigenvalues
         # band j is lam[ends[j]:ends[j + 1]], the eigenvalues in (cuts[j], cuts[j - 1]]
         ends = [0, *(int(np.sum(lam > eps)) for eps in cuts)]
@@ -314,8 +311,8 @@ def norm_equivalence(
             L = spec.eigenvectors.shape[0]
             bands = [np.zeros((L, L), dtype=np.complex128) for _ in cuts]
             quartic_sum = np.zeros((L, L), dtype=np.complex128) if quartic else None
-        for _, z in members:
-            Q = spec.translated(z)
+        for z in cls.shifts:
+            Q = spec.translated(z[None])[0]
             QH, Q2 = Q.conj().T, Q * lam ** 2
             for band, lo, hi in zip(bands, ends, ends[1:]):
                 if hi > lo:

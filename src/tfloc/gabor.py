@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Window, _as_complex_vector
-from .covers import Cover, Symbol, sum_symbols
+from .covers import Cover, Symbol
 from .errors import (
     InvalidArgumentError,
     NotAFrameError,
@@ -158,14 +158,11 @@ def gabor_multiplier(m, sys: LatticeGaborSystem) -> np.ndarray:
 def lattice_coverage_min(cover: Cover, lattice: Lattice) -> float:
     """Min over lattice points of the pointwise symbol sum; an off-lattice cell is an error."""
     for s in cover.regions:
-        x, xi = s.cells[:, 0], s.cells[:, 1]
-        off = np.flatnonzero((x % lattice.a != 0) | (xi % lattice.b != 0))
+        off = np.flatnonzero((s.cells % [lattice.a, lattice.b]).any(axis=1))
         if off.size:
-            i = int(off[0])
-            raise InvalidArgumentError(
-                f"cell ({x[i]}, {xi[i]}) is not a lattice point", cell_index=i
-            )
-    return float(sum_symbols(cover)[0][:: lattice.a, :: lattice.b].min())
+            x, xi = s.cells[off[0]]
+            raise InvalidArgumentError(f"cell ({x}, {xi}) is not a lattice point", cell_index=int(off[0]))
+    return float(cover.coverage[0][:: lattice.a, :: lattice.b].min())
 
 
 def require_lattice_cover(cover: Cover, lattice: Lattice) -> None:
@@ -178,21 +175,20 @@ def require_lattice_cover(cover: Cover, lattice: Lattice) -> None:
         raise PreconditionViolation(f"cover does not cover the lattice (min symbol sum {lat_min!r})")
     for i, s in enumerate(cover.regions):
         if s.center[0] % lattice.a or s.center[1] % lattice.b:
-            raise InvalidArgumentError(
-                f"region {i} center {s.center} is not a lattice point"
-            )
+            raise InvalidArgumentError(f"region {i} center {s.center} is not a lattice point")
 
 
 def multiplier_classes(cover: Cover, sys: LatticeGaborSystem) -> Iterator[ClassSpectrum]:
     """The lattice stream: the Gabor multipliers' spectra, one per shape class.
 
     A region's multiplier is the localization operator of its lattice symbol
-    scaled by A L, so the stream is ``class_spectra`` of those symbols.  The
-    cover must pass ``require_lattice_cover``, which is checked before the
-    first multiplier is built.
+    scaled by A L, so the stream is ``class_spectra`` of the cover's classes,
+    each representative's symbol scaled so.  The cover must pass
+    ``require_lattice_cover``, which is checked before the first multiplier is built.
     """
     require_lattice_cover(cover, sys.lattice)
-    return class_spectra([_multiplier_symbol(s, sys) for s in cover.regions], sys.window)
+    scaled = (c._replace(representative=_multiplier_symbol(c.representative, sys)) for c in cover.classes)
+    return class_spectra(scaled, sys.window)
 
 
 def gabor_eigenframe(

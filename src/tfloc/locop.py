@@ -37,13 +37,13 @@ symmetric region has exact ones) do not let rounding pick it.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Window, _as_complex_vector
-from .covers import Symbol
+from .covers import ShapeClass, Symbol
 from .errors import NumericError
 
 # eigenvalues <= RANK_RTOL * lambda_1 are numerically zero, and a spectrum drops them
@@ -84,21 +84,22 @@ class Spectrum:
     eigenvectors: np.ndarray
     anchors: np.ndarray
 
-    def translated(self, z: tuple[int, int], n: int | None = None) -> np.ndarray:
-        """The first ``n`` (default all) eigenvectors of pi(z) H pi(z)*, in O(L n).
+    def translated(self, shifts: np.ndarray, n: int | None = None) -> np.ndarray:
+        """The first ``n`` (default all) eigenvectors of pi(z) H pi(z)* for each
+        row z = (x, xi) of the (m, 2) ``shifts``: an (m, L, n) array, one gather.
 
-        Column k is pi(z) v_k times the unimodular constant that makes its
-        entry at the translated anchor (anchors[k] + x) mod L real and
-        positive, z = (x, xi).  For z = (0, 0) the columns are copied
-        unchanged.
+        Column k of block j is pi(z) v_k times the unimodular constant that
+        makes its entry at the translated anchor (anchors[k] + x) mod L real
+        and positive.  For z = (0, 0) the columns are copied unchanged.
         """
         V = self.eigenvectors[:, :n]
-        x, xi = z
-        if x == 0 and xi == 0:
-            return V.copy()
         L = V.shape[0]
-        turns = (xi * (np.arange(L)[:, None] - x - self.anchors[None, :n])) % L
-        return np.roll(V, x, axis=0) * _unit_roots(L)[turns]
+        x, xi = shifts[:, 0, None, None], shifts[:, 1, None, None]
+        t = np.arange(L)[:, None]
+        turns = (xi * (t - x - self.anchors[:n])) % L
+        out = V[(t[:, 0] - x[:, 0]) % L] * _unit_roots(L)[turns]
+        out[~shifts.any(axis=1)] = V
+        return out
 
 
 def _time_groups(eta: Symbol) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -210,41 +211,29 @@ def eigendecomp(H: np.ndarray) -> Spectrum:
     return Spectrum(w, Q * (np.conj(ph) / np.abs(ph))[None, :], lead)
 
 
-# one shape class: the representative's spectrum and trace measure
-# ||eta||_1 / L, and each member region gamma with its translation z from the
-# representative
-ClassSpectrum = tuple[Spectrum, float, list[tuple[int, tuple[int, int]]]]
+# one shape class: the representative's spectrum and trace measure ||eta||_1 / L, and the class
+ClassSpectrum = tuple[Spectrum, float, ShapeClass]
 
 
-def class_spectra(symbols: Sequence[Symbol], phi: Window) -> Iterator[ClassSpectrum]:
-    """The spectra of a family of symbols, one eigensolve per shape class.
+def class_spectra(classes: Iterable[ShapeClass], phi: Window) -> Iterator[ClassSpectrum]:
+    """The spectra of a cover's shape classes (``Cover.classes``), one eigensolve per class.
 
-    Two symbols are in one class when their cells relative to their centers
-    (mod L) and their values are byte-equal.  Then one is the other
-    translated by z, the difference of their centers, and by covariance
+    A member is its representative translated by z, so by covariance
     H_{eta(. - z)} = pi(z) H_eta pi(z)* shares its eigenvalues and has the
-    eigenvectors pi(z) v (``Spectrum.translated``).  The classes are grouped
-    here; each is then assembled and solved from its representative, its
-    first symbol, only when the stream reaches it: the block H[J, J] on the
-    representative's time support J (``_time_support``) is eigensolved, as
-    the real D* H[J, J] D when the representative has a frequency axis and
-    the window is real, so a spectrum has at most |J| eigenpairs and its
-    eigenvectors are zero off J.
-    Classes come in the order of their representatives, each with its
-    members in index order.
+    eigenvectors pi(z) v (``Spectrum.translated``).  Each class is
+    assembled and solved from its representative only when the stream
+    reaches it: the block H[J, J] on the representative's time support J
+    (``_time_support``) is eigensolved, as the real D* H[J, J] D when the
+    representative has a frequency axis and the window is real, so a
+    spectrum has at most |J| eigenpairs and its eigenvectors are zero off J.
     """
-    classes: dict[tuple[bytes, bytes], list[int]] = {}
-    for gamma, s in enumerate(symbols):
-        rel = (s.cells - np.asarray(s.center)) % s.L
-        order = np.lexsort((rel[:, 1], rel[:, 0]))
-        classes.setdefault((rel[order].tobytes(), s.values[order].tobytes()), []).append(gamma)
-    # a generator expression keeps no class alive once it is handed out
-    return (_class_spectrum(symbols, members, phi) for members in classes.values())
+    # a generator expression keeps no class spectrum alive once it is handed out
+    return (_class_spectrum(cls, phi) for cls in classes)
 
 
-def _class_spectrum(symbols: Sequence[Symbol], members: list[int], phi: Window) -> ClassSpectrum:
-    rep = symbols[members[0]]
-    (rx, rxi), L = rep.center, rep.L
+def _class_spectrum(cls: ShapeClass, phi: Window) -> ClassSpectrum:
+    rep = cls.representative
+    L = rep.L
     w = _as_complex_vector(phi.samples, L)
     J = _time_support(rep, w)
     axis = None if w.imag.any() else _frequency_axis(rep)
@@ -255,8 +244,4 @@ def _class_spectrum(symbols: Sequence[Symbol], members: list[int], phi: Window) 
     if axis is not None:
         # D u, times conj(D[anchor]) so that the anchor entry stays positive
         V[J] *= _unit_roots(2 * L)[(axis * (J[:, None] - anchors[None, :])) % (2 * L)]
-    shifts = []
-    for gamma in members:
-        x, xi = symbols[gamma].center
-        shifts.append((gamma, ((x - rx) % L, (xi - rxi) % L)))
-    return Spectrum(block.eigenvalues, V, anchors), rep.mass / L, shifts
+    return Spectrum(block.eigenvalues, V, anchors), rep.mass / L, cls

@@ -61,6 +61,47 @@ def direct_radii(symbol):
     return outer, inner
 
 
+def shape_classes(cover):
+    """The shape classes of a cover's regions, from the definition: two
+    regions are one class when their sets of (cell relative to the center mod
+    L, value) pairs are equal, so one is the other translated by the
+    difference of their centers.  Each class as (members, shifts): the region
+    indices ascending, and each member's center minus the first member's,
+    mod L; classes in the order of their first members."""
+    L = cover.L
+    classes = {}
+    for gamma, s in enumerate(cover.regions):
+        cx, cxi = s.center
+        key = frozenset(((x - cx) % L, (xi - cxi) % L, v)
+                        for (x, xi), v in zip(s.cells.tolist(), s.values.tolist()))
+        classes.setdefault(key, []).append(gamma)
+    out = []
+    for members in classes.values():
+        rx, rxi = cover.regions[members[0]].center
+        shifts = [[(cover.regions[g].center[0] - rx) % L, (cover.regions[g].center[1] - rxi) % L]
+                  for g in members]
+        out.append((members, shifts))
+    return out
+
+
+def direct_coverage(cover):
+    """The pointwise sum of a cover's symbols, added cell by cell in region order."""
+    total = np.zeros((cover.L, cover.L))
+    for s in cover.regions:
+        for (x, xi), v in zip(s.cells.tolist(), s.values.tolist()):
+            total[x, xi] += v
+    return total
+
+
+def direct_spreadness(cover, w):
+    """The most centers in any wrapped half-open w x w window [a, a + w) x [b, b + w),
+    counting the centers of each window one by one."""
+    L = cover.L
+    centers = [s.center for s in cover.regions]
+    return max(sum((cx - a) % L < w and (cxi - b) % L < w for cx, cxi in centers)
+               for a in range(L) for b in range(L))
+
+
 def direct_stft(f, phi):
     L = len(f)
     V = np.zeros((L, L), complex)

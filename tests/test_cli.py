@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tfloc.cli
+import tfloc.covers
 import tfloc.frames
 import tfloc.locop
 from tfloc.cli import load_config, main, resolve_cover, resolve_window
@@ -503,6 +504,50 @@ class TestFrame:
             assert main(["frame", "--config", str(cfg), "--out", str(out)]) == 1
         error = json.loads((out / "error.json").read_text())
         assert error["code"] == "numeric-error" and "trace" in error["message"]
+
+    def test_numerically_zero_is_relative_to_the_spectrum(self, tmp_path):
+        # sixteen 4x4 boxes whose every value is 1e-16 or 1e-13: each region
+        # keeps its top eigenvector at any scale, so both build the same frame;
+        # an all-zero region added to the cover warns and contributes no atoms
+        atoms = []
+        for value in (1e-16, 1e-13):
+            cover = cover_dict(gen_regular_boxes(16, 4, 4))
+            for region in cover["regions"]:
+                region["values"] = [value] * len(region["cells"])
+            zero = dict(cover["regions"][0], values=[0.0] * 16)
+            for regions, warned in ((cover["regions"], False), (cover["regions"] + [zero], True)):
+                (tmp_path / "cover.json").write_text(json.dumps({"L": 16, "regions": regions}))
+                cfg = write_config(tmp_path, basic_config(
+                    cover={"file": "cover.json"}, policy={"mode": "alpha", "alpha": 1.0, "n_max": 16},
+                    weighted=False,
+                ))
+                out = tmp_path / f"o{value}{warned}"
+                if warned:
+                    with pytest.warns(UserWarning, match="region 16 has a numerically zero operator"):
+                        assert main(["frame", "--config", str(cfg), "--out", str(out)]) == 0
+                else:
+                    assert main(["frame", "--config", str(cfg), "--out", str(out)]) == 0
+                frame = tfloc.frames.read_frame(out / "frame.json", out / "frame_atoms.tfat")
+                assert frame.gammas.tolist() == list(range(16))
+                assert json.loads((out / "report.json").read_text())["regions"][-1]["count"] == (0 if warned else 1)
+                atoms.append(frame.vectors[0])
+        for other in atoms[1:]:
+            np.testing.assert_allclose(other, atoms[0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("config", ["unweighted-grid", "gabor16.json"])
+    def test_frame_forms_the_coverage_sum_and_the_radii_once(self, tmp_path, monkeypatch, config):
+        if config == "gabor16.json":
+            cfg = CONFIG_DIR / config
+        else:
+            cfg = write_config(tmp_path, basic_config(weighted=False))
+        sums, radii = [], []
+        coverage = tfloc.covers.Cover.__dict__["coverage"]
+        monkeypatch.setattr(coverage, "func", lambda cover, form=coverage.func: sums.append(1) or form(cover))
+        monkeypatch.setattr(tfloc.covers, "_radii", lambda s, form=tfloc.covers._radii: radii.append(s) or form(s))
+        assert main(["frame", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert len(sums) == 1
+        # one admissibility pass: the radii of each shape class, once
+        assert len(radii) == len(resolve_cover(load_config(cfg)).classes)
 
     @pytest.mark.parametrize("command", ["frame", "diagnose"])
     def test_ill_conditioned_window_names_the_tightness_condition(self, tmp_path, command):

@@ -26,7 +26,8 @@ def tf_shift(z, f):
     """
     L = f.length
     x, xi = z[0] % L, z[1] % L
-    return Signal(Spectrum(np.zeros(1), f.samples[:, None], np.array([-x % L])).translated((x, xi))[:, 0])
+    spec = Spectrum(np.zeros(1), f.samples[:, None], np.array([-x % L]))
+    return Signal(spec.translated(np.array([[x, xi]]))[0, :, 0])
 
 
 def delta(L, t0=0):
@@ -70,6 +71,14 @@ class TestTfShift:
         f = Signal(random_signal(rng, 12))
         g = tf_shift((0, 0), f)
         np.testing.assert_array_equal(g.samples, f.samples)
+
+    def test_zero_shift_copies_bits(self):
+        # a member at shift (0, 0) gets its columns copied, not multiplied by
+        # 1 + 0j, which would flip the sign of a zero part next to a negative one
+        v = np.array([complex(-0.0, -1.0), complex(1.0, -0.0), complex(-0.0, 0.0), 0.5])
+        blocks = Spectrum(np.ones(1), v[:, None], np.array([3])).translated(np.array([[0, 0], [0, 0]]))
+        assert blocks.shape == (2, 4, 1)
+        assert blocks.tobytes() == np.stack([v[:, None]] * 2).tobytes()
 
     def test_pure_translation_moves_delta(self):
         g = tf_shift((1, 0), delta(8))

@@ -3,22 +3,32 @@ import json
 import numpy as np
 import pytest
 
-from tfloc.core import gauss_window
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from tfloc.covers import (
     Cover,
     Symbol,
+    cover_from_dict,
     gen_random_irregular,
     gen_regular_boxes,
     gen_wedge_cover,
     read_cover_json,
-    sum_symbols,
     validate_cover,
     write_cover_json,
 )
 from tfloc.errors import InvalidArgumentError
-from tfloc.locop import class_spectra
 
-from helpers import ball, cover_dict, direct_radii, wrapped_sup_distance
+from helpers import (
+    ball,
+    cover_dict,
+    direct_coverage,
+    direct_radii,
+    direct_spreadness,
+    shape_classes,
+    shifted_symbol,
+    wrapped_sup_distance,
+)
 
 
 def whole_grid_symbol(L, center=(0, 0)):
@@ -46,7 +56,7 @@ class TestSymbol:
     def test_mass_and_dense(self):
         s = Symbol(4, (1, 1), [(0, 0), (1, 2)], [0.5, 2.0])
         assert s.mass == pytest.approx(2.5, rel=1e-12)
-        d, _, _ = sum_symbols(Cover(4, (s,)))
+        d, _, _ = Cover(4, (s,)).coverage
         assert d[0, 0] == 0.5 and d[1, 2] == 2.0 and d.sum() == pytest.approx(2.5)
 
     def test_shifted_wraps(self):
@@ -54,8 +64,9 @@ class TestSymbol:
         # member's translation wraps
         s = Symbol(4, (3, 3), [(3, 3)], [1.0])
         t = Symbol(4, (1, 1), [(1, 1)], [1.0])
-        [(_, _, members)] = class_spectra([s, t], gauss_window(4))
-        assert members == [(0, (0, 0)), (1, (2, 2))]
+        [cls] = Cover(4, (s, t)).classes
+        assert cls.representative is s
+        assert cls.members.tolist() == [0, 1] and cls.shifts.tolist() == [[0, 0], [2, 2]]
 
     def test_mass_additivity_for_disjoint_indicators(self):
         a = Symbol.indicator(8, (0, 0), [(0, 0), (0, 1)])
@@ -67,19 +78,19 @@ class TestSymbol:
 class TestSumSymbols:
     def test_exact_partition_sums_to_one(self):
         cover = gen_regular_boxes(16, 4, 4)
-        total, lo, hi = sum_symbols(cover)
+        total, lo, hi = cover.coverage
         assert lo == 1.0 and hi == 1.0
         assert (total == 1.0).all()
 
     def test_duplicated_regions_double(self):
         base = gen_regular_boxes(8, 4, 4)
         doubled = Cover(8, base.regions + base.regions)
-        _, lo, hi = sum_symbols(doubled)
+        _, lo, hi = doubled.coverage
         assert lo == 2.0 and hi == 2.0
 
     def test_irregular_generator_covers(self):
         cover = gen_random_irregular(32, seed=7, target_size=8, overlap=0.5)
-        _, lo, _ = sum_symbols(cover)
+        _, lo, _ = cover.coverage
         assert lo >= 1.0
 
 
@@ -207,7 +218,7 @@ class TestRegularBoxes:
         cover = gen_regular_boxes(12, 3, 4)
         assert len(cover.regions) == 12
         assert all(s.mass == 12.0 for s in cover.regions)
-        _, lo, hi = sum_symbols(cover)
+        _, lo, hi = cover.coverage
         assert lo == 1.0 and hi == 1.0
 
     def test_rejects_non_divisor(self):
@@ -224,7 +235,7 @@ class TestWedgeCover:
     def test_two_band_counting(self):
         cover = gen_wedge_cover(16, [(0, 8, 2), (8, 16, 8)])
         assert len(cover.regions) == 8 + 2
-        _, lo, hi = sum_symbols(cover)
+        _, lo, hi = cover.coverage
         assert lo == 1.0 and hi == 1.0
 
     def test_dyadic_band_counts(self):
@@ -232,7 +243,7 @@ class TestWedgeCover:
         cover = gen_wedge_cover(64, bands)
         expected = sum(64 // step for _, _, step in bands)
         assert len(cover.regions) == expected
-        _, lo, hi = sum_symbols(cover)
+        _, lo, hi = cover.coverage
         assert lo == 1.0 and hi == 1.0
 
     def test_rejects_gap(self):
@@ -329,3 +340,144 @@ class TestCoverJson:
         path.write_text(json.dumps({"L": 4, "regions": [{"center": [0, 0], "cells": [[0, 0]], "values": [1.0, 2.0]}]}))
         with pytest.raises(InvalidArgumentError):
             read_cover_json(path)
+
+
+# the cover seeds of the irregular128 benchmark workload
+BENCH_IRREGULAR_SEEDS = [7, 2, 18, 20, 52, 60, 63, 76]
+
+
+def sorted_rows(s):
+    """A symbol's (x, xi, value) rows in lexicographic order."""
+    return sorted(zip(s.cells[:, 0].tolist(), s.cells[:, 1].tolist(), s.values.tolist()))
+
+
+def assert_classes_match_oracle(cover, generated=True):
+    """The cover's shape classes are the ``shape_classes`` oracle's, each
+    represented by its first member's own Symbol, and every region equals the
+    Symbol that the checked constructor builds from its cells, and its
+    representative translated by its shift: array for array for a generated
+    cover, whose members are translated boxes, and as a set of (cell, value)
+    rows for a file cover, whose members keep their own cell order."""
+    assert [(c.members.tolist(), c.shifts.tolist()) for c in cover.classes] == shape_classes(cover)
+    for c in cover.classes:
+        assert c.representative is cover.regions[c.members[0]]
+        for gamma, z in zip(c.members.tolist(), c.shifts.tolist()):
+            s = cover.regions[gamma]
+            moved = shifted_symbol(c.representative, z)
+            assert sorted_rows(s) == sorted_rows(moved)
+            for other in [Symbol(cover.L, s.center, s.cells, s.values)] + ([moved] if generated else []):
+                assert s.L == other.L and s.center == other.center
+                assert all(type(v) is int for v in s.center)
+                assert s.cells.dtype == other.cells.dtype and s.cells.flags.c_contiguous
+                assert s.values.dtype == other.values.dtype
+                assert np.array_equal(s.cells, other.cells) and np.array_equal(s.values, other.values)
+
+
+def assert_validate_matches_oracles(cover, w):
+    """``validate_cover``, whose radii come once per shape class, against the
+    per-region ``direct_radii``, a cell-by-cell coverage sum (bit for bit)
+    and a window-by-window spreadness count."""
+    radii = [direct_radii(s) for s in cover.regions]
+    rep = validate_cover(cover, R=cover.L // 2, r=0, w=w)
+    assert rep.max_outer_radius == max(outer for outer, _ in radii)
+    assert rep.min_inner_radius == min(inner for _, inner in radii)
+    total = direct_coverage(cover)
+    assert np.array_equal(cover.coverage[0], total)
+    assert (rep.sum_min, rep.sum_max) == (total.min(), total.max())
+    assert rep.covers_grid == (total.min() > 0.0)
+    assert rep.spreadness == direct_spreadness(cover, w)
+    centers = [s.center for s in cover.regions]
+    assert rep.duplicate_centers == (len(set(centers)) != len(centers))
+
+
+def overlapping_cover_dict(rng, L):
+    """Cover JSON of a few random weighted shapes, each placed at several
+    random centers in a random cell order, so the regions overlap and the
+    classes have several members; about a tenth of the values are zero."""
+    regions = []
+    for _ in range(int(rng.integers(1, 4))):
+        wd, ht = (int(v) for v in rng.integers(1, L + 1, 2))
+        rel = [(i, j) for i in range(wd) for j in range(ht) if rng.random() < 0.8] or [(0, 0)]
+        values = rng.random(len(rel)) * (rng.random(len(rel)) > 0.1)
+        offset = rng.integers(0, L, 2)  # the center, relative to the shape's corner
+        for _ in range(int(rng.integers(1, 5))):
+            corner = rng.integers(0, L, 2)
+            order = rng.permutation(len(rel))
+            regions.append({
+                "center": [int(v) for v in (corner + offset) % L],
+                "cells": [[int((corner[0] + rel[k][0]) % L), int((corner[1] + rel[k][1]) % L)] for k in order],
+                "values": values[order].tolist(),
+            })
+    return {"L": L, "regions": [regions[i] for i in rng.permutation(len(regions))]}
+
+
+class TestShapeClasses:
+    @pytest.mark.parametrize("L, bx, by", [(16, 4, 4), (16, 16, 16), (12, 3, 4), (32, 8, 2), (8, 1, 1)])
+    def test_regular_boxes(self, L, bx, by):
+        cover = gen_regular_boxes(L, bx, by)
+        assert len(cover.classes) == 1
+        assert_classes_match_oracle(cover)
+
+    @pytest.mark.parametrize("bands", [
+        [(0, 8, 2), (8, 16, 4), (16, 32, 8)],  # configs/wedge32.json
+        [(0, 8, 4), (8, 16, 4), (16, 32, 4)],  # two bands of one shape share a class
+        [(0, 32, 32)],
+    ])
+    def test_wedge_cover(self, bands):
+        assert_classes_match_oracle(gen_wedge_cover(32, bands))
+
+    @pytest.mark.parametrize("seed", BENCH_IRREGULAR_SEEDS)
+    def test_irregular_bench_covers(self, seed):
+        cover = gen_random_irregular(128, seed, 16, 0.5)
+        assert len(cover.classes) > 40
+        assert_classes_match_oracle(cover)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(4, 32), st.integers(0, 2**32), st.data())
+    def test_irregular_small_covers(self, L, seed, data):
+        target = data.draw(st.integers(2, L))
+        overlap = data.draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+        assert_classes_match_oracle(gen_random_irregular(L, seed, target, overlap))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_file_covers(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        data = overlapping_cover_dict(rng, int(rng.integers(4, 11)))
+        (tmp_path / "cover.json").write_text(json.dumps(data))
+        cover = read_cover_json(tmp_path / "cover.json")
+        assert_classes_match_oracle(cover, generated=False)
+        assert len(cover.classes) < len(cover.regions) or len(cover.regions) <= 3
+
+
+class TestValidatePerClass:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_weighted_overlapping_file_covers(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        cover = cover_from_dict(overlapping_cover_dict(rng, int(rng.integers(4, 11))))
+        assert_validate_matches_oracles(cover, int(rng.integers(1, cover.L + 2)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lattice_covers(self, seed):
+        # weighted boxes on the lattice aZ x bZ, each also placed at a random
+        # lattice translate, so the classes have members and the regions overlap
+        rng = np.random.default_rng(200 + seed)
+        L, a, b = [(16, 2, 2), (24, 4, 3), (12, 1, 6)][seed % 3]
+        regions = []
+        for _ in range(int(rng.integers(1, 5))):
+            wj, wk = int(rng.integers(1, min(3, L // a) + 1)), int(rng.integers(1, min(3, L // b) + 1))
+            j0, k0 = (int(v) for v in rng.integers(0, L, 2))
+            cells = [((a * (j0 + j)) % L, (b * (k0 + k)) % L) for j in range(wj) for k in range(wk)]
+            regions.append(Symbol(L, cells[0], cells, rng.random(len(cells))))
+        moved = [shifted_symbol(s, (a * int(rng.integers(L // a)), b * int(rng.integers(L // b)))) for s in regions]
+        cover = Cover(L, (*regions, *moved))
+        assert_classes_match_oracle(cover, generated=False)
+        assert_validate_matches_oracles(cover, int(rng.integers(1, L + 2)))
+
+    @pytest.mark.parametrize("cover", [
+        gen_regular_boxes(12, 3, 4),
+        gen_wedge_cover(12, [(0, 4, 2), (4, 12, 3)]),
+        gen_random_irregular(12, 5, 4, 0.5),
+    ], ids=["regular", "wedge", "irregular"])
+    def test_generated_covers(self, cover):
+        for w in (1, 3, 12):
+            assert_validate_matches_oracles(cover, w)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import tfloc.locop
 from tfloc.cli import load_config, main, resolve_cover
 from tfloc.core import Signal, gauss_window
-from tfloc.covers import Cover, Symbol, gen_random_irregular, gen_regular_boxes, gen_wedge_cover, sum_symbols
+from tfloc.covers import Cover, Symbol, gen_random_irregular, gen_regular_boxes, gen_wedge_cover
 from tfloc.errors import EmptyFrameError, InvalidArgumentError, NotAFrameError, PreconditionViolation
 from tfloc.frames import (
     SelectionPolicy,
@@ -618,7 +618,7 @@ class TestNormEquivalence:
 
     def test_symbol_sum_lower_bounds_operator_sum(self, phi16):
         cover = gen_random_irregular(L16, seed=3, target_size=6, overlap=0.6)
-        _, sum_min, _ = sum_symbols(cover)
+        _, sum_min, _ = cover.coverage
         total = np.zeros((L16, L16), complex)
         for op in region_operators(cover, phi16):
             total += op

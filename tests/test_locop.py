@@ -3,7 +3,7 @@ import pytest
 
 from tfloc.cli import load_config, resolve_window
 from tfloc.core import gauss_window
-from tfloc.covers import Symbol, gen_random_irregular, gen_regular_boxes, gen_wedge_cover
+from tfloc.covers import Cover, Symbol, gen_random_irregular, gen_regular_boxes, gen_wedge_cover
 from tfloc.errors import InvalidArgumentError
 from tfloc.frames import SelectionPolicy, eigenframe_from_classes, select_eigenfunctions
 from tfloc.gabor import Lattice, _multiplier_symbol, canonical_tight
@@ -318,8 +318,8 @@ def assert_stream_matches_dense(symbols, phi):
     and the selected subspaces' projectors to 1e-12 where the cutoff gap is
     at least 1e-3 lambda_1.  Returns the sizes of J."""
     sizes, compared = [], 0
-    for spec, measure, members in class_spectra(symbols, phi):
-        rep = symbols[members[0][0]]
+    for spec, measure, cls in class_spectra(Cover(phi.length, tuple(symbols)).classes, phi):
+        rep = cls.representative
         H = assemble_locop(rep, phi)
         ev = np.linalg.eigvalsh(H)[::-1]
         r = int(np.sum(ev > RANK_RTOL * ev[0]))
@@ -477,7 +477,8 @@ class TestClassStream:
             assert _time_support(s, phi.samples).size <= 130
 
     def test_zero_symbol_reports_zero_eigenvalue(self, phi16):
-        [(spec, measure, _)] = class_spectra([Symbol(L16, (3, 3), [(3, 3), (3, 4)], [0.0, 0.0])], phi16)
+        zero = Symbol(L16, (3, 3), [(3, 3), (3, 4)], [0.0, 0.0])
+        [(spec, measure, _)] = class_spectra(Cover(L16, (zero,)).classes, phi16)
         assert spec.eigenvalues.size == 0 and spec.eigenvectors.shape == (L16, 0) and measure == 0.0
 
     def test_spectra_hold_only_numerically_nonzero_eigenpairs(self, phi16):
@@ -487,7 +488,7 @@ class TestClassStream:
         box = gen_regular_boxes(L16, 4, 4).regions[0]
         zero = Symbol(L16, (3, 3), [(3, 3), (3, 4)], [0.0, 0.0])
         symbols = [box, point, full_grid(L16), zero]
-        spectra = list(class_spectra(symbols, phi16))
+        spectra = list(class_spectra(Cover(L16, tuple(symbols)).classes, phi16))
         assert [spec.eigenvalues.size for spec, _, _ in spectra] == [12, 1, 16, 0]
         for (spec, _, _), s in zip(spectra, symbols):
             H = assemble_locop(s, phi16)

@@ -75,3 +75,22 @@ def test_import_leaves_scipy_out():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_setup_leaves_numpy_ma_out():
+    # a bare np.unique imports numpy.ma, which costs every process 10-15 ms
+    # and 1.3 MB; loading, generating, reading and validating covers need none
+    code = (
+        "import sys\n"
+        "from tfloc.cli import load_config, resolve_cover, resolve_window\n"
+        "from tfloc.covers import validate_cover\n"
+        "for path in sys.argv[1:]:\n"
+        "    cfg = load_config(path)\n"
+        "    resolve_window(cfg)\n"
+        "    validate_cover(resolve_cover(cfg), **cfg.admissibility)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    configs = [str(ROOT / "configs" / name) for name in ("regular16.json", "gabor16.json")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code, *configs], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
