@@ -35,6 +35,21 @@ def _as_complex_vector(samples, L: int | None = None) -> np.ndarray:
     return arr
 
 
+def _residue_rows(v: np.ndarray, p: int) -> np.ndarray:
+    """``v``, of length L along its first axis, as an (L/p, p, ...) view:
+    row r holds v[r + j L/p], j < p.
+
+    An operator that commutes with the modulation pi(0, p) vanishes off
+    t = t' mod L/p, so it acts on each row on its own (the Walnut blocks).
+    """
+    return v.reshape(p, -1, *v.shape[1:]).swapaxes(0, 1)
+
+
+def _from_residue_rows(rows: np.ndarray) -> np.ndarray:
+    """The inverse of ``_residue_rows``: (L/p, p, ...) back to (L, ...)."""
+    return rows.swapaxes(0, 1).reshape(-1, *rows.shape[2:])
+
+
 @dataclass(frozen=True)
 class Signal:
     """A complex vector on Z_L."""

@@ -132,6 +132,29 @@ class Cover:
         """The (outer, inner) radius of each shape class (``_radii``), one row per class."""
         return np.array([_radii(c.representative) for c in self.classes])
 
+    @cached_property
+    def frequency_period(self) -> int:
+        """The least p dividing L such that every class's shifts, as a multiset, are invariant
+        under (0, p); L if no smaller p is.
+
+        Then every sum over the members z of a class of pi(z) K pi(z)*, such as the frame
+        operator, commutes with pi(0, p) and vanishes off t = t' mod L/p.  Each class marks
+        its member counts on one L x L grid, and p holds when the counts agree at z and
+        z + (0, p) for every member z: the shift by (0, p) then maps the members into
+        themselves, so onto themselves.
+        """
+        L = self.L
+        periods = [p for p in range(1, L) if L % p == 0]
+        counts = np.zeros(L * L, dtype=np.int64)
+        for c in self.classes:
+            x, xi = c.shifts[:, 0] * L, c.shifts[:, 1]
+            np.add.at(counts, x + xi, 1)
+            periods = [p for p in periods if np.array_equal(counts[x + (xi + p) % L], counts[x + xi])]
+            counts[x + xi] = 0
+            if not periods:
+                return L
+        return periods[0]
+
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
@@ -346,22 +369,18 @@ def cover_from_dict(data) -> Cover:
     return Cover(L, tuple(regions))
 
 
-# one cell of a region as json.dumps(..., indent=1) lays it out inside the
-# regions list
-_CELL_JSON = "\n    [\n     %d,\n     %d\n    ]"
-
-
-def _region_json(s: Symbol) -> str:
+def _region_json(s: Symbol, x_text: np.ndarray, xi_text: np.ndarray) -> str:
     """``json.dumps(entry, indent=1)`` of the region's entry in the cover JSON
     above (the test oracle ``tests/helpers.py::cover_dict`` builds the entries),
     indented two more spaces.
 
     Filled from fixed templates: integers as %d, values as repr(float),
-    which is how the json encoder writes them.
+    which is how the json encoder writes them.  The text of a cell [x, xi]
+    is entry x of ``x_text`` and entry xi of ``xi_text`` (``write_cover_json``).
     """
     parts = [
         '  {\n   "center": [\n    %d,\n    %d\n   ],\n   "cells": [' % s.center,
-        ",".join([_CELL_JSON] * s.cells.shape[0]) % tuple(s.cells.ravel().tolist()),
+        ",".join((x_text[s.cells[:, 0]] + xi_text[s.cells[:, 1]]).tolist()),
         "\n   ]",
     ]
     if not np.all(s.values == 1.0):
@@ -375,13 +394,17 @@ def write_cover_json(path, cover: Cover) -> None:
     where ``cover_dict`` is the test oracle in ``tests/helpers.py``.
 
     The text of a region takes several times the memory of its cell array, so
-    only one region's text is built at once.
+    only one region's text is built at once.  A cell's text is joined from
+    two tables, of the L texts of its x and of its xi, each formatted once.
     """
+    L = cover.L
+    x_text = np.array(["\n    [\n     %d," % i for i in range(L)], dtype=object)
+    xi_text = np.array(["\n     %d\n    ]" % i for i in range(L)], dtype=object)
     with open(path, "w", newline="") as fh:
-        fh.write(f'{{\n "L": {cover.L},\n "regions": [')
+        fh.write(f'{{\n "L": {L},\n "regions": [')
         sep = "\n"
         for s in cover.regions:
-            fh.write(sep + _region_json(s))
+            fh.write(sep + _region_json(s, x_text, xi_text))
             sep = ",\n"
         fh.write("\n ]\n}\n")
 

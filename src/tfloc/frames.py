@@ -6,6 +6,16 @@ region's trace measure) and collected, weighted by their eigenvalues or left
 unweighted.  The frame operator S = sum w^2 |v><v| certifies the frame bounds
 A = lambda_min(S), B = lambda_max(S), and the canonical dual atoms S^{-1} g_i
 reconstruct f = sum_i <f, g_i> S^{-1} g_i.
+
+The atoms of a region are its class's selected eigenvectors translated by
+the region's shift z, so S = sum_z pi(z) K pi(z)* class by class.  When every
+class's shifts are invariant under (0, p) (``Cover.frequency_period``), S
+commutes with the modulation pi(0, p) and vanishes unless t = t' mod L/p: it
+is L/p Walnut blocks of order p (Walnut 1992; Groechenig, Foundations of
+Time-Frequency Analysis, 6.3), block r acting on the samples r + j L/p,
+j < p (``core._residue_rows``).  The certificate, the dual solve and the
+``norm_equivalence`` Gram sums all work on those blocks; p = L is one block,
+the dense operator.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Signal, Window, read_json, write_json
+from .core import Signal, Window, _from_residue_rows, _residue_rows, read_json, write_json
 from .covers import _INT64_MAX, Cover
 from .errors import (
     EmptyFrameError,
@@ -90,7 +100,10 @@ class EigenFrame:
     blocks, kept as they were built (one block per region, or one block for
     a stored frame).  ``weights`` holds w_i, ``gammas`` the region index,
     ``ks`` the 1-based eigenvalue index within the region and ``lams`` the
-    eigenvalue.
+    eigenvalue.  ``frequency_period`` is the p of the cover the frame was
+    built from (``Cover.frequency_period``), which sets the Walnut blocks of
+    its frame operator; a frame that records none, such as a stored one, has
+    p = L, one block.
     """
 
     L: int
@@ -101,10 +114,15 @@ class EigenFrame:
     lams: np.ndarray
     weighted: bool
     source: str | None = None  # fingerprint of the inputs the frame was built from
+    frequency_period: int | None = None
 
     def __post_init__(self):
         if not self.lams.size:
             raise EmptyFrameError("frame has no atoms")
+        if self.frequency_period is None:
+            object.__setattr__(self, "frequency_period", self.L)
+        elif self.frequency_period < 1 or self.L % self.frequency_period:
+            raise InvalidArgumentError(f"frequency period {self.frequency_period} must divide L={self.L}")
 
     def atom_matrix(self) -> np.ndarray:
         """The C-contiguous L x n matrix whose columns are the weighted atoms w_i v_i."""
@@ -116,26 +134,33 @@ class EigenFrame:
 
 @dataclass(frozen=True)
 class FrameCertificate:
+    """The frame bounds, and S as its (L/p, p, p) Walnut blocks (``frame_certificate``):
+    blocks[r, j, k] = S[r + j L/p, r + k L/p]."""
+
     A: float
     B: float
     condition: float
-    frame_operator: np.ndarray
+    blocks: np.ndarray
     is_frame: bool
     a_tol: float
     # [frame, G*, S^{-1} G] of the last frame reconstructed with this certificate
     _dual: list = field(default_factory=list, init=False, repr=False, compare=False)
 
+    def solve(self, Y: np.ndarray) -> np.ndarray:
+        """S^{-1} Y for an L x k ``Y``: one batched solve over the blocks."""
+        return _from_residue_rows(np.linalg.solve(self.blocks, _residue_rows(Y, self.blocks.shape[1])))
+
     def dual_frame(self, frame: EigenFrame) -> tuple[np.ndarray, np.ndarray]:
         """(G*, S^{-1} G) of ``frame``: its analysis operator and its canonical dual atoms.
 
-        G is the L x n matrix of the weighted atoms.  One solve of S against G,
-        on first use, and the pair is kept with ``frame``, so a later call with
-        another frame solves again and never reuses this one.
+        G is the L x n matrix of the weighted atoms.  One solve of S against G
+        (``solve``), on first use, and the pair is kept with ``frame``, so a
+        later call with another frame solves again and never reuses this one.
         ``frame_certificate`` alone never solves.
         """
         if not self._dual or self._dual[0] is not frame:
             G = frame.atom_matrix()
-            dual = np.linalg.solve(self.frame_operator, G)
+            dual = self.solve(G)
             analysis = G.conj().T
             analysis.flags.writeable = dual.flags.writeable = False
             self._dual[:] = [frame, analysis, dual]
@@ -155,7 +180,7 @@ def region_classes(cover: Cover, phi: Window) -> Iterator[ClassSpectrum]:
 
 
 def eigenframe_from_classes(L: int, classes: Iterable[ClassSpectrum], policy: SelectionPolicy,
-                            weighted: bool) -> EigenFrame:
+                            weighted: bool, frequency_period: int) -> EigenFrame:
     """Frame of the selected eigenpairs of each region, counted with its class measure ||eta||_1 / L.
 
     ``classes`` is a shape-class stream (``class_spectra``), consumed in a
@@ -165,6 +190,7 @@ def eigenframe_from_classes(L: int, classes: Iterable[ClassSpectrum], policy: Se
     empty spectrum, a numerically zero operator, gives a warning and no atoms.
     Each region's block is kept as ``translated`` returns it: copying the blocks
     into one matrix would leave the freed blocks resident and raise the peak memory.
+    The frame records ``frequency_period``, the cover's (``Cover.frequency_period``).
     """
     by_region: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for spec, measure, cls in classes:
@@ -192,6 +218,7 @@ def eigenframe_from_classes(L: int, classes: Iterable[ClassSpectrum], policy: Se
         np.concatenate([np.arange(1, c + 1) for c in counts]),
         lams,
         weighted,
+        frequency_period=frequency_period,
     )
 
 
@@ -215,21 +242,23 @@ def assemble_frame(
             "unweighted frames need inner regularity: every center's radius-1 ball must lie "
             f"inside its region's support (measured min inner radius {inner})"
         )
-    return eigenframe_from_classes(cover.L, classes, policy, weighted)
-
-
-def frame_operator(frame: EigenFrame) -> np.ndarray:
-    G = frame.atom_matrix()
-    return G @ G.conj().T
+    return eigenframe_from_classes(cover.L, classes, policy, weighted, cover.frequency_period)
 
 
 def frame_certificate(frame: EigenFrame) -> FrameCertificate:
-    """Frame bounds as the extreme eigenvalues of S = sum w^2 |v><v|; a frame iff A > 1e-9 B."""
-    S = frame_operator(frame)
+    """Frame bounds as the extreme eigenvalues of S = sum w^2 |v><v|; a frame iff A > 1e-9 B.
+
+    S is formed as its Walnut blocks of order p = ``frame.frequency_period``:
+    block r is G_r G_r*, G_r the rows r + j L/p of the atom matrix G, and A
+    and B are the extremes of the blocks' eigenvalues.  For p = L that is
+    G G* and its eigenvalues.
+    """
+    G = _residue_rows(frame.atom_matrix(), frame.frequency_period)
+    S = G @ G.conj().transpose(0, 2, 1)
     if not np.isfinite(S).all():
         raise NumericError("frame operator has non-finite entries; the atom weights overflow it")
     ev = np.linalg.eigvalsh(S)
-    A, B = float(ev[0]), float(ev[-1])
+    A, B = float(ev[:, 0].min()), float(ev[:, -1].max())
     a_tol = 1e-9 * B
     condition = B / A if A > 0.0 else math.inf
     return FrameCertificate(A, B, condition, S, A > a_tol, a_tol)
@@ -245,7 +274,8 @@ def reconstruct(
     O(L n) products; the dual atoms are solved once per (frame, certificate)
     pair (``FrameCertificate.dual_frame``).  Without one, the frame is
     certified here and the one signal is solved for, f_rec = S^{-1} (G G* f),
-    with no dual atoms built.  Returns (f_rec, relative error); the zero
+    with no dual atoms built.  Both solve block by block
+    (``FrameCertificate.solve``).  Returns (f_rec, relative error); the zero
     signal reconstructs to zero with error 0 by convention.
     """
     cert = certificate if certificate is not None else frame_certificate(frame)
@@ -259,7 +289,7 @@ def reconstruct(
         return Signal(np.zeros(frame.L, dtype=np.complex128)), 0.0
     if certificate is None:
         G = frame.atom_matrix()
-        f_rec = np.linalg.solve(cert.frame_operator, G @ (G.conj().T @ f.samples))
+        f_rec = cert.solve((G @ (G.conj().T @ f.samples))[:, None])[:, 0]
     else:
         analysis, dual = cert.dual_frame(frame)
         f_rec = dual @ (analysis @ f.samples)
@@ -277,7 +307,7 @@ _GRAM_POWER = {"plain": 2.0, "squared": 4.0, "thresholded": 2.0}
 
 
 def norm_equivalence(
-    classes: Iterable[ClassSpectrum], terms: list[tuple[str, float | None]]
+    classes: Iterable[ClassSpectrum], terms: list[tuple[str, float | None]], frequency_period: int
 ) -> list[tuple[float, float]]:
     """(c, C) for each (variant, epsilon) term, from one pass over a shape-class stream.
 
@@ -291,7 +321,9 @@ def norm_equivalence(
     each band is added once per region, and a threshold's sum is the bands
     above it, cumulated from the top.  A member region's Q is its class spectrum
     translated to it, and each class spectrum is dropped once all its
-    members are added.
+    members are added.  Every sum is of the form sum_z pi(z) K pi(z)*, so it
+    is formed and eigensolved as Walnut blocks of order ``frequency_period``,
+    the cover's (``Cover.frequency_period``), like the frame operator.
     """
     keys = []
     for variant, eps in terms:
@@ -308,15 +340,16 @@ def norm_equivalence(
         # band j is lam[ends[j]:ends[j + 1]], the eigenvalues in (cuts[j], cuts[j - 1]]
         ends = [0, *(int(np.sum(lam > eps)) for eps in cuts)]
         if bands is None:
-            L = spec.eigenvectors.shape[0]
-            bands = [np.zeros((L, L), dtype=np.complex128) for _ in cuts]
-            quartic_sum = np.zeros((L, L), dtype=np.complex128) if quartic else None
+            p = frequency_period
+            shape = (spec.eigenvectors.shape[0] // p, p, p)
+            bands = [np.zeros(shape, dtype=np.complex128) for _ in cuts]
+            quartic_sum = np.zeros(shape, dtype=np.complex128) if quartic else None
         for z in cls.shifts:
-            Q = spec.translated(z[None])[0]
-            QH, Q2 = Q.conj().T, Q * lam ** 2
+            Q = _residue_rows(spec.translated(z[None])[0], frequency_period)
+            QH, Q2 = Q.conj().transpose(0, 2, 1), Q * lam ** 2
             for band, lo, hi in zip(bands, ends, ends[1:]):
                 if hi > lo:
-                    band += Q2[:, lo:hi] @ QH[lo:hi]
+                    band += Q2[:, :, lo:hi] @ QH[:, lo:hi]
             if quartic:
                 quartic_sum += (Q2 * lam ** 2) @ QH
         del spec, Q, QH, Q2
@@ -328,8 +361,9 @@ def norm_equivalence(
     for key in set(keys):
         if not np.isfinite(grams[key]).all():
             raise NumericError(f"Gram sum (power, epsilon) = {key} has non-finite entries")
-        extremes[key] = np.linalg.eigvalsh(grams[key])[[0, -1]]
-    return [(float(extremes[k][0]), float(extremes[k][1])) for k in keys]
+        ev = np.linalg.eigvalsh(grams[key])
+        extremes[key] = float(ev[:, 0].min()), float(ev[:, -1].max())
+    return [extremes[k] for k in keys]
 
 
 def norm_equivalence_constants(
@@ -339,13 +373,14 @@ def norm_equivalence_constants(
     epsilon: float | None = None,
 ) -> tuple[float, float]:
     """(c, C) of one variant: the plain, squared or thresholded operator sum."""
-    return norm_equivalence(region_classes(cover, phi), [(variant, epsilon)])[0]
+    return norm_equivalence(region_classes(cover, phi), [(variant, epsilon)], cover.frequency_period)[0]
 
 
 def epsilon_sweep(cover: Cover, phi: Window, epsilons) -> list[tuple[float, float, float]]:
     """(epsilon, c, C) rows of the thresholded constants; one eigensolve per shape class."""
     eps = [float(e) for e in epsilons]
-    rows = norm_equivalence(region_classes(cover, phi), [("thresholded", e) for e in eps])
+    terms = [("thresholded", e) for e in eps]
+    rows = norm_equivalence(region_classes(cover, phi), terms, cover.frequency_period)
     return [(e, c, C) for e, (c, C) in zip(eps, rows)]
 
 

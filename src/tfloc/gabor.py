@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Window, _as_complex_vector
+from .core import Window, _as_complex_vector, _from_residue_rows, _residue_rows
 from .covers import Cover, Symbol
 from .errors import (
     InvalidArgumentError,
@@ -71,16 +71,11 @@ class Lattice:
         return np.stack(np.meshgrid(js, ks, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
-def _residue_rows(v: np.ndarray, lattice: Lattice) -> np.ndarray:
-    """``v`` as (L/b, b): row r holds v[r + p L/b], p < b."""
-    return v.reshape(lattice.b, lattice.L // lattice.b).T
-
-
 def _walnut_blocks(phi: Window, lattice: Lattice) -> np.ndarray:
     """S as its (L/b, b, b) Walnut blocks: blocks[r, p, q] = S[r + p L/b, r + q L/b]."""
     L, M = lattice.L, lattice.L // lattice.b
     w = _as_complex_vector(phi.samples, L)
-    t = _residue_rows(np.arange(L), lattice)[:, :, None]
+    t = _residue_rows(np.arange(L), lattice.b)[:, :, None]
     G = w[(t - lattice.a * np.arange(L // lattice.a)) % L]  # (L/b, b, L/a)
     return M * (G @ G.conj().transpose(0, 2, 1))
 
@@ -113,9 +108,9 @@ def canonical_tight(phi: Window, lattice: Lattice) -> LatticeGaborSystem:
             n_points=lattice.n_points,
             L=lattice.L,
         )
-    f = _residue_rows(_as_complex_vector(phi.samples, lattice.L), lattice)[:, :, None]
+    f = _residue_rows(_as_complex_vector(phi.samples, lattice.L), lattice.b)[:, :, None]
     g = Q @ ((Q.conj().transpose(0, 2, 1) @ f) / np.sqrt(w)[:, :, None])
-    phit = g[:, :, 0].T.reshape(-1)
+    phit = _from_residue_rows(g[:, :, 0])
     window = Window(phit / np.linalg.norm(phit))
     ev = np.linalg.eigvalsh(_walnut_blocks(window, lattice))
     condition = float(ev.max() / ev.min()) if ev.min() > 0.0 else float("inf")
@@ -202,4 +197,5 @@ def gabor_eigenframe(
     Selection runs through the grid pipeline's back end with the multiplier
     trace as the region measure; ``frame_certificate`` certifies the frame.
     """
-    return eigenframe_from_classes(cover.L, multiplier_classes(cover, sys), policy, weighted)
+    return eigenframe_from_classes(cover.L, multiplier_classes(cover, sys), policy, weighted,
+                                   cover.frequency_period)

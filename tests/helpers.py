@@ -84,6 +84,21 @@ def shape_classes(cover):
     return out
 
 
+def direct_frequency_period(cover):
+    """The least p dividing L for which adding (0, p) to every shift of a shape class
+    (``shape_classes``) gives the same shifts, counted with multiplicity, in every
+    class; L if none smaller does."""
+    L = cover.L
+    classes = shape_classes(cover)
+    for p in range(1, L):
+        if L % p == 0 and all(
+            sorted(map(tuple, shifts)) == sorted((x, (xi + p) % L) for x, xi in shifts)
+            for _, shifts in classes
+        ):
+            return p
+    return L
+
+
 def direct_coverage(cover):
     """The pointwise sum of a cover's symbols, added cell by cell in region order."""
     total = np.zeros((cover.L, cover.L))
@@ -209,6 +224,24 @@ def atom_columns(frame):
     """The weighted atoms g_i = w_i v_i of a frame as columns, scaled one by one."""
     V = np.hstack(frame.vectors)
     return np.column_stack([w * V[:, i] for i, w in enumerate(frame.weights)])
+
+
+def frame_operator(frame):
+    """The dense frame operator S = G G*, G the weighted atoms as columns (``atom_columns``)."""
+    G = atom_columns(frame)
+    return G @ G.conj().T
+
+
+def dense_from_blocks(blocks):
+    """The L x L operator of its (L/p, p, p) Walnut blocks, set entry by entry:
+    S[r + j L/p, r + k L/p] = blocks[r, j, k], and 0 off the blocks."""
+    M, p, _ = blocks.shape
+    S = np.zeros((M * p, M * p), complex)
+    for r in range(M):
+        for j in range(p):
+            for k in range(p):
+                S[r + j * M, r + k * M] = blocks[r, j, k]
+    return S
 
 
 def canonical_dual(frame):

@@ -19,7 +19,6 @@ from tfloc.frames import (
     assemble_frame,
     epsilon_sweep,
     frame_certificate,
-    frame_operator,
     norm_equivalence_constants,
     reconstruct,
 )
@@ -34,6 +33,7 @@ from tfloc.locop import assemble_locop, eigendecomp
 
 from helpers import (
     ball_operator_spectrum,
+    frame_operator,
     orthonormal_set,
     random_signal,
     region_operators,

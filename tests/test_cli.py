@@ -302,6 +302,7 @@ class TestFrame:
         assert report["implied_alpha"] == 10.0
         assert len(report["regions"]) == 16
         assert all(r["count"] == 2 for r in report["regions"])
+        assert report["frequency_period"] == 4
         assert report["timings"] is None
         adm = json.loads((out / "admissibility.json").read_text())
         assert adm["spreadness"] == 1 and adm["inner_radius_ok"] is True
@@ -408,7 +409,31 @@ class TestFrame:
         out = tmp_path / "o"
         assert main(["frame", "--config", str(cfg), "--out", str(out), "--timings"]) == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["timings"]["total_s"] > 0
+        timings = report["timings"]
+        assert list(timings) == ["setup_s", "build_s", "certificate_s", "total_s"]
+        assert min(timings.values()) > 0
+        assert timings["total_s"] >= timings["setup_s"] + timings["build_s"] + timings["certificate_s"]
+
+    def test_region_rows_scan_the_atoms(self, tmp_path):
+        # irregular regions with an all-zero region among them: each row holds the
+        # count and extreme eigenvalues of its region's atoms, read from frame.json
+        cover = cover_dict(gen_random_irregular(16, 3, 5, 0.5))
+        zero = dict(cover["regions"][2], values=[0.0] * len(cover["regions"][2]["cells"]))
+        cover["regions"].insert(4, zero)
+        (tmp_path / "cover.json").write_text(json.dumps(cover))
+        cfg = write_config(tmp_path, basic_config(cover={"file": "cover.json"}))
+        out = tmp_path / "o"
+        with pytest.warns(UserWarning, match="region 4 has a numerically zero operator"):
+            assert main(["frame", "--config", str(cfg), "--out", str(out)]) == 0
+        atoms = json.loads((out / "frame.json").read_text())["atoms"]
+        want = []
+        for gamma, region in enumerate(cover["regions"]):
+            lams = [a["lambda"] for a in atoms if a["gamma"] == gamma]
+            mass = float(sum(region.get("values", [1.0] * len(region["cells"]))))
+            want.append({"gamma": gamma, "count": len(lams), "lambda_max": max(lams, default=None),
+                         "lambda_min": min(lams, default=None), "mass": mass})
+        assert json.loads((out / "report.json").read_text())["regions"] == want
+        assert want[4]["count"] == 0 and min(row["count"] for i, row in enumerate(want) if i != 4) > 0
 
     def test_lattice_frame(self, tmp_path):
         out = tmp_path / "o"
@@ -727,7 +752,8 @@ class TestReconstruct:
         assert solves == []
         sig = write_random_signal(tmp_path)
         assert main(["reconstruct", "--config", cfg, "--signal", str(sig), "--out", str(out)]) == 0
-        assert solves == [(16,)]
+        # one right-hand side, in the one Walnut block of the stored frame (p = L)
+        assert solves == [(1, 16, 1)]
         # the same error as the library's cached-dual path on the stored frame
         monkeypatch.undo()
         frame = tfloc.frames.read_frame(out / "frame.json", out / "frame_atoms.tfat")

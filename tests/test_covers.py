@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tfloc.cli import load_config, resolve_cover
 from tfloc.covers import (
     Cover,
     Symbol,
@@ -23,6 +25,7 @@ from helpers import (
     ball,
     cover_dict,
     direct_coverage,
+    direct_frequency_period,
     direct_radii,
     direct_spreadness,
     shape_classes,
@@ -481,3 +484,71 @@ class TestValidatePerClass:
     def test_generated_covers(self, cover):
         for w in (1, 3, 12):
             assert_validate_matches_oracles(cover, w)
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def periodic_cover(rng, L):
+    """A few random weighted shapes, each placed at a few random centers and
+    then at their orbits under (0, p) for a random divisor p of L per shape,
+    so each class has its own frequency period, a multiple of the shape's p."""
+    regions = []
+    for _ in range(int(rng.integers(1, 4))):
+        wd, ht = (int(v) for v in rng.integers(1, L + 1, 2))
+        rel = np.array([(i, j) for i in range(wd) for j in range(ht) if rng.random() < 0.8] or [(0, 0)])
+        values = rng.random(len(rel))
+        p = int(rng.choice([d for d in range(1, L + 1) if L % d == 0]))
+        for _ in range(int(rng.integers(1, 3))):
+            corner = rng.integers(0, L, 2)
+            for k in range(0, L, p):
+                at = corner + [0, k]
+                regions.append(Symbol(L, tuple(int(v) for v in at % L), (rel + at) % L, values))
+    return Cover(L, tuple(regions[i] for i in rng.permutation(len(regions))))
+
+
+class TestFrequencyPeriod:
+    @pytest.mark.parametrize("name, p", [
+        ("regular16.json", 4), ("gabor16.json", 8), ("irregular16.json", 16), ("wedge32.json", 32),
+    ])
+    def test_bundled_configs(self, name, p):
+        cover = resolve_cover(load_config(CONFIG_DIR / name))
+        assert cover.frequency_period == direct_frequency_period(cover) == p
+
+    @pytest.mark.parametrize("L, bx, by", [(16, 4, 4), (16, 16, 16), (12, 3, 4), (32, 8, 2), (8, 1, 1),
+                                           (64, 8, 8)])
+    def test_regular_boxes_have_the_box_height(self, L, bx, by):
+        cover = gen_regular_boxes(L, bx, by)
+        assert cover.frequency_period == direct_frequency_period(cover) == by
+
+    def test_one_reshaped_box_gives_L(self):
+        boxes = gen_regular_boxes(16, 4, 4)
+        s = boxes.regions[5]
+        reshaped = Symbol.indicator(16, s.center, s.cells[:-1])  # one cell fewer
+        cover = Cover(16, (*boxes.regions[:5], reshaped, *boxes.regions[6:]))
+        assert len(cover.classes) == 2
+        assert cover.frequency_period == direct_frequency_period(cover) == 16
+
+    def test_a_duplicate_region_counts(self):
+        # the shifts as a set are still invariant under (0, 4), as a multiset not
+        boxes = gen_regular_boxes(16, 4, 4)
+        cover = Cover(16, (*boxes.regions, boxes.regions[0]))
+        assert cover.frequency_period == direct_frequency_period(cover) == 16
+
+    def test_two_bands_of_one_shape(self):
+        cover = gen_wedge_cover(32, [(0, 8, 4), (8, 16, 4), (16, 32, 4)])
+        assert cover.frequency_period == direct_frequency_period(cover) == 32
+        cover = gen_wedge_cover(32, [(0, 16, 4), (16, 32, 4)])
+        assert cover.frequency_period == direct_frequency_period(cover) == 16
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_periodic_file_covers(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        cover = periodic_cover(rng, int(rng.choice([6, 8, 12, 16])))
+        assert cover.frequency_period == direct_frequency_period(cover)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_overlapping_file_covers(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        cover = cover_from_dict(overlapping_cover_dict(rng, int(rng.integers(4, 11))))
+        assert cover.frequency_period == direct_frequency_period(cover)

@@ -19,10 +19,11 @@ from tfloc.frames import (
     assemble_frame,
     epsilon_sweep,
     frame_certificate,
-    frame_operator,
+    norm_equivalence,
     norm_equivalence_constants,
     read_frame,
     reconstruct,
+    region_classes,
     select_eigenfunctions,
     write_certificate_json,
     write_frame,
@@ -35,7 +36,9 @@ from helpers import (
     atom_columns,
     ball_operator_spectrum,
     canonical_dual,
+    dense_from_blocks,
     direct_gabor_multiplier,
+    frame_operator,
     lattice_mask,
     random_signal,
     region_operators,
@@ -54,6 +57,11 @@ REGULAR16_PLAIN_CC = 0.5905634681447743
 REGULAR16_SQUARED_C = 0.06993708970866845
 REGULAR16_SQUARED_CC = 0.23455361375659067
 REGULAR16_N_EPS02 = 2
+
+
+# 8x8 boxes at L=64, whose frequency period is 8
+REGULAR64_CONFIG = {"L": 64, "cover": {"regular": {"bx": 8, "by": 8}},
+                    "policy": {"mode": "epsilon", "epsilon": 0.1, "n_max": 64}}
 
 
 def whole_grid_cover(L):
@@ -296,9 +304,12 @@ def assert_matches_direct_path(frame, ops, policy, A, B):
 class TestShapeClasses:
     """One eigensolve per shape class agrees with solving every region directly."""
 
-    @pytest.mark.parametrize("name", ["regular16.json", "irregular16.json", "gabor16.json"])
+    @pytest.mark.parametrize("name", ["regular16.json", "irregular16.json", "gabor16.json", "regular64"])
     def test_config_against_direct_path(self, tmp_path, name):
         cfg_path = CONFIG_DIR / name
+        if name == "regular64":  # frequency period 8: eight Walnut blocks of order 8
+            cfg_path = tmp_path / "regular64.json"
+            cfg_path.write_text(json.dumps(REGULAR64_CONFIG))
         assert main(["frame", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
         assert main(["diagnose", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
         frame = read_frame(tmp_path / "frame.json", tmp_path / "frame_atoms.tfat")
@@ -482,6 +493,80 @@ class TestCertificate:
             assert total == pytest.approx(quad, rel=1e-9)
 
 
+def walnut_case(name):
+    """(frame, expected frequency period) of a grid or a lattice frame with p < L."""
+    policy = SelectionPolicy("epsilon", epsilon=0.1)
+    if name == "regular64":
+        return assemble_frame(gen_regular_boxes(64, 8, 8), gauss_window(64), policy), 8
+    if name == "wedge":  # two bands of one shape: one class, invariant under (0, 16)
+        return assemble_frame(gen_wedge_cover(32, [(0, 16, 4), (16, 32, 4)]), gauss_window(32), policy), 16
+    cover = lattice_box_cover(32, 8, 2)
+    system = canonical_tight(gauss_window(32), Lattice(32, 2, 2))
+    return gabor_eigenframe(cover, system, policy), 8
+
+
+class TestWalnutBlocks:
+    """The certificate, the dual and the Gram sums, block by block, against the dense oracles."""
+
+    @pytest.mark.parametrize("name", ["regular64", "wedge", "lattice32"])
+    def test_blocks_bounds_and_dual_match_dense(self, name):
+        frame, p = walnut_case(name)
+        L = frame.L
+        assert frame.frequency_period == p
+        cert = frame_certificate(frame)
+        assert cert.blocks.shape == (L // p, p, p)
+        # the blocks are S's, and S vanishes off them
+        S = frame_operator(frame)
+        assert np.max(np.abs(dense_from_blocks(cert.blocks) - S)) <= 1e-12 * np.abs(S).max()
+        ev = np.linalg.eigvalsh(S)
+        assert cert.A == pytest.approx(ev[0], rel=1e-12)
+        assert cert.B == pytest.approx(ev[-1], rel=1e-12)
+        assert cert.condition == pytest.approx(ev[-1] / ev[0], rel=1e-12)
+        _, dual = cert.dual_frame(frame)
+        _, want = canonical_dual(frame)
+        assert np.max(np.abs(dual - want)) <= 1e-12 * np.abs(want).max()
+        f = random_signal(np.random.default_rng(37), L)
+        rec, rel = reconstruct(frame, Signal(f))
+        assert np.linalg.norm(rec.samples - f) <= 1e-12 * np.linalg.norm(f) and rel <= 1e-12
+
+    def test_a_stored_frame_is_one_block(self, tmp_path):
+        cfg = tmp_path / "regular64.json"
+        cfg.write_text(json.dumps(REGULAR64_CONFIG))
+        assert main(["frame", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        frame = read_frame(tmp_path / "frame.json", tmp_path / "frame_atoms.tfat")
+        assert frame.frequency_period == 64
+        cert = frame_certificate(frame)
+        assert cert.blocks.shape == (1, 64, 64)
+        assert np.max(np.abs(cert.blocks[0] - frame_operator(frame))) <= 1e-12 * cert.B
+        stored = json.loads((tmp_path / "certificate.json").read_text())
+        assert cert.A == pytest.approx(stored["A"], rel=1e-12)
+        assert cert.B == pytest.approx(stored["B"], rel=1e-12)
+
+    def test_no_solve_sees_more_than_a_block(self, monkeypatch):
+        cover, phi = gen_regular_boxes(64, 8, 8), gauss_window(64)
+        frame = assemble_frame(cover, phi, SelectionPolicy("epsilon", epsilon=0.1))
+        classes = list(region_classes(cover, phi))
+        shapes = []
+        for name in ("eigvalsh", "eigh", "solve"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda a, *rest, fn=fn: shapes.append(a.shape) or fn(a, *rest))
+        cert = frame_certificate(frame)
+        cert.dual_frame(frame)
+        reconstruct(frame, Signal(random_signal(np.random.default_rng(38), 64)))
+        terms = [("plain", None), ("squared", None), *(("thresholded", 0.1 * i) for i in range(10))]
+        assert len(norm_equivalence(classes, terms, cover.frequency_period)) == 12
+        # the certificate, the dual, the certificate and solve of reconstruct, and
+        # the 11 distinct Gram sums (thresholded at 0 is plain)
+        assert len(shapes) == 1 + 1 + 2 + 11
+        assert {a[-2:] for a in shapes} == {(8, 8)}
+
+    @pytest.mark.parametrize("p", [0, 3, 32])
+    def test_period_must_divide_L(self, frame16, p):
+        with pytest.raises(InvalidArgumentError, match="frequency period"):
+            dataclasses.replace(frame16, frequency_period=p)
+
+
 class TestReconstruct:
     def test_orthonormal_frame_near_exact(self, phi16):
         frame = assemble_frame(
@@ -523,7 +608,7 @@ class TestReconstruct:
             f = random_signal(rng, L16)
             rec, rel = reconstruct(frame, Signal(f), cert)
             # the per-call formula: S^{-1} G G* f with S factored afresh
-            w, Q = np.linalg.eigh(cert.frame_operator)
+            w, Q = np.linalg.eigh(dense_from_blocks(cert.blocks))
             expected = Q @ ((Q.conj().T @ (G @ (G.conj().T @ f))) / w)
             assert np.max(np.abs(rec.samples - expected)) <= 1e-12 * np.linalg.norm(f)
             assert rel == pytest.approx(np.linalg.norm(expected - f) / np.linalg.norm(f), abs=1e-12)
@@ -535,7 +620,7 @@ class TestReconstruct:
         frame = read_frame(tmp_path / "frame.json", tmp_path / "frame_atoms.tfat")
         cert = frame_certificate(frame)
         S, dual = canonical_dual(frame)
-        assert np.max(np.abs(cert.frame_operator - S)) <= 1e-12
+        assert np.max(np.abs(dense_from_blocks(cert.blocks) - S)) <= 1e-12
         analysis, lib_dual = cert.dual_frame(frame)
         scale = np.max(np.abs(dual))
         assert np.max(np.abs(lib_dual - dual)) <= 1e-10 * scale
@@ -563,7 +648,7 @@ class TestReconstruct:
         def expected(frame, cert):
             # S_cert^{-1} G G* f for this pair, from the direct formula
             G = atom_columns(frame)
-            return solve(cert.frame_operator, G @ (G.conj().T @ f))
+            return solve(dense_from_blocks(cert.blocks), G @ (G.conj().T @ f))
 
         pairs = [(frame_a, cert_a), (frame_b, cert_b), (frame_b, cert_a), (frame_a, cert_a),
                  (frame_a, cert_b), (frame_a, cert_b)]

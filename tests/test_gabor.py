@@ -6,7 +6,7 @@ from tfloc import gabor, locop
 from tfloc.core import Window, gauss_window
 from tfloc.covers import Cover, Symbol
 from tfloc.errors import InvalidArgumentError, NotAFrameError, PreconditionViolation
-from tfloc.frames import SelectionPolicy, frame_certificate, frame_operator
+from tfloc.frames import SelectionPolicy, frame_certificate
 from tfloc.gabor import (
     Lattice,
     LatticeGaborSystem,
@@ -20,6 +20,7 @@ from tfloc.locop import assemble_locop, eigendecomp
 from helpers import (
     dense_gabor_frame_operator,
     direct_gabor_multiplier,
+    frame_operator,
     ill_conditioned_window,
     lattice_mask,
     shift_matrix,

@@ -498,5 +498,5 @@ class TestClassStream:
                 assert lam.size == r
                 assert np.all(lam > RANK_RTOL * ev[-1])
         with pytest.warns(UserWarning, match="region 3 has a numerically zero operator"):
-            frame = eigenframe_from_classes(L16, spectra, SelectionPolicy("epsilon", epsilon=0.0), False)
+            frame = eigenframe_from_classes(L16, spectra, SelectionPolicy("epsilon", epsilon=0.0), False, L16)
         assert frame.lams.size == 12 + 1 + 16 and 3 not in frame.gammas

@@ -94,3 +94,20 @@ def test_setup_leaves_numpy_ma_out():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code, *configs], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_frame_and_diagnose_leave_numpy_ma_out(tmp_path):
+    # the frequency period marks a count grid rather than calling np.isin or np.unique
+    code = (
+        "import sys\n"
+        "from tfloc.cli import main\n"
+        "for path in sys.argv[2:]:\n"
+        "    for command in ('frame', 'diagnose'):\n"
+        "        assert main([command, '--config', path, '--out', sys.argv[1]]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    configs = [str(ROOT / "configs" / name) for name in ("regular16.json", "gabor16.json")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path), *configs], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
