@@ -11,6 +11,7 @@ is null.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
@@ -370,6 +371,7 @@ def cmd_frame(cfg: RunConfig, out_dir: Path, timings: bool = False) -> int:
     t2 = time.perf_counter()
     cert = frame_certificate(frame)
     t3 = time.perf_counter()
+    # after the certificate (``_frame_source``): cert.frame has no source, and is not reconstructed
     frame = replace(frame, source=_frame_source(cfg, cover, phi))
 
     write_frame(out_dir / "frame.json", out_dir / "frame_atoms.tfat", frame)
@@ -441,11 +443,8 @@ def cmd_diagnose(cfg: RunConfig, out_dir: Path) -> int:
     else:
         classes = multiplier_classes(cover, _tight_system(cover, phi, cfg.lattice))
     eps = cfg.policy.epsilon if cfg.policy.mode == "epsilon" else 1.0 / cfg.policy.alpha
-    terms = [("plain", None), ("squared", None), ("thresholded", eps)]
-    terms += [("thresholded", e) for e in SWEEP_EPSILONS]
-    constants = norm_equivalence(classes, terms, cover.frequency_period)
-    (c_plain, C_plain), (c_sq, C_sq), (c_th, C_th), *rows = constants
-    sweep = [(e, c, C) for e, (c, C) in zip(SWEEP_EPSILONS, rows)]
+    (c_plain, C_plain), (c_sq, C_sq), [(c_th, C_th), *rows] = norm_equivalence(
+        classes, [eps, *SWEEP_EPSILONS], cover.frequency_period)
 
     # the constants scale with the square of the symbol values, and so does this tolerance
     a_tol = 1e-9 * C_plain
@@ -454,12 +453,12 @@ def cmd_diagnose(cfg: RunConfig, out_dir: Path) -> int:
             raise InternalError(
                 f"thresholded lower constant increased along the sweep: {prev!r} -> {nxt!r}"
             )
-    feasible = [row[0] for row in sweep if row[1] > a_tol]
+    feasible = [e for e, (c, _) in zip(SWEEP_EPSILONS, rows) if c > a_tol]
     payload = {
         "plain": {"c": c_plain, "C": C_plain},
         "squared": {"c": c_sq, "C": C_sq},
         "thresholded": {"epsilon": eps, "c": c_th, "C": C_th},
-        "epsilon_sweep": [{"epsilon": e, "c": c, "C": C} for e, c, C in sweep],
+        "epsilon_sweep": [{"epsilon": e, "c": c, "C": C} for e, (c, C) in zip(SWEEP_EPSILONS, rows)],
         "largest_epsilon_with_positive_c": max(feasible) if feasible else None,
         "atol": a_tol,
     }
@@ -520,8 +519,10 @@ def main(argv=None) -> int:
     except (TflocError, OSError) as exc:
         payload = _error_payload(exc)
         if out_dir is not None:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            write_json(out_dir / "error.json", payload)
+            # an --out that names a file, or a path under one, gets no error.json
+            with contextlib.suppress(OSError):
+                out_dir.mkdir(parents=True, exist_ok=True)
+                write_json(out_dir / "error.json", payload)
         print(f"error [{payload['code']}]: {payload['message']}", file=sys.stderr)
         return 1
 

@@ -26,6 +26,7 @@ import sys
 import warnings
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -69,12 +70,13 @@ class SelectionPolicy:
             raise InvalidArgumentError(f"unknown selection mode {self.mode!r}")
         if self.n_max < 1:
             raise InvalidArgumentError(f"n_max must be >= 1, got {self.n_max}")
+        # NaN fails the comparisons
         if self.mode == "alpha":
-            if self.alpha is None or self.alpha <= 0 or self.epsilon is not None:
-                raise InvalidArgumentError("alpha mode requires alpha > 0 and no epsilon")
+            if self.alpha is None or not 0 < self.alpha < math.inf or self.epsilon is not None:
+                raise InvalidArgumentError("alpha mode requires a finite alpha > 0 and no epsilon")
         else:
-            if self.epsilon is None or self.epsilon < 0 or self.alpha is not None:
-                raise InvalidArgumentError("epsilon mode requires epsilon >= 0 and no alpha")
+            if self.epsilon is None or not 0 <= self.epsilon < math.inf or self.alpha is not None:
+                raise InvalidArgumentError("epsilon mode requires a finite epsilon >= 0 and no alpha")
 
     @property
     def implied_alpha(self) -> float:
@@ -86,10 +88,11 @@ class SelectionPolicy:
 def select_eigenfunctions(spec: Spectrum, measure: float, policy: SelectionPolicy) -> int:
     """N_gamma for one region's spectrum and trace measure."""
     if policy.mode == "alpha":
-        n = math.ceil(policy.alpha * measure)
+        # capped before the ceiling, which an overflowing product would fail
+        n = math.ceil(min(policy.alpha * measure, policy.n_max))
     else:
         n = int(np.sum(spec.eigenvalues > policy.epsilon))
-    return max(min(n, policy.n_max, spec.eigenvalues.size), 0)
+    return min(n, policy.n_max, spec.eigenvalues.size)
 
 
 @dataclass(frozen=True)
@@ -102,8 +105,8 @@ class EigenFrame:
     ``ks`` the 1-based eigenvalue index within the region and ``lams`` the
     eigenvalue.  ``frequency_period`` is the p of the cover the frame was
     built from (``Cover.frequency_period``), which sets the Walnut blocks of
-    its frame operator; a frame that records none, such as a stored one, has
-    p = L, one block.
+    its frame operator; a stored frame has p = L, one block.  A frame has at
+    least one atom.
     """
 
     L: int
@@ -113,15 +116,13 @@ class EigenFrame:
     ks: np.ndarray
     lams: np.ndarray
     weighted: bool
+    frequency_period: int
     source: str | None = None  # fingerprint of the inputs the frame was built from
-    frequency_period: int | None = None
 
     def __post_init__(self):
         if not self.lams.size:
             raise EmptyFrameError("frame has no atoms")
-        if self.frequency_period is None:
-            object.__setattr__(self, "frequency_period", self.L)
-        elif self.frequency_period < 1 or self.L % self.frequency_period:
+        if self.frequency_period < 1 or self.L % self.frequency_period:
             raise InvalidArgumentError(f"frequency period {self.frequency_period} must divide L={self.L}")
 
     def atom_matrix(self) -> np.ndarray:
@@ -134,8 +135,8 @@ class EigenFrame:
 
 @dataclass(frozen=True)
 class FrameCertificate:
-    """The frame bounds, and S as its (L/p, p, p) Walnut blocks (``frame_certificate``):
-    blocks[r, j, k] = S[r + j L/p, r + k L/p]."""
+    """The frame bounds of ``frame``, the frame object it certified (``frame_certificate``), and
+    its S as (L/p, p, p) Walnut blocks: blocks[r, j, k] = S[r + j L/p, r + k L/p]."""
 
     A: float
     B: float
@@ -143,28 +144,23 @@ class FrameCertificate:
     blocks: np.ndarray
     is_frame: bool
     a_tol: float
-    # [frame, G*, S^{-1} G] of the last frame reconstructed with this certificate
-    _dual: list = field(default_factory=list, init=False, repr=False, compare=False)
+    frame: EigenFrame = field(repr=False, compare=False)
 
     def solve(self, Y: np.ndarray) -> np.ndarray:
         """S^{-1} Y for an L x k ``Y``: one batched solve over the blocks."""
         return _from_residue_rows(np.linalg.solve(self.blocks, _residue_rows(Y, self.blocks.shape[1])))
 
-    def dual_frame(self, frame: EigenFrame) -> tuple[np.ndarray, np.ndarray]:
-        """(G*, S^{-1} G) of ``frame``: its analysis operator and its canonical dual atoms.
+    @cached_property
+    def dual(self) -> tuple[np.ndarray, np.ndarray]:
+        """(G*, S^{-1} G): the frame's analysis operator and its canonical dual atoms.
 
         G is the L x n matrix of the weighted atoms.  One solve of S against G
-        (``solve``), on first use, and the pair is kept with ``frame``, so a
-        later call with another frame solves again and never reuses this one.
-        ``frame_certificate`` alone never solves.
+        (``solve``), on first use; ``frame_certificate`` alone never solves.
         """
-        if not self._dual or self._dual[0] is not frame:
-            G = frame.atom_matrix()
-            dual = self.solve(G)
-            analysis = G.conj().T
-            analysis.flags.writeable = dual.flags.writeable = False
-            self._dual[:] = [frame, analysis, dual]
-        return self._dual[1], self._dual[2]
+        G = self.frame.atom_matrix()
+        dual, analysis = self.solve(G), G.conj().T
+        analysis.flags.writeable = dual.flags.writeable = False
+        return analysis, dual
 
 
 def region_classes(cover: Cover, phi: Window) -> Iterator[ClassSpectrum]:
@@ -207,8 +203,6 @@ def eigenframe_from_classes(L: int, classes: Iterable[ClassSpectrum], policy: Se
         del spec
     gammas = sorted(by_region)
     counts = [by_region[gamma][1].size for gamma in gammas]
-    if not sum(counts):
-        raise EmptyFrameError("selection produced no atoms")
     lams = np.concatenate([by_region[gamma][1] for gamma in gammas])
     return EigenFrame(
         L,
@@ -218,7 +212,7 @@ def eigenframe_from_classes(L: int, classes: Iterable[ClassSpectrum], policy: Se
         np.concatenate([np.arange(1, c + 1) for c in counts]),
         lams,
         weighted,
-        frequency_period=frequency_period,
+        frequency_period,
     )
 
 
@@ -261,7 +255,7 @@ def frame_certificate(frame: EigenFrame) -> FrameCertificate:
     A, B = float(ev[:, 0].min()), float(ev[:, -1].max())
     a_tol = 1e-9 * B
     condition = B / A if A > 0.0 else math.inf
-    return FrameCertificate(A, B, condition, S, A > a_tol, a_tol)
+    return FrameCertificate(A, B, condition, S, A > a_tol, a_tol, frame)
 
 
 def reconstruct(
@@ -269,16 +263,18 @@ def reconstruct(
 ) -> tuple[Signal, float]:
     """Canonical dual reconstruction f_rec = sum_i <f, g_i> S^{-1} g_i, g_i = w_i v_i.
 
-    With a certificate, each call computes the analysis coefficients
-    c = G* f and synthesizes f_rec = (S^{-1} G) c from the dual atoms, two
-    O(L n) products; the dual atoms are solved once per (frame, certificate)
-    pair (``FrameCertificate.dual_frame``).  Without one, the frame is
-    certified here and the one signal is solved for, f_rec = S^{-1} (G G* f),
-    with no dual atoms built.  Both solve block by block
-    (``FrameCertificate.solve``).  Returns (f_rec, relative error); the zero
-    signal reconstructs to zero with error 0 by convention.
+    A certificate must be of this frame object (``FrameCertificate.frame``);
+    another frame's, even one with the same atoms, is an InvalidArgumentError.
+    With it, each call computes c = G* f and f_rec = (S^{-1} G) c, two O(L n)
+    products, from the dual atoms solved once per certificate
+    (``FrameCertificate.dual``).  Without one, the frame is certified here and
+    the one signal is solved for, f_rec = S^{-1} (G G* f).  Both solve block by
+    block (``FrameCertificate.solve``).  Returns (f_rec, relative error); the
+    zero signal reconstructs to zero with error 0 by convention.
     """
     cert = certificate if certificate is not None else frame_certificate(frame)
+    if cert.frame is not frame:
+        raise InvalidArgumentError("the certificate was made for another frame; certify this one")
     if not cert.is_frame:
         raise NotAFrameError(
             f"lower frame bound {cert.A!r} is below tolerance {cert.a_tol!r}"
@@ -291,7 +287,7 @@ def reconstruct(
         G = frame.atom_matrix()
         f_rec = cert.solve((G @ (G.conj().T @ f.samples))[:, None])[:, 0]
     else:
-        analysis, dual = cert.dual_frame(frame)
+        analysis, dual = cert.dual
         f_rec = dual @ (analysis @ f.samples)
     rel = float(np.linalg.norm(f_rec - f.samples) / f.norm)
     return Signal(f_rec), rel
@@ -303,38 +299,27 @@ def reconstruct(
 # (thresholded); the equivalence constants are their square roots.
 # ---------------------------------------------------------------------------
 
-_GRAM_POWER = {"plain": 2.0, "squared": 4.0, "thresholded": 2.0}
-
-
 def norm_equivalence(
-    classes: Iterable[ClassSpectrum], terms: list[tuple[str, float | None]], frequency_period: int
-) -> list[tuple[float, float]]:
-    """(c, C) for each (variant, epsilon) term, from one pass over a shape-class stream.
+    classes: Iterable[ClassSpectrum], epsilons: list[float], frequency_period: int
+) -> tuple[tuple[float, float], tuple[float, float], list[tuple[float, float]]]:
+    """(c, C) of the plain sum, the squared sum and the sum thresholded at each
+    of ``epsilons``, from one pass over a shape-class stream.
 
-    A term's Gram sum is sum_gamma Q diag(lam^power) Q* over each region's
-    eigenpairs (lam, Q) with lam > epsilon (0 for plain and squared): power 2
-    for the plain (K = H) and thresholded variants, 4 for squared (K = H^2).
+    The sum thresholded at epsilon is sum_gamma Q diag(lam^2) Q* over each
+    region's eigenpairs (lam, Q) with lam > epsilon; plain (K = H) is the one
+    at epsilon = 0, and squared (K = H^2) sums Q diag(lam^4) Q* over them all.
     A spectrum holds only the eigenpairs above RANK_RTOL lam_1 (``Spectrum``),
-    so the terms left out have lam^2 <= RANK_RTOL^2 lam_1^2.  Equal sums are
-    kept once.  The power-2 thresholds, sorted, cut the descending
-    eigenvalues into disjoint bands (e_j, e_{j-1}], each a contiguous slice;
-    each band is added once per region, and a threshold's sum is the bands
-    above it, cumulated from the top.  A member region's Q is its class spectrum
-    translated to it, and each class spectrum is dropped once all its
-    members are added.  Every sum is of the form sum_z pi(z) K pi(z)*, so it
-    is formed and eigensolved as Walnut blocks of order ``frequency_period``,
-    the cover's (``Cover.frequency_period``), like the frame operator.
+    so the terms left out have lam^2 <= RANK_RTOL^2 lam_1^2.  The distinct
+    thresholds and 0, sorted, cut the descending eigenvalues into disjoint
+    bands (e_j, e_{j-1}], each a contiguous slice added once per region; a
+    threshold's sum is the bands above it, cumulated from the top.  A member
+    region's Q is its class spectrum translated to it, and each class
+    spectrum is dropped once all its members are added.  Every sum has the
+    form sum_z pi(z) K pi(z)*, so it is formed and eigensolved as Walnut
+    blocks of order ``frequency_period``, the cover's, like the frame operator.
     """
-    keys = []
-    for variant, eps in terms:
-        if variant not in _GRAM_POWER:
-            raise InvalidArgumentError(f"unknown variant {variant!r}")
-        if variant == "thresholded" and (eps is None or eps < 0.0):
-            raise InvalidArgumentError("thresholded variant requires epsilon >= 0")
-        keys.append((_GRAM_POWER[variant], eps if variant == "thresholded" else 0.0))
-    cuts = sorted({eps for power, eps in keys if power == 2.0}, reverse=True)
-    quartic = (4.0, 0.0) in keys
-    bands = quartic_sum = None
+    cuts = sorted({0.0, *epsilons}, reverse=True)
+    bands = quartic = None
     for spec, _, cls in classes:
         lam = spec.eigenvalues
         # band j is lam[ends[j]:ends[j + 1]], the eigenvalues in (cuts[j], cuts[j - 1]]
@@ -343,27 +328,25 @@ def norm_equivalence(
             p = frequency_period
             shape = (spec.eigenvectors.shape[0] // p, p, p)
             bands = [np.zeros(shape, dtype=np.complex128) for _ in cuts]
-            quartic_sum = np.zeros(shape, dtype=np.complex128) if quartic else None
+            quartic = np.zeros(shape, dtype=np.complex128)
         for z in cls.shifts:
             Q = _residue_rows(spec.translated(z[None])[0], frequency_period)
             QH, Q2 = Q.conj().transpose(0, 2, 1), Q * lam ** 2
             for band, lo, hi in zip(bands, ends, ends[1:]):
                 if hi > lo:
                     band += Q2[:, :, lo:hi] @ QH[:, lo:hi]
-            if quartic:
-                quartic_sum += (Q2 * lam ** 2) @ QH
+            quartic += (Q2 * lam ** 2) @ QH
         del spec, Q, QH, Q2
     for above, band in zip(bands, bands[1:]):
         band += above
-    grams = {(2.0, eps): band for eps, band in zip(cuts, bands)}
-    grams[4.0, 0.0] = quartic_sum
-    extremes = {}
-    for key in set(keys):
-        if not np.isfinite(grams[key]).all():
-            raise NumericError(f"Gram sum (power, epsilon) = {key} has non-finite entries")
-        ev = np.linalg.eigvalsh(grams[key])
-        extremes[key] = float(ev[:, 0].min()), float(ev[:, -1].max())
-    return [extremes[k] for k in keys]
+    extremes = []
+    for gram in [*bands, quartic]:
+        if not np.isfinite(gram).all():
+            raise NumericError("a Gram sum has non-finite entries; the symbol values overflow it")
+        ev = np.linalg.eigvalsh(gram)
+        extremes.append((float(ev[:, 0].min()), float(ev[:, -1].max())))
+    thresholded = dict(zip(cuts, extremes))
+    return thresholded[0.0], extremes[-1], [thresholded[eps] for eps in epsilons]
 
 
 def norm_equivalence_constants(
@@ -373,14 +356,20 @@ def norm_equivalence_constants(
     epsilon: float | None = None,
 ) -> tuple[float, float]:
     """(c, C) of one variant: the plain, squared or thresholded operator sum."""
-    return norm_equivalence(region_classes(cover, phi), [(variant, epsilon)], cover.frequency_period)[0]
+    variants = ("plain", "squared", "thresholded")
+    if variant not in variants:
+        raise InvalidArgumentError(f"unknown variant {variant!r}")
+    if variant == "thresholded" and (epsilon is None or epsilon < 0.0):
+        raise InvalidArgumentError("thresholded variant requires epsilon >= 0")
+    epsilons = [epsilon] if variant == "thresholded" else []
+    plain, squared, rows = norm_equivalence(region_classes(cover, phi), epsilons, cover.frequency_period)
+    return (plain, squared, *rows)[variants.index(variant)]
 
 
 def epsilon_sweep(cover: Cover, phi: Window, epsilons) -> list[tuple[float, float, float]]:
     """(epsilon, c, C) rows of the thresholded constants; one eigensolve per shape class."""
     eps = [float(e) for e in epsilons]
-    terms = [("thresholded", e) for e in eps]
-    rows = norm_equivalence(region_classes(cover, phi), terms, cover.frequency_period)
+    rows = norm_equivalence(region_classes(cover, phi), eps, cover.frequency_period)[2]
     return [(e, c, C) for e, (c, C) in zip(eps, rows)]
 
 
@@ -478,7 +467,7 @@ def read_frame(manifest_path, atoms_path) -> EigenFrame:
             path=str(atoms_path),
         )
     vectors = data[:, :, 0] + 1j * data[:, :, 1]
-    return EigenFrame(L, (vectors.T,), weights, gammas, ks, lams, weighted, source)
+    return EigenFrame(L, (vectors.T,), weights, gammas, ks, lams, weighted, L, source)
 
 
 def write_certificate_json(path, cert: FrameCertificate) -> None:

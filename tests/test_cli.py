@@ -111,6 +111,21 @@ class TestConfig:
         err = json.loads((out / "error.json").read_text())
         assert err["code"] == "io-error"
 
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_out_naming_a_file_is_io_error(self, tmp_path, under):
+        # the directory cannot be made, so no error.json is written either
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        out = taken / "o" if under else taken
+        env = dict(os.environ, PYTHONPATH=str(Path(tfloc.cli.__file__).parents[1]))
+        argv = [sys.executable, "-m", "tfloc.cli", "frame", "--config", str(CONFIG_DIR / "regular16.json"),
+                "--out", str(out)]
+        run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 1
+        assert "Traceback" not in run.stderr
+        assert run.stderr.startswith("error [io-error]: ")
+        assert taken.read_text() == "not a directory"
+
     @pytest.mark.parametrize(
         "text, key",
         [
@@ -740,11 +755,11 @@ class TestReconstruct:
     def test_cli_never_builds_the_dual(self, tmp_path, monkeypatch, name):
         # the dual atoms cost one solve of S against all of G; reconstruct
         # solves S against its one signal, and frame and diagnose never solve
-        def forbidden(cert, frame):
-            raise AssertionError("FrameCertificate.dual_frame called")
+        def forbidden(cert):
+            raise AssertionError("FrameCertificate.dual read")
 
         solves, solve = [], np.linalg.solve
-        monkeypatch.setattr(tfloc.frames.FrameCertificate, "dual_frame", forbidden)
+        monkeypatch.setattr(tfloc.frames.FrameCertificate, "dual", property(forbidden))
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(b.shape) or solve(a, b))
         cfg, out = str(CONFIG_DIR / name), tmp_path / "o"
         assert main(["frame", "--config", cfg, "--out", str(out)]) == 0

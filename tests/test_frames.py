@@ -149,6 +149,12 @@ class TestSelectionPolicy:
         with pytest.raises(InvalidArgumentError):
             SelectionPolicy("epsilon", epsilon=0.1, n_max=0)
 
+    @pytest.mark.parametrize("mode, value", [("alpha", np.inf), ("alpha", np.nan), ("alpha", -np.inf),
+                                             ("epsilon", np.inf), ("epsilon", np.nan)])
+    def test_non_finite_values_rejected(self, mode, value):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            SelectionPolicy(mode, **{mode: value})
+
     def test_implied_alpha(self):
         assert SelectionPolicy("epsilon", epsilon=0.1).implied_alpha == pytest.approx(10.0)
         assert SelectionPolicy("alpha", alpha=3.0).implied_alpha == 3.0
@@ -190,6 +196,13 @@ class TestSelection:
             spec, measure = eigendecomp(op), np.trace(op).real  # = mass/L = 1.0 per region
             assert select_eigenfunctions(spec, measure, SelectionPolicy("alpha", alpha=2.5, n_max=L16)) == 3
             assert select_eigenfunctions(spec, measure, SelectionPolicy("alpha", alpha=2.5, n_max=2)) == 2
+
+    def test_alpha_whose_count_overflows_keeps_the_cap(self, phi16):
+        # measure 4 per region, so alpha * measure overflows; the count is capped before its ceiling
+        cover = gen_regular_boxes(L16, 8, 8)
+        every = assemble_frame(cover, phi16, SelectionPolicy("epsilon", epsilon=0.0, n_max=L16))
+        huge = assemble_frame(cover, phi16, SelectionPolicy("alpha", alpha=1e308, n_max=L16))
+        np.testing.assert_array_equal(huge.lams, every.lams)
 
 
 class TestAssembleFrame:
@@ -478,7 +491,7 @@ class TestCertificate:
         cert = frame_certificate(frame16)
         f = frame16
         columns = (np.tile(c, 2) for c in (f.weights, f.gammas, f.ks, f.lams))
-        doubled = EigenFrame(L16, f.vectors + f.vectors, *columns, f.weighted)
+        doubled = EigenFrame(L16, f.vectors + f.vectors, *columns, f.weighted, f.frequency_period)
         cert2 = frame_certificate(doubled)
         assert cert2.A == pytest.approx(2 * cert.A, rel=1e-9)
         assert cert2.B == pytest.approx(2 * cert.B, rel=1e-9)
@@ -522,7 +535,7 @@ class TestWalnutBlocks:
         assert cert.A == pytest.approx(ev[0], rel=1e-12)
         assert cert.B == pytest.approx(ev[-1], rel=1e-12)
         assert cert.condition == pytest.approx(ev[-1] / ev[0], rel=1e-12)
-        _, dual = cert.dual_frame(frame)
+        _, dual = cert.dual
         _, want = canonical_dual(frame)
         assert np.max(np.abs(dual - want)) <= 1e-12 * np.abs(want).max()
         f = random_signal(np.random.default_rng(37), L)
@@ -552,12 +565,11 @@ class TestWalnutBlocks:
             monkeypatch.setattr(np.linalg, name,
                                 lambda a, *rest, fn=fn: shapes.append(a.shape) or fn(a, *rest))
         cert = frame_certificate(frame)
-        cert.dual_frame(frame)
+        cert.dual
         reconstruct(frame, Signal(random_signal(np.random.default_rng(38), 64)))
-        terms = [("plain", None), ("squared", None), *(("thresholded", 0.1 * i) for i in range(10))]
-        assert len(norm_equivalence(classes, terms, cover.frequency_period)) == 12
+        assert len(norm_equivalence(classes, [0.1 * i for i in range(10)], cover.frequency_period)[2]) == 10
         # the certificate, the dual, the certificate and solve of reconstruct, and
-        # the 11 distinct Gram sums (thresholded at 0 is plain)
+        # the 11 Gram sums: one per threshold, 0 among them as plain, and squared
         assert len(shapes) == 1 + 1 + 2 + 11
         assert {a[-2:] for a in shapes} == {(8, 8)}
 
@@ -621,7 +633,7 @@ class TestReconstruct:
         cert = frame_certificate(frame)
         S, dual = canonical_dual(frame)
         assert np.max(np.abs(dense_from_blocks(cert.blocks) - S)) <= 1e-12
-        analysis, lib_dual = cert.dual_frame(frame)
+        analysis, lib_dual = cert.dual
         scale = np.max(np.abs(dual))
         assert np.max(np.abs(lib_dual - dual)) <= 1e-10 * scale
         rng = np.random.default_rng(35)
@@ -635,33 +647,22 @@ class TestReconstruct:
         rec, _ = reconstruct(frame, Signal(f), cert)
         assert np.linalg.norm(rec.samples - synthesized) <= 1e-10 * np.linalg.norm(f)
 
-    def test_dual_is_not_reused_across_pairs(self, boxes16, phi16, monkeypatch):
+    def test_certificate_belongs_to_its_frame(self, boxes16, phi16):
         policy = SelectionPolicy("epsilon", epsilon=0.2, n_max=L16)
-        frame_a = assemble_frame(boxes16, phi16, policy)
-        frame_b = assemble_frame(gen_regular_boxes(L16, 8, 2), phi16, policy)
-        cert_a, cert_b = frame_certificate(frame_a), frame_certificate(frame_b)
-        solve = np.linalg.solve
-        calls = []
-        monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(a) or solve(a, b))
-        f = random_signal(np.random.default_rng(36), L16)
-
-        def expected(frame, cert):
-            # S_cert^{-1} G G* f for this pair, from the direct formula
-            G = atom_columns(frame)
-            return solve(dense_from_blocks(cert.blocks), G @ (G.conj().T @ f))
-
-        pairs = [(frame_a, cert_a), (frame_b, cert_b), (frame_b, cert_a), (frame_a, cert_a),
-                 (frame_a, cert_b), (frame_a, cert_b)]
-        for frame, cert in pairs:
-            rec, _ = reconstruct(frame, Signal(f), cert)
-            assert np.max(np.abs(rec.samples - expected(frame, cert))) <= 1e-12 * np.linalg.norm(f)
-        # one solve per change of pair; the repeated last pair reuses its dual
-        assert len(calls) == 5
-        # a rebuilt frame with the same atoms is another frame: it is solved again
-        rebuilt = assemble_frame(boxes16, phi16, policy)
-        reconstruct(rebuilt, Signal(f), cert_a)
-        reconstruct(rebuilt, Signal(f), cert_a)
-        assert len(calls) == 6
+        frame = assemble_frame(boxes16, phi16, policy)
+        cert = frame_certificate(frame)
+        assert cert.frame is frame
+        f = Signal(random_signal(np.random.default_rng(36), L16))
+        other = assemble_frame(gen_regular_boxes(L16, 8, 2), phi16, policy)
+        rebuilt = assemble_frame(boxes16, phi16, policy)  # the same atoms, another frame
+        for stranger in (other, rebuilt):
+            with pytest.raises(InvalidArgumentError, match="another frame") as info:
+                reconstruct(stranger, f, cert)
+            assert info.value.code == "invalid-argument"
+        # certified again, the rebuilt frame reconstructs as the first one does
+        rec, rel = reconstruct(rebuilt, f, frame_certificate(rebuilt))
+        np.testing.assert_array_equal(rec.samples, reconstruct(frame, f, cert)[0].samples)
+        assert rel <= 1e-12
 
     def test_not_a_frame_raises(self, phi16):
         frame = assemble_frame(
@@ -710,8 +711,24 @@ class TestNormEquivalence:
         assert np.linalg.eigvalsh(total)[0] >= sum_min - 1e-9
 
     def test_unknown_variant_rejected(self, boxes16, phi16):
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InvalidArgumentError, match="unknown variant"):
             norm_equivalence_constants(boxes16, phi16, "cubed")
+        with pytest.raises(InvalidArgumentError, match="requires epsilon"):
+            norm_equivalence_constants(boxes16, phi16, "thresholded")
+
+    def test_plain_is_the_epsilon_zero_row(self, boxes16, phi16):
+        classes = list(region_classes(boxes16, phi16))
+        plain, _, rows = norm_equivalence(classes, [0.3, 0.0, 0.1], boxes16.frequency_period)
+        assert rows[1] == plain  # bit for bit
+        assert rows[0][0] <= rows[2][0] <= plain[0]
+
+    def test_a_sweep_without_zero_gives_the_same_rows(self, boxes16, phi16):
+        classes = list(region_classes(boxes16, phi16))
+        sweep = [round(0.1 * i, 1) for i in range(10)]
+        with_zero = norm_equivalence(classes, sweep, boxes16.frequency_period)
+        without = norm_equivalence(classes, sweep[1:], boxes16.frequency_period)
+        assert without[:2] == with_zero[:2]
+        assert without[2] == with_zero[2][1:]  # bit for bit
 
 
 class TestUnweighted:

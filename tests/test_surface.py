@@ -4,8 +4,10 @@ Every module-level public function and class in ``src/tfloc`` (``__init__.py``
 aside), and every public method or property of such a class, must be
 referenced, as a name or an attribute, somewhere in those modules or in
 ``perfbench/child.py`` outside its own definition.  Tests do not count: a
-name that only tests call belongs in ``tests/helpers.py``.  And importing the
-package and its CLI loads no ``scipy``, which only the tests use.
+name that only tests call belongs in ``tests/helpers.py``.  The names that
+only ``child.py`` calls are pinned, so new code is not kept alive by the
+benchmark alone.  And importing the package and its CLI loads no ``scipy``,
+which only the tests use.
 """
 
 import ast
@@ -32,19 +34,38 @@ def parse_sources():
     return [ast.parse(p.read_text()) for p in [*MODULES, ROOT / "perfbench" / "child.py"]]
 
 
-def test_every_public_library_name_has_a_caller():
-    trees = parse_sources()
-    # each top-level statement with the names it uses; a definition's own
-    # statement does not count as a use of it
+def public_names_without_caller(trees):
+    """The library's module-level public functions and classes that no statement of ``trees`` uses.
+
+    ``trees`` starts with the library modules, in ``MODULES`` order; a
+    definition's own statement does not count as a use of it.
+    """
     uses = [(node, names_used(node)) for tree in trees for node in tree.body]
-    unused = [
+    return {
         f"{path.stem}.{node.name}"
         for path, tree in zip(MODULES, trees)
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
         and not any(node.name in names for other, names in uses if other is not node)
-    ]
-    assert not unused, f"public names with no caller outside tests: {unused}"
+    }
+
+
+def test_every_public_library_name_has_a_caller():
+    unused = public_names_without_caller(parse_sources())
+    assert not unused, f"public names with no caller outside tests: {sorted(unused)}"
+
+
+def test_harness_only_names_are_pinned():
+    # the names that only the benchmark keeps alive; new library code must
+    # have a library caller, so this set may shrink but never grow
+    library = parse_sources()[:-1]
+    assert public_names_without_caller(library) == {
+        "frames.norm_equivalence_constants", "frames.epsilon_sweep", "gabor.gabor_multiplier",
+    }
+    # the benchmark's frames.build_s sums the spans of these calls of a CLI frame build
+    cli = library[[p.name for p in MODULES].index("cli.py")]
+    calls = {n.func.id for n in ast.walk(cli) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    assert {"assemble_frame", "canonical_tight", "gabor_eigenframe"} <= calls
 
 
 def test_every_public_method_has_a_caller():
