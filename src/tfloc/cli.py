@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import Window, gauss_window, read_json, read_signal_csv, stft, write_json
+from .core import Signal, Window, gauss_window, read_json, read_signal_csv, stft, write_json
 from .covers import (
     Cover,
     gen_random_irregular,
@@ -37,6 +37,7 @@ from .errors import (
     TflocError,
 )
 from .frames import (
+    LOWER_BOUND_RTOL,
     EigenFrame,
     SelectionPolicy,
     assemble_frame,
@@ -77,13 +78,6 @@ class RunConfig:
     seed: int | None
     reconstruct_tol: float
     output_dir: Path | None
-
-
-def _exactly_one(name: str, present: list[str]) -> None:
-    if len(present) != 1:
-        raise InvalidArgumentError(
-            f"config needs exactly one {name} source, got {present or 'none'}"
-        )
 
 
 def _number(section: dict, key: str, default=None, integer: bool = False,
@@ -169,7 +163,8 @@ def _parse_config(raw, path: Path) -> RunConfig:
 
     cover = _object(raw, "cover")
     known = [k for k in ("regular", "wedge", "irregular", "file") if k in cover]
-    _exactly_one("cover", known)
+    if len(known) != 1:
+        raise InvalidArgumentError(f"config needs exactly one cover source, got {known or 'none'}")
     kind = known[0]
     cover_source: tuple[str, dict] | Path
     if kind == "file":
@@ -197,6 +192,9 @@ def _parse_config(raw, path: Path) -> RunConfig:
         raise InvalidArgumentError(f'config "weighted" must be true or false, not {weighted!r}')
 
     adm = _object(raw, "admissibility")
+    reconstruct_tol = float(_number(raw, "reconstruct_tol", 1e-8))
+    if reconstruct_tol < 0.0:
+        raise InvalidArgumentError(f"config 'reconstruct_tol' must be >= 0, not {reconstruct_tol!r}")
     out = raw.get("output_dir")
     if out is not None and not isinstance(out, str):
         raise InvalidArgumentError(f'config "output_dir" must be a path, not {out!r}')
@@ -213,21 +211,24 @@ def _parse_config(raw, path: Path) -> RunConfig:
             "w": _number(adm, "w", 1, integer=True),
         },
         seed=_number(raw, "seed", integer=True, bounds=(0, INT64_RANGE[1])),
-        reconstruct_tol=float(_number(raw, "reconstruct_tol", 1e-8)),
+        reconstruct_tol=reconstruct_tol,
         output_dir=path.parent / out if out else None,
     )
+
+
+def _read_signal(cfg: RunConfig, path) -> Signal:
+    """A signal or window CSV of the config's length L."""
+    sig = read_signal_csv(path)
+    if sig.length != cfg.L:
+        raise InvalidArgumentError(f"signal length {sig.length} does not match config L={cfg.L}",
+                                   path=str(path))
+    return sig
 
 
 def resolve_window(cfg: RunConfig) -> Window:
     if cfg.window_source == "gauss":
         return gauss_window(cfg.L)
-    sig = read_signal_csv(cfg.window_source)
-    if sig.length != cfg.L:
-        raise InvalidArgumentError(
-            f"window file has length {sig.length}, config L={cfg.L}",
-            path=str(cfg.window_source),
-        )
-    return Window.unit(sig.samples)
+    return Window.unit(_read_signal(cfg, cfg.window_source).samples)
 
 
 def resolve_cover(cfg: RunConfig) -> Cover:
@@ -287,26 +288,43 @@ def _region_rows(frame: EigenFrame, cover: Cover) -> list[dict]:
     ]
 
 
-def _tight_system(cover: Cover, phi: Window, lattice: Lattice) -> LatticeGaborSystem:
-    """The canonical tight system, built only for a cover the lattice stream accepts."""
-    require_lattice_cover(cover, lattice)
-    return canonical_tight(phi, lattice)
+def _inputs(cfg: RunConfig, out_dir: Path) -> tuple[Window, Cover, LatticeGaborSystem | None]:
+    """(window, cover, tight system or None for a grid config) of every command that reads the cover.
 
-
-def _build_frame(cfg: RunConfig, cover: Cover, phi: Window) -> tuple[EigenFrame, dict]:
-    """Grid or lattice pipeline; returns (frame, extras-for-report)."""
+    The cover is validated, ``admissibility.json`` written and an outer radius
+    above R refused; a lattice cover then passes ``require_lattice_cover``
+    before the canonical tight window is built."""
+    phi = resolve_window(cfg)
+    cover = resolve_cover(cfg)
+    adm = asdict(validate_cover(cover, **cfg.admissibility))
+    if cfg.lattice is not None:
+        # symbols are restricted to the lattice: coverage is judged there,
+        # outer radius stays a full-grid notion
+        lat_min = lattice_coverage_min(cover, cfg.lattice)
+        adm.update(lattice_sum_min=lat_min, covers_lattice=lat_min > 0.0)
+    write_json(out_dir / "admissibility.json", adm)
+    if not adm["outer_radius_ok"]:
+        raise PreconditionViolation(
+            f"outer radius {adm['max_outer_radius']} exceeds configured R={cfg.admissibility['R']}"
+        )
     if cfg.lattice is None:
+        return phi, cover, None
+    require_lattice_cover(cover, cfg.lattice)
+    return phi, cover, canonical_tight(phi, cfg.lattice)
+
+
+def _build_frame(cfg: RunConfig, cover: Cover, phi: Window,
+                 system: LatticeGaborSystem | None) -> tuple[EigenFrame, dict]:
+    """Grid pipeline, or lattice pipeline when there is a ``system``; returns (frame, extras-for-report)."""
+    if system is None:
         frame = assemble_frame(cover, phi, cfg.policy, cfg.weighted)
-        extras = {"lattice": None, "measure": "l1_mass / L (operator trace)"}
-    else:
-        sys_ = _tight_system(cover, phi, cfg.lattice)
-        frame = gabor_eigenframe(cover, sys_, cfg.policy, cfg.weighted)
-        extras = {
-            "lattice": {"a": cfg.lattice.a, "b": cfg.lattice.b},
-            "tight_constant": sys_.tight_constant,
-            "measure": "tight_constant * lattice l1_mass (multiplier trace)",
-        }
-    return frame, extras
+        return frame, {"lattice": None, "measure": "l1_mass / L (operator trace)"}
+    frame = gabor_eigenframe(cover, system, cfg.policy, cfg.weighted)
+    return frame, {
+        "lattice": {"a": system.lattice.a, "b": system.lattice.b},
+        "tight_constant": system.tight_constant,
+        "measure": "tight_constant * lattice l1_mass (multiplier trace)",
+    }
 
 
 def _frame_source(cfg: RunConfig, cover: Cover, phi: Window) -> str:
@@ -328,12 +346,7 @@ def _frame_source(cfg: RunConfig, cover: Cover, phi: Window) -> str:
 
 
 def cmd_spectrogram(cfg: RunConfig, signal_path, out_dir: Path) -> int:
-    f = read_signal_csv(signal_path)
-    if f.length != cfg.L:
-        raise InvalidArgumentError(
-            f"signal length {f.length} does not match config L={cfg.L}",
-            path=str(signal_path),
-        )
+    f = _read_signal(cfg, signal_path)
     phi = resolve_window(cfg)
     power = np.abs(stft(f, phi)) ** 2
     L = cfg.L
@@ -349,25 +362,9 @@ def cmd_spectrogram(cfg: RunConfig, signal_path, out_dir: Path) -> int:
 
 def cmd_frame(cfg: RunConfig, out_dir: Path, timings: bool = False) -> int:
     t0 = time.perf_counter()
-    phi = resolve_window(cfg)
-    cover = resolve_cover(cfg)
-
-    report = validate_cover(cover, **cfg.admissibility)
-    adm_payload = asdict(report)
-    if cfg.lattice is not None:
-        # symbols are restricted to the lattice: coverage is judged there,
-        # outer radius stays a full-grid notion
-        lat_min = lattice_coverage_min(cover, cfg.lattice)
-        adm_payload["lattice_sum_min"] = lat_min
-        adm_payload["covers_lattice"] = lat_min > 0.0
-    write_json(out_dir / "admissibility.json", adm_payload)
-    if not report.outer_radius_ok:
-        raise PreconditionViolation(
-            f"outer radius {report.max_outer_radius} exceeds configured R={cfg.admissibility['R']}"
-        )
-
+    phi, cover, system = _inputs(cfg, out_dir)
     t1 = time.perf_counter()
-    frame, extras = _build_frame(cfg, cover, phi)
+    frame, extras = _build_frame(cfg, cover, phi, system)
     t2 = time.perf_counter()
     cert = frame_certificate(frame)
     t3 = time.perf_counter()
@@ -411,20 +408,14 @@ def _load_or_build_frame(cfg: RunConfig, out_dir: Path) -> EigenFrame:
     manifest = out_dir / "frame.json"
     atoms = out_dir / "frame_atoms.tfat"
     stored = read_frame(manifest, atoms) if manifest.exists() and atoms.exists() else None
-    phi = resolve_window(cfg)
-    cover = resolve_cover(cfg)
+    phi, cover, system = _inputs(cfg, out_dir)
     if stored is not None and stored.source == _frame_source(cfg, cover, phi):
         return stored
-    return _build_frame(cfg, cover, phi)[0]
+    return _build_frame(cfg, cover, phi, system)[0]
 
 
 def cmd_reconstruct(cfg: RunConfig, signal_path, out_dir: Path) -> int:
-    f = read_signal_csv(signal_path)
-    if f.length != cfg.L:
-        raise InvalidArgumentError(
-            f"signal length {f.length} does not match config L={cfg.L}",
-            path=str(signal_path),
-        )
+    f = _read_signal(cfg, signal_path)
     _, rel_error = reconstruct(_load_or_build_frame(cfg, out_dir), f)
     ok = rel_error <= cfg.reconstruct_tol
     write_json(
@@ -436,18 +427,14 @@ def cmd_reconstruct(cfg: RunConfig, signal_path, out_dir: Path) -> int:
 
 
 def cmd_diagnose(cfg: RunConfig, out_dir: Path) -> int:
-    phi = resolve_window(cfg)
-    cover = resolve_cover(cfg)
-    if cfg.lattice is None:
-        classes = region_classes(cover, phi)
-    else:
-        classes = multiplier_classes(cover, _tight_system(cover, phi, cfg.lattice))
+    phi, cover, system = _inputs(cfg, out_dir)
+    classes = region_classes(cover, phi) if system is None else multiplier_classes(cover, system)
     eps = cfg.policy.epsilon if cfg.policy.mode == "epsilon" else 1.0 / cfg.policy.alpha
     (c_plain, C_plain), (c_sq, C_sq), [(c_th, C_th), *rows] = norm_equivalence(
         classes, [eps, *SWEEP_EPSILONS], cover.frequency_period)
 
     # the constants scale with the square of the symbol values, and so does this tolerance
-    a_tol = 1e-9 * C_plain
+    a_tol = LOWER_BOUND_RTOL * C_plain
     for (prev, _), (nxt, _) in zip(rows, rows[1:]):
         if nxt > prev + a_tol:
             raise InternalError(

@@ -42,6 +42,7 @@ from .errors import (
 from .locop import ClassSpectrum, Spectrum, class_spectra
 
 _UNIT_NORM_TOL = 1e-9
+LOWER_BOUND_RTOL = 1e-9  # a lower frame bound or constant is positive above this share of the upper
 # the selected columns are translated to at most this many entries at once,
 # which keeps the gather's temporaries small
 _GATHER_ENTRIES = 1 << 16
@@ -54,7 +55,7 @@ class SelectionPolicy:
     ``alpha`` mode keeps ceil(alpha * measure) where ``measure`` is
     ||eta||_1 / L, the trace of the region operator for a unit window (the
     grid analogue of the region's area); the implied threshold is
-    epsilon = 1/alpha.  ``epsilon`` mode keeps the
+    epsilon = 1/alpha, which must be finite.  ``epsilon`` mode keeps the
     eigenvalues strictly above ``epsilon``.  Both are capped at ``n_max`` and
     at the size of the spectrum, which holds no numerically zero eigenvalue
     (``Spectrum``); epsilon = 0 keeps them all.
@@ -70,10 +71,12 @@ class SelectionPolicy:
             raise InvalidArgumentError(f"unknown selection mode {self.mode!r}")
         if self.n_max < 1:
             raise InvalidArgumentError(f"n_max must be >= 1, got {self.n_max}")
-        # NaN fails the comparisons
+        # NaN fails the comparisons, and so does an int past the float range
         if self.mode == "alpha":
-            if self.alpha is None or not 0 < self.alpha < math.inf or self.epsilon is not None:
+            if self.alpha is None or not 0 < self.alpha <= sys.float_info.max or self.epsilon is not None:
                 raise InvalidArgumentError("alpha mode requires a finite alpha > 0 and no epsilon")
+            if not math.isfinite(1.0 / self.alpha):
+                raise InvalidArgumentError(f"alpha {self.alpha!r} is so small that 1/alpha overflows")
         else:
             if self.epsilon is None or not 0 <= self.epsilon < math.inf or self.alpha is not None:
                 raise InvalidArgumentError("epsilon mode requires a finite epsilon >= 0 and no alpha")
@@ -239,8 +242,16 @@ def assemble_frame(
     return eigenframe_from_classes(cover.L, classes, policy, weighted, cover.frequency_period)
 
 
+def _block_extremes(blocks: np.ndarray, overflow: str) -> tuple[float, float]:
+    """(min, max) eigenvalue of stacked Hermitian blocks; NumericError(overflow) on a non-finite entry."""
+    if not np.isfinite(blocks).all():
+        raise NumericError(overflow)
+    ev = np.linalg.eigvalsh(blocks)
+    return float(ev[:, 0].min()), float(ev[:, -1].max())
+
+
 def frame_certificate(frame: EigenFrame) -> FrameCertificate:
-    """Frame bounds as the extreme eigenvalues of S = sum w^2 |v><v|; a frame iff A > 1e-9 B.
+    """Frame bounds as the extreme eigenvalues of S = sum w^2 |v><v|; a frame iff A > LOWER_BOUND_RTOL B.
 
     S is formed as its Walnut blocks of order p = ``frame.frequency_period``:
     block r is G_r G_r*, G_r the rows r + j L/p of the atom matrix G, and A
@@ -249,11 +260,8 @@ def frame_certificate(frame: EigenFrame) -> FrameCertificate:
     """
     G = _residue_rows(frame.atom_matrix(), frame.frequency_period)
     S = G @ G.conj().transpose(0, 2, 1)
-    if not np.isfinite(S).all():
-        raise NumericError("frame operator has non-finite entries; the atom weights overflow it")
-    ev = np.linalg.eigvalsh(S)
-    A, B = float(ev[:, 0].min()), float(ev[:, -1].max())
-    a_tol = 1e-9 * B
+    A, B = _block_extremes(S, "frame operator has non-finite entries; the atom weights overflow it")
+    a_tol = LOWER_BOUND_RTOL * B
     condition = B / A if A > 0.0 else math.inf
     return FrameCertificate(A, B, condition, S, A > a_tol, a_tol, frame)
 
@@ -339,12 +347,8 @@ def norm_equivalence(
         del spec, Q, QH, Q2
     for above, band in zip(bands, bands[1:]):
         band += above
-    extremes = []
-    for gram in [*bands, quartic]:
-        if not np.isfinite(gram).all():
-            raise NumericError("a Gram sum has non-finite entries; the symbol values overflow it")
-        ev = np.linalg.eigvalsh(gram)
-        extremes.append((float(ev[:, 0].min()), float(ev[:, -1].max())))
+    extremes = [_block_extremes(gram, "a Gram sum has non-finite entries; the symbol values overflow it")
+                for gram in [*bands, quartic]]
     thresholded = dict(zip(cuts, extremes))
     return thresholded[0.0], extremes[-1], [thresholded[eps] for eps in epsilons]
 

@@ -39,10 +39,9 @@ from .errors import (
     NotAFrameError,
     PreconditionViolation,
 )
-from .frames import EigenFrame, SelectionPolicy, eigenframe_from_classes
+from .frames import LOWER_BOUND_RTOL, EigenFrame, SelectionPolicy, eigenframe_from_classes
 from .locop import ClassSpectrum, assemble_locop, class_spectra
 
-_FRAME_FLOOR_RTOL = 1e-9
 _TIGHT_CONDITION_TOL = 1e-8
 
 
@@ -97,12 +96,12 @@ def canonical_tight(phi: Window, lattice: Lattice) -> LatticeGaborSystem:
     """The tight system of the unit-norm canonical tight window S^{-1/2} phi, block by block.
 
     Rejects systems whose frame operator is numerically singular
-    (lambda_min <= 1e-9 * lambda_max), and a tight window whose own Walnut
+    (lambda_min <= LOWER_BOUND_RTOL * lambda_max), and a tight window whose own Walnut
     blocks have condition above 1 + 1e-8, which an ill-conditioned S leaves.
     """
     w, Q = np.linalg.eigh(_walnut_blocks(phi, lattice))
     A_gab, B_gab = float(w.min()), float(w.max())
-    if A_gab <= _FRAME_FLOOR_RTOL * max(B_gab, 1.0):
+    if A_gab <= LOWER_BOUND_RTOL * max(B_gab, 1.0):
         raise NotAFrameError(
             f"Gabor system is not a frame (A_gab={A_gab!r}, B_gab={B_gab!r})",
             n_points=lattice.n_points,

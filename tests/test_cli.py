@@ -150,6 +150,12 @@ class TestConfig:
             pytest.param(json.dumps(basic_config(policy={"epsilon": float("nan")})), "epsilon", id="epsilon-NaN"),
             pytest.param(json.dumps(basic_config(reconstruct_tol=float("inf"))), "reconstruct_tol",
                          id="reconstruct_tol-Infinity"),
+            # a negative tolerance fails every reconstruction, however small its error
+            pytest.param(json.dumps(basic_config(reconstruct_tol=-1.0)), "reconstruct_tol",
+                         id="reconstruct_tol-negative"),
+            # 1/alpha, the threshold diagnose sums at, overflows
+            pytest.param(json.dumps(basic_config(policy={"mode": "alpha", "alpha": 1e-320})),
+                         "alpha", id="alpha-subnormal"),
             pytest.param(json.dumps(basic_config(L=10**30)), "L", id="L-huge"),
             # bx = 3 does not divide 4097 either, so nothing large is built if the bound slips
             pytest.param(json.dumps(basic_config(L=4097, cover={"regular": {"bx": 3, "by": 3}})),
@@ -244,6 +250,81 @@ class TestConfig:
         err = json.loads((out / "error.json").read_text())
         assert err["code"] == "invalid-argument"
         assert err["context"]["path"] == str(bad)
+
+
+    @pytest.mark.parametrize("command", ["reconstruct", "spectrogram", "window"])
+    def test_csv_of_wrong_length_is_invalid_argument(self, tmp_path, command):
+        # 15 samples for a config of L = 16
+        short = write_random_signal(tmp_path, L=15, name="short.csv")
+        if command == "window":
+            cfg = write_config(tmp_path, basic_config(window={"file": "short.csv"}))
+            args = ["frame", "--config", str(cfg)]
+        else:
+            cfg = write_config(tmp_path, basic_config())
+            args = [command, "--config", str(cfg), "--signal", str(short)]
+        out = tmp_path / "o"
+        assert main([*args, "--out", str(out)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["code"] == "invalid-argument"
+        assert err["context"]["path"] == str(short)
+        assert "length 15" in err["message"]
+
+
+def run_cover_command(tmp_path, command, cfg, out):
+    """``main`` of a command that reads the cover; reconstruct gets a random signal."""
+    args = [command, "--config", str(cfg), "--out", str(out)]
+    if command == "reconstruct":
+        args += ["--signal", str(write_random_signal(tmp_path, L=load_config(cfg).L))]
+    return main(args)
+
+
+class TestCoverInputs:
+    """frame, diagnose and reconstruct check the cover on one path, and write the same admissibility.json."""
+
+    @pytest.mark.parametrize("command", ["frame", "diagnose", "reconstruct"])
+    def test_outer_radius_above_R_is_refused(self, tmp_path, command):
+        payload = json.loads((CONFIG_DIR / "regular16.json").read_text())
+        cfg = write_config(tmp_path, {**payload, "admissibility": {**payload["admissibility"], "R": 0}})
+        out = tmp_path / "o"
+        assert run_cover_command(tmp_path, command, cfg, out) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["code"] == "precondition-violation"
+        assert "outer radius" in err["message"]
+        assert json.loads((out / "admissibility.json").read_text())["outer_radius_ok"] is False
+        assert sorted(p.name for p in out.iterdir()) == ["admissibility.json", "error.json"]
+
+    @pytest.mark.parametrize("command", ["frame", "diagnose", "reconstruct"])
+    def test_negative_R_is_invalid_argument(self, tmp_path, command):
+        payload = json.loads((CONFIG_DIR / "regular16.json").read_text())
+        cfg = write_config(tmp_path, {**payload, "admissibility": {**payload["admissibility"], "R": -1}})
+        out = tmp_path / "o"
+        assert run_cover_command(tmp_path, command, cfg, out) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["code"] == "invalid-argument"
+        assert "R=-1" in err["message"]
+
+    @pytest.mark.parametrize("name", ["regular16.json", "gabor16.json"])
+    def test_each_command_validates_once(self, tmp_path, monkeypatch, name):
+        calls = []
+        validate = tfloc.cli.validate_cover
+        monkeypatch.setattr(tfloc.cli, "validate_cover", lambda *a, **k: calls.append(a) or validate(*a, **k))
+        out = tmp_path / "o"
+        # a fresh reconstruct, then frame, diagnose and a reconstruct from the stored frame
+        for command, where in (("reconstruct", tmp_path / "fresh"), ("frame", out), ("diagnose", out),
+                               ("reconstruct", out)):
+            calls.clear()
+            assert run_cover_command(tmp_path, command, CONFIG_DIR / name, where) == 0
+            assert len(calls) == 1, command
+
+    @pytest.mark.parametrize("name", ["regular16.json", "irregular16.json", "gabor16.json", "wedge32.json"])
+    def test_every_command_writes_the_admissibility_of_frame(self, tmp_path, name):
+        written = {}
+        for command in ("frame", "diagnose", "reconstruct"):
+            out = tmp_path / command
+            assert run_cover_command(tmp_path, command, CONFIG_DIR / name, out) == 0
+            written[command] = (out / "admissibility.json").read_bytes()
+        assert written["diagnose"] == written["frame"]
+        assert written["reconstruct"] == written["frame"]
 
 
 class TestSpectrogram:

@@ -150,10 +150,19 @@ class TestSelectionPolicy:
             SelectionPolicy("epsilon", epsilon=0.1, n_max=0)
 
     @pytest.mark.parametrize("mode, value", [("alpha", np.inf), ("alpha", np.nan), ("alpha", -np.inf),
+                                             pytest.param("alpha", 10**400, id="alpha-int-past-float"),
                                              ("epsilon", np.inf), ("epsilon", np.nan)])
     def test_non_finite_values_rejected(self, mode, value):
         with pytest.raises(InvalidArgumentError, match="finite"):
             SelectionPolicy(mode, **{mode: value})
+
+    @pytest.mark.parametrize("alpha", [1e-320, 5e-324])
+    def test_alpha_whose_threshold_overflows_rejected(self, alpha):
+        # diagnose sums at the threshold 1/alpha, which is infinite here
+        with pytest.raises(InvalidArgumentError, match="1/alpha overflows"):
+            SelectionPolicy("alpha", alpha=alpha)
+        # a threshold of 1e308 is finite
+        assert SelectionPolicy("alpha", alpha=1e-308).implied_alpha == 1e-308
 
     def test_implied_alpha(self):
         assert SelectionPolicy("epsilon", epsilon=0.1).implied_alpha == pytest.approx(10.0)
