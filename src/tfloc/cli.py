@@ -157,9 +157,7 @@ def _parse_config(raw, path: Path) -> RunConfig:
     elif isinstance(window, dict) and set(window) == {"file"} and isinstance(window["file"], str):
         window_source = path.parent / window["file"]
     else:
-        raise InvalidArgumentError(
-            'config "window" must be "gauss" or {"file": path}', got=window
-        )
+        raise InvalidArgumentError(f'config "window" must be "gauss" or {{"file": path}}, not {window!r}')
 
     cover = _object(raw, "cover")
     known = [k for k in ("regular", "wedge", "irregular", "file") if k in cover]
@@ -441,11 +439,15 @@ def cmd_diagnose(cfg: RunConfig, out_dir: Path) -> int:
                 f"thresholded lower constant increased along the sweep: {prev!r} -> {nxt!r}"
             )
     feasible = [e for e, (c, _) in zip(SWEEP_EPSILONS, rows) if c > a_tol]
+
+    def pair(c: float, C: float) -> dict:  # a constant within a_tol of 0 is rounding noise, written as 0.0
+        return {"c": c if abs(c) > a_tol else 0.0, "C": C if abs(C) > a_tol else 0.0}
+
     payload = {
-        "plain": {"c": c_plain, "C": C_plain},
-        "squared": {"c": c_sq, "C": C_sq},
-        "thresholded": {"epsilon": eps, "c": c_th, "C": C_th},
-        "epsilon_sweep": [{"epsilon": e, "c": c, "C": C} for e, (c, C) in zip(SWEEP_EPSILONS, rows)],
+        "plain": pair(c_plain, C_plain),
+        "squared": pair(c_sq, C_sq),
+        "thresholded": {"epsilon": eps, **pair(c_th, C_th)},
+        "epsilon_sweep": [{"epsilon": e, **pair(c, C)} for e, (c, C) in zip(SWEEP_EPSILONS, rows)],
         "largest_epsilon_with_positive_c": max(feasible) if feasible else None,
         "atol": a_tol,
     }

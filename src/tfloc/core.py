@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InvalidArgumentError
+from .errors import DimensionError, InvalidArgumentError, NumericError
 
 GAUSS_PERIODIZATION_TERMS = 6  # |n| <= 6; tail below double precision for L >= 2
 
@@ -30,7 +30,7 @@ def _as_complex_vector(samples, L: int | None = None) -> np.ndarray:
         raise InvalidArgumentError(f"expected a 1-d sample vector, got shape {arr.shape}")
     if L is not None and arr.shape[0] != L:
         raise DimensionError(f"expected length {L}, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise InvalidArgumentError("samples contain NaN or Inf entries")
     return arr
 
@@ -171,7 +171,10 @@ def read_json(path, what: str):
 
 
 def write_json(path, payload) -> None:
-    """``payload`` as JSON indented by one space, with a final newline."""
+    """``payload`` as strict JSON with indent 1 and a final newline; NaN or inf is a NumericError."""
+    try:
+        text = json.dumps(payload, indent=1, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"cannot write {path}: {exc}", path=str(path)) from None
     with open(path, "w", newline="") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")

@@ -128,6 +128,13 @@ class Cover:
         return total, float(total.min()), float(total.max())
 
     @cached_property
+    def cell_steps(self) -> tuple[int, int]:
+        """gcd(L, every cell's x) and gcd(L, every cell's xi), from one scan of the cells:
+        they all lie on the lattice aZ x bZ iff a divides the first and b the second."""
+        cells = np.concatenate([s.cells for s in self.regions])
+        return tuple(int(np.gcd.reduce(cells[:, k], initial=self.L)) for k in (0, 1))
+
+    @cached_property
     def radii(self) -> np.ndarray:
         """The (outer, inner) radius of each shape class (``_radii``), one row per class."""
         return np.array([_radii(c.representative) for c in self.classes])

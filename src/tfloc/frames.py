@@ -4,8 +4,8 @@ For each region, the top eigenvectors of its localization operator are
 selected (by an eigenvalue threshold or by a count proportional to the
 region's trace measure) and collected, weighted by their eigenvalues or left
 unweighted.  The frame operator S = sum w^2 |v><v| certifies the frame bounds
-A = lambda_min(S), B = lambda_max(S), and the canonical dual atoms S^{-1} g_i
-reconstruct f = sum_i <f, g_i> S^{-1} g_i.
+A = lambda_min(S), B = lambda_max(S), and the canonical dual frame
+reconstructs f = sum_i <f, g_i> S^{-1} g_i = S^{-1} G G* f.
 
 The atoms of a region are its class's selected eigenvectors translated by
 the region's shift z, so S = sum_z pi(z) K pi(z)* class by class.  When every
@@ -13,9 +13,9 @@ class's shifts are invariant under (0, p) (``Cover.frequency_period``), S
 commutes with the modulation pi(0, p) and vanishes unless t = t' mod L/p: it
 is L/p Walnut blocks of order p (Walnut 1992; Groechenig, Foundations of
 Time-Frequency Analysis, 6.3), block r acting on the samples r + j L/p,
-j < p (``core._residue_rows``).  The certificate, the dual solve and the
-``norm_equivalence`` Gram sums all work on those blocks; p = L is one block,
-the dense operator.
+j < p (``core._residue_rows``).  The certificate, S^{-1} in reconstruction
+and the ``norm_equivalence`` Gram sums all work on those blocks; p = L is one
+block, the dense operator.  A stored frame keeps its p (``write_frame``).
 """
 
 from __future__ import annotations
@@ -82,10 +82,10 @@ class SelectionPolicy:
                 raise InvalidArgumentError("epsilon mode requires a finite epsilon >= 0 and no alpha")
 
     @property
-    def implied_alpha(self) -> float:
-        if self.mode == "alpha":
-            return self.alpha
-        return math.inf if self.epsilon == 0.0 else 1.0 / self.epsilon
+    def implied_alpha(self) -> float | None:
+        """alpha, or 1/epsilon; None where that is infinite (epsilon = 0, or subnormal)."""
+        alpha = self.alpha if self.mode == "alpha" else (1.0 / self.epsilon if self.epsilon else math.inf)
+        return alpha if alpha < math.inf else None
 
 
 def select_eigenfunctions(spec: Spectrum, measure: float, policy: SelectionPolicy) -> int:
@@ -108,8 +108,8 @@ class EigenFrame:
     ``ks`` the 1-based eigenvalue index within the region and ``lams`` the
     eigenvalue.  ``frequency_period`` is the p of the cover the frame was
     built from (``Cover.frequency_period``), which sets the Walnut blocks of
-    its frame operator; a stored frame has p = L, one block.  A frame has at
-    least one atom.
+    its frame operator; a stored frame keeps it (``write_frame``).  A frame
+    has at least one atom.
     """
 
     L: int
@@ -143,7 +143,7 @@ class FrameCertificate:
 
     A: float
     B: float
-    condition: float
+    condition: float | None  # B / A; None where that is not finite
     blocks: np.ndarray
     is_frame: bool
     a_tol: float
@@ -154,16 +154,11 @@ class FrameCertificate:
         return _from_residue_rows(np.linalg.solve(self.blocks, _residue_rows(Y, self.blocks.shape[1])))
 
     @cached_property
-    def dual(self) -> tuple[np.ndarray, np.ndarray]:
-        """(G*, S^{-1} G): the frame's analysis operator and its canonical dual atoms.
-
-        G is the L x n matrix of the weighted atoms.  One solve of S against G
-        (``solve``), on first use; ``frame_certificate`` alone never solves.
-        """
-        G = self.frame.atom_matrix()
-        dual, analysis = self.solve(G), G.conj().T
-        analysis.flags.writeable = dual.flags.writeable = False
-        return analysis, dual
+    def inverse(self) -> tuple[np.ndarray, np.ndarray]:
+        """(G, S^{-1}): ``frame.atom_matrix()`` and S's inverted Walnut blocks, read-only, on first use."""
+        G, inverse = self.frame.atom_matrix(), np.linalg.inv(self.blocks)
+        G.flags.writeable = inverse.flags.writeable = False
+        return G, inverse
 
 
 def region_classes(cover: Cover, phi: Window) -> Iterator[ClassSpectrum]:
@@ -262,7 +257,7 @@ def frame_certificate(frame: EigenFrame) -> FrameCertificate:
     S = G @ G.conj().transpose(0, 2, 1)
     A, B = _block_extremes(S, "frame operator has non-finite entries; the atom weights overflow it")
     a_tol = LOWER_BOUND_RTOL * B
-    condition = B / A if A > 0.0 else math.inf
+    condition = B / A if A > 0.0 and B / A < math.inf else None
     return FrameCertificate(A, B, condition, S, A > a_tol, a_tol, frame)
 
 
@@ -273,12 +268,12 @@ def reconstruct(
 
     A certificate must be of this frame object (``FrameCertificate.frame``);
     another frame's, even one with the same atoms, is an InvalidArgumentError.
-    With it, each call computes c = G* f and f_rec = (S^{-1} G) c, two O(L n)
-    products, from the dual atoms solved once per certificate
-    (``FrameCertificate.dual``).  Without one, the frame is certified here and
-    the one signal is solved for, f_rec = S^{-1} (G G* f).  Both solve block by
-    block (``FrameCertificate.solve``).  Returns (f_rec, relative error); the
-    zero signal reconstructs to zero with error 0 by convention.
+    Each call forms y = G (G* f) from the one atom matrix G, with G* f as
+    conj(G^T conj(f)), so no conjugate copy is made.  With a certificate, f_rec
+    is the inverted Walnut blocks of S (``FrameCertificate.inverse``) applied
+    to y.  Without one, the frame is certified here and S is solved against y
+    alone (``FrameCertificate.solve``): an inverse costs O(L p^2).  Returns
+    (f_rec, relative error); the zero signal reconstructs to zero with error 0.
     """
     cert = certificate if certificate is not None else frame_certificate(frame)
     if cert.frame is not frame:
@@ -289,15 +284,16 @@ def reconstruct(
         )
     if f.length != frame.L:
         raise InvalidArgumentError(f"signal length {f.length} != frame length {frame.L}")
-    if f.norm == 0.0:
+    norm = f.norm
+    if norm == 0.0:
         return Signal(np.zeros(frame.L, dtype=np.complex128)), 0.0
-    if certificate is None:
-        G = frame.atom_matrix()
-        f_rec = cert.solve((G @ (G.conj().T @ f.samples))[:, None])[:, 0]
+    G, inverse = (frame.atom_matrix(), None) if certificate is None else cert.inverse
+    y = G @ np.conj(G.T @ np.conj(f.samples))
+    if inverse is None:
+        f_rec = cert.solve(y[:, None])[:, 0]
     else:
-        analysis, dual = cert.dual
-        f_rec = dual @ (analysis @ f.samples)
-    rel = float(np.linalg.norm(f_rec - f.samples) / f.norm)
+        f_rec = _from_residue_rows((inverse @ _residue_rows(y, inverse.shape[1])[:, :, None])[:, :, 0])
+    rel = float(np.linalg.norm(f_rec - f.samples) / norm)
     return Signal(f_rec), rel
 
 
@@ -401,7 +397,7 @@ def write_frame(manifest_path, atoms_path, frame: EigenFrame) -> None:
     if frame.source is not None:
         head += f' "source": {json.dumps(frame.source)},\n'
     with open(manifest_path, "w", newline="") as fh:
-        fh.write(head + ' "atoms": [\n')
+        fh.write(head + f' "frequency_period": {frame.frequency_period},\n "atoms": [\n')
         fh.write(",\n".join([_ATOM_JSON % row for row in columns]))
         fh.write("\n ]\n}\n")
 
@@ -440,6 +436,9 @@ def read_frame(manifest_path, atoms_path) -> EigenFrame:
             raise ValueError(f"weighted must be true or false, not {weighted!r}")
         if source is not None and not isinstance(source, str):
             raise ValueError(f"source must be a string, not {source!r}")
+        p = manifest.get("frequency_period", L)  # absent in older files: one block, which any atoms keep
+        if type(p) is not int or p < 1 or L % p:
+            raise ValueError(f"frequency_period must be an integer >= 1 dividing L={L}, not {p!r}")
         offsets, weights, gammas, ks, lams = _manifest_columns(manifest["atoms"])
         if not offsets.size:
             raise ValueError("the manifest lists no atoms")
@@ -460,18 +459,26 @@ def read_frame(manifest_path, atoms_path) -> EigenFrame:
             )
     # every record in one gather: row i holds the record_len bytes at offsets[i]
     records = np.lib.stride_tricks.sliding_window_view(np.frombuffer(blob, np.uint8), record_len)
-    data = records[offsets].view("<f8").reshape(-1, L, 2)
+    vectors = records[offsets].view("<c16")  # row i is atom i
     # a NaN or infinite entry fails this too, and so does one whose square overflows
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(data.reshape(-1, 2 * L), axis=1)
+        norms = np.sqrt(np.einsum("ij,ij->i", vectors.view("<f8"), vectors.view("<f8")))
     bad = ~(np.abs(norms - 1.0) <= _UNIT_NORM_TOL)
     if bad.any():
         raise InvalidArgumentError(
             f"atom record at offset {offsets[int(np.argmax(bad))]} is not a finite unit vector",
             path=str(atoms_path),
         )
-    vectors = data[:, :, 0] + 1j * data[:, :, 1]
-    return EigenFrame(L, (vectors.T,), weights, gammas, ks, lams, weighted, L, source)
+    if p < L:
+        # if S = G G* keeps to its Walnut blocks, S u is their product with u: checked on one fixed probe
+        # u of phase t^2, with weights scaled to a largest of 1 (both sides alike) so they do not overflow
+        u, w2 = np.exp(1j * np.arange(L, dtype=np.float64) ** 2), (weights / (weights.max() or 1.0)) ** 2
+        V = vectors.reshape(-1, p, L // p)  # V[i, j, r] = v_i[r + j L/p], block r's rows
+        full = ((w2 * np.conj(vectors @ np.conj(u))) @ vectors).reshape(p, -1)
+        c = w2[:, None] * np.conj(np.einsum("ijr,jr->ir", V, np.conj(u).reshape(p, -1)))
+        if not np.linalg.norm(full - np.einsum("ijr,ir->jr", V, c)) <= 1e-10 * np.linalg.norm(full):
+            raise InvalidArgumentError(f"the atoms lack frequency period {p}", path=str(manifest_path))
+    return EigenFrame(L, (vectors.T,), weights, gammas, ks, lams, weighted, p, source)
 
 
 def write_certificate_json(path, cert: FrameCertificate) -> None:

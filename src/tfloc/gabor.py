@@ -151,7 +151,8 @@ def gabor_multiplier(m, sys: LatticeGaborSystem) -> np.ndarray:
 
 def lattice_coverage_min(cover: Cover, lattice: Lattice) -> float:
     """Min over lattice points of the pointwise symbol sum; an off-lattice cell is an error."""
-    for s in cover.regions:
+    a, b = cover.cell_steps
+    for s in cover.regions if a % lattice.a or b % lattice.b else ():
         off = np.flatnonzero((s.cells % [lattice.a, lattice.b]).any(axis=1))
         if off.size:
             x, xi = s.cells[off[0]]

@@ -327,6 +327,54 @@ class TestCoverInputs:
         assert written["reconstruct"] == written["frame"]
 
 
+def strict_json(path):
+    """The JSON file at ``path``, parsed with NaN and +-Infinity refused."""
+    def refuse(token):
+        raise ValueError(f"{path.name} holds {token}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+RUN_CONFIGS = sorted(p.name for p in CONFIG_DIR.glob("*.json") if "cover" in json.loads(p.read_text()))
+
+
+class TestStrictJson:
+    """Every JSON file the CLI writes is strict JSON: no NaN or Infinity tokens."""
+
+    @pytest.mark.parametrize("name", [*RUN_CONFIGS, "epsilon-0"])
+    def test_every_command_writes_strict_json(self, tmp_path, name):
+        if name == "epsilon-0":
+            cfg = write_config(tmp_path, basic_config(policy={"mode": "epsilon", "epsilon": 0, "n_max": 16}))
+        else:
+            cfg = CONFIG_DIR / name
+        written = []
+        for command, out in (("reconstruct", "fresh"), ("frame", "o"), ("reconstruct", "o"), ("diagnose", "o")):
+            assert run_cover_command(tmp_path, command, cfg, tmp_path / out) == 0
+        # an error, with the config's value in its message
+        payload = json.loads(Path(cfg).read_text())
+        bad = write_config(tmp_path, {**payload, "window": float("nan")}, name="bad.json")
+        assert main(["frame", "--config", str(bad), "--out", str(tmp_path / "error")]) == 1
+        for path in sorted(tmp_path.glob("*/*.json")):
+            written.append(path.name)
+            strict_json(path)
+        assert {"frame.json", "certificate.json", "report.json", "admissibility.json",
+                "reconstruction.json", "diagnostics.json", "error.json"} <= set(written)
+        if name == "epsilon-0":
+            # no finite alpha implies epsilon = 0
+            assert strict_json(tmp_path / "o" / "report.json")["implied_alpha"] is None
+
+    def test_a_non_finite_result_is_a_numeric_error(self, tmp_path):
+        # samples of 1e300 overflow G* f, so the reconstruction and its error are not finite
+        cfg = write_config(tmp_path, basic_config())
+        write_signal_csv(tmp_path / "huge.csv", np.full(16, 1e300 + 0j))
+        out = tmp_path / "o"
+        with pytest.warns(RuntimeWarning):
+            assert main(["reconstruct", "--config", str(cfg), "--signal", str(tmp_path / "huge.csv"),
+                         "--out", str(out)]) == 1
+        assert strict_json(out / "error.json")["code"] == "numeric-error"
+        assert not (out / "reconstruction.json").exists()
+
+
 class TestSpectrogram:
     def test_delta_constant_columns(self, tmp_path):
         cfg = write_config(tmp_path, basic_config())
@@ -670,6 +718,24 @@ class TestFrame:
         # one admissibility pass: the radii of each shape class, once
         assert len(radii) == len(resolve_cover(load_config(cfg)).classes)
 
+    def test_lattice_frame_scans_the_cells_once(self, tmp_path, monkeypatch):
+        # the lattice256_stream bench input: 32x32 tiles on the lattice (4Z)^2 at L = 256;
+        # the admissibility report, the lattice checks and the multiplier stream all read
+        # the one scan kept with the cover
+        L, box, step = 256, 32, 4
+        regions = [{"center": [x0 + box // 2, xi0 + box // 2],
+                    "cells": [[x, xi] for x in range(x0, x0 + box, step) for xi in range(xi0, xi0 + box, step)]}
+                   for x0 in range(0, L, box) for xi0 in range(0, L, box)]
+        (tmp_path / "cover.json").write_text(json.dumps({"L": L, "regions": regions}))
+        cfg = write_config(tmp_path, basic_config(
+            L=L, cover={"file": "cover.json"}, lattice={"a": step, "b": step},
+            policy={"mode": "epsilon", "epsilon": 0.1, "n_max": L}))
+        scans = []
+        steps = tfloc.covers.Cover.__dict__["cell_steps"]
+        monkeypatch.setattr(steps, "func", lambda cover, scan=steps.func: scans.append(1) or scan(cover))
+        assert main(["frame", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert len(scans) == 1
+
     @pytest.mark.parametrize("command", ["frame", "diagnose"])
     def test_ill_conditioned_window_names_the_tightness_condition(self, tmp_path, command):
         write_signal_csv(tmp_path / "window.csv", ill_conditioned_window())
@@ -834,13 +900,14 @@ class TestReconstruct:
 
     @pytest.mark.parametrize("name", ["regular16.json", "gabor16.json"])
     def test_cli_never_builds_the_dual(self, tmp_path, monkeypatch, name):
-        # the dual atoms cost one solve of S against all of G; reconstruct
-        # solves S against its one signal, and frame and diagnose never solve
-        def forbidden(cert):
-            raise AssertionError("FrameCertificate.dual read")
+        # inverting S's blocks pays off over many signals; reconstruct solves S
+        # against its one signal, and frame and diagnose never solve or invert
+        def forbidden(*args):
+            raise AssertionError("S inverted")
 
         solves, solve = [], np.linalg.solve
-        monkeypatch.setattr(tfloc.frames.FrameCertificate, "dual", property(forbidden))
+        monkeypatch.setattr(tfloc.frames.FrameCertificate, "inverse", property(forbidden))
+        monkeypatch.setattr(np.linalg, "inv", forbidden)
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(b.shape) or solve(a, b))
         cfg, out = str(CONFIG_DIR / name), tmp_path / "o"
         assert main(["frame", "--config", cfg, "--out", str(out)]) == 0
@@ -848,9 +915,10 @@ class TestReconstruct:
         assert solves == []
         sig = write_random_signal(tmp_path)
         assert main(["reconstruct", "--config", cfg, "--signal", str(sig), "--out", str(out)]) == 0
-        # one right-hand side, in the one Walnut block of the stored frame (p = L)
-        assert solves == [(1, 16, 1)]
-        # the same error as the library's cached-dual path on the stored frame
+        # one right-hand side, in the Walnut blocks of the period the stored frame keeps
+        p = json.loads((out / "report.json").read_text())["frequency_period"]
+        assert p < 16 and solves == [(16 // p, p, 1)]
+        # the same error as the library's inverted-blocks path on the stored frame
         monkeypatch.undo()
         frame = tfloc.frames.read_frame(out / "frame.json", out / "frame_atoms.tfat")
         _, rel = tfloc.frames.reconstruct(frame, read_signal_csv(sig), tfloc.frames.frame_certificate(frame))
@@ -886,6 +954,20 @@ class TestDiagnose:
         assert d["plain"]["c"] > 0
         assert d["epsilon_sweep"][0]["c"] == pytest.approx(d["plain"]["c"], abs=1e-10)
         assert d["largest_epsilon_with_positive_c"] is not None
+
+    def test_rounding_noise_is_written_as_zero(self, tmp_path):
+        # on gabor16 the sums thresholded at 0.4 and above miss a subspace, so
+        # their lower constants are rounding noise of about 1e-16
+        out = tmp_path / "o"
+        assert main(["diagnose", "--config", str(CONFIG_DIR / "gabor16.json"), "--out", str(out)]) == 0
+        d = json.loads((out / "diagnostics.json").read_text())
+        rows = {row["epsilon"]: row for row in d["epsilon_sweep"]}
+        assert all(rows[eps]["c"] == 0.0 for eps in rows if eps >= 0.4)
+        assert all(rows[eps]["c"] > d["atol"] for eps in rows if eps < 0.4)
+        assert d["largest_epsilon_with_positive_c"] == 0.3
+        constants = [d[k][c] for k in ("plain", "squared", "thresholded") for c in ("c", "C")]
+        constants += [row[c] for row in rows.values() for c in ("c", "C")]
+        assert all(v == 0.0 or abs(v) > d["atol"] for v in constants)
 
     def test_off_lattice_cell_reports_its_index(self, tmp_path):
         cover = json.loads((CONFIG_DIR / "gabor16_cover.json").read_text())

@@ -1,3 +1,4 @@
+import json
 import tempfile
 from pathlib import Path
 
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tfloc.core import Signal, Window, gauss_window, read_signal_csv, stft
-from tfloc.errors import DimensionError, InvalidArgumentError
+from tfloc.core import Signal, Window, gauss_window, read_signal_csv, stft, write_json
+from tfloc.errors import DimensionError, InvalidArgumentError, NumericError
 from tfloc.locop import Spectrum
 
 from helpers import direct_istft, direct_shift, direct_stft, random_signal, write_signal_csv
@@ -247,3 +248,17 @@ class TestSignalCsv:
                 assert isinstance(read_signal_csv(path), Signal)
             except InvalidArgumentError as exc:
                 assert exc.context["path"] == str(path)
+
+
+class TestWriteJson:
+    def test_bytes_are_json_dump(self, tmp_path):
+        payload = {"a": [1, 0.1, None, True], "b": {"c": "d\u00e9"}}
+        write_json(tmp_path / "x.json", payload)
+        assert (tmp_path / "x.json").read_text() == json.dumps(payload, indent=1) + "\n"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_float_is_a_numeric_error(self, tmp_path, value):
+        with pytest.raises(NumericError) as info:
+            write_json(tmp_path / "x.json", {"ok": 1.0, "bad": [value]})
+        assert info.value.context["path"] == str(tmp_path / "x.json")
+        assert not (tmp_path / "x.json").exists()

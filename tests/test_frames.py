@@ -79,7 +79,7 @@ JSON_VALUES = st.one_of(
     st.dictionaries(st.text(max_size=3), st.integers(0, 4), max_size=2),
     HUGE_INTEGERS,
 )
-MANIFEST_KEYS = st.sampled_from(["L", "weighted", "source", "atoms"])
+MANIFEST_KEYS = st.sampled_from(["L", "weighted", "source", "frequency_period", "atoms"])
 ATOM_KEYS = st.sampled_from(["offset", "weight", "gamma", "k", "lambda"])
 NAN_BYTES = np.array([np.nan], "<f8").tobytes()
 # one corruption of a stored frame: a manifest field set or dropped (at the
@@ -167,6 +167,9 @@ class TestSelectionPolicy:
     def test_implied_alpha(self):
         assert SelectionPolicy("epsilon", epsilon=0.1).implied_alpha == pytest.approx(10.0)
         assert SelectionPolicy("alpha", alpha=3.0).implied_alpha == 3.0
+        # no finite alpha implies epsilon = 0, or a subnormal epsilon whose 1/epsilon overflows
+        assert SelectionPolicy("epsilon", epsilon=0.0).implied_alpha is None
+        assert SelectionPolicy("epsilon", epsilon=1e-320).implied_alpha is None
 
 
 class TestSelection:
@@ -544,22 +547,24 @@ class TestWalnutBlocks:
         assert cert.A == pytest.approx(ev[0], rel=1e-12)
         assert cert.B == pytest.approx(ev[-1], rel=1e-12)
         assert cert.condition == pytest.approx(ev[-1] / ev[0], rel=1e-12)
-        _, dual = cert.dual
+        G, inverse = cert.inverse
+        assert inverse.shape == (L // p, p, p)
         _, want = canonical_dual(frame)
+        dual = dense_from_blocks(inverse) @ G
         assert np.max(np.abs(dual - want)) <= 1e-12 * np.abs(want).max()
         f = random_signal(np.random.default_rng(37), L)
         rec, rel = reconstruct(frame, Signal(f))
         assert np.linalg.norm(rec.samples - f) <= 1e-12 * np.linalg.norm(f) and rel <= 1e-12
 
-    def test_a_stored_frame_is_one_block(self, tmp_path):
+    def test_a_stored_frame_keeps_its_blocks(self, tmp_path):
         cfg = tmp_path / "regular64.json"
         cfg.write_text(json.dumps(REGULAR64_CONFIG))
         assert main(["frame", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         frame = read_frame(tmp_path / "frame.json", tmp_path / "frame_atoms.tfat")
-        assert frame.frequency_period == 64
+        assert frame.frequency_period == 8
         cert = frame_certificate(frame)
-        assert cert.blocks.shape == (1, 64, 64)
-        assert np.max(np.abs(cert.blocks[0] - frame_operator(frame))) <= 1e-12 * cert.B
+        assert cert.blocks.shape == (8, 8, 8)
+        assert np.max(np.abs(dense_from_blocks(cert.blocks) - frame_operator(frame))) <= 1e-12 * cert.B
         stored = json.loads((tmp_path / "certificate.json").read_text())
         assert cert.A == pytest.approx(stored["A"], rel=1e-12)
         assert cert.B == pytest.approx(stored["B"], rel=1e-12)
@@ -569,15 +574,15 @@ class TestWalnutBlocks:
         frame = assemble_frame(cover, phi, SelectionPolicy("epsilon", epsilon=0.1))
         classes = list(region_classes(cover, phi))
         shapes = []
-        for name in ("eigvalsh", "eigh", "solve"):
+        for name in ("eigvalsh", "eigh", "solve", "inv"):
             fn = getattr(np.linalg, name)
             monkeypatch.setattr(np.linalg, name,
                                 lambda a, *rest, fn=fn: shapes.append(a.shape) or fn(a, *rest))
         cert = frame_certificate(frame)
-        cert.dual
+        cert.inverse
         reconstruct(frame, Signal(random_signal(np.random.default_rng(38), 64)))
         assert len(norm_equivalence(classes, [0.1 * i for i in range(10)], cover.frequency_period)[2]) == 10
-        # the certificate, the dual, the certificate and solve of reconstruct, and
+        # the certificate, the inverse, the certificate and solve of reconstruct, and
         # the 11 Gram sums: one per threshold, 0 among them as plain, and squared
         assert len(shapes) == 1 + 1 + 2 + 11
         assert {a[-2:] for a in shapes} == {(8, 8)}
@@ -617,11 +622,12 @@ class TestReconstruct:
             assert rel <= 1e-8
 
     def test_frame_operator_factored_once(self, boxes16, phi16, monkeypatch):
-        # the O(L^3) step is the solve of S against G for the dual atoms
+        # the O(L p^2) step is the inversion of S's Walnut blocks, once per certificate
         frame = assemble_frame(boxes16, phi16, SelectionPolicy("epsilon", epsilon=0.2, n_max=L16))
         cert = frame_certificate(frame)
-        solve = np.linalg.solve
+        inv, solve = np.linalg.inv, np.linalg.solve
         calls = []
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a) or inv(a))
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(a) or solve(a, b))
         G = frame.atom_matrix()
         rng = np.random.default_rng(34)
@@ -633,7 +639,7 @@ class TestReconstruct:
             expected = Q @ ((Q.conj().T @ (G @ (G.conj().T @ f))) / w)
             assert np.max(np.abs(rec.samples - expected)) <= 1e-12 * np.linalg.norm(f)
             assert rel == pytest.approx(np.linalg.norm(expected - f) / np.linalg.norm(f), abs=1e-12)
-        assert len(calls) == 1
+        assert len(calls) == 1 and calls[0] is cert.blocks
 
     @pytest.mark.parametrize("name", ["regular16.json", "irregular16.json", "gabor16.json"])
     def test_dual_atoms_against_oracle(self, tmp_path, name):
@@ -642,19 +648,21 @@ class TestReconstruct:
         cert = frame_certificate(frame)
         S, dual = canonical_dual(frame)
         assert np.max(np.abs(dense_from_blocks(cert.blocks) - S)) <= 1e-12
-        analysis, lib_dual = cert.dual
+        # the one atom matrix, and S^{-1} G from the inverted blocks: the dual atoms
+        lib_G, inverse = cert.inverse
+        G = atom_columns(frame)
+        assert lib_G.flags.c_contiguous and np.max(np.abs(lib_G - G)) <= 1e-15
         scale = np.max(np.abs(dual))
-        assert np.max(np.abs(lib_dual - dual)) <= 1e-10 * scale
+        assert np.max(np.abs(dense_from_blocks(inverse) @ lib_G - dual)) <= 1e-12 * scale
         rng = np.random.default_rng(35)
         f = random_signal(rng, frame.L)
-        G = atom_columns(frame)
-        np.testing.assert_allclose(analysis @ f, [np.vdot(g, f) for g in G.T],
+        np.testing.assert_allclose(np.conj(lib_G.T @ np.conj(f)), [np.vdot(g, f) for g in G.T],
                                    rtol=0, atol=1e-12 * np.linalg.norm(f))
         # f = sum_i <f, g_i> g~_i, summed atom by atom
         synthesized = sum(np.vdot(g, f) * dual[:, i] for i, g in enumerate(G.T))
         assert np.linalg.norm(synthesized - f) <= 1e-10 * np.linalg.norm(f)
         rec, _ = reconstruct(frame, Signal(f), cert)
-        assert np.linalg.norm(rec.samples - synthesized) <= 1e-10 * np.linalg.norm(f)
+        assert np.linalg.norm(rec.samples - synthesized) <= 1e-12 * np.linalg.norm(f)
 
     def test_certificate_belongs_to_its_frame(self, boxes16, phi16):
         policy = SelectionPolicy("epsilon", epsilon=0.2, n_max=L16)
@@ -797,6 +805,7 @@ class TestFrameIo:
         payload = {"L": frame.L, "weighted": weighted}
         if source is not None:
             payload["source"] = source
+        payload["frequency_period"] = 4
         payload["atoms"] = [
             {"gamma": int(g), "k": int(k), "lambda": float(lam), "weight": float(w), "offset": 4 + i * 16 * L16}
             for i, (g, k, lam, w) in enumerate(zip(frame.gammas, frame.ks, frame.lams, frame.weights))
@@ -836,6 +845,66 @@ class TestFrameIo:
             assert np.all(np.isfinite(frame.weights)) and np.all(frame.weights >= 0)
             assert np.all(np.isfinite(frame.lams))
             assert np.all(frame.gammas >= 0) and np.all(frame.ks >= 1)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(value=st.booleans() | st.text(max_size=4) | st.just(0) | st.integers(max_value=-1)
+           | st.integers(1, 2**40).filter(lambda p: L16 % p) | st.floats() | HUGE_INTEGERS)
+    def test_bad_frequency_period_is_invalid_argument(self, frame16, value):
+        # a JSON integer >= 1 dividing L, and no boolean, string, float or huge integer
+        with tempfile.TemporaryDirectory() as tmp:
+            manifest, atoms = Path(tmp) / "frame.json", Path(tmp) / "atoms.tfat"
+            write_frame(manifest, atoms, frame16)
+            manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "frequency_period": value}))
+            with pytest.raises(InvalidArgumentError, match="frequency_period") as info:
+                read_frame(manifest, atoms)
+            assert info.value.context["path"] == str(manifest)
+
+    @pytest.mark.parametrize("name, p", [("regular16.json", 4), ("gabor16.json", 8), ("wedge32.json", 32)])
+    def test_stored_frame_keeps_its_period(self, tmp_path, name, p):
+        assert main(["frame", "--config", str(CONFIG_DIR / name), "--out", str(tmp_path)]) == 0
+        assert resolve_cover(load_config(CONFIG_DIR / name)).frequency_period == p
+        assert json.loads((tmp_path / "frame.json").read_text())["frequency_period"] == p
+        frame = read_frame(tmp_path / "frame.json", tmp_path / "frame_atoms.tfat")
+        assert frame.frequency_period == p
+        # and certifies in its blocks, with the bounds frame wrote
+        cert = frame_certificate(frame)
+        assert cert.blocks.shape == (frame.L // p, p, p)
+        stored = json.loads((tmp_path / "certificate.json").read_text())
+        assert cert.A == pytest.approx(stored["A"], rel=1e-12)
+        assert cert.B == pytest.approx(stored["B"], rel=1e-12)
+
+    def test_manifest_without_period_reads_as_one_block(self, frame16, tmp_path):
+        # a frame file written before the manifest kept the period
+        manifest, atoms = tmp_path / "frame.json", tmp_path / "atoms.tfat"
+        write_frame(manifest, atoms, frame16)
+        parsed = json.loads(manifest.read_text())
+        del parsed["frequency_period"]
+        manifest.write_text(json.dumps(parsed))
+        assert read_frame(manifest, atoms).frequency_period == L16
+
+    @pytest.mark.parametrize("name", ["regular16.json", "irregular16.json", "gabor16.json", "wedge32.json"])
+    def test_probe_refuses_a_period_the_atoms_lack(self, tmp_path, name):
+        # p is the cover's least period: a divisor of L that p does not divide is
+        # refused, and every multiple of p is a period the atoms have
+        assert main(["frame", "--config", str(CONFIG_DIR / name), "--out", str(tmp_path)]) == 0
+        manifest, atoms = tmp_path / "frame.json", tmp_path / "frame_atoms.tfat"
+        parsed = json.loads(manifest.read_text())
+        L, p = parsed["L"], parsed["frequency_period"]
+        for q in [q for q in range(1, L + 1) if L % q == 0]:
+            manifest.write_text(json.dumps({**parsed, "frequency_period": q}))
+            if q % p == 0:
+                assert read_frame(manifest, atoms).frequency_period == q
+                continue
+            with pytest.raises(InvalidArgumentError, match=f"lack frequency period {q}") as info:
+                read_frame(manifest, atoms)
+            assert info.value.context["path"] == str(manifest)
+
+    def test_non_finite_condition_is_null(self, frame16, tmp_path):
+        # atoms of weight 0 give S = 0: A = 0 and no finite condition, which strict JSON cannot write
+        cert = frame_certificate(dataclasses.replace(frame16, weights=np.zeros_like(frame16.weights)))
+        assert cert.A == 0.0 and cert.condition is None and not cert.is_frame
+        write_certificate_json(tmp_path / "cert.json", cert)
+        assert json.loads((tmp_path / "cert.json").read_text())["condition"] is None
 
     def test_certificate_json_schema(self, frame16, tmp_path):
         path = tmp_path / "cert.json"
