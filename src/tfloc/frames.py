@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 import warnings
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -43,9 +44,9 @@ from .locop import ClassSpectrum, Spectrum, class_spectra
 
 _UNIT_NORM_TOL = 1e-9
 LOWER_BOUND_RTOL = 1e-9  # a lower frame bound or constant is positive above this share of the upper
-# the selected columns are translated to at most this many entries at once,
-# which keeps the gather's temporaries small
-_GATHER_ENTRIES = 1 << 16
+# atoms are translated, weighted and written at most this many entries at a time, which
+# keeps the temporaries small; every bench input's and configs/* frame is one batch
+_BATCH_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -102,9 +103,9 @@ def select_eigenfunctions(spec: Spectrum, measure: float, policy: SelectionPolic
 class EigenFrame:
     """The atoms v_i as columns, in region order, with one array entry per atom.
 
-    ``vectors`` holds the unit vectors v_i as the columns of its L x n_j
-    blocks, kept as they were built (one block per region, or one block for
-    a stored frame).  ``weights`` holds w_i, ``gammas`` the region index,
+    ``atoms`` is the one L x n complex array whose columns are the unit
+    vectors v_i, however the frame was made (``eigenframe_from_classes``,
+    ``read_frame``).  ``weights`` holds w_i, ``gammas`` the region index,
     ``ks`` the 1-based eigenvalue index within the region and ``lams`` the
     eigenvalue.  ``frequency_period`` is the p of the cover the frame was
     built from (``Cover.frequency_period``), which sets the Walnut blocks of
@@ -113,7 +114,7 @@ class EigenFrame:
     """
 
     L: int
-    vectors: tuple[np.ndarray, ...]
+    atoms: np.ndarray
     weights: np.ndarray
     gammas: np.ndarray
     ks: np.ndarray
@@ -123,17 +124,18 @@ class EigenFrame:
     source: str | None = None  # fingerprint of the inputs the frame was built from
 
     def __post_init__(self):
-        if not self.lams.size:
+        n = self.lams.size
+        if not n:
             raise EmptyFrameError("frame has no atoms")
+        if self.atoms.dtype != np.complex128 or self.atoms.shape != (self.L, n):
+            raise InvalidArgumentError(f"atoms must be a complex {self.L} x {n} array, "
+                                       f"not {self.atoms.dtype} of shape {self.atoms.shape}")
+        for name in ("weights", "gammas", "ks", "lams"):
+            if getattr(self, name).shape != (n,):
+                raise InvalidArgumentError(f"{name} must hold one entry per atom ({n}), "
+                                           f"not shape {getattr(self, name).shape}")
         if self.frequency_period < 1 or self.L % self.frequency_period:
             raise InvalidArgumentError(f"frequency period {self.frequency_period} must divide L={self.L}")
-
-    def atom_matrix(self) -> np.ndarray:
-        """The C-contiguous L x n matrix whose columns are the weighted atoms w_i v_i."""
-        G = np.empty((self.L, self.lams.size), dtype=np.complex128)
-        np.concatenate(self.vectors, axis=1, out=G)
-        G *= self.weights
-        return G
 
 
 @dataclass(frozen=True)
@@ -155,8 +157,8 @@ class FrameCertificate:
 
     @cached_property
     def inverse(self) -> tuple[np.ndarray, np.ndarray]:
-        """(G, S^{-1}): ``frame.atom_matrix()`` and S's inverted Walnut blocks, read-only, on first use."""
-        G, inverse = self.frame.atom_matrix(), np.linalg.inv(self.blocks)
+        """(G, S^{-1}): the C-contiguous weighted atoms w_i v_i and S's inverted Walnut blocks, read-only."""
+        G, inverse = self.frame.atoms * self.frame.weights, np.linalg.inv(self.blocks)
         G.flags.writeable = inverse.flags.writeable = False
         return G, inverse
 
@@ -178,36 +180,40 @@ def eigenframe_from_classes(L: int, classes: Iterable[ClassSpectrum], policy: Se
     """Frame of the selected eigenpairs of each region, counted with its class measure ||eta||_1 / L.
 
     ``classes`` is a shape-class stream (``class_spectra``), consumed in a
-    single pass.  The count is selected once per class, the selected columns
-    are translated to its members in a few gathers (``Spectrum.translated``),
-    and the class spectrum is dropped before the next class is solved; an
+    single pass.  The count is selected once per class, and only the selected
+    eigenpairs, their eigenvectors copied, outlive the class spectrum; an
     empty spectrum, a numerically zero operator, gives a warning and no atoms.
-    Each region's block is kept as ``translated`` returns it: copying the blocks
-    into one matrix would leave the freed blocks resident and raise the peak memory.
-    The frame records ``frequency_period``, the cover's (``Cover.frequency_period``).
+    Then the atoms array is allocated once, and each class's selected columns
+    are translated to its members in a few gathers (``Spectrum.translated``)
+    and written to their columns.  The frame records ``frequency_period``, the cover's.
     """
-    by_region: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    selected, counts = [], {}  # each class's selected eigenpairs, and each region's atom count
     for spec, measure, cls in classes:
         if not spec.eigenvalues.size:
             for gamma in cls.members.tolist():
                 warnings.warn(f"region {gamma} has a numerically zero operator; contributing no atoms",
                               stacklevel=3)
         n = select_eigenfunctions(spec, measure, policy)
-        lams = spec.eigenvalues[:n].copy()
-        step = max(1, _GATHER_ENTRIES // max(L * n, 1))
-        for lo in range(0, cls.members.size, step):
-            blocks = spec.translated(cls.shifts[lo:lo + step], n)
-            by_region.update(zip(cls.members[lo:lo + step].tolist(), [(V, lams) for V in blocks]))
+        selected.append((Spectrum(spec.eigenvalues[:n], spec.eigenvectors[:, :n].copy(), spec.anchors[:n]), cls))
+        counts.update(dict.fromkeys(cls.members.tolist(), n))
         del spec
-    gammas = sorted(by_region)
-    counts = [by_region[gamma][1].size for gamma in gammas]
-    lams = np.concatenate([by_region[gamma][1] for gamma in gammas])
+    gammas = np.array(sorted(counts), dtype=np.int64)
+    sizes = np.array([counts[gamma] for gamma in gammas.tolist()], dtype=np.int64)
+    start = np.cumsum(sizes) - sizes  # each region's first column
+    atoms, lams = np.empty((L, int(sizes.sum())), dtype=np.complex128), np.empty(int(sizes.sum()))
+    for kept, cls in selected:
+        n = kept.eigenvalues.size
+        step = max(1, _BATCH_ENTRIES // max(L * n, 1))
+        for lo in range(0, cls.members.size, step):
+            cols = start[np.searchsorted(gammas, cls.members[lo:lo + step])][:, None] + np.arange(n)
+            atoms[:, cols] = kept.translated(cls.shifts[lo:lo + step]).transpose(1, 0, 2)
+            lams[cols] = kept.eigenvalues
     return EigenFrame(
         L,
-        tuple(by_region[gamma][0] for gamma in gammas),
+        atoms,
         lams if weighted else np.ones_like(lams),
-        np.repeat(gammas, counts),
-        np.concatenate([np.arange(1, c + 1) for c in counts]),
+        np.repeat(gammas, sizes),
+        np.concatenate([np.arange(1, c + 1) for c in sizes]),
         lams,
         weighted,
         frequency_period,
@@ -249,12 +255,14 @@ def frame_certificate(frame: EigenFrame) -> FrameCertificate:
     """Frame bounds as the extreme eigenvalues of S = sum w^2 |v><v|; a frame iff A > LOWER_BOUND_RTOL B.
 
     S is formed as its Walnut blocks of order p = ``frame.frequency_period``:
-    block r is G_r G_r*, G_r the rows r + j L/p of the atom matrix G, and A
-    and B are the extremes of the blocks' eigenvalues.  For p = L that is
-    G G* and its eigenvalues.
+    block r sums G_r G_r* over batches of at most _BATCH_ENTRIES weighted atoms
+    w_i v_i, G_r a batch's rows r + j L/p, so only one batch is copied at a time;
+    A and B are the extremes of the blocks' eigenvalues.
     """
-    G = _residue_rows(frame.atom_matrix(), frame.frequency_period)
-    S = G @ G.conj().transpose(0, 2, 1)
+    p, step = frame.frequency_period, max(1, _BATCH_ENTRIES // frame.L)
+    batches = (_residue_rows(frame.atoms[:, lo:lo + step] * frame.weights[lo:lo + step], p)
+               for lo in range(0, frame.lams.size, step))
+    S = reduce(operator.iadd, (G @ G.conj().transpose(0, 2, 1) for G in batches))  # summed in place
     A, B = _block_extremes(S, "frame operator has non-finite entries; the atom weights overflow it")
     a_tol = LOWER_BOUND_RTOL * B
     condition = B / A if A > 0.0 and B / A < math.inf else None
@@ -268,12 +276,14 @@ def reconstruct(
 
     A certificate must be of this frame object (``FrameCertificate.frame``);
     another frame's, even one with the same atoms, is an InvalidArgumentError.
-    Each call forms y = G (G* f) from the one atom matrix G, with G* f as
-    conj(G^T conj(f)), so no conjugate copy is made.  With a certificate, f_rec
-    is the inverted Walnut blocks of S (``FrameCertificate.inverse``) applied
-    to y.  Without one, the frame is certified here and S is solved against y
-    alone (``FrameCertificate.solve``): an inverse costs O(L p^2).  Returns
-    (f_rec, relative error); the zero signal reconstructs to zero with error 0.
+    Each call forms y = G (G* f), G the weighted atoms and G* f computed as
+    conj(G^T conj(f)), so G is not conjugated.  With a certificate, G and the
+    inverted Walnut blocks of S are its ``inverse``; without one, the frame is
+    certified here, G formed once and S solved against y alone (``solve``): an
+    inverse costs O(L p^2).  Returns (f_rec, relative error), both norms taken
+    after scaling by a power of two near the peak sample so that they neither
+    overflow nor underflow; the zero signal gives zero with error 0, and a
+    reconstruction that overflows is a NumericError.
     """
     cert = certificate if certificate is not None else frame_certificate(frame)
     if cert.frame is not frame:
@@ -284,16 +294,20 @@ def reconstruct(
         )
     if f.length != frame.L:
         raise InvalidArgumentError(f"signal length {f.length} != frame length {frame.L}")
-    norm = f.norm
-    if norm == 0.0:
+    peak = np.abs(f.samples).max()
+    if peak == 0.0:
         return Signal(np.zeros(frame.L, dtype=np.complex128)), 0.0
-    G, inverse = (frame.atom_matrix(), None) if certificate is None else cert.inverse
+    G, inverse = (frame.atoms * frame.weights, None) if certificate is None else cert.inverse
     y = G @ np.conj(G.T @ np.conj(f.samples))
     if inverse is None:
         f_rec = cert.solve(y[:, None])[:, 0]
     else:
         f_rec = _from_residue_rows((inverse @ _residue_rows(y, inverse.shape[1])[:, :, None])[:, :, 0])
-    rel = float(np.linalg.norm(f_rec - f.samples) / norm)
+    # exact for every sample that stays normal, so an ordinary signal's error keeps its bits
+    scale = math.ldexp(1.0, min(-math.frexp(peak)[1], 1023))
+    rel = float(np.linalg.norm(scale * (f_rec - f.samples)) / np.linalg.norm(scale * f.samples))
+    if not math.isfinite(rel):
+        raise NumericError("the reconstruction overflows; the signal's samples are too large for this frame")
     return Signal(f_rec), rel
 
 
@@ -385,11 +399,12 @@ _ATOM_JSON = '  {\n   "gamma": %d,\n   "k": %d,\n   "lambda": %r,\n   "weight": 
 
 
 def write_frame(manifest_path, atoms_path, frame: EigenFrame) -> None:
-    """The atoms file, and the manifest with the bytes of ``core.write_json`` from fixed templates."""
+    """The atoms file, in column ranges of ``frame.atoms``, and the manifest in ``write_json``'s bytes."""
+    step = max(1, _BATCH_ENTRIES // frame.L)
     with open(atoms_path, "wb") as fh:
         fh.write(b"TFAT")
-        for V in frame.vectors:
-            fh.write(np.ascontiguousarray(V.T, dtype="<c16").tobytes())
+        for lo in range(0, frame.lams.size, step):
+            fh.write(np.ascontiguousarray(frame.atoms[:, lo:lo + step].T, dtype="<c16").data)
     offsets = range(4, 4 + frame.lams.size * frame.L * 16, frame.L * 16)
     columns = zip(frame.gammas.tolist(), frame.ks.tolist(), frame.lams.tolist(),
                   frame.weights.tolist(), offsets)
@@ -457,12 +472,11 @@ def read_frame(manifest_path, atoms_path) -> EigenFrame:
             raise InvalidArgumentError(
                 f"atom record at offset {off} overruns the atoms file", path=str(atoms_path)
             )
-    # every record in one gather: row i holds the record_len bytes at offsets[i]
-    records = np.lib.stride_tricks.sliding_window_view(np.frombuffer(blob, np.uint8), record_len)
-    vectors = records[offsets].view("<c16")  # row i is atom i
-    # a NaN or infinite entry fails this too, and so does one whose square overflows
+    # column i is a copy of the record at offsets[i], read through a view of the file's bytes
+    atoms = np.column_stack([np.frombuffer(blob, "<c16", L, off) for off in offsets.tolist()])
+    # NaN, infinite and overflowing entries fail this too; float columns 2i, 2i + 1 are atom i's parts
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.sqrt(np.einsum("ij,ij->i", vectors.view("<f8"), vectors.view("<f8")))
+        norms = np.sqrt(np.einsum("ij,ij->j", atoms.view("<f8"), atoms.view("<f8")).reshape(-1, 2).sum(1))
     bad = ~(np.abs(norms - 1.0) <= _UNIT_NORM_TOL)
     if bad.any():
         raise InvalidArgumentError(
@@ -473,12 +487,12 @@ def read_frame(manifest_path, atoms_path) -> EigenFrame:
         # if S = G G* keeps to its Walnut blocks, S u is their product with u: checked on one fixed probe
         # u of phase t^2, with weights scaled to a largest of 1 (both sides alike) so they do not overflow
         u, w2 = np.exp(1j * np.arange(L, dtype=np.float64) ** 2), (weights / (weights.max() or 1.0)) ** 2
-        V = vectors.reshape(-1, p, L // p)  # V[i, j, r] = v_i[r + j L/p], block r's rows
-        full = ((w2 * np.conj(vectors @ np.conj(u))) @ vectors).reshape(p, -1)
-        c = w2[:, None] * np.conj(np.einsum("ijr,jr->ir", V, np.conj(u).reshape(p, -1)))
-        if not np.linalg.norm(full - np.einsum("ijr,ir->jr", V, c)) <= 1e-10 * np.linalg.norm(full):
+        V = _residue_rows(atoms, p)  # V[r, j, i] = v_i[r + j L/p], block r's rows
+        c = w2 * np.conj(np.conj(_residue_rows(u, p))[:, None, :] @ V)[:, 0]  # c[r]: block r's part of G* u
+        full = V @ c.sum(axis=0)  # G G* u, and below the product of the blocks with u
+        if not np.linalg.norm(full - (V @ c[:, :, None])[:, :, 0]) <= 1e-10 * np.linalg.norm(full):
             raise InvalidArgumentError(f"the atoms lack frequency period {p}", path=str(manifest_path))
-    return EigenFrame(L, (vectors.T,), weights, gammas, ks, lams, weighted, p, source)
+    return EigenFrame(L, atoms, weights, gammas, ks, lams, weighted, p, source)
 
 
 def write_certificate_json(path, cert: FrameCertificate) -> None:

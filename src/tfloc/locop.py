@@ -84,19 +84,19 @@ class Spectrum:
     eigenvectors: np.ndarray
     anchors: np.ndarray
 
-    def translated(self, shifts: np.ndarray, n: int | None = None) -> np.ndarray:
-        """The first ``n`` (default all) eigenvectors of pi(z) H pi(z)* for each
-        row z = (x, xi) of the (m, 2) ``shifts``: an (m, L, n) array, one gather.
+    def translated(self, shifts: np.ndarray) -> np.ndarray:
+        """The eigenvectors of pi(z) H pi(z)* for each row z = (x, xi) of the
+        (m, 2) ``shifts``: an (m, L, r) array, one gather.
 
         Column k of block j is pi(z) v_k times the unimodular constant that
         makes its entry at the translated anchor (anchors[k] + x) mod L real
         and positive.  For z = (0, 0) the columns are copied unchanged.
         """
-        V = self.eigenvectors[:, :n]
+        V = self.eigenvectors
         L = V.shape[0]
         x, xi = shifts[:, 0, None, None], shifts[:, 1, None, None]
         t = np.arange(L)[:, None]
-        turns = (xi * (t - x - self.anchors[:n])) % L
+        turns = (xi * (t - x - self.anchors)) % L
         out = V[(t[:, 0] - x[:, 0]) % L] * _unit_roots(L)[turns]
         out[~shifts.any(axis=1)] = V
         return out

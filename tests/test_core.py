@@ -229,7 +229,7 @@ class TestSignalCsv:
                 read_signal_csv(path)
             assert info.value.context["path"] == str(path)
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(blob=st.binary(max_size=64) | st.builds(
         # past the header, rows of CSV-like characters, some bytes not UTF-8
         lambda rows: b"t,re,im\n" + b"\n".join(rows),

@@ -435,7 +435,7 @@ class TestShapeClasses:
         assert len(cover.classes) > 40
         assert_classes_match_oracle(cover)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.integers(4, 32), st.integers(0, 2**32), st.data())
     def test_irregular_small_covers(self, L, seed, data):
         target = data.draw(st.integers(2, L))

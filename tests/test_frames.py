@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tfloc.frames
 import tfloc.locop
 from tfloc.cli import load_config, main, resolve_cover
-from tfloc.core import Signal, gauss_window
-from tfloc.covers import Cover, Symbol, gen_random_irregular, gen_regular_boxes, gen_wedge_cover
+from tfloc.core import Signal, Window, gauss_window
+from tfloc.covers import Cover, Symbol, cover_from_dict, gen_random_irregular, gen_regular_boxes, gen_wedge_cover
 from tfloc.errors import EmptyFrameError, InvalidArgumentError, NotAFrameError, PreconditionViolation
 from tfloc.frames import (
     SelectionPolicy,
@@ -37,6 +38,7 @@ from helpers import (
     ball_operator_spectrum,
     canonical_dual,
     dense_from_blocks,
+    direct_assemble,
     direct_gabor_multiplier,
     frame_operator,
     lattice_mask,
@@ -243,7 +245,7 @@ class TestAssembleFrame:
         assert cert.B == pytest.approx(REGULAR16_FRAME_B_EPS02, abs=1e-8)
 
     def test_atom_invariants(self, frame16):
-        V = np.hstack(frame16.vectors)
+        V = frame16.atoms
         assert np.all(np.abs(np.linalg.norm(V, axis=0) - 1.0) <= 1e-10)
         for gamma in np.unique(frame16.gammas):
             mine = frame16.gammas == gamma
@@ -305,7 +307,6 @@ def assert_matches_direct_path(frame, ops, policy, A, B):
     frame bounds match the direct frame operator to 1e-12 relative."""
     L = frame.L
     S = np.zeros((L, L), complex)
-    vectors = np.hstack(frame.vectors)
     compared = 0
     for gamma, op in enumerate(ops):
         spec = eigendecomp(op)
@@ -318,7 +319,7 @@ def assert_matches_direct_path(frame, ops, policy, A, B):
         compared += 1
         assert mine.sum() == n
         np.testing.assert_allclose(frame.lams[mine], lam[:n], rtol=0, atol=1e-12)
-        P = vectors[:, mine] @ vectors[:, mine].conj().T
+        P = frame.atoms[:, mine] @ frame.atoms[:, mine].conj().T
         assert np.max(np.abs(P - V[:, :n] @ V[:, :n].conj().T)) <= 1e-10
     assert compared > 0
     ev = np.linalg.eigvalsh(S)
@@ -392,7 +393,7 @@ class TestShapeClasses:
         assert C == pytest.approx(ev[-1], rel=1e-12)
         # the translated atoms follow the phase convention: real and positive
         # at the representative's anchor moved by x
-        V = np.hstack(frame.vectors)
+        V = frame.atoms
         rep, moved = V[:, frame.gammas == 0], V[:, frame.gammas == 1]
         anchors = eigendecomp(ops[0]).anchors
         for a, b, anchor in zip(rep.T, moved.T, anchors):
@@ -460,8 +461,8 @@ class TestOnePass:
 
     @pytest.mark.parametrize("variant", ["grid", "lattice"])
     def test_frame_keeps_only_its_atoms(self, monkeypatch, variant):
-        # n atoms take 16 L n bytes; a frame keeps the blocks it was built
-        # from, with no per-atom objects and no class's L x L eigenvectors
+        # n atoms take 16 L n bytes; a frame keeps its one atoms array, with
+        # no per-atom objects and no class's L x L eigenvectors
         build = self.frame_builder(variant)
         build()  # the first run imports modules lazily
         tracemalloc.start()
@@ -478,7 +479,7 @@ class TestOnePass:
         monkeypatch.setattr(tfloc.locop, "eigendecomp", lambda H: spectra.append(eigendecomp(H)) or spectra[-1])
         frame = build()
         assert spectra
-        assert not any(np.shares_memory(V, s.eigenvectors) for V in frame.vectors for s in spectra)
+        assert not any(np.shares_memory(frame.atoms, s.eigenvectors) for s in spectra)
 
     def test_diagnose_peak(self, tmp_path):
         # diagnose keeps one Gram sum per distinct term (12 here) plus one
@@ -503,10 +504,17 @@ class TestCertificate:
         cert = frame_certificate(frame16)
         f = frame16
         columns = (np.tile(c, 2) for c in (f.weights, f.gammas, f.ks, f.lams))
-        doubled = EigenFrame(L16, f.vectors + f.vectors, *columns, f.weighted, f.frequency_period)
+        doubled = EigenFrame(L16, np.hstack([f.atoms, f.atoms]), *columns, f.weighted, f.frequency_period)
         cert2 = frame_certificate(doubled)
         assert cert2.A == pytest.approx(2 * cert.A, rel=1e-9)
         assert cert2.B == pytest.approx(2 * cert.B, rel=1e-9)
+        # one region's block of atoms too few, or its weights left out, is refused on construction
+        atoms, weights, *rest = doubled.atoms, doubled.weights, doubled.gammas, doubled.ks, doubled.lams
+        for args, match in (([atoms[:, 2:], weights, *rest], "atoms must be"),
+                            ([atoms, weights[2:], *rest], "weights must hold")):
+            with pytest.raises(InvalidArgumentError, match=match) as info:
+                EigenFrame(L16, *args, f.weighted, f.frequency_period)
+            assert info.value.code == "invalid-argument"
 
     def test_parseval_consistency(self, frame16):
         rng = np.random.default_rng(30)
@@ -608,6 +616,24 @@ class TestReconstruct:
         assert rel == 0.0
         assert rec.norm == 0.0
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e160])
+    def test_error_of_a_tiny_or_huge_signal(self, scale):
+        # unscaled, ||f||_2 underflows to 0 at 1e-170 and overflows at 1e160, and the
+        # error read 0.0 at all three: the zero vector at 1e-170, though its error is 1
+        cfg = load_config(CONFIG_DIR / "regular16.json")
+        frame = assemble_frame(resolve_cover(cfg), gauss_window(cfg.L), cfg.policy, cfg.weighted)
+        cert = frame_certificate(frame)
+        s = random_signal(np.random.default_rng(39), L16)
+        rec_s, rel_s = reconstruct(frame, Signal(s), cert)
+        rec, rel = reconstruct(frame, Signal(scale * s), cert)
+        true = np.linalg.norm(rec.samples / scale - s) / np.linalg.norm(s)
+        assert 0.0 < rel <= 1e-12 and abs(rel - true) <= 1e-15
+        # scaled by the nearest power of two every step is exact, so the error keeps its bits
+        two = 2.0 ** round(np.log2(scale))
+        rec2, rel2 = reconstruct(frame, Signal(two * s), cert)
+        np.testing.assert_array_equal(rec2.samples, two * rec_s.samples)
+        assert rel2 == rel_s
+
     def test_wedge_cover_end_to_end(self):
         L = 32
         phi = gauss_window(L)
@@ -629,7 +655,7 @@ class TestReconstruct:
         calls = []
         monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a) or inv(a))
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(a) or solve(a, b))
-        G = frame.atom_matrix()
+        G = frame.atoms * frame.weights
         rng = np.random.default_rng(34)
         for _ in range(5):
             f = random_signal(rng, L16)
@@ -783,7 +809,7 @@ class TestFrameIo:
         write_frame(manifest, atoms, frame16)
         back = read_frame(manifest, atoms)
         assert back.L == frame16.L and back.weighted == frame16.weighted
-        np.testing.assert_array_equal(np.hstack(back.vectors), np.hstack(frame16.vectors))
+        np.testing.assert_array_equal(back.atoms, frame16.atoms)
         for column in ("weights", "gammas", "ks", "lams"):
             np.testing.assert_array_equal(getattr(back, column), getattr(frame16, column))
         assert atoms.read_bytes()[:4] == b"TFAT"
@@ -827,9 +853,9 @@ class TestFrameIo:
         manifest.write_text(json.dumps(parsed))
         atoms.write_bytes(moved)
         back = read_frame(manifest, atoms)
-        np.testing.assert_array_equal(np.hstack(back.vectors), np.hstack(frame16.vectors))
+        np.testing.assert_array_equal(back.atoms, frame16.atoms)
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(edit=FRAME_EDITS)
     def test_fuzzed_stored_frame_loads_or_is_invalid_argument(self, frame16, edit):
         with tempfile.TemporaryDirectory() as tmp:
@@ -846,7 +872,7 @@ class TestFrameIo:
             assert np.all(np.isfinite(frame.lams))
             assert np.all(frame.gammas >= 0) and np.all(frame.ks >= 1)
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @settings(max_examples=100)
     @given(value=st.booleans() | st.text(max_size=4) | st.just(0) | st.integers(max_value=-1)
            | st.integers(1, 2**40).filter(lambda p: L16 % p) | st.floats() | HUGE_INTEGERS)
     def test_bad_frequency_period_is_invalid_argument(self, frame16, value):
@@ -912,3 +938,67 @@ class TestFrameIo:
         data = json.loads(path.read_text())
         assert set(data) == {"A", "B", "condition", "is_frame", "atol"}
         assert data["is_frame"] is True
+
+
+def random_cover(rng, L, layout):
+    """A file cover of random non-box shapes with random values, each placed on a
+    frequency-periodic or a random set of centers, and filler regions that keep the
+    grid covered, all in random order.  The filler is L/p whole-grid regions at the centers (0, k p), so a
+    periodic cover keeps its period p; each filler operator is value * I, so all its
+    eigenvalues are one value, drawn far from every cut."""
+    p = int(rng.choice([q for q in range(2, L) if L % q == 0])) if layout == "periodic" else L
+    regions = []
+    for _ in range(int(rng.integers(2, 4))):
+        offsets = sorted({(int(a), int(b)) for a, b in rng.integers(-2, 3, size=(int(rng.integers(3, 8)), 2))})
+        values = rng.uniform(0.5, 2.0, len(offsets)).tolist()
+        if layout == "periodic":
+            base = rng.integers(0, L, size=(int(rng.integers(1, 3)), 2)).tolist()
+            centers = {(x, (xi + k * p) % L) for x, xi in base for k in range(L // p)}
+        else:
+            centers = set(map(tuple, rng.integers(0, L, size=(int(rng.integers(2, 6)), 2)).tolist()))
+        regions += [{"center": [x, xi], "cells": [[(x + a) % L, (xi + b) % L] for a, b in offsets], "values": values}
+                    for x, xi in sorted(centers)]
+    grid = [[x, xi] for x in range(L) for xi in range(L)]
+    filler = float(rng.uniform(0.4, 0.6))
+    regions += [{"center": [0, k * p], "cells": grid, "values": [filler] * L * L} for k in range(L // p)]
+    # in random order, so a class's members are not adjacent regions
+    return cover_from_dict({"L": L, "regions": [regions[i] for i in rng.permutation(len(regions))]}), p
+
+
+class TestRandomCovers:
+    """The shortcuts (time supports, the real path, classes and translation, Walnut blocks,
+    column batches) against per-region dense operators, on random covers and windows."""
+
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 2**32 - 1), L=st.sampled_from([8, 12, 16]),
+           layout=st.sampled_from(["periodic", "random"]), window=st.sampled_from(["gauss", "real", "complex"]))
+    def test_bounds_and_constants_match_dense(self, seed, L, layout, window):
+        rng = np.random.default_rng(seed)
+        cover, p = random_cover(rng, L, layout)
+        assert cover.frequency_period == p
+        samples = {"gauss": gauss_window(L).samples, "real": rng.normal(size=L) + 0j,
+                   "complex": rng.normal(size=L) + 1j * rng.normal(size=L)}[window]
+        phi = Window.unit(samples)
+        eps = float(rng.uniform(0.05, 0.25))
+        frame = assemble_frame(cover, phi, SelectionPolicy("epsilon", epsilon=eps, n_max=L))
+        ops = [direct_assemble(L, s.cells, s.values, phi.samples) for s in cover.regions]
+        # an eigenvalue bound is good to rounding on the scale of the operator's norm
+        S = sum(th @ th for th in (thresholded(op, eps) for op in ops))
+        plain, squared, _ = norm_equivalence(region_classes(cover, phi), [], cover.frequency_period)
+        for got, gram in ((plain, sum(op @ op for op in ops)), (squared, sum(np.linalg.matrix_power(op, 4) for op in ops))):
+            ev = np.linalg.eigvalsh(gram)
+            assert np.abs(np.subtract(got, (ev[0], ev[-1]))).max() <= 1e-12 * ev[-1]
+        ev = np.linalg.eigvalsh(S)
+        with tempfile.TemporaryDirectory() as tmp:
+            files = [Path(tmp) / name for name in ("frame.json", "atoms.tfat", "one.json", "one.tfat")]
+            write_frame(*files[:2], frame)
+            # one column per batch: the certificate sums its blocks over every atom, and the frame
+            # files are written and read one atom at a time
+            for bound in (tfloc.frames._BATCH_ENTRIES, 1):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(tfloc.frames, "_BATCH_ENTRIES", bound)
+                    cert = frame_certificate(frame)
+                    write_frame(*files[2:], frame)
+                    np.testing.assert_array_equal(read_frame(*files[2:]).atoms, frame.atoms)
+                assert abs(cert.A - ev[0]) <= 1e-12 * ev[-1] and abs(cert.B - ev[-1]) <= 1e-12 * ev[-1]
+                assert files[3].read_bytes() == files[1].read_bytes()
