@@ -42,12 +42,17 @@ def _residue_rows(v: np.ndarray, p: int) -> np.ndarray:
     An operator that commutes with the modulation pi(0, p) vanishes off
     t = t' mod L/p, so it acts on each row on its own (the Walnut blocks).
     """
-    return v.reshape(p, -1, *v.shape[1:]).swapaxes(0, 1)
+    return v.reshape(p, v.shape[0] // p, *v.shape[1:]).swapaxes(0, 1)
 
 
 def _from_residue_rows(rows: np.ndarray) -> np.ndarray:
     """The inverse of ``_residue_rows``: (L/p, p, ...) back to (L, ...)."""
     return rows.swapaxes(0, 1).reshape(-1, *rows.shape[2:])
+
+
+def _gram_blocks(G: np.ndarray, p: int) -> np.ndarray:
+    """The (L/p, p, p) Walnut blocks G_r G_r* of G G*, G_r the rows r + j L/p of an L x n ``G``."""
+    return _residue_rows(G, p) @ _residue_rows(G.conj(), p).transpose(0, 2, 1)
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,8 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .core import Signal, Window, _from_residue_rows, _residue_rows, read_json, write_json
-from .covers import _INT64_MAX, Cover
+from .core import Signal, Window, _from_residue_rows, _gram_blocks, _residue_rows, read_json, write_json
+from .covers import _INT64_MAX, Cover, ShapeClass
 from .errors import (
     EmptyFrameError,
     InvalidArgumentError,
@@ -45,7 +45,7 @@ from .locop import ClassSpectrum, Spectrum, class_spectra
 _UNIT_NORM_TOL = 1e-9
 LOWER_BOUND_RTOL = 1e-9  # a lower frame bound or constant is positive above this share of the upper
 # atoms are translated, weighted and written at most this many entries at a time, which
-# keeps the temporaries small; every bench input's and configs/* frame is one batch
+# keeps the temporaries small; every bench input's and configs/* frame is one certificate batch
 _BATCH_ENTRIES = 1 << 18
 
 
@@ -175,6 +175,15 @@ def region_classes(cover: Cover, phi: Window) -> Iterator[ClassSpectrum]:
     return class_spectra(cover.classes, phi)
 
 
+def _member_batches(spec: Spectrum, cls: ShapeClass) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(members, vectors): ``spec`` translated to each batch of the class's members, (m, L, r) with
+    at most min(_BATCH_ENTRIES, L^2) / 2 entries, so that with its conjugate it is one L x L at most."""
+    L, r = spec.eigenvectors.shape
+    step = max(1, min(_BATCH_ENTRIES, L * L) // max(2 * L * r, 1))
+    for lo in range(0, cls.members.size, step):
+        yield cls.members[lo:lo + step], spec.translated(cls.shifts[lo:lo + step])
+
+
 def eigenframe_from_classes(L: int, classes: Iterable[ClassSpectrum], policy: SelectionPolicy,
                             weighted: bool, frequency_period: int) -> EigenFrame:
     """Frame of the selected eigenpairs of each region, counted with its class measure ||eta||_1 / L.
@@ -184,7 +193,7 @@ def eigenframe_from_classes(L: int, classes: Iterable[ClassSpectrum], policy: Se
     eigenpairs, their eigenvectors copied, outlive the class spectrum; an
     empty spectrum, a numerically zero operator, gives a warning and no atoms.
     Then the atoms array is allocated once, and each class's selected columns
-    are translated to its members in a few gathers (``Spectrum.translated``)
+    are translated to its members in a few gathers (``_member_batches``)
     and written to their columns.  The frame records ``frequency_period``, the cover's.
     """
     selected, counts = [], {}  # each class's selected eigenpairs, and each region's atom count
@@ -202,11 +211,9 @@ def eigenframe_from_classes(L: int, classes: Iterable[ClassSpectrum], policy: Se
     start = np.cumsum(sizes) - sizes  # each region's first column
     atoms, lams = np.empty((L, int(sizes.sum())), dtype=np.complex128), np.empty(int(sizes.sum()))
     for kept, cls in selected:
-        n = kept.eigenvalues.size
-        step = max(1, _BATCH_ENTRIES // max(L * n, 1))
-        for lo in range(0, cls.members.size, step):
-            cols = start[np.searchsorted(gammas, cls.members[lo:lo + step])][:, None] + np.arange(n)
-            atoms[:, cols] = kept.translated(cls.shifts[lo:lo + step]).transpose(1, 0, 2)
+        for members, vectors in _member_batches(kept, cls):
+            cols = start[np.searchsorted(gammas, members)][:, None] + np.arange(kept.eigenvalues.size)
+            atoms[:, cols] = vectors.transpose(1, 0, 2)
             lams[cols] = kept.eigenvalues
     return EigenFrame(
         L,
@@ -254,15 +261,13 @@ def _block_extremes(blocks: np.ndarray, overflow: str) -> tuple[float, float]:
 def frame_certificate(frame: EigenFrame) -> FrameCertificate:
     """Frame bounds as the extreme eigenvalues of S = sum w^2 |v><v|; a frame iff A > LOWER_BOUND_RTOL B.
 
-    S is formed as its Walnut blocks of order p = ``frame.frequency_period``:
-    block r sums G_r G_r* over batches of at most _BATCH_ENTRIES weighted atoms
-    w_i v_i, G_r a batch's rows r + j L/p, so only one batch is copied at a time;
-    A and B are the extremes of the blocks' eigenvalues.
+    S is formed as its Walnut blocks of order p = ``frame.frequency_period``,
+    summed over batches of at most _BATCH_ENTRIES weighted atoms w_i v_i, so
+    only one batch is copied at a time; A and B are the extremes of the blocks' eigenvalues.
     """
     p, step = frame.frequency_period, max(1, _BATCH_ENTRIES // frame.L)
-    batches = (_residue_rows(frame.atoms[:, lo:lo + step] * frame.weights[lo:lo + step], p)
-               for lo in range(0, frame.lams.size, step))
-    S = reduce(operator.iadd, (G @ G.conj().transpose(0, 2, 1) for G in batches))  # summed in place
+    S = reduce(operator.iadd, (_gram_blocks(frame.atoms[:, lo:lo + step] * frame.weights[lo:lo + step], p)
+                               for lo in range(0, frame.lams.size, step)))  # summed in place
     A, B = _block_extremes(S, "frame operator has non-finite entries; the atom weights overflow it")
     a_tol = LOWER_BOUND_RTOL * B
     condition = B / A if A > 0.0 and B / A < math.inf else None
@@ -329,36 +334,33 @@ def norm_equivalence(
     A spectrum holds only the eigenpairs above RANK_RTOL lam_1 (``Spectrum``),
     so the terms left out have lam^2 <= RANK_RTOL^2 lam_1^2.  The distinct
     thresholds and 0, sorted, cut the descending eigenvalues into disjoint
-    bands (e_j, e_{j-1}], each a contiguous slice added once per region; a
-    threshold's sum is the bands above it, cumulated from the top.  A member
-    region's Q is its class spectrum translated to it, and each class
-    spectrum is dropped once all its members are added.  Every sum has the
-    form sum_z pi(z) K pi(z)*, so it is formed and eigensolved as Walnut
-    blocks of order ``frequency_period``, the cover's, like the frame operator.
+    bands (e_j, e_{j-1}]; a threshold's sum is the bands above it, cumulated
+    from the top.  A batch of a class's members (``_member_batches``), weighted
+    once into the columns lam_k v_k, adds one product to each band's sum and
+    one to the squared sum.  Every sum has the form sum_z pi(z) K pi(z)*, so it is
+    formed (``core._gram_blocks``) and eigensolved as Walnut blocks of order
+    ``frequency_period``, the cover's, like the frame operator.
     """
     cuts = sorted({0.0, *epsilons}, reverse=True)
-    bands = quartic = None
+    sums = [0] * (len(cuts) + 1)  # the band sums, then the squared sum; each is blocks from its first add
     for spec, _, cls in classes:
         lam = spec.eigenvalues
         # band j is lam[ends[j]:ends[j + 1]], the eigenvalues in (cuts[j], cuts[j - 1]]
         ends = [0, *(int(np.sum(lam > eps)) for eps in cuts)]
-        if bands is None:
-            p = frequency_period
-            shape = (spec.eigenvectors.shape[0] // p, p, p)
-            bands = [np.zeros(shape, dtype=np.complex128) for _ in cuts]
-            quartic = np.zeros(shape, dtype=np.complex128)
-        for z in cls.shifts:
-            Q = _residue_rows(spec.translated(z[None])[0], frequency_period)
-            QH, Q2 = Q.conj().transpose(0, 2, 1), Q * lam ** 2
-            for band, lo, hi in zip(bands, ends, ends[1:]):
-                if hi > lo:
-                    band += Q2[:, :, lo:hi] @ QH[:, lo:hi]
-            quartic += (Q2 * lam ** 2) @ QH
-        del spec, Q, QH, Q2
-    for above, band in zip(bands, bands[1:]):
-        band += above
+        for _, vectors in _member_batches(spec, cls):
+            # G[:, k] holds lam_k v_k of every member, so a band's columns are one slice of G
+            G = np.multiply(vectors.transpose(1, 2, 0), lam[:, None], order="C")
+            del vectors  # the batch is dropped before the products
+            for i, (lo, hi) in enumerate(zip(ends, ends[1:])):
+                if hi > lo or not np.ndim(sums[i]):  # an empty band adds its zeros once, to be blocks
+                    sums[i] += _gram_blocks(G[:, lo:hi].reshape(len(G), -1), frequency_period)
+            G *= lam[:, None]
+            sums[-1] += _gram_blocks(G.reshape(len(G), -1), frequency_period)
+        del spec, G
+    for j in range(1, len(cuts)):
+        sums[j] += sums[j - 1]
     extremes = [_block_extremes(gram, "a Gram sum has non-finite entries; the symbol values overflow it")
-                for gram in [*bands, quartic]]
+                for gram in sums]
     thresholded = dict(zip(cuts, extremes))
     return thresholded[0.0], extremes[-1], [thresholded[eps] for eps in epsilons]
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Window, _as_complex_vector, _from_residue_rows, _residue_rows
+from .core import Window, _as_complex_vector, _from_residue_rows, _gram_blocks, _residue_rows
 from .covers import Cover, Symbol
 from .errors import (
     InvalidArgumentError,
@@ -71,12 +71,11 @@ class Lattice:
 
 
 def _walnut_blocks(phi: Window, lattice: Lattice) -> np.ndarray:
-    """S as its (L/b, b, b) Walnut blocks: blocks[r, p, q] = S[r + p L/b, r + q L/b]."""
-    L, M = lattice.L, lattice.L // lattice.b
+    """S = (L/b) T T* as its (L/b, b, b) Walnut blocks, column j of T the window translated by j a."""
+    L = lattice.L
     w = _as_complex_vector(phi.samples, L)
-    t = _residue_rows(np.arange(L), lattice.b)[:, :, None]
-    G = w[(t - lattice.a * np.arange(L // lattice.a)) % L]  # (L/b, b, L/a)
-    return M * (G @ G.conj().transpose(0, 2, 1))
+    T = w[(np.arange(L)[:, None] - lattice.a * np.arange(L // lattice.a)) % L]
+    return (L // lattice.b) * _gram_blocks(T, lattice.b)
 
 
 @dataclass(frozen=True)
@@ -152,11 +151,12 @@ def gabor_multiplier(m, sys: LatticeGaborSystem) -> np.ndarray:
 def lattice_coverage_min(cover: Cover, lattice: Lattice) -> float:
     """Min over lattice points of the pointwise symbol sum; an off-lattice cell is an error."""
     a, b = cover.cell_steps
-    for s in cover.regions if a % lattice.a or b % lattice.b else ():
+    for i, s in enumerate(cover.regions) if a % lattice.a or b % lattice.b else ():
         off = np.flatnonzero((s.cells % [lattice.a, lattice.b]).any(axis=1))
         if off.size:
             x, xi = s.cells[off[0]]
-            raise InvalidArgumentError(f"cell ({x}, {xi}) is not a lattice point", cell_index=int(off[0]))
+            raise InvalidArgumentError(f"cell ({x}, {xi}) of region {i} is not a lattice point",
+                                       region=i, cell_index=int(off[0]))
     return float(cover.coverage[0][:: lattice.a, :: lattice.b].min())
 
 

@@ -992,8 +992,8 @@ class TestDiagnose:
         assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == 1
         err = json.loads((out / "error.json").read_text())
         assert err["code"] == "invalid-argument"
-        assert err["context"]["cell_index"] == 5
-        assert "(1, 2)" in err["message"]
+        assert err["context"]["cell_index"] == 5 and err["context"]["region"] == 1
+        assert "(1, 2) of region 1" in err["message"]
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_sweep_check_scales_with_the_values(self, tmp_path, seed):

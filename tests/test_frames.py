@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import tfloc.frames
 import tfloc.locop
-from tfloc.cli import load_config, main, resolve_cover
+from tfloc.cli import SWEEP_EPSILONS, load_config, main, resolve_cover, resolve_window
 from tfloc.core import Signal, Window, gauss_window
 from tfloc.covers import Cover, Symbol, cover_from_dict, gen_random_irregular, gen_regular_boxes, gen_wedge_cover
 from tfloc.errors import EmptyFrameError, InvalidArgumentError, NotAFrameError, PreconditionViolation
@@ -29,7 +29,7 @@ from tfloc.frames import (
     write_certificate_json,
     write_frame,
 )
-from tfloc.gabor import Lattice, canonical_tight, gabor_eigenframe
+from tfloc.gabor import Lattice, canonical_tight, gabor_eigenframe, multiplier_classes
 from tfloc.locop import RANK_RTOL, eigendecomp
 
 from helpers import (
@@ -482,8 +482,9 @@ class TestOnePass:
         assert not any(np.shares_memory(frame.atoms, s.eigenvectors) for s in spectra)
 
     def test_diagnose_peak(self, tmp_path):
-        # diagnose keeps one Gram sum per distinct term (12 here) plus one
-        # region's operator and spectrum
+        # diagnose keeps one Gram sum per distinct term (11 here) plus one
+        # class's operator and spectrum, and one batch of its translated
+        # members, of at most L^2 / 2 entries, weighted once
         config = {
             "L": self.L,
             "cover": {"regular": {"bx": 8, "by": 8}},
@@ -773,6 +774,18 @@ class TestNormEquivalence:
         assert without[:2] == with_zero[:2]
         assert without[2] == with_zero[2][1:]  # bit for bit
 
+    def test_a_class_is_translated_in_batches(self, monkeypatch):
+        # one class of 64 members: its spectrum is translated to them a batch at a time
+        cover = gen_regular_boxes(64, 8, 8)
+        classes = list(region_classes(cover, gauss_window(64)))
+        assert len(classes) == 1 and classes[0][2].members.size == 64
+        calls = []
+        translated = tfloc.locop.Spectrum.translated
+        monkeypatch.setattr(tfloc.locop.Spectrum, "translated",
+                            lambda spec, shifts: calls.append(len(shifts)) or translated(spec, shifts))
+        norm_equivalence(classes, [0.1], cover.frequency_period)
+        assert sum(calls) == 64 and len(calls) < 64
+
 
 class TestUnweighted:
     def test_unweighted_frame_with_floor(self, boxes16, phi16):
@@ -1002,3 +1015,40 @@ class TestRandomCovers:
                     np.testing.assert_array_equal(read_frame(*files[2:]).atoms, frame.atoms)
                 assert abs(cert.A - ev[0]) <= 1e-12 * ev[-1] and abs(cert.B - ev[-1]) <= 1e-12 * ev[-1]
                 assert files[3].read_bytes() == files[1].read_bytes()
+
+    @staticmethod
+    def assert_batch_free(classes, epsilons, frequency_period, n_regions):
+        """Every norm_equivalence constant, each thresholded row among them, is the same to
+        1e-12 of its pair's upper constant when each member batch holds a single member."""
+        runs = []
+        for bound in (tfloc.frames._BATCH_ENTRIES, 1):
+            calls = []
+            with pytest.MonkeyPatch.context() as mp:
+                translated = tfloc.locop.Spectrum.translated
+                mp.setattr(tfloc.locop.Spectrum, "translated",
+                           lambda spec, shifts: calls.append(len(shifts)) or translated(spec, shifts))
+                mp.setattr(tfloc.frames, "_BATCH_ENTRIES", bound)
+                plain, squared, rows = norm_equivalence(classes, epsilons, frequency_period)
+            runs.append([plain, squared, *rows])
+        assert calls == [1] * n_regions  # one member per batch
+        for (c, C), (c1, C1) in zip(*runs):
+            assert abs(c1 - c) <= 1e-12 * C and abs(C1 - C) <= 1e-12 * C
+
+    @settings(max_examples=15)
+    @given(seed=st.integers(0, 2**32 - 1), L=st.sampled_from([8, 12, 16]),
+           layout=st.sampled_from(["periodic", "random"]))
+    def test_constants_do_not_depend_on_member_batches(self, seed, L, layout):
+        rng = np.random.default_rng(seed)
+        cover, _ = random_cover(rng, L, layout)
+        phi = Window.unit(rng.normal(size=L) + 1j * rng.normal(size=L))
+        epsilons = [float(rng.uniform(0.05, 0.25)), *SWEEP_EPSILONS]
+        self.assert_batch_free(list(region_classes(cover, phi)), epsilons, cover.frequency_period,
+                               len(cover.regions))
+
+    def test_gabor16_constants_do_not_depend_on_member_batches(self):
+        cfg = load_config(CONFIG_DIR / "gabor16.json")
+        cover = resolve_cover(cfg)
+        classes = list(multiplier_classes(cover, canonical_tight(resolve_window(cfg), cfg.lattice)))
+        assert max(cls.members.size for _, _, cls in classes) > 1
+        self.assert_batch_free(classes, [cfg.policy.epsilon, *SWEEP_EPSILONS], cover.frequency_period,
+                               len(cover.regions))

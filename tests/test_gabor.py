@@ -281,8 +281,8 @@ class TestLatticeSymbols:
         s = Symbol(L16, (0, 0), [(0, 0), (3, 4)], [1.0, 1.0])
         with pytest.raises(InvalidArgumentError) as err:
             lattice_coverage_min(Cover(L16, (full, s)), lat22)
-        assert err.value.context["cell_index"] == 1
-        assert "(3, 4)" in str(err.value)
+        assert err.value.context["cell_index"] == 1 and err.value.context["region"] == 1
+        assert "(3, 4) of region 1" in str(err.value)
 
     def test_masses_match_direct_sums(self, lat22):
         cover = lattice_block_cover()
