@@ -118,21 +118,23 @@ class Cover:
 
     @cached_property
     def coverage(self) -> tuple[np.ndarray, float, float]:
-        """The pointwise sum of all symbols, read-only, and its extremes, formed on first use
-        by one bincount over every region's cells, so each cell adds its values in region order."""
+        """The pointwise sum of all symbols, read-only, and its extremes, formed on first use by one
+        bincount, each cell adding its values in region order; the flat index x L + xi is filled in place."""
         L = self.L
-        cells = np.concatenate([s.cells for s in self.regions])
-        values = np.concatenate([s.values for s in self.regions])
-        total = np.bincount(cells[:, 0] * L + cells[:, 1], values, minlength=L * L).reshape(L, L)
+        flat = np.concatenate([s.cells[:, 0] for s in self.regions])
+        flat *= L
+        for s, part in zip(self.regions, np.split(flat, np.cumsum([len(s.cells) for s in self.regions]))):
+            part += s.cells[:, 1]
+        total = np.bincount(flat, np.concatenate([s.values for s in self.regions]), minlength=L * L).reshape(L, L)
         total.flags.writeable = False
         return total, float(total.min()), float(total.max())
 
     @cached_property
     def cell_steps(self) -> tuple[int, int]:
-        """gcd(L, every cell's x) and gcd(L, every cell's xi), from one scan of the cells:
+        """gcd(L, every cell's x) and gcd(L, every cell's xi), one gathered column at a time:
         they all lie on the lattice aZ x bZ iff a divides the first and b the second."""
-        cells = np.concatenate([s.cells for s in self.regions])
-        return tuple(int(np.gcd.reduce(cells[:, k], initial=self.L)) for k in (0, 1))
+        columns = (np.concatenate([s.cells[:, k] for s in self.regions]) for k in (0, 1))
+        return tuple(int(np.gcd.reduce(column, initial=self.L)) for column in columns)
 
     @cached_property
     def radii(self) -> np.ndarray:

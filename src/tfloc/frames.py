@@ -1,11 +1,12 @@
 """Eigenfunction frames adapted to a cover.
 
-For each region, the top eigenvectors of its localization operator are
-selected (by an eigenvalue threshold or by a count proportional to the
-region's trace measure) and collected, weighted by their eigenvalues or left
-unweighted.  The frame operator S = sum w^2 |v><v| certifies the frame bounds
-A = lambda_min(S), B = lambda_max(S), and the canonical dual frame
-reconstructs f = sum_i <f, g_i> S^{-1} g_i = S^{-1} G G* f.
+For each region, the top eigenvectors of its localization operator are selected
+(by an eigenvalue threshold or by a count proportional to the region's trace
+measure) and collected as the rows of one atom array, the layout of the frame
+file's records, weighted by their eigenvalues or left unweighted.  The frame
+operator S = sum w^2 |v><v| certifies the frame bounds A = lambda_min(S),
+B = lambda_max(S), and the canonical dual frame reconstructs
+f = sum_i <f, g_i> S^{-1} g_i = S^{-1} G G* f, G the weighted atoms as columns.
 
 The atoms of a region are its class's selected eigenvectors translated by
 the region's shift z, so S = sum_z pi(z) K pi(z)* class by class.  When every
@@ -44,8 +45,8 @@ from .locop import ClassSpectrum, Spectrum, class_spectra
 
 _UNIT_NORM_TOL = 1e-9
 LOWER_BOUND_RTOL = 1e-9  # a lower frame bound or constant is positive above this share of the upper
-# atoms are translated, weighted and written at most this many entries at a time, which
-# keeps the temporaries small; every bench input's and configs/* frame is one certificate batch
+# atoms are translated and weighted at most this many entries at a time, which keeps the
+# temporaries small; every bench input's and configs/* frame is one certificate batch
 _BATCH_ENTRIES = 1 << 18
 
 
@@ -101,16 +102,16 @@ def select_eigenfunctions(spec: Spectrum, measure: float, policy: SelectionPolic
 
 @dataclass(frozen=True)
 class EigenFrame:
-    """The atoms v_i as columns, in region order, with one array entry per atom.
+    """The atoms v_i as rows, in region order, with one array entry per atom.
 
-    ``atoms`` is the one L x n complex array whose columns are the unit
-    vectors v_i, however the frame was made (``eigenframe_from_classes``,
-    ``read_frame``).  ``weights`` holds w_i, ``gammas`` the region index,
-    ``ks`` the 1-based eigenvalue index within the region and ``lams`` the
-    eigenvalue.  ``frequency_period`` is the p of the cover the frame was
-    built from (``Cover.frequency_period``), which sets the Walnut blocks of
-    its frame operator; a stored frame keeps it (``write_frame``).  A frame
-    has at least one atom.
+    ``atoms`` is the one C-contiguous n x L complex array whose row i is the unit
+    vector v_i, the layout of the atoms file's records, however the frame was made
+    (``eigenframe_from_classes``, ``read_frame``).  ``weights`` holds w_i, ``gammas``
+    the region index, ``ks`` the 1-based eigenvalue index within the region and
+    ``lams`` the eigenvalue.  ``frequency_period`` is the p of the cover the frame
+    was built from (``Cover.frequency_period``), which sets the Walnut blocks of its
+    frame operator; a stored frame keeps it (``write_frame``).  A frame has at
+    least one atom.
     """
 
     L: int
@@ -127,8 +128,8 @@ class EigenFrame:
         n = self.lams.size
         if not n:
             raise EmptyFrameError("frame has no atoms")
-        if self.atoms.dtype != np.complex128 or self.atoms.shape != (self.L, n):
-            raise InvalidArgumentError(f"atoms must be a complex {self.L} x {n} array, "
+        if self.atoms.dtype != np.complex128 or self.atoms.shape != (n, self.L):
+            raise InvalidArgumentError(f"atoms must be a complex {n} x {self.L} array, "
                                        f"not {self.atoms.dtype} of shape {self.atoms.shape}")
         for name in ("weights", "gammas", "ks", "lams"):
             if getattr(self, name).shape != (n,):
@@ -157,8 +158,9 @@ class FrameCertificate:
 
     @cached_property
     def inverse(self) -> tuple[np.ndarray, np.ndarray]:
-        """(G, S^{-1}): the C-contiguous weighted atoms w_i v_i and S's inverted Walnut blocks, read-only."""
-        G, inverse = self.frame.atoms * self.frame.weights, np.linalg.inv(self.blocks)
+        """(G, S^{-1}): the weighted atoms w_i v_i as the columns of a C-contiguous L x n G, and
+        S's inverted Walnut blocks, read-only."""
+        G, inverse = np.multiply(self.frame.atoms.T, self.frame.weights, order="C"), np.linalg.inv(self.blocks)
         G.flags.writeable = inverse.flags.writeable = False
         return G, inverse
 
@@ -192,9 +194,9 @@ def eigenframe_from_classes(L: int, classes: Iterable[ClassSpectrum], policy: Se
     single pass.  The count is selected once per class, and only the selected
     eigenpairs, their eigenvectors copied, outlive the class spectrum; an
     empty spectrum, a numerically zero operator, gives a warning and no atoms.
-    Then the atoms array is allocated once, and each class's selected columns
+    Then the atoms array is allocated once, and each class's selected vectors
     are translated to its members in a few gathers (``_member_batches``)
-    and written to their columns.  The frame records ``frequency_period``, the cover's.
+    and written to their rows.  The frame records ``frequency_period``, the cover's.
     """
     selected, counts = [], {}  # each class's selected eigenpairs, and each region's atom count
     for spec, measure, cls in classes:
@@ -208,23 +210,16 @@ def eigenframe_from_classes(L: int, classes: Iterable[ClassSpectrum], policy: Se
         del spec
     gammas = np.array(sorted(counts), dtype=np.int64)
     sizes = np.array([counts[gamma] for gamma in gammas.tolist()], dtype=np.int64)
-    start = np.cumsum(sizes) - sizes  # each region's first column
-    atoms, lams = np.empty((L, int(sizes.sum())), dtype=np.complex128), np.empty(int(sizes.sum()))
+    start = np.cumsum(sizes) - sizes  # each region's first atom
+    atoms, lams = np.empty((int(sizes.sum()), L), dtype=np.complex128), np.empty(int(sizes.sum()))
     for kept, cls in selected:
         for members, vectors in _member_batches(kept, cls):
-            cols = start[np.searchsorted(gammas, members)][:, None] + np.arange(kept.eigenvalues.size)
-            atoms[:, cols] = vectors.transpose(1, 0, 2)
-            lams[cols] = kept.eigenvalues
-    return EigenFrame(
-        L,
-        atoms,
-        lams if weighted else np.ones_like(lams),
-        np.repeat(gammas, sizes),
-        np.concatenate([np.arange(1, c + 1) for c in sizes]),
-        lams,
-        weighted,
-        frequency_period,
-    )
+            rows = start[np.searchsorted(gammas, members)][:, None] + np.arange(kept.eigenvalues.size)
+            atoms[rows] = vectors.transpose(0, 2, 1)
+            lams[rows] = kept.eigenvalues
+    ks = np.concatenate([np.arange(1, c + 1) for c in sizes])
+    return EigenFrame(L, atoms, lams if weighted else np.ones_like(lams), np.repeat(gammas, sizes), ks, lams,
+                      weighted, frequency_period)
 
 
 def assemble_frame(
@@ -266,8 +261,9 @@ def frame_certificate(frame: EigenFrame) -> FrameCertificate:
     only one batch is copied at a time; A and B are the extremes of the blocks' eigenvalues.
     """
     p, step = frame.frequency_period, max(1, _BATCH_ENTRIES // frame.L)
-    S = reduce(operator.iadd, (_gram_blocks(frame.atoms[:, lo:lo + step] * frame.weights[lo:lo + step], p)
-                               for lo in range(0, frame.lams.size, step)))  # summed in place
+    batches = (np.multiply(frame.atoms[lo:lo + step].T, frame.weights[lo:lo + step], order="C")
+               for lo in range(0, frame.lams.size, step))  # each the L x m columns w_i v_i
+    S = reduce(operator.iadd, (_gram_blocks(G, p) for G in batches))  # summed in place
     A, B = _block_extremes(S, "frame operator has non-finite entries; the atom weights overflow it")
     a_tol = LOWER_BOUND_RTOL * B
     condition = B / A if A > 0.0 and B / A < math.inf else None
@@ -302,7 +298,7 @@ def reconstruct(
     peak = np.abs(f.samples).max()
     if peak == 0.0:
         return Signal(np.zeros(frame.L, dtype=np.complex128)), 0.0
-    G, inverse = (frame.atoms * frame.weights, None) if certificate is None else cert.inverse
+    G, inverse = cert.inverse if certificate else (np.multiply(frame.atoms.T, frame.weights, order="C"), None)
     y = G @ np.conj(G.T @ np.conj(f.samples))
     if inverse is None:
         f_rec = cert.solve(y[:, None])[:, 0]
@@ -401,12 +397,10 @@ _ATOM_JSON = '  {\n   "gamma": %d,\n   "k": %d,\n   "lambda": %r,\n   "weight": 
 
 
 def write_frame(manifest_path, atoms_path, frame: EigenFrame) -> None:
-    """The atoms file, in column ranges of ``frame.atoms``, and the manifest in ``write_json``'s bytes."""
-    step = max(1, _BATCH_ENTRIES // frame.L)
+    """The atoms file, ``frame.atoms`` written whole as its records, and the manifest in ``write_json``'s bytes."""
     with open(atoms_path, "wb") as fh:
         fh.write(b"TFAT")
-        for lo in range(0, frame.lams.size, step):
-            fh.write(np.ascontiguousarray(frame.atoms[:, lo:lo + step].T, dtype="<c16").data)
+        fh.write(np.ascontiguousarray(frame.atoms, dtype="<c16").data)
     offsets = range(4, 4 + frame.lams.size * frame.L * 16, frame.L * 16)
     columns = zip(frame.gammas.tolist(), frame.ks.tolist(), frame.lams.tolist(),
                   frame.weights.tolist(), offsets)
@@ -459,40 +453,44 @@ def read_frame(manifest_path, atoms_path) -> EigenFrame:
         offsets, weights, gammas, ks, lams = _manifest_columns(manifest["atoms"])
         if not offsets.size:
             raise ValueError("the manifest lists no atoms")
+        want = lams if weighted else np.ones_like(lams)  # the only weights write_frame writes
+        bad = np.flatnonzero(weights != want)
+        if bad.size:
+            raise ValueError(f"atom {bad[0]} has weight {float(weights[bad[0]])!r}, not {float(want[bad[0]])!r}")
     except (ValueError, KeyError, TypeError) as exc:
         raise InvalidArgumentError(
             f"malformed frame manifest ({type(exc).__name__}: {exc})", path=str(manifest_path)
         ) from None
+    del manifest  # its parsed entries are not held beside the atoms
     with open(atoms_path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != b"TFAT":
-        raise InvalidArgumentError(f"bad atoms magic {blob[:4]!r}", path=str(atoms_path))
-    record_len = 16 * L
-    # as Python ints: record_len can be past the 64-bit range
-    for off in offsets.tolist():
-        if off < 4 or off + record_len > len(blob):
-            raise InvalidArgumentError(
-                f"atom record at offset {off} overruns the atoms file", path=str(atoms_path)
-            )
-    # column i is a copy of the record at offsets[i], read through a view of the file's bytes
-    atoms = np.column_stack([np.frombuffer(blob, "<c16", L, off) for off in offsets.tolist()])
-    # NaN, infinite and overflowing entries fail this too; float columns 2i, 2i + 1 are atom i's parts
+        magic, size = fh.read(4), fh.seek(0, 2)  # the file's size is the offset of its end
+        if magic != b"TFAT":
+            raise InvalidArgumentError(f"bad atoms magic {magic!r}", path=str(atoms_path))
+        # as Python ints: a record's 16 L bytes can be past the 64-bit range
+        bad = [off for off in offsets.tolist() if off < 4 or off + 16 * L > size]
+        if bad:
+            raise InvalidArgumentError(f"atom record at offset {bad[0]} overruns the atoms file",
+                                       path=str(atoms_path))
+        atoms = np.empty((offsets.size, L), "<c16")
+        for row, off in zip(atoms, offsets.tolist()):  # each record read straight into its row
+            fh.seek(off)
+            fh.readinto(row)
+    # NaN, infinite and overflowing entries fail this too; a row of floats is an atom's parts
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.sqrt(np.einsum("ij,ij->j", atoms.view("<f8"), atoms.view("<f8")).reshape(-1, 2).sum(1))
-    bad = ~(np.abs(norms - 1.0) <= _UNIT_NORM_TOL)
-    if bad.any():
-        raise InvalidArgumentError(
-            f"atom record at offset {offsets[int(np.argmax(bad))]} is not a finite unit vector",
-            path=str(atoms_path),
-        )
+        norms = np.sqrt(np.einsum("ij,ij->i", atoms.view("<f8"), atoms.view("<f8")))
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= _UNIT_NORM_TOL))
+    if bad.size:
+        raise InvalidArgumentError(f"atom record at offset {offsets[bad[0]]} is not a finite unit vector",
+                                   path=str(atoms_path))
     if p < L:
         # if S = G G* keeps to its Walnut blocks, S u is their product with u: checked on one fixed probe
         # u of phase t^2, with weights scaled to a largest of 1 (both sides alike) so they do not overflow
         u, w2 = np.exp(1j * np.arange(L, dtype=np.float64) ** 2), (weights / (weights.max() or 1.0)) ** 2
-        V = _residue_rows(atoms, p)  # V[r, j, i] = v_i[r + j L/p], block r's rows
-        c = w2 * np.conj(np.conj(_residue_rows(u, p))[:, None, :] @ V)[:, 0]  # c[r]: block r's part of G* u
-        full = V @ c.sum(axis=0)  # G G* u, and below the product of the blocks with u
-        if not np.linalg.norm(full - (V @ c[:, :, None])[:, :, 0]) <= 1e-10 * np.linalg.norm(full):
+        V = atoms.reshape(-1, p, L // p)  # V[i, j, r] = v_i[r + j L/p]: a view, which einsum reads as it is
+        c = np.einsum("jr,ijr->ri", np.conj(u).reshape(p, L // p), V)
+        c = np.multiply(np.conj(c, out=c), w2, out=c)  # c[r]: block r's part of G* u, formed in place
+        full = c.sum(axis=0) @ atoms  # G G* u, and below the product of the blocks with u
+        if not np.linalg.norm(full - np.einsum("ijr,ri->jr", V, c).reshape(L)) <= 1e-10 * np.linalg.norm(full):
             raise InvalidArgumentError(f"the atoms lack frequency period {p}", path=str(manifest_path))
     return EigenFrame(L, atoms, weights, gammas, ks, lams, weighted, p, source)
 

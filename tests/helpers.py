@@ -222,7 +222,7 @@ def dense_gabor_frame_operator(L, a, b, phi):
 
 def atom_columns(frame):
     """The weighted atoms g_i = w_i v_i of a frame as columns, scaled one by one."""
-    return np.column_stack([w * frame.atoms[:, i] for i, w in enumerate(frame.weights)])
+    return np.column_stack([w * frame.atoms[i] for i, w in enumerate(frame.weights)])
 
 
 def frame_operator(frame):

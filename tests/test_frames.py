@@ -245,7 +245,7 @@ class TestAssembleFrame:
         assert cert.B == pytest.approx(REGULAR16_FRAME_B_EPS02, abs=1e-8)
 
     def test_atom_invariants(self, frame16):
-        V = frame16.atoms
+        V = frame16.atoms.T
         assert np.all(np.abs(np.linalg.norm(V, axis=0) - 1.0) <= 1e-10)
         for gamma in np.unique(frame16.gammas):
             mine = frame16.gammas == gamma
@@ -319,7 +319,7 @@ def assert_matches_direct_path(frame, ops, policy, A, B):
         compared += 1
         assert mine.sum() == n
         np.testing.assert_allclose(frame.lams[mine], lam[:n], rtol=0, atol=1e-12)
-        P = frame.atoms[:, mine] @ frame.atoms[:, mine].conj().T
+        P = frame.atoms[mine].T @ frame.atoms[mine].conj()
         assert np.max(np.abs(P - V[:, :n] @ V[:, :n].conj().T)) <= 1e-10
     assert compared > 0
     ev = np.linalg.eigvalsh(S)
@@ -394,9 +394,9 @@ class TestShapeClasses:
         # the translated atoms follow the phase convention: real and positive
         # at the representative's anchor moved by x
         V = frame.atoms
-        rep, moved = V[:, frame.gammas == 0], V[:, frame.gammas == 1]
+        rep, moved = V[frame.gammas == 0], V[frame.gammas == 1]
         anchors = eigendecomp(ops[0]).anchors
-        for a, b, anchor in zip(rep.T, moved.T, anchors):
+        for a, b, anchor in zip(rep, moved, anchors):
             assert a[anchor].real > 0 and abs(a[anchor].imag) <= 1e-15
             t = (anchor + 14) % L16
             assert b[t].real > 0 and abs(b[t].imag) <= 1e-15
@@ -505,13 +505,13 @@ class TestCertificate:
         cert = frame_certificate(frame16)
         f = frame16
         columns = (np.tile(c, 2) for c in (f.weights, f.gammas, f.ks, f.lams))
-        doubled = EigenFrame(L16, np.hstack([f.atoms, f.atoms]), *columns, f.weighted, f.frequency_period)
+        doubled = EigenFrame(L16, np.vstack([f.atoms, f.atoms]), *columns, f.weighted, f.frequency_period)
         cert2 = frame_certificate(doubled)
         assert cert2.A == pytest.approx(2 * cert.A, rel=1e-9)
         assert cert2.B == pytest.approx(2 * cert.B, rel=1e-9)
         # one region's block of atoms too few, or its weights left out, is refused on construction
         atoms, weights, *rest = doubled.atoms, doubled.weights, doubled.gammas, doubled.ks, doubled.lams
-        for args, match in (([atoms[:, 2:], weights, *rest], "atoms must be"),
+        for args, match in (([atoms[2:], weights, *rest], "atoms must be"),
                             ([atoms, weights[2:], *rest], "weights must hold")):
             with pytest.raises(InvalidArgumentError, match=match) as info:
                 EigenFrame(L16, *args, f.weighted, f.frequency_period)
@@ -656,7 +656,7 @@ class TestReconstruct:
         calls = []
         monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a) or inv(a))
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(a) or solve(a, b))
-        G = frame.atoms * frame.weights
+        G = frame.atoms.T * frame.weights
         rng = np.random.default_rng(34)
         for _ in range(5):
             f = random_signal(rng, L16)
@@ -868,6 +868,51 @@ class TestFrameIo:
         back = read_frame(manifest, atoms)
         np.testing.assert_array_equal(back.atoms, frame16.atoms)
 
+    def test_rewriting_a_read_frame_keeps_its_bytes(self, frame16, tmp_path, monkeypatch):
+        # frame16, the lattice frame of gabor16.json, and a frame at L=64 built and certified with
+        # one member per gather and 4 atoms per certificate batch (32 batches)
+        write_frame(tmp_path / "frame16.json", tmp_path / "frame16.tfat", frame16)
+        assert main(["frame", "--config", str(CONFIG_DIR / "gabor16.json"), "--out", str(tmp_path / "gabor")]) == 0
+        cfg = tmp_path / "regular64.json"
+        cfg.write_text(json.dumps(REGULAR64_CONFIG))
+        monkeypatch.setattr(tfloc.frames, "_BATCH_ENTRIES", 4 * 64)
+        assert main(["frame", "--config", str(cfg), "--out", str(tmp_path / "regular64")]) == 0
+        stored = [(tmp_path / "frame16.json", tmp_path / "frame16.tfat")]
+        stored += [(tmp_path / d / "frame.json", tmp_path / d / "frame_atoms.tfat") for d in ("gabor", "regular64")]
+        for manifest, atoms in stored:
+            again = tmp_path / "again.json", tmp_path / "again.tfat"
+            write_frame(*again, read_frame(manifest, atoms))
+            assert again[0].read_bytes() == manifest.read_bytes()
+            assert again[1].read_bytes() == atoms.read_bytes()
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_a_weight_write_frame_never_writes_is_invalid_argument(self, boxes16, phi16, tmp_path, weighted):
+        # a weighted frame's weight is its lambda and an unweighted frame's is 1.0; one atom's weight is
+        # set to the other variant's, or moved by one ulp
+        frame = assemble_frame(boxes16, phi16, SelectionPolicy("epsilon", epsilon=0.2), weighted)
+        manifest, atoms = tmp_path / "frame.json", tmp_path / "atoms.tfat"
+        write_frame(manifest, atoms, frame)
+        parsed = json.loads(manifest.read_text())
+        entry = parsed["atoms"][3]
+        for weight in (1.0 if weighted else entry["lambda"], float(np.nextafter(entry["weight"], 2.0))):
+            manifest.write_text(json.dumps({**parsed, "atoms": [*parsed["atoms"][:3], {**entry, "weight": weight},
+                                                                *parsed["atoms"][4:]]}))
+            with pytest.raises(InvalidArgumentError, match=f"atom 3 has weight {weight!r}, not") as info:
+                read_frame(manifest, atoms)
+            assert info.value.code == "invalid-argument" and info.value.context["path"] == str(manifest)
+
+    def test_read_holds_the_atoms_once(self, tmp_path):
+        # each record is read straight into its row, and the period probe reads a view of the rows,
+        # so reading a stored frame holds about its atoms, not the file's bytes beside a copy of them
+        L = 256
+        frame = assemble_frame(gen_regular_boxes(L, 32, 32), gauss_window(L),
+                               SelectionPolicy("epsilon", epsilon=0.1, n_max=L))
+        assert frame.frequency_period < L  # so the probe runs
+        files = tmp_path / "frame.json", tmp_path / "atoms.tfat"
+        write_frame(*files, frame)
+        read_frame(*files)  # the first run imports modules lazily; trace the second
+        assert traced_peak_bytes(lambda: read_frame(*files)) < 1.25 * frame.atoms.nbytes
+
     @settings(max_examples=200)
     @given(edit=FRAME_EDITS)
     def test_fuzzed_stored_frame_loads_or_is_invalid_argument(self, frame16, edit):
@@ -1006,7 +1051,7 @@ class TestRandomCovers:
             files = [Path(tmp) / name for name in ("frame.json", "atoms.tfat", "one.json", "one.tfat")]
             write_frame(*files[:2], frame)
             # one column per batch: the certificate sums its blocks over every atom, and the frame
-            # files are written and read one atom at a time
+            # files keep their bytes
             for bound in (tfloc.frames._BATCH_ENTRIES, 1):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(tfloc.frames, "_BATCH_ENTRIES", bound)
