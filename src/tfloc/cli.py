@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -347,13 +349,11 @@ def cmd_spectrogram(cfg: RunConfig, signal_path, out_dir: Path) -> int:
     f = _read_signal(cfg, signal_path)
     phi = resolve_window(cfg)
     power = np.abs(stft(f, phi)) ** 2
-    L = cfg.L
-    lines = ["x,xi,value"]
-    for x in range(L):
-        for xi in range(L):
-            lines.append(f"{x},{xi},{float(power[x, xi])!r}")
+    # one x row at a time: the formatted file is never held whole
     with open(out_dir / "spectrogram.csv", "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("x,xi,value\n")
+        for x in range(cfg.L):
+            fh.write("".join(f"{x},{xi},{v!r}\n" for xi, v in enumerate(power[x].tolist())))
     write_pgm(out_dir / "spectrogram.pgm", power)
     return 0
 
@@ -496,6 +496,8 @@ def main(argv=None) -> int:
         if out_dir is None:
             out_dir = cfg.output_dir or Path.cwd()
         out_dir.mkdir(parents=True, exist_ok=True)
+        # an error.json left by an earlier failed run would sit beside this run's outputs
+        (out_dir / "error.json").unlink(missing_ok=True)
         if args.command == "spectrogram":
             return cmd_spectrogram(cfg, args.signal, out_dir)
         if args.command == "frame":
@@ -516,5 +518,20 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> NoReturn:
+    """Process entry of ``python -m tfloc.cli`` and the ``tfloc`` script: ``main``, then exit.
+
+    Every output file is written and closed when ``main`` returns.  Freezing
+    the collector then moves every live object out of its reach, so the
+    interpreter's shutdown collections do not walk the objects that numpy and
+    tfloc made at import; the OS reclaims that memory with the process.
+    ``main`` and importing tfloc leave the collector alone, since a long-lived
+    process that calls them would keep cyclic garbage alive under a freeze.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

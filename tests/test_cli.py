@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ import tfloc.covers
 import tfloc.frames
 import tfloc.locop
 from tfloc.cli import load_config, main, resolve_cover, resolve_window
-from tfloc.core import gauss_window, read_signal_csv
+from tfloc.core import gauss_window, read_signal_csv, stft
 from tfloc.covers import gen_random_irregular, gen_regular_boxes
 from tfloc.gabor import canonical_tight
 
@@ -423,6 +424,15 @@ class TestSpectrogram:
         main(["spectrogram", "--config", str(cfg), "--signal", str(sig), "--out", str(out2)])
         assert read_tree(out1) == read_tree(out2)
 
+    def test_csv_holds_the_power_of_the_stft(self, tmp_path):
+        cfg = write_config(tmp_path, basic_config())
+        sig = write_random_signal(tmp_path)
+        out = tmp_path / "o"
+        assert main(["spectrogram", "--config", str(cfg), "--signal", str(sig), "--out", str(out)]) == 0
+        power = np.abs(stft(read_signal_csv(sig), gauss_window(16))) ** 2
+        lines = ["x,xi,value"] + [f"{x},{xi},{float(power[x, xi])!r}" for x, xi in np.ndindex(16, 16)]
+        assert (out / "spectrogram.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
 
 class TestFrame:
     def test_whole_grid_certificate(self, tmp_path):
@@ -470,6 +480,20 @@ class TestFrame:
         assert main(["frame", "--config", str(cfg), "--out", str(out)]) == 1
         cert = json.loads((out / "certificate.json").read_text())
         assert cert["is_frame"] is False
+
+    def test_success_removes_a_stale_error_json(self, tmp_path):
+        broken = write_config(tmp_path, basic_config(cover=None), name="broken.json")
+        out = tmp_path / "o"
+
+        def frame(cfg):
+            return main(["frame", "--config", str(cfg), "--out", str(out)])
+
+        assert frame(broken) == 1
+        assert (out / "error.json").exists()
+        assert frame(CONFIG_DIR / "regular16.json") == 0
+        assert not (out / "error.json").exists()
+        assert frame(broken) == 1
+        assert json.loads((out / "error.json").read_text())["code"] == "invalid-argument"
 
     def test_precondition_failure_writes_error_json(self, tmp_path):
         cover_path = tmp_path / "partial.json"
@@ -1068,3 +1092,58 @@ class TestDiagnose:
                 calls.clear()
                 assert main([command, "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
                 assert len(calls) == len(shapes), (name, command)
+
+
+# runs the CLI module as ``python -m tfloc.cli`` does, then reports from an atexit hook
+EXIT_PROBE = """
+import atexit, gc, runpy
+atexit.register(lambda: print("freeze_count", gc.get_freeze_count()))
+runpy.run_module("tfloc.cli", run_name="__main__")
+"""
+
+
+class TestExitPath:
+    @staticmethod
+    def cli_process(*argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(tfloc.cli.__file__).parents[1]))
+        return subprocess.run([sys.executable, "-c", EXIT_PROBE, *argv], env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    def test_the_process_freezes_after_the_command(self, tmp_path):
+        cfg = str(CONFIG_DIR / "regular16.json")
+        run = self.cli_process("frame", "--config", cfg, "--out", str(tmp_path / "p"))
+        assert run.returncode == 0, run.stderr
+        assert int(run.stdout.split()[-1]) > 0
+        # the same bytes as the command run in process
+        assert main(["frame", "--config", cfg, "--out", str(tmp_path / "i")]) == 0
+        assert read_tree(tmp_path / "p") == read_tree(tmp_path / "i")
+
+    def test_a_failing_command_keeps_its_error_json_and_exit_code(self, tmp_path):
+        cfg = write_config(tmp_path, basic_config(cover=None))
+        run = self.cli_process("frame", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert run.returncode == 1
+        assert int(run.stdout.split()[-1]) > 0
+        assert run.stderr == "error [invalid-argument]: config needs exactly one cover source, got none\n"
+        assert strict_json(tmp_path / "o" / "error.json") == {
+            "code": "invalid-argument",
+            "message": "config needs exactly one cover source, got none",
+            "context": {"path": str(cfg)},
+        }
+
+    def test_main_leaves_the_collector_alone(self, tmp_path):
+        before = (gc.get_freeze_count(), gc.isenabled(), gc.get_threshold())
+        assert main(["frame", "--config", str(CONFIG_DIR / "regular16.json"), "--out", str(tmp_path)]) == 0
+        assert (gc.get_freeze_count(), gc.isenabled(), gc.get_threshold()) == before
+
+    def test_import_leaves_the_collector_alone(self):
+        code = (
+            "import gc\n"
+            "state = lambda: (gc.get_freeze_count(), gc.isenabled(), gc.get_threshold())\n"
+            "before = state()\n"
+            "import tfloc, tfloc.cli\n"
+            "print(state() == before)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(tfloc.cli.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             check=True, timeout=120)
+        assert out.stdout.strip() == "True"

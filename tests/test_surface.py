@@ -16,6 +16,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "tfloc").glob("*.py") if p.name != "__init__.py")
 
@@ -132,3 +134,15 @@ def test_frame_and_diagnose_leave_numpy_ma_out(tmp_path):
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path), *configs], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_script_entry_is_the_main_block_entry():
+    # the installed ``tfloc`` script and ``python -m tfloc.cli`` end through one function
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    tree = ast.parse((ROOT / "src" / "tfloc" / "cli.py").read_text())
+    [block] = [node for node in tree.body
+               if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    [call] = [node.value for node in block.body
+              if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)]
+    assert scripts["tfloc"] == f"tfloc.cli:{ast.unparse(call.func)}"
