@@ -77,7 +77,6 @@ class RunConfig:
     weighted: bool
     lattice: Lattice | None
     admissibility: dict  # validate_cover keywords R, r, w
-    seed: int | None
     reconstruct_tol: float
     output_dir: Path | None
 
@@ -121,7 +120,7 @@ def _cover_params(kind: str, spec: dict) -> dict:
         return {k: _number(spec, k, integer=True, required=True) for k in ("bx", "by")}
     if kind == "irregular":
         return {
-            "seed": _number(spec, "seed", integer=True, bounds=(0, INT64_RANGE[1])),
+            "seed": _number(spec, "seed", integer=True, required=True, bounds=(0, INT64_RANGE[1])),
             "target_size": _number(spec, "target_size", integer=True, required=True),
             "overlap": float(_number(spec, "overlap", 0.5)),
         }
@@ -210,7 +209,6 @@ def _parse_config(raw, path: Path) -> RunConfig:
             "r": _number(adm, "r", integer=True),
             "w": _number(adm, "w", 1, integer=True),
         },
-        seed=_number(raw, "seed", integer=True, bounds=(0, INT64_RANGE[1])),
         reconstruct_tol=reconstruct_tol,
         output_dir=path.parent / out if out else None,
     )
@@ -245,10 +243,7 @@ def resolve_cover(cfg: RunConfig) -> Cover:
         return gen_regular_boxes(cfg.L, params["bx"], params["by"])
     if kind == "wedge":
         return gen_wedge_cover(cfg.L, params["bands"])
-    seed = cfg.seed if params["seed"] is None else params["seed"]
-    if seed is None:
-        raise InvalidArgumentError("irregular cover needs a seed (in cover spec or top level)")
-    return gen_random_irregular(cfg.L, seed, params["target_size"], params["overlap"])
+    return gen_random_irregular(cfg.L, params["seed"], params["target_size"], params["overlap"])
 
 
 def write_pgm(path: Path, values: np.ndarray) -> None:

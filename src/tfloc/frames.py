@@ -16,7 +16,8 @@ is L/p Walnut blocks of order p (Walnut 1992; Groechenig, Foundations of
 Time-Frequency Analysis, 6.3), block r acting on the samples r + j L/p,
 j < p (``core._residue_rows``).  The certificate, S^{-1} in reconstruction
 and the ``norm_equivalence`` Gram sums all work on those blocks; p = L is one
-block, the dense operator.  A stored frame keeps its p (``write_frame``).
+block, the dense operator.  A stored frame keeps its p (``write_frame``), and
+``read_frame`` checks it as that commutation, S pi(0, p) = pi(0, p) S.
 """
 
 from __future__ import annotations
@@ -198,7 +199,7 @@ def eigenframe_from_classes(L: int, classes: Iterable[ClassSpectrum], policy: Se
     are translated to its members in a few gathers (``_member_batches``)
     and written to their rows.  The frame records ``frequency_period``, the cover's.
     """
-    selected, counts = [], {}  # each class's selected eigenpairs, and each region's atom count
+    selected = []  # each class's selected eigenpairs
     for spec, measure, cls in classes:
         if not spec.eigenvalues.size:
             for gamma in cls.members.tolist():
@@ -206,20 +207,20 @@ def eigenframe_from_classes(L: int, classes: Iterable[ClassSpectrum], policy: Se
                               stacklevel=3)
         n = select_eigenfunctions(spec, measure, policy)
         selected.append((Spectrum(spec.eigenvalues[:n], spec.eigenvectors[:, :n].copy(), spec.anchors[:n]), cls))
-        counts.update(dict.fromkeys(cls.members.tolist(), n))
         del spec
-    gammas = np.array(sorted(counts), dtype=np.int64)
-    sizes = np.array([counts[gamma] for gamma in gammas.tolist()], dtype=np.int64)
+    sizes = np.empty(sum(cls.members.size for _, cls in selected), dtype=np.int64)  # each region's atom count
+    for kept, cls in selected:  # the classes partition the regions, so each count is set once
+        sizes[cls.members] = kept.eigenvalues.size
     start = np.cumsum(sizes) - sizes  # each region's first atom
     atoms, lams = np.empty((int(sizes.sum()), L), dtype=np.complex128), np.empty(int(sizes.sum()))
     for kept, cls in selected:
         for members, vectors in _member_batches(kept, cls):
-            rows = start[np.searchsorted(gammas, members)][:, None] + np.arange(kept.eigenvalues.size)
+            rows = start[members][:, None] + np.arange(kept.eigenvalues.size)
             atoms[rows] = vectors.transpose(0, 2, 1)
             lams[rows] = kept.eigenvalues
     ks = np.concatenate([np.arange(1, c + 1) for c in sizes])
-    return EigenFrame(L, atoms, lams if weighted else np.ones_like(lams), np.repeat(gammas, sizes), ks, lams,
-                      weighted, frequency_period)
+    return EigenFrame(L, atoms, lams if weighted else np.ones_like(lams), np.repeat(np.arange(sizes.size), sizes),
+                      ks, lams, weighted, frequency_period)
 
 
 def assemble_frame(
@@ -483,14 +484,12 @@ def read_frame(manifest_path, atoms_path) -> EigenFrame:
         raise InvalidArgumentError(f"atom record at offset {offsets[bad[0]]} is not a finite unit vector",
                                    path=str(atoms_path))
     if p < L:
-        # if S = G G* keeps to its Walnut blocks, S u is their product with u: checked on one fixed probe
-        # u of phase t^2, with weights scaled to a largest of 1 (both sides alike) so they do not overflow
-        u, w2 = np.exp(1j * np.arange(L, dtype=np.float64) ** 2), (weights / (weights.max() or 1.0)) ** 2
-        V = atoms.reshape(-1, p, L // p)  # V[i, j, r] = v_i[r + j L/p]: a view, which einsum reads as it is
-        c = np.einsum("jr,ijr->ri", np.conj(u).reshape(p, L // p), V)
-        c = np.multiply(np.conj(c, out=c), w2, out=c)  # c[r]: block r's part of G* u, formed in place
-        full = c.sum(axis=0) @ atoms  # G G* u, and below the product of the blocks with u
-        if not np.linalg.norm(full - np.einsum("ijr,ri->jr", V, c).reshape(L)) <= 1e-10 * np.linalg.norm(full):
+        # S keeps to its Walnut blocks iff it commutes with M = pi(0, p): S M u = M S u, checked on one
+        # fixed probe u of phase t^2, S v = sum w_i^2 <v, v_i> v_i with weights scaled to a largest of 1
+        t = np.arange(L, dtype=np.float64)
+        u, M, w2 = np.exp(1j * t**2), np.exp(2j * np.pi * p * t / L), (weights / (weights.max() or 1.0)) ** 2
+        SU = atoms.T @ (w2[:, None] * np.conj(atoms @ np.conj(np.column_stack([u, M * u]))))
+        if not np.linalg.norm(SU[:, 1] - M * SU[:, 0]) <= 1e-10 * np.linalg.norm(SU[:, 0]):
             raise InvalidArgumentError(f"the atoms lack frequency period {p}", path=str(manifest_path))
     return EigenFrame(L, atoms, weights, gammas, ks, lams, weighted, p, source)
 

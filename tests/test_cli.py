@@ -68,7 +68,7 @@ def write_random_signal(tmp_path, L=16, seed=0, name="sig.csv"):
 FUZZ_FIELDS = [
     ("L",), ("policy",), ("policy", "epsilon"), ("policy", "n_max"), ("weighted",),
     ("lattice",), ("cover", "regular", "bx"), ("admissibility", "R"), ("reconstruct_tol",),
-    ("seed",), ("window",), ("admissibility", "w"),
+    ("window",), ("admissibility", "w"),
 ]
 # wrong-typed JSON values; numbers stay small so no example asks for a large grid
 WRONG_TYPED = st.one_of(
@@ -164,8 +164,10 @@ class TestConfig:
             pytest.param(json.dumps(basic_config(admissibility={"w": 10**30})), "w", id="w-huge"),
             pytest.param(json.dumps(basic_config(policy={"epsilon": 0.1, "n_max": 10**30})),
                          "n_max", id="n_max-huge"),
-            pytest.param(json.dumps(basic_config(seed=-1, cover={"irregular": {"target_size": 6}})),
+            pytest.param(json.dumps(basic_config(cover={"irregular": {"seed": -1, "target_size": 6}})),
                          "seed", id="seed-negative"),
+            pytest.param(json.dumps(basic_config(cover={"irregular": {"target_size": 6}})),
+                         "seed", id="seed-missing"),
         ],
     )
     def test_malformed_config_is_invalid_argument(self, tmp_path, text, key):

@@ -902,8 +902,9 @@ class TestFrameIo:
             assert info.value.code == "invalid-argument" and info.value.context["path"] == str(manifest)
 
     def test_read_holds_the_atoms_once(self, tmp_path):
-        # each record is read straight into its row, and the period probe reads a view of the rows,
-        # so reading a stored frame holds about its atoms, not the file's bytes beside a copy of them
+        # each record is read straight into its row, and the period check multiplies the rows as
+        # they are, S M u = M S u in two matrix products, so reading a stored frame holds about its
+        # atoms, not the file's bytes beside a copy of them
         L = 256
         frame = assemble_frame(gen_regular_boxes(L, 32, 32), gauss_window(L),
                                SelectionPolicy("epsilon", epsilon=0.1, n_max=L))
@@ -1023,6 +1024,38 @@ def random_cover(rng, L, layout):
     return cover_from_dict({"L": L, "regions": [regions[i] for i in rng.permutation(len(regions))]}), p
 
 
+def random_lattice_cover(rng, L, layout):
+    """A cover of the random lattice (a, b), a b <= L/2, like ``random_cover``: random shapes of
+    lattice offsets, deduplicated mod L, with random values, each placed on a frequency-periodic
+    or a random set of lattice centers, and a filler region that holds every lattice point, in
+    random order.  In the periodic layout, p is a multiple of b and the filler is repeated at the
+    centers (0, k p), so the cover keeps its period p; in the random layout it is one region."""
+    a, b = map(int, rng.choice([(a, b) for a in range(1, L) for b in range(1, L)
+                                if L % a == 0 and L % b == 0 and 2 * a * b <= L]))
+    p = int(rng.choice([q for q in range(b, L, b) if L % q == 0])) if layout == "periodic" else L
+
+    def lattice_points(n):
+        return [(a * int(j), b * int(k)) for j, k in zip(rng.integers(0, L // a, n), rng.integers(0, L // b, n))]
+
+    regions = []
+    for _ in range(int(rng.integers(2, 4))):
+        steps = rng.integers(-2, 3, size=(int(rng.integers(3, 8)), 2))
+        offsets = sorted({((a * int(j)) % L, (b * int(k)) % L) for j, k in steps})
+        values = rng.uniform(0.5, 2.0, len(offsets)).tolist()
+        if layout == "periodic":
+            centers = {(x, (xi + k * p) % L) for x, xi in lattice_points(int(rng.integers(1, 3)))
+                       for k in range(L // p)}
+        else:
+            centers = set(lattice_points(int(rng.integers(2, 6))))
+        regions += [{"center": [x, xi], "cells": [[(x + dx) % L, (xi + dxi) % L] for dx, dxi in offsets],
+                     "values": values} for x, xi in sorted(centers)]
+    grid = [[x, xi] for x in range(0, L, a) for xi in range(0, L, b)]
+    filler = float(rng.uniform(0.4, 0.6))
+    regions += [{"center": [0, k * p], "cells": grid, "values": [filler] * len(grid)} for k in range(L // p)]
+    cover = cover_from_dict({"L": L, "regions": [regions[i] for i in rng.permutation(len(regions))]})
+    return cover, Lattice(L, a, b), p
+
+
 class TestRandomCovers:
     """The shortcuts (time supports, the real path, classes and translation, Walnut blocks,
     column batches) against per-region dense operators, on random covers and windows."""
@@ -1040,13 +1073,10 @@ class TestRandomCovers:
         eps = float(rng.uniform(0.05, 0.25))
         frame = assemble_frame(cover, phi, SelectionPolicy("epsilon", epsilon=eps, n_max=L))
         ops = [direct_assemble(L, s.cells, s.values, phi.samples) for s in cover.regions]
-        # an eigenvalue bound is good to rounding on the scale of the operator's norm
-        S = sum(th @ th for th in (thresholded(op, eps) for op in ops))
-        plain, squared, _ = norm_equivalence(region_classes(cover, phi), [], cover.frequency_period)
-        for got, gram in ((plain, sum(op @ op for op in ops)), (squared, sum(np.linalg.matrix_power(op, 4) for op in ops))):
-            ev = np.linalg.eigvalsh(gram)
-            assert np.abs(np.subtract(got, (ev[0], ev[-1]))).max() <= 1e-12 * ev[-1]
-        ev = np.linalg.eigvalsh(S)
+        epsilons = [eps, *SWEEP_EPSILONS]
+        self.assert_constants_match_dense(ops, epsilons,
+                                          norm_equivalence(region_classes(cover, phi), epsilons, p))
+        ev = np.linalg.eigvalsh(sum(th @ th for th in (thresholded(op, eps) for op in ops)))
         with tempfile.TemporaryDirectory() as tmp:
             files = [Path(tmp) / name for name in ("frame.json", "atoms.tfat", "one.json", "one.tfat")]
             write_frame(*files[:2], frame)
@@ -1060,6 +1090,54 @@ class TestRandomCovers:
                     np.testing.assert_array_equal(read_frame(*files[2:]).atoms, frame.atoms)
                 assert abs(cert.A - ev[0]) <= 1e-12 * ev[-1] and abs(cert.B - ev[-1]) <= 1e-12 * ev[-1]
                 assert files[3].read_bytes() == files[1].read_bytes()
+
+    @staticmethod
+    def assert_constants_match_dense(ops, epsilons, constants):
+        """``norm_equivalence``'s (plain, squared, rows) against the extreme eigenvalues of the
+        dense sums of op^2, op^4 and thresholded(op, e)^2 over the region operators ``ops``.
+
+        An eigenvalue bound is good to rounding on the scale of the operator's norm, so each
+        pair is checked to 1e-12 of its own upper constant, and each thresholded row to 1e-12
+        of the plain one.  A cut with a region eigenvalue within 1e-9 lam_max of it is skipped:
+        rounding decides on which side that eigenvalue falls (this always skips e = 0, whose
+        row is the plain pair).
+        """
+        plain, squared, rows = constants
+        for got, gram in ((plain, sum(op @ op for op in ops)),
+                          (squared, sum(np.linalg.matrix_power(op, 4) for op in ops))):
+            ev = np.linalg.eigvalsh(gram)
+            assert np.abs(np.subtract(got, (ev[0], ev[-1]))).max() <= 1e-12 * ev[-1]
+        spectra = [np.linalg.eigvalsh(op) for op in ops]
+        lam_max = max(lam[-1] for lam in spectra)
+        for e, row in zip(epsilons, rows):
+            if any(np.abs(lam - e).min() <= 1e-9 * lam_max for lam in spectra):
+                continue
+            ev = np.linalg.eigvalsh(sum(th @ th for th in (thresholded(op, e) for op in ops)))
+            assert np.abs(np.subtract(row, (ev[0], ev[-1]))).max() <= 1e-12 * plain[1]
+
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 2**32 - 1), L=st.sampled_from([8, 12, 16]),
+           layout=st.sampled_from(["periodic", "random"]))
+    def test_lattice_bounds_and_constants_match_dense(self, seed, L, layout):
+        # the multiplier stream and the lattice frame against each region's Gabor multiplier,
+        # summed from its definition over the lattice with the canonical tight window
+        rng = np.random.default_rng(seed)
+        cover, lattice, p = random_lattice_cover(rng, L, layout)
+        assert cover.frequency_period == p
+        system = canonical_tight(gauss_window(L), lattice)
+        ops, dense = [], {}  # each distinct mask's multiplier, so the filler's is summed once
+        for s in cover.regions:
+            m = lattice_mask(s, lattice)
+            if m.tobytes() not in dense:
+                dense[m.tobytes()] = direct_gabor_multiplier(L, lattice.a, lattice.b, system.window.samples, m)
+            ops.append(dense[m.tobytes()])
+        eps = float(rng.uniform(0.05, 0.25))
+        epsilons = [eps, *SWEEP_EPSILONS]
+        self.assert_constants_match_dense(ops, epsilons,
+                                          norm_equivalence(multiplier_classes(cover, system), epsilons, p))
+        cert = frame_certificate(gabor_eigenframe(cover, system, SelectionPolicy("epsilon", epsilon=eps, n_max=L)))
+        ev = np.linalg.eigvalsh(sum(th @ th for th in (thresholded(op, eps) for op in ops)))
+        assert abs(cert.A - ev[0]) <= 1e-12 * ev[-1] and abs(cert.B - ev[-1]) <= 1e-12 * ev[-1]
 
     @staticmethod
     def assert_batch_free(classes, epsilons, frequency_period, n_regions):
