@@ -206,7 +206,7 @@ def eigenframe_from_classes(L: int, classes: Iterable[ClassSpectrum], policy: Se
                 warnings.warn(f"region {gamma} has a numerically zero operator; contributing no atoms",
                               stacklevel=3)
         n = select_eigenfunctions(spec, measure, policy)
-        selected.append((Spectrum(spec.eigenvalues[:n], spec.eigenvectors[:, :n].copy(), spec.anchors[:n]), cls))
+        selected.append((Spectrum(spec.eigenvalues[:n], spec.eigenvectors[:, :n].copy()), cls))
         del spec
     sizes = np.empty(sum(cls.members.size for _, cls in selected), dtype=np.int64)  # each region's atom count
     for kept, cls in selected:  # the classes partition the regions, so each count is set once
@@ -218,7 +218,7 @@ def eigenframe_from_classes(L: int, classes: Iterable[ClassSpectrum], policy: Se
             rows = start[members][:, None] + np.arange(kept.eigenvalues.size)
             atoms[rows] = vectors.transpose(0, 2, 1)
             lams[rows] = kept.eigenvalues
-    ks = np.concatenate([np.arange(1, c + 1) for c in sizes])
+    ks = np.arange(1, sizes.sum() + 1) - np.repeat(start, sizes)
     return EigenFrame(L, atoms, lams if weighted else np.ones_like(lams), np.repeat(np.arange(sizes.size), sizes),
                       ks, lams, weighted, frequency_period)
 

@@ -29,10 +29,12 @@ assembles and eigensolves the block of D* H D in real arithmetic; the
 eigenvectors u map back to D u.  Any other symbol or window gets the complex
 block from the same assembly (``_block_operator``).
 
-Phase convention: each eigenvector is scaled so that its anchor entry is
-real and positive.  The anchor is the lowest index whose magnitude is within
-1e-12 of the column's largest, so exact and rounding-level ties (a mirror
-symmetric region has exact ones) do not let rounding pick it.
+Phase convention: ``eigendecomp`` scales each solved eigenvector so that its
+anchor entry is real and positive.  The anchor is the lowest index whose
+magnitude is within 1e-12 of the column's largest, so exact and
+rounding-level ties (a mirror symmetric region has exact ones) do not let
+rounding pick it.  On the real path the atom is D u, and a class member's
+eigenvectors are exactly pi(z) of its representative's.
 """
 
 from __future__ import annotations
@@ -68,36 +70,32 @@ class Spectrum:
     """The r eigenpairs with lambda > RANK_RTOL lambda_1 of a Hermitian operator, descending.
 
     r is the numerical rank; a numerically zero operator has no eigenpairs.
-    Column k of ``eigenvectors`` belongs to ``eigenvalues[k]``.  Each column is
-    scaled so its entry at ``anchors[k]`` is real and positive: the lowest
-    index whose magnitude is within _ANCHOR_TIE_RTOL of the column's largest.
-    Within a degenerate cluster only the spanned subspace is meaningful.  A
-    class spectrum (``class_spectra``) holds its L x r eigenvectors
-    zero-padded from the block on its time support J.
+    Column k of ``eigenvectors`` belongs to ``eigenvalues[k]``; ``eigendecomp``
+    scales it so its anchor entry is real and positive.  Within a degenerate
+    cluster only the spanned subspace is meaningful.  A class spectrum
+    (``class_spectra``) holds its L x r eigenvectors zero-padded from the
+    block on its time support J, mapped back to D u on the real path.
 
     By covariance, pi(z) H pi(z)* has the same eigenvalues and the
-    eigenvectors pi(z) v_k; ``translated`` carries the phase convention
-    along with them.
+    eigenvectors pi(z) v_k, exactly, with no further phase (``translated``).
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    anchors: np.ndarray
 
     def translated(self, shifts: np.ndarray) -> np.ndarray:
-        """The eigenvectors of pi(z) H pi(z)* for each row z = (x, xi) of the
-        (m, 2) ``shifts``: an (m, L, r) array, one gather.
+        """The eigenvectors pi(z) V of pi(z) H pi(z)* for each row z = (x, xi)
+        of the (m, 2) ``shifts``: an (m, L, r) array, one gather.
 
-        Column k of block j is pi(z) v_k times the unimodular constant that
-        makes its entry at the translated anchor (anchors[k] + x) mod L real
-        and positive.  For z = (0, 0) the columns are copied unchanged.
+        Block j is V[(t - x) mod L] e^{2 pi i xi t / L}; for z = (0, 0) it is
+        a copy of V.
         """
         V = self.eigenvectors
         L = V.shape[0]
-        x, xi = shifts[:, 0, None, None], shifts[:, 1, None, None]
-        t = np.arange(L)[:, None]
-        turns = (xi * (t - x - self.anchors)) % L
-        out = V[(t[:, 0] - x[:, 0]) % L] * _unit_roots(L)[turns]
+        x, xi = shifts[:, 0, None], shifts[:, 1, None]
+        t = np.arange(L)
+        out = V[(t - x) % L]
+        out *= _unit_roots(L)[(xi * t) % L][:, :, None]
         out[~shifts.any(axis=1)] = V
         return out
 
@@ -208,7 +206,7 @@ def eigendecomp(H: np.ndarray) -> Spectrum:
     lead = np.argmax(size >= (1.0 - _ANCHOR_TIE_RTOL) * size.max(axis=0), axis=0)
     # each anchor entry is its unit column's largest, so it is nonzero
     ph = Q[lead, np.arange(Q.shape[1])]
-    return Spectrum(w, Q * (np.conj(ph) / np.abs(ph))[None, :], lead)
+    return Spectrum(w, Q * (np.conj(ph) / np.abs(ph))[None, :])
 
 
 # one shape class: the representative's spectrum and trace measure ||eta||_1 / L, and the class
@@ -238,10 +236,8 @@ def _class_spectrum(cls: ShapeClass, phi: Window) -> ClassSpectrum:
     J = _time_support(rep, w)
     axis = None if w.imag.any() else _frequency_axis(rep)
     block = eigendecomp(_block_operator(rep, w, J, axis))
-    anchors = J[block.anchors]
     V = np.zeros((L, block.eigenvalues.size), dtype=np.complex128)
     V[J] = block.eigenvectors
     if axis is not None:
-        # D u, times conj(D[anchor]) so that the anchor entry stays positive
-        V[J] *= _unit_roots(2 * L)[(axis * (J[:, None] - anchors[None, :])) % (2 * L)]
-    return Spectrum(block.eigenvalues, V, anchors), rep.mass / L, cls
+        V[J] *= _unit_roots(2 * L)[(axis * J[:, None]) % (2 * L)]  # D u
+    return Spectrum(block.eigenvalues, V), rep.mass / L, cls

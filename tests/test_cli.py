@@ -168,6 +168,9 @@ class TestConfig:
                          "seed", id="seed-negative"),
             pytest.param(json.dumps(basic_config(cover={"irregular": {"target_size": 6}})),
                          "seed", id="seed-missing"),
+            pytest.param(json.dumps(basic_config(cover={"wedge": {"bands": [[0, 8]]}})), "bands",
+                         id="wedge-band-pair"),
+            pytest.param(json.dumps(basic_config(cover={"file": 5})), "file", id="cover-file-number"),
         ],
     )
     def test_malformed_config_is_invalid_argument(self, tmp_path, text, key):
@@ -523,6 +526,9 @@ class TestFrame:
             pytest.param(lambda text, cover: "[" * 100_000, id="nested"),
             pytest.param(lambda text, cover: json.dumps({**cover, "L": 2**63}), id="L-2**63"),
             pytest.param(lambda text, cover: json.dumps({**cover, "L": 2**70}), id="L-2**70"),
+            pytest.param(lambda text, cover: json.dumps(with_region(cover, cells=[[0, 0], [1]])), id="cells-ragged"),
+            # a well-formed cover whose grid is not the config's
+            pytest.param(lambda text, cover: json.dumps(cover_dict(gen_regular_boxes(8, 4, 4))), id="L-other"),
         ],
     )
     def test_malformed_cover_file_is_invalid_argument(self, tmp_path, edit):

@@ -20,14 +20,10 @@ GAUSS16_PHI1 = 0.48860058332271527519
 
 
 def tf_shift(z, f):
-    """pi(z) f through ``Spectrum.translated``, which moves every class member's eigenvectors.
-
-    With the anchor at -x mod L, the translated anchor is 0, so the phase
-    ``translated`` applies is 1 and the column is pi(z) f itself.
-    """
+    """pi(z) f through ``Spectrum.translated``, which moves every class member's eigenvectors."""
     L = f.length
     x, xi = z[0] % L, z[1] % L
-    spec = Spectrum(np.zeros(1), f.samples[:, None], np.array([-x % L]))
+    spec = Spectrum(np.zeros(1), f.samples[:, None])
     return Signal(spec.translated(np.array([[x, xi]]))[0, :, 0])
 
 
@@ -77,7 +73,7 @@ class TestTfShift:
         # a member at shift (0, 0) gets its columns copied, not multiplied by
         # 1 + 0j, which would flip the sign of a zero part next to a negative one
         v = np.array([complex(-0.0, -1.0), complex(1.0, -0.0), complex(-0.0, 0.0), 0.5])
-        blocks = Spectrum(np.ones(1), v[:, None], np.array([3])).translated(np.array([[0, 0], [0, 0]]))
+        blocks = Spectrum(np.ones(1), v[:, None]).translated(np.array([[0, 0], [0, 0]]))
         assert blocks.shape == (2, 4, 1)
         assert blocks.tobytes() == np.stack([v[:, None]] * 2).tobytes()
 
@@ -195,6 +191,10 @@ class TestSignalValidation:
         with pytest.raises(InvalidArgumentError):
             Signal(np.array([1.0, np.inf]))
 
+    def test_rejects_2d_samples(self):
+        with pytest.raises(InvalidArgumentError, match="1-d sample vector"):
+            Signal(np.ones((2, 2)))
+
     def test_window_normalized_flag_checked(self):
         with pytest.raises(InvalidArgumentError):
             Window(np.array([1.0, 1.0]))
@@ -220,10 +220,10 @@ class TestSignalCsv:
         np.testing.assert_array_equal(g.samples, f)
 
     def test_header_checked(self, tmp_path):
-        # and every row: too few fields, a bad index, a bad number
+        # and every row: too few fields, a bad index, a gap in t, a bad number
         path = tmp_path / "bad.csv"
         for text in ("a,b,c\n0,1,2\n", "t,re,im\n0,1.0\n", "t,re,im\nx,1.0,0.0\n",
-                     "t,re,im\n0,abc,0.0\n"):
+                     "t,re,im\n0,1.0,0.0\n2,1.0,0.0\n", "t,re,im\n0,abc,0.0\n"):
             path.write_text(text)
             with pytest.raises(InvalidArgumentError) as info:
                 read_signal_csv(path)

@@ -55,6 +55,12 @@ class TestSymbol:
     def test_rejects_out_of_range_cells(self):
         with pytest.raises(InvalidArgumentError):
             Symbol(4, (0, 0), [(4, 0)], [1.0])
+        with pytest.raises(InvalidArgumentError, match="outside the grid"):
+            Symbol(4, (0, 4), [(0, 0)], [1.0])
+
+    def test_cover_rejects_a_region_on_another_grid(self):
+        with pytest.raises(InvalidArgumentError, match="region grid 8"):
+            Cover(4, (Symbol(4, (0, 0), [(0, 0)], [1.0]), Symbol(8, (0, 0), [(0, 0)], [1.0])))
 
     def test_mass_and_dense(self):
         s = Symbol(4, (1, 1), [(0, 0), (1, 2)], [0.5, 2.0])
@@ -252,6 +258,10 @@ class TestWedgeCover:
     def test_rejects_gap(self):
         with pytest.raises(InvalidArgumentError):
             gen_wedge_cover(16, [(0, 6, 2), (8, 16, 8)])
+        # a gap at either end of [0, L), or no bands at all
+        for bands in ([(2, 16, 8)], [(0, 8, 2)], []):
+            with pytest.raises(InvalidArgumentError, match="must cover the frequency axis"):
+                gen_wedge_cover(16, bands)
 
     def test_rejects_overlap(self):
         with pytest.raises(InvalidArgumentError):
@@ -260,6 +270,10 @@ class TestWedgeCover:
     def test_rejects_bad_step(self):
         with pytest.raises(InvalidArgumentError):
             gen_wedge_cover(16, [(0, 16, 5)])
+
+    def test_rejects_empty_band(self):
+        with pytest.raises(InvalidArgumentError, match="empty band"):
+            gen_wedge_cover(16, [(0, 8, 2), (8, 8, 4), (8, 16, 8)])
 
 
 class TestRandomIrregular:

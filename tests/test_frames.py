@@ -40,6 +40,7 @@ from helpers import (
     dense_from_blocks,
     direct_assemble,
     direct_gabor_multiplier,
+    direct_shift,
     frame_operator,
     lattice_mask,
     random_signal,
@@ -391,16 +392,13 @@ class TestShapeClasses:
         ev = np.linalg.eigvalsh(sum(op @ op @ op @ op for op in ops))
         assert c == pytest.approx(ev[0], rel=1e-12)
         assert C == pytest.approx(ev[-1], rel=1e-12)
-        # the translated atoms follow the phase convention: real and positive
-        # at the representative's anchor moved by x
+        # a member's atoms are exactly pi(z) of its representative's
         V = frame.atoms
-        rep, moved = V[frame.gammas == 0], V[frame.gammas == 1]
-        anchors = eigendecomp(ops[0]).anchors
-        for a, b, anchor in zip(rep, moved, anchors):
-            assert a[anchor].real > 0 and abs(a[anchor].imag) <= 1e-15
-            t = (anchor + 14) % L16
-            assert b[t].real > 0 and abs(b[t].imag) <= 1e-15
-            assert abs(b[t]) == pytest.approx(abs(a[anchor]), abs=1e-15)
+        for rep, member, (x, xi) in ((0, 1, (14, 6)), (2, 3, (0, 7))):
+            moved = V[frame.gammas == member]
+            assert moved.shape[0] == np.sum(frame.gammas == rep) > 0
+            for a, b in zip(V[frame.gammas == rep], moved):
+                np.testing.assert_allclose(b, direct_shift(L16, x, xi, a), rtol=0, atol=1e-14)
 
 
 def lattice_box_cover(L, box, step):
@@ -616,6 +614,10 @@ class TestReconstruct:
         rec, rel = reconstruct(frame16, Signal(np.zeros(L16)))
         assert rel == 0.0
         assert rec.norm == 0.0
+
+    def test_rejects_signal_of_another_length(self, frame16):
+        with pytest.raises(InvalidArgumentError, match="signal length 8 != frame length 16"):
+            reconstruct(frame16, Signal(np.ones(8)))
 
     @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e160])
     def test_error_of_a_tiny_or_huge_signal(self, scale):

