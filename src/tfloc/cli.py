@@ -44,7 +44,7 @@ from .frames import (
     SelectionPolicy,
     assemble_frame,
     frame_certificate,
-    norm_equivalence,
+    norm_equivalence_constants,
     read_frame,
     reconstruct,
     region_classes,
@@ -265,21 +265,20 @@ def write_pgm(path: Path, values: np.ndarray) -> None:
 
 
 def _region_rows(frame: EigenFrame, cover: Cover) -> list[dict]:
-    """Each region's atom count, extreme eigenvalues and mass, in one pass over the
-    atoms, which a built frame holds in region order."""
+    """Each region's atom count, extreme eigenvalues and mass.  A built frame holds its
+    atoms in region order, a region's eigenvalues descending, so its extremes are the
+    first and last of its run."""
     counts = np.bincount(frame.gammas, minlength=len(cover.regions))
-    starts = (np.cumsum(counts) - counts)[counts > 0]
-    tops = iter(np.maximum.reduceat(frame.lams, starts).tolist())
-    bottoms = iter(np.minimum.reduceat(frame.lams, starts).tolist())
+    lams = frame.lams.tolist()
     return [
         {
             "gamma": gamma,
             "count": count,
-            "lambda_max": next(tops) if count else None,
-            "lambda_min": next(bottoms) if count else None,
+            "lambda_max": lams[end - count] if count else None,
+            "lambda_min": lams[end - 1] if count else None,
             "mass": s.mass,
         }
-        for gamma, (count, s) in enumerate(zip(counts.tolist(), cover.regions))
+        for gamma, (count, end, s) in enumerate(zip(counts.tolist(), np.cumsum(counts).tolist(), cover.regions))
     ]
 
 
@@ -423,7 +422,7 @@ def cmd_diagnose(cfg: RunConfig, out_dir: Path) -> int:
     phi, cover, system = _inputs(cfg, out_dir)
     classes = region_classes(cover, phi) if system is None else multiplier_classes(cover, system)
     eps = cfg.policy.epsilon if cfg.policy.mode == "epsilon" else 1.0 / cfg.policy.alpha
-    (c_plain, C_plain), (c_sq, C_sq), [(c_th, C_th), *rows] = norm_equivalence(
+    (c_plain, C_plain), (c_sq, C_sq), [(c_th, C_th), *rows] = norm_equivalence_constants(
         classes, [eps, *SWEEP_EPSILONS], cover.frequency_period)
 
     # the constants scale with the square of the symbol values, and so does this tolerance

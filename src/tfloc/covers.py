@@ -147,19 +147,16 @@ class Cover:
         under (0, p); L if no smaller p is.
 
         Then every sum over the members z of a class of pi(z) K pi(z)*, such as the frame
-        operator, commutes with pi(0, p) and vanishes off t = t' mod L/p.  Each class marks
-        its member counts on one L x L grid, and p holds when the counts agree at z and
-        z + (0, p) for every member z: the shift by (0, p) then maps the members into
-        themselves, so onto themselves.
+        operator, commutes with pi(0, p) and vanishes off t = t' mod L/p.  p holds for a
+        class when its flat shifts x L + xi, sorted, equal the sorted flat shifts of
+        z + (0, p): the shift by (0, p) maps the members onto themselves, duplicates counted.
         """
         L = self.L
         periods = [p for p in range(1, L) if L % p == 0]
-        counts = np.zeros(L * L, dtype=np.int64)
         for c in self.classes:
             x, xi = c.shifts[:, 0] * L, c.shifts[:, 1]
-            np.add.at(counts, x + xi, 1)
-            periods = [p for p in periods if np.array_equal(counts[x + (xi + p) % L], counts[x + xi])]
-            counts[x + xi] = 0
+            flat = np.sort(x + xi)
+            periods = [p for p in periods if np.array_equal(np.sort(x + (xi + p) % L), flat)]
             if not periods:
                 return L
         return periods[0]

@@ -15,9 +15,10 @@ commutes with the modulation pi(0, p) and vanishes unless t = t' mod L/p: it
 is L/p Walnut blocks of order p (Walnut 1992; Groechenig, Foundations of
 Time-Frequency Analysis, 6.3), block r acting on the samples r + j L/p,
 j < p (``core._residue_rows``).  The certificate, S^{-1} in reconstruction
-and the ``norm_equivalence`` Gram sums all work on those blocks; p = L is one
-block, the dense operator.  A stored frame keeps its p (``write_frame``), and
-``read_frame`` checks it as that commutation, S pi(0, p) = pi(0, p) S.
+and the ``norm_equivalence_constants`` sums all work on those blocks; p = L
+is one block, the dense operator.  A stored frame keeps its p
+(``write_frame``), and ``read_frame`` checks it as that commutation,
+S pi(0, p) = pi(0, p) S.
 """
 
 from __future__ import annotations
@@ -319,7 +320,7 @@ def reconstruct(
 # (thresholded); the equivalence constants are their square roots.
 # ---------------------------------------------------------------------------
 
-def norm_equivalence(
+def norm_equivalence_constants(
     classes: Iterable[ClassSpectrum], epsilons: list[float], frequency_period: int
 ) -> tuple[tuple[float, float], tuple[float, float], list[tuple[float, float]]]:
     """(c, C) of the plain sum, the squared sum and the sum thresholded at each
@@ -362,27 +363,10 @@ def norm_equivalence(
     return thresholded[0.0], extremes[-1], [thresholded[eps] for eps in epsilons]
 
 
-def norm_equivalence_constants(
-    cover: Cover,
-    phi: Window,
-    variant: str = "plain",
-    epsilon: float | None = None,
-) -> tuple[float, float]:
-    """(c, C) of one variant: the plain, squared or thresholded operator sum."""
-    variants = ("plain", "squared", "thresholded")
-    if variant not in variants:
-        raise InvalidArgumentError(f"unknown variant {variant!r}")
-    if variant == "thresholded" and (epsilon is None or epsilon < 0.0):
-        raise InvalidArgumentError("thresholded variant requires epsilon >= 0")
-    epsilons = [epsilon] if variant == "thresholded" else []
-    plain, squared, rows = norm_equivalence(region_classes(cover, phi), epsilons, cover.frequency_period)
-    return (plain, squared, *rows)[variants.index(variant)]
-
-
 def epsilon_sweep(cover: Cover, phi: Window, epsilons) -> list[tuple[float, float, float]]:
     """(epsilon, c, C) rows of the thresholded constants; one eigensolve per shape class."""
     eps = [float(e) for e in epsilons]
-    rows = norm_equivalence(region_classes(cover, phi), eps, cover.frequency_period)[2]
+    rows = norm_equivalence_constants(region_classes(cover, phi), eps, cover.frequency_period)[2]
     return [(e, c, C) for e, (c, C) in zip(eps, rows)]
 
 

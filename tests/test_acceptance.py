@@ -21,6 +21,7 @@ from tfloc.frames import (
     frame_certificate,
     norm_equivalence_constants,
     reconstruct,
+    region_classes,
 )
 from tfloc import gabor
 from tfloc.gabor import (
@@ -158,7 +159,7 @@ def test_criterion_7_norm_equivalence_diagnostics():
         L = 16
         phi = gauss_window(L)
         cover = gen_regular_boxes(L, 4, 4)
-        c, _ = norm_equivalence_constants(cover, phi, "plain")
+        (c, _), _, _ = norm_equivalence_constants(region_classes(cover, phi), [], cover.frequency_period)
         assert c > 0
         rows = epsilon_sweep(cover, phi, [round(0.1 * i, 1) for i in range(10)])
         cs = [row[1] for row in rows]

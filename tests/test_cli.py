@@ -171,6 +171,7 @@ class TestConfig:
             pytest.param(json.dumps(basic_config(cover={"wedge": {"bands": [[0, 8]]}})), "bands",
                          id="wedge-band-pair"),
             pytest.param(json.dumps(basic_config(cover={"file": 5})), "file", id="cover-file-number"),
+            pytest.param(json.dumps(basic_config(output_dir=5)), "output_dir", id="output_dir-number"),
         ],
     )
     def test_malformed_config_is_invalid_argument(self, tmp_path, text, key):
@@ -214,6 +215,13 @@ class TestConfig:
             assert rc in (0, 1)
             if rc == 1:
                 assert (out / "error.json").exists()
+
+    def test_output_dir_is_beside_the_config_unless_out_is_given(self, tmp_path):
+        cfg = write_config(tmp_path, basic_config(output_dir="results"))
+        assert main(["frame", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "frame.json").exists() and not (tmp_path / "results").exists()
+        assert main(["frame", "--config", str(cfg)]) == 0
+        assert read_tree(tmp_path / "results") == read_tree(tmp_path / "o")
 
     def test_window_from_file(self, tmp_path):
         # an unnormalized file window is normalized on load
@@ -999,6 +1007,19 @@ class TestDiagnose:
         assert d["plain"]["c"] > 0
         assert d["epsilon_sweep"][0]["c"] == pytest.approx(d["plain"]["c"], abs=1e-10)
         assert d["largest_epsilon_with_positive_c"] is not None
+
+    def test_a_rising_sweep_is_an_internal_error(self, tmp_path, monkeypatch):
+        # the thresholded lower constants cannot rise with epsilon; a sum that did is a fault
+        sweep = [(0.2, 1.0), (0.3, 1.0), *[(0.0, 1.0)] * (len(tfloc.cli.SWEEP_EPSILONS) - 2)]
+        monkeypatch.setattr(tfloc.cli, "norm_equivalence_constants",
+                            lambda classes, epsilons, p: ((0.5, 1.0), (0.25, 1.0), [(0.0, 1.0), *sweep]))
+        cfg = write_config(tmp_path, basic_config())
+        out = tmp_path / "o"
+        assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["code"] == "internal-error"
+        assert "0.2 -> 0.3" in err["message"]
+        assert not (out / "diagnostics.json").exists()
 
     def test_rounding_noise_is_written_as_zero(self, tmp_path):
         # on gabor16 the sums thresholded at 0.4 and above miss a subspace, so

@@ -48,6 +48,11 @@ class TestSymbol:
         with pytest.raises(InvalidArgumentError):
             Symbol(4, (0, 0), np.empty((0, 2), dtype=int), [])
 
+    def test_rejects_values_not_one_per_cell(self):
+        with pytest.raises(InvalidArgumentError, match="3 cells but 2 values") as info:
+            Symbol(4, (0, 0), [(0, 0), (0, 1), (1, 1)], [1.0, 1.0])
+        assert info.value.code == "invalid-argument"
+
     def test_rejects_duplicate_cells(self):
         with pytest.raises(InvalidArgumentError):
             Symbol(4, (0, 0), [(1, 1), (1, 1)], [1.0, 1.0])

@@ -20,7 +20,6 @@ from tfloc.frames import (
     assemble_frame,
     epsilon_sweep,
     frame_certificate,
-    norm_equivalence,
     norm_equivalence_constants,
     read_frame,
     reconstruct,
@@ -384,7 +383,7 @@ class TestShapeClasses:
         monkeypatch.setattr(tfloc.locop, "eigendecomp", lambda op: calls.append(op) or eigendecomp(op))
         frame = assemble_frame(cover, phi16, policy)
         cert = frame_certificate(frame)
-        c, C = norm_equivalence_constants(cover, phi16, "squared")
+        _, (c, C), _ = norm_equivalence_constants(region_classes(cover, phi16), [], cover.frequency_period)
         assert len(calls) == 2 * 3
         monkeypatch.undo()
         ops = list(region_operators(cover, phi16))
@@ -588,7 +587,8 @@ class TestWalnutBlocks:
         cert = frame_certificate(frame)
         cert.inverse
         reconstruct(frame, Signal(random_signal(np.random.default_rng(38), 64)))
-        assert len(norm_equivalence(classes, [0.1 * i for i in range(10)], cover.frequency_period)[2]) == 10
+        rows = norm_equivalence_constants(classes, [0.1 * i for i in range(10)], cover.frequency_period)[2]
+        assert len(rows) == 10
         # the certificate, the inverse, the certificate and solve of reconstruct, and
         # the 11 Gram sums: one per threshold, 0 among them as plain, and squared
         assert len(shapes) == 1 + 1 + 2 + 11
@@ -721,15 +721,16 @@ class TestReconstruct:
 
 class TestNormEquivalence:
     def test_single_whole_region_is_identity(self, phi16):
-        c, C = norm_equivalence_constants(whole_grid_cover(L16), phi16, "plain")
+        cover = whole_grid_cover(L16)
+        (c, C), _, _ = norm_equivalence_constants(region_classes(cover, phi16), [], cover.frequency_period)
         assert c == pytest.approx(1.0, abs=1e-9)
         assert C == pytest.approx(1.0, abs=1e-9)
 
     def test_golden_plain_and_squared(self, boxes16, phi16):
-        c, C = norm_equivalence_constants(boxes16, phi16, "plain")
+        (c, C), (c4, C4), _ = norm_equivalence_constants(region_classes(boxes16, phi16), [],
+                                                          boxes16.frequency_period)
         assert c == pytest.approx(REGULAR16_PLAIN_C, abs=1e-8)
         assert C == pytest.approx(REGULAR16_PLAIN_CC, abs=1e-8)
-        c4, C4 = norm_equivalence_constants(boxes16, phi16, "squared")
         assert c4 == pytest.approx(REGULAR16_SQUARED_C, abs=1e-8)
         assert C4 == pytest.approx(REGULAR16_SQUARED_CC, abs=1e-8)
 
@@ -743,7 +744,8 @@ class TestNormEquivalence:
 
     def test_thresholded_matches_frame_bound(self, boxes16, phi16, frame16):
         # for the eps-policy weighted frame, lambda_min(S) is exactly c(eps)
-        c, C = norm_equivalence_constants(boxes16, phi16, "thresholded", epsilon=0.2)
+        _, _, [(c, C)] = norm_equivalence_constants(region_classes(boxes16, phi16), [0.2],
+                                                     boxes16.frequency_period)
         cert = frame_certificate(frame16)
         assert c == pytest.approx(cert.A, abs=1e-9)
         assert C == pytest.approx(cert.B, abs=1e-9)
@@ -756,23 +758,17 @@ class TestNormEquivalence:
             total += op
         assert np.linalg.eigvalsh(total)[0] >= sum_min - 1e-9
 
-    def test_unknown_variant_rejected(self, boxes16, phi16):
-        with pytest.raises(InvalidArgumentError, match="unknown variant"):
-            norm_equivalence_constants(boxes16, phi16, "cubed")
-        with pytest.raises(InvalidArgumentError, match="requires epsilon"):
-            norm_equivalence_constants(boxes16, phi16, "thresholded")
-
     def test_plain_is_the_epsilon_zero_row(self, boxes16, phi16):
         classes = list(region_classes(boxes16, phi16))
-        plain, _, rows = norm_equivalence(classes, [0.3, 0.0, 0.1], boxes16.frequency_period)
+        plain, _, rows = norm_equivalence_constants(classes, [0.3, 0.0, 0.1], boxes16.frequency_period)
         assert rows[1] == plain  # bit for bit
         assert rows[0][0] <= rows[2][0] <= plain[0]
 
     def test_a_sweep_without_zero_gives_the_same_rows(self, boxes16, phi16):
         classes = list(region_classes(boxes16, phi16))
         sweep = [round(0.1 * i, 1) for i in range(10)]
-        with_zero = norm_equivalence(classes, sweep, boxes16.frequency_period)
-        without = norm_equivalence(classes, sweep[1:], boxes16.frequency_period)
+        with_zero = norm_equivalence_constants(classes, sweep, boxes16.frequency_period)
+        without = norm_equivalence_constants(classes, sweep[1:], boxes16.frequency_period)
         assert without[:2] == with_zero[:2]
         assert without[2] == with_zero[2][1:]  # bit for bit
 
@@ -785,7 +781,7 @@ class TestNormEquivalence:
         translated = tfloc.locop.Spectrum.translated
         monkeypatch.setattr(tfloc.locop.Spectrum, "translated",
                             lambda spec, shifts: calls.append(len(shifts)) or translated(spec, shifts))
-        norm_equivalence(classes, [0.1], cover.frequency_period)
+        norm_equivalence_constants(classes, [0.1], cover.frequency_period)
         assert sum(calls) == 64 and len(calls) < 64
 
 
@@ -1076,8 +1072,8 @@ class TestRandomCovers:
         frame = assemble_frame(cover, phi, SelectionPolicy("epsilon", epsilon=eps, n_max=L))
         ops = [direct_assemble(L, s.cells, s.values, phi.samples) for s in cover.regions]
         epsilons = [eps, *SWEEP_EPSILONS]
-        self.assert_constants_match_dense(ops, epsilons,
-                                          norm_equivalence(region_classes(cover, phi), epsilons, p))
+        self.assert_constants_match_dense(
+            ops, epsilons, norm_equivalence_constants(region_classes(cover, phi), epsilons, p))
         ev = np.linalg.eigvalsh(sum(th @ th for th in (thresholded(op, eps) for op in ops)))
         with tempfile.TemporaryDirectory() as tmp:
             files = [Path(tmp) / name for name in ("frame.json", "atoms.tfat", "one.json", "one.tfat")]
@@ -1095,8 +1091,8 @@ class TestRandomCovers:
 
     @staticmethod
     def assert_constants_match_dense(ops, epsilons, constants):
-        """``norm_equivalence``'s (plain, squared, rows) against the extreme eigenvalues of the
-        dense sums of op^2, op^4 and thresholded(op, e)^2 over the region operators ``ops``.
+        """The (plain, squared, rows) of ``norm_equivalence_constants`` against the extreme eigenvalues
+        of the dense sums of op^2, op^4 and thresholded(op, e)^2 over the region operators ``ops``.
 
         An eigenvalue bound is good to rounding on the scale of the operator's norm, so each
         pair is checked to 1e-12 of its own upper constant, and each thresholded row to 1e-12
@@ -1135,15 +1131,15 @@ class TestRandomCovers:
             ops.append(dense[m.tobytes()])
         eps = float(rng.uniform(0.05, 0.25))
         epsilons = [eps, *SWEEP_EPSILONS]
-        self.assert_constants_match_dense(ops, epsilons,
-                                          norm_equivalence(multiplier_classes(cover, system), epsilons, p))
+        self.assert_constants_match_dense(
+            ops, epsilons, norm_equivalence_constants(multiplier_classes(cover, system), epsilons, p))
         cert = frame_certificate(gabor_eigenframe(cover, system, SelectionPolicy("epsilon", epsilon=eps, n_max=L)))
         ev = np.linalg.eigvalsh(sum(th @ th for th in (thresholded(op, eps) for op in ops)))
         assert abs(cert.A - ev[0]) <= 1e-12 * ev[-1] and abs(cert.B - ev[-1]) <= 1e-12 * ev[-1]
 
     @staticmethod
     def assert_batch_free(classes, epsilons, frequency_period, n_regions):
-        """Every norm_equivalence constant, each thresholded row among them, is the same to
+        """Every norm-equivalence constant, each thresholded row among them, is the same to
         1e-12 of its pair's upper constant when each member batch holds a single member."""
         runs = []
         for bound in (tfloc.frames._BATCH_ENTRIES, 1):
@@ -1153,7 +1149,7 @@ class TestRandomCovers:
                 mp.setattr(tfloc.locop.Spectrum, "translated",
                            lambda spec, shifts: calls.append(len(shifts)) or translated(spec, shifts))
                 mp.setattr(tfloc.frames, "_BATCH_ENTRIES", bound)
-                plain, squared, rows = norm_equivalence(classes, epsilons, frequency_period)
+                plain, squared, rows = norm_equivalence_constants(classes, epsilons, frequency_period)
             runs.append([plain, squared, *rows])
         assert calls == [1] * n_regions  # one member per batch
         for (c, C), (c1, C1) in zip(*runs):

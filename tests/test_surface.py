@@ -61,13 +61,12 @@ def test_harness_only_names_are_pinned():
     # the names that only the benchmark keeps alive; new library code must
     # have a library caller, so this set may shrink but never grow
     library = parse_sources()[:-1]
-    assert public_names_without_caller(library) == {
-        "frames.norm_equivalence_constants", "frames.epsilon_sweep", "gabor.gabor_multiplier",
-    }
-    # the benchmark's frames.build_s sums the spans of these calls of a CLI frame build
+    assert public_names_without_caller(library) == {"frames.epsilon_sweep", "gabor.gabor_multiplier"}
+    # the benchmark wraps these names by identity: frames.build_s sums the spans of the
+    # first three in a CLI frame build, and frames.norm_equivalence times diagnose's pass
     cli = library[[p.name for p in MODULES].index("cli.py")]
     calls = {n.func.id for n in ast.walk(cli) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
-    assert {"assemble_frame", "canonical_tight", "gabor_eigenframe"} <= calls
+    assert {"assemble_frame", "canonical_tight", "gabor_eigenframe", "norm_equivalence_constants"} <= calls
 
 
 def test_every_public_method_has_a_caller():
@@ -120,7 +119,7 @@ def test_setup_leaves_numpy_ma_out():
 
 
 def test_frame_and_diagnose_leave_numpy_ma_out(tmp_path):
-    # the frequency period marks a count grid rather than calling np.isin or np.unique
+    # the frequency period compares sorted shifts rather than calling np.isin or np.unique
     code = (
         "import sys\n"
         "from tfloc.cli import main\n"
