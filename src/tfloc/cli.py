@@ -17,7 +17,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
 import numpy as np
 
@@ -51,16 +51,10 @@ from .frames import (
     write_certificate_json,
     write_frame,
 )
-from .locop import RANK_RTOL
-from .gabor import (
-    Lattice,
-    LatticeGaborSystem,
-    canonical_tight,
-    gabor_eigenframe,
-    lattice_coverage_min,
-    multiplier_classes,
-    require_lattice_cover,
-)
+
+# tfloc.gabor is imported in the lattice branches only, so a grid config never loads it
+if TYPE_CHECKING:
+    from .gabor import Lattice, LatticeGaborSystem
 
 SWEEP_EPSILONS = [round(0.1 * i, 1) for i in range(10)]
 # the largest grid a config may ask for; one L x L complex matrix is then 268 MB
@@ -183,6 +177,8 @@ def _parse_config(raw, path: Path) -> RunConfig:
 
     lattice = None
     if raw.get("lattice") is not None:
+        from .gabor import Lattice
+
         lat = _object(raw, "lattice")
         lattice = Lattice(L, *(_number(lat, k, integer=True, required=True) for k in ("a", "b")))
 
@@ -292,6 +288,8 @@ def _inputs(cfg: RunConfig, out_dir: Path) -> tuple[Window, Cover, LatticeGaborS
     cover = resolve_cover(cfg)
     adm = asdict(validate_cover(cover, **cfg.admissibility))
     if cfg.lattice is not None:
+        from .gabor import canonical_tight, lattice_coverage_min, require_lattice_cover
+
         # symbols are restricted to the lattice: coverage is judged there,
         # outer radius stays a full-grid notion
         lat_min = lattice_coverage_min(cover, cfg.lattice)
@@ -313,6 +311,8 @@ def _build_frame(cfg: RunConfig, cover: Cover, phi: Window,
     if system is None:
         frame = assemble_frame(cover, phi, cfg.policy, cfg.weighted)
         return frame, {"lattice": None, "measure": "l1_mass / L (operator trace)"}
+    from .gabor import gabor_eigenframe
+
     frame = gabor_eigenframe(cover, system, cfg.policy, cfg.weighted)
     return frame, {
         "lattice": {"a": system.lattice.a, "b": system.lattice.b},
@@ -353,6 +353,8 @@ def cmd_spectrogram(cfg: RunConfig, signal_path, out_dir: Path) -> int:
 
 
 def cmd_frame(cfg: RunConfig, out_dir: Path, timings: bool = False) -> int:
+    from .locop import RANK_RTOL
+
     t0 = time.perf_counter()
     phi, cover, system = _inputs(cfg, out_dir)
     t1 = time.perf_counter()
@@ -420,7 +422,12 @@ def cmd_reconstruct(cfg: RunConfig, signal_path, out_dir: Path) -> int:
 
 def cmd_diagnose(cfg: RunConfig, out_dir: Path) -> int:
     phi, cover, system = _inputs(cfg, out_dir)
-    classes = region_classes(cover, phi) if system is None else multiplier_classes(cover, system)
+    if system is None:
+        classes = region_classes(cover, phi)
+    else:
+        from .gabor import multiplier_classes
+
+        classes = multiplier_classes(cover, system)
     eps = cfg.policy.epsilon if cfg.policy.mode == "epsilon" else 1.0 / cfg.policy.alpha
     (c_plain, C_plain), (c_sq, C_sq), [(c_th, C_th), *rows] = norm_equivalence_constants(
         classes, [eps, *SWEEP_EPSILONS], cover.frequency_period)

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import DimensionError, InvalidArgumentError, NumericError
 
 GAUSS_PERIODIZATION_TERMS = 6  # |n| <= 6; tail below double precision for L >= 2
+_INT64_MAX = 2**63 - 1
 
 
 def _as_complex_vector(samples, L: int | None = None) -> np.ndarray:
@@ -55,7 +56,7 @@ def _gram_blocks(G: np.ndarray, p: int) -> np.ndarray:
     return _residue_rows(G, p) @ _residue_rows(G.conj(), p).transpose(0, 2, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Signal:
     """A complex vector on Z_L."""
 
@@ -75,7 +76,7 @@ class Signal:
         return float(np.linalg.norm(self.samples))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Window(Signal):
     """A unit-norm window on Z_L: ||phi||_2 = 1 to 1e-12, checked on construction."""
 

@@ -17,13 +17,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import read_json
+from .core import _INT64_MAX, read_json
 from .errors import InvalidArgumentError
 
-_INT64_MAX = 2**63 - 1
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Symbol:
     """One nonnegative mask eta on the grid, stored sparsely.
 
@@ -80,7 +78,7 @@ class ShapeClass(NamedTuple):
     shifts: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cover:
     """An indexed family of Symbols on a common grid, in shape classes ordered by representative.
 
@@ -91,7 +89,7 @@ class Cover:
     L: int
     regions: tuple[Symbol, ...]
     shape_keys: InitVar[Sequence | None] = None
-    classes: tuple[ShapeClass, ...] = field(init=False, repr=False, compare=False)
+    classes: tuple[ShapeClass, ...] = field(init=False, repr=False)
 
     def __post_init__(self, shape_keys):
         regions = tuple(self.regions)

@@ -31,11 +31,11 @@ import warnings
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import Signal, Window, _from_residue_rows, _gram_blocks, _residue_rows, read_json, write_json
-from .covers import _INT64_MAX, Cover, ShapeClass
+from .core import _INT64_MAX, Signal, _from_residue_rows, _gram_blocks, _residue_rows, read_json, write_json
 from .errors import (
     EmptyFrameError,
     InvalidArgumentError,
@@ -43,7 +43,11 @@ from .errors import (
     NumericError,
     PreconditionViolation,
 )
-from .locop import ClassSpectrum, Spectrum, class_spectra
+
+if TYPE_CHECKING:  # a stored frame is read, certified and reconstructed without these modules
+    from .core import Window
+    from .covers import Cover, ShapeClass
+    from .locop import ClassSpectrum, Spectrum
 
 _UNIT_NORM_TOL = 1e-9
 LOWER_BOUND_RTOL = 1e-9  # a lower frame bound or constant is positive above this share of the upper
@@ -102,7 +106,7 @@ def select_eigenfunctions(spec: Spectrum, measure: float, policy: SelectionPolic
     return min(n, policy.n_max, spec.eigenvalues.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenFrame:
     """The atoms v_i as rows, in region order, with one array entry per atom.
 
@@ -141,7 +145,7 @@ class EigenFrame:
             raise InvalidArgumentError(f"frequency period {self.frequency_period} must divide L={self.L}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameCertificate:
     """The frame bounds of ``frame``, the frame object it certified (``frame_certificate``), and
     its S as (L/p, p, p) Walnut blocks: blocks[r, j, k] = S[r + j L/p, r + k L/p]."""
@@ -152,7 +156,7 @@ class FrameCertificate:
     blocks: np.ndarray
     is_frame: bool
     a_tol: float
-    frame: EigenFrame = field(repr=False, compare=False)
+    frame: EigenFrame = field(repr=False)
 
     def solve(self, Y: np.ndarray) -> np.ndarray:
         """S^{-1} Y for an L x k ``Y``: one batched solve over the blocks."""
@@ -176,6 +180,8 @@ def region_classes(cover: Cover, phi: Window) -> Iterator[ClassSpectrum]:
     sum_min = cover.coverage[1]
     if sum_min <= 0.0:
         raise PreconditionViolation(f"cover does not cover the grid (min symbol sum {sum_min!r})")
+    from .locop import class_spectra
+
     return class_spectra(cover.classes, phi)
 
 
@@ -200,6 +206,8 @@ def eigenframe_from_classes(L: int, classes: Iterable[ClassSpectrum], policy: Se
     are translated to its members in a few gathers (``_member_batches``)
     and written to their rows.  The frame records ``frequency_period``, the cover's.
     """
+    from .locop import Spectrum
+
     selected = []  # each class's selected eigenpairs
     for spec, measure, cls in classes:
         if not spec.eigenvalues.size:

@@ -78,7 +78,7 @@ def _walnut_blocks(phi: Window, lattice: Lattice) -> np.ndarray:
     return (L // lattice.b) * _gram_blocks(T, lattice.b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticeGaborSystem:
     """A tight window on a lattice, as only ``canonical_tight`` makes it.
 

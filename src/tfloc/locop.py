@@ -65,7 +65,7 @@ def _unit_roots(L: int) -> np.ndarray:
     return np.exp((2j * np.pi / L) * np.arange(L))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """The r eigenpairs with lambda > RANK_RTOL lambda_1 of a Hermitian operator, descending.
 

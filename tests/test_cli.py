@@ -659,7 +659,7 @@ class TestFrame:
         payload = json.loads((CONFIG_DIR / "gabor16.json").read_text())
         cfg = write_config(tmp_path, {**payload, "cover": {"file": "cover.json"}})
         calls = []
-        monkeypatch.setattr(tfloc.cli, "canonical_tight", lambda *a: calls.append(a))
+        monkeypatch.setattr(tfloc.gabor, "canonical_tight", lambda *a: calls.append(a))
         out = tmp_path / "o"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
         err = json.loads((out / "error.json").read_text())

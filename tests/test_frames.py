@@ -253,6 +253,16 @@ class TestAssembleFrame:
             gram = np.abs(V[:, mine].conj().T @ V[:, mine])
             assert np.all(gram[~np.eye(mine.sum(), dtype=bool)] <= 1e-9)
 
+    def test_frames_compare_by_identity(self, boxes16, phi16):
+        # records that hold arrays have no field-wise == (it would ask an array for its truth value)
+        policy = SelectionPolicy("epsilon", epsilon=0.2, n_max=L16)
+        a, b = (assemble_frame(boxes16, phi16, policy) for _ in range(2))
+        np.testing.assert_array_equal(a.atoms, b.atoms)
+        ca, cb = frame_certificate(a), frame_certificate(b)
+        for x, y in ((a, b), (ca, cb), (Window(phi16.samples), Window(phi16.samples))):
+            assert x == x and x != y and not x == y
+            assert len({x, x, y}) == 2  # both hash
+
     def test_empty_selection_raises(self, boxes16, phi16):
         with pytest.raises(EmptyFrameError):
             assemble_frame(boxes16, phi16, SelectionPolicy("epsilon", epsilon=10.0, n_max=L16))

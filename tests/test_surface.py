@@ -6,8 +6,9 @@ referenced, as a name or an attribute, somewhere in those modules or in
 ``perfbench/child.py`` outside its own definition.  Tests do not count: a
 name that only tests call belongs in ``tests/helpers.py``.  The names that
 only ``child.py`` calls are pinned, so new code is not kept alive by the
-benchmark alone.  And importing the package and its CLI loads no ``scipy``,
-which only the tests use.
+benchmark alone.  Importing the package and its CLI loads no ``scipy``,
+which only the tests use, and each entry point loads only the tfloc modules
+its work calls.
 """
 
 import ast
@@ -91,31 +92,37 @@ def test_every_public_method_has_a_caller():
     assert not unused, f"public methods and properties with no caller outside tests: {unused}"
 
 
+def fresh(code: str, *args) -> str:
+    """The stripped stdout of ``code`` run in a new interpreter with ``args`` as its argv[1:]."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env, capture_output=True, text=True,
+                         check=True)
+    return out.stdout.strip()
+
+
+# prints the tfloc submodules the process has loaded
+LOADED = "print(sorted(m for m in sys.modules if m.startswith('tfloc.')))\n"
+SETUP = (
+    "import sys\n"
+    "from tfloc.cli import load_config, resolve_cover, resolve_window\n"
+    "from tfloc.covers import validate_cover\n"
+    "for path in sys.argv[1:]:\n"
+    "    cfg = load_config(path)\n"
+    "    resolve_window(cfg)\n"
+    "    validate_cover(resolve_cover(cfg), **cfg.admissibility)\n"
+)
+
+
 def test_import_leaves_scipy_out():
     # numpy is the only runtime dependency; scipy is a test-only oracle
-    code = "import sys, tfloc, tfloc.cli; print('scipy' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert fresh("import sys, tfloc, tfloc.cli; print('scipy' in sys.modules)") == "False"
 
 
 def test_setup_leaves_numpy_ma_out():
     # a bare np.unique imports numpy.ma, which costs every process 10-15 ms
     # and 1.3 MB; loading, generating, reading and validating covers need none
-    code = (
-        "import sys\n"
-        "from tfloc.cli import load_config, resolve_cover, resolve_window\n"
-        "from tfloc.covers import validate_cover\n"
-        "for path in sys.argv[1:]:\n"
-        "    cfg = load_config(path)\n"
-        "    resolve_window(cfg)\n"
-        "    validate_cover(resolve_cover(cfg), **cfg.admissibility)\n"
-        "print('numpy.ma' in sys.modules)\n"
-    )
-    configs = [str(ROOT / "configs" / name) for name in ("regular16.json", "gabor16.json")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code, *configs], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    configs = [ROOT / "configs" / name for name in ("regular16.json", "gabor16.json")]
+    assert fresh(SETUP + "print('numpy.ma' in sys.modules)\n", *configs) == "False"
 
 
 def test_frame_and_diagnose_leave_numpy_ma_out(tmp_path):
@@ -128,11 +135,65 @@ def test_frame_and_diagnose_leave_numpy_ma_out(tmp_path):
         "        assert main([command, '--config', path, '--out', sys.argv[1]]) == 0\n"
         "print('numpy.ma' in sys.modules)\n"
     )
-    configs = [str(ROOT / "configs" / name) for name in ("regular16.json", "gabor16.json")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code, str(tmp_path), *configs], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+    configs = [ROOT / "configs" / name for name in ("regular16.json", "gabor16.json")]
+    assert fresh(code, tmp_path, *configs) == "False"
+
+
+class TestLayering:
+    """A process loads only the tfloc modules its work calls (the package is lazy)."""
+
+    def test_import_loads_no_submodule(self):
+        assert fresh("import sys, tfloc\n" + LOADED) == "[]"
+
+    def test_stored_frame_needs_only_frames_core_errors(self, tmp_path):
+        from tfloc.cli import main
+
+        assert main(["frame", "--config", str(ROOT / "configs" / "regular16.json"), "--out", str(tmp_path)]) == 0
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from tfloc.core import Signal\n"
+            "from tfloc.frames import frame_certificate, read_frame, reconstruct\n"
+            "frame = read_frame(sys.argv[1] + '/frame.json', sys.argv[1] + '/frame_atoms.tfat')\n"
+            "_, rel = reconstruct(frame, Signal(np.arange(16.0)), frame_certificate(frame))\n"
+            "assert rel < 1e-8, rel\n"
+        )
+        assert fresh(code + LOADED, tmp_path) == "['tfloc.core', 'tfloc.errors', 'tfloc.frames']"
+
+    def test_grid_setup_loads_no_operator_or_gabor_module(self):
+        loaded = fresh(SETUP + LOADED, ROOT / "configs" / "regular16.json")
+        assert loaded == "['tfloc.cli', 'tfloc.core', 'tfloc.covers', 'tfloc.errors', 'tfloc.frames']"
+
+    def test_lattice_commands_load_gabor_when_they_run(self, tmp_path):
+        code = (
+            "import sys\n"
+            "from tfloc.cli import main\n"
+            "assert 'tfloc.gabor' not in sys.modules\n"
+            "for command in ('frame', 'diagnose'):\n"
+            "    assert main([command, '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "print('tfloc.gabor' in sys.modules)\n"
+        )
+        assert fresh(code, ROOT / "configs" / "gabor16.json", tmp_path) == "True"
+
+
+def test_lazy_package_keeps_its_names():
+    # in a new interpreter, so no submodule is loaded before the names are looked up
+    code = (
+        "import sys, tfloc\n"
+        "assert tfloc.locop.eigendecomp is sys.modules['tfloc.locop'].eigendecomp\n"
+        "assert set(tfloc.__all__) <= set(dir(tfloc))\n"
+        "for name in tfloc.__all__:\n"
+        "    obj = getattr(tfloc, name)\n"
+        "    assert obj.__module__.startswith('tfloc.') and getattr(sys.modules[obj.__module__], name) is obj\n"
+        "star = {}\n"
+        "exec('from tfloc import *', star)\n"
+        "assert all(star[name] is getattr(tfloc, name) for name in tfloc.__all__)\n"
+        "try:\n"
+        "    tfloc.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert fresh(code) == "module 'tfloc' has no attribute 'no_such_name'"
 
 
 def test_script_entry_is_the_main_block_entry():
