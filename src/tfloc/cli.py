@@ -15,7 +15,7 @@ import contextlib
 import gc
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn
 
@@ -362,10 +362,7 @@ def cmd_frame(cfg: RunConfig, out_dir: Path, timings: bool = False) -> int:
     t2 = time.perf_counter()
     cert = frame_certificate(frame)
     t3 = time.perf_counter()
-    # after the certificate (``_frame_source``): cert.frame has no source, and is not reconstructed
-    frame = replace(frame, source=_frame_source(cfg, cover, phi))
-
-    write_frame(out_dir / "frame.json", out_dir / "frame_atoms.tfat", frame)
+    write_frame(out_dir / "frame.json", out_dir / "frame_atoms.tfat", frame, _frame_source(cfg, cover, phi))
     write_certificate_json(out_dir / "certificate.json", cert)
     if isinstance(cfg.cover_source, tuple):
         write_cover_json(out_dir / "cover.json", cover)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -161,6 +162,23 @@ def read_signal_csv(path) -> Signal:
     except InvalidArgumentError as exc:
         exc.context.setdefault("path", str(path))
         raise
+
+
+def _json_array(value, kinds: str) -> np.ndarray | None:
+    """``value`` as an array if every entry has a dtype kind in ``kinds``, else None.
+
+    A JSON boolean is no number here, although numpy reads [true, 1] as [1, 1].
+    """
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        return None
+    if arr.dtype.kind not in kinds:
+        return None
+    entries = value
+    for _ in range(arr.ndim - 1):
+        entries = chain.from_iterable(entries)
+    return None if arr.ndim and bool in set(map(type, entries)) else arr
 
 
 def read_json(path, what: str):

@@ -12,12 +12,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import _INT64_MAX, read_json
+from .core import _INT64_MAX, _json_array, read_json
 from .errors import InvalidArgumentError
 
 
@@ -307,14 +306,10 @@ def gen_random_irregular(L: int, seed: int, target_size: int, overlap: float) ->
     while not covered.all():
         flat = int(np.argmin(covered))  # first uncovered cell, row-major
         ax, axi = divmod(flat, L)
-        if jitter:
-            wd = int(np.clip(target_size + rng.integers(-jitter, jitter + 1), 2, L))
-            ht = int(np.clip(target_size + rng.integers(-jitter, jitter + 1), 2, L))
-            sx = int(rng.integers(0, min(jitter, wd - 1) + 1))
-            sxi = int(rng.integers(0, min(jitter, ht - 1) + 1))
-        else:
-            wd = ht = target_size
-            sx = sxi = 0
+        wd = int(np.clip(target_size + rng.integers(-jitter, jitter + 1), 2, L))
+        ht = int(np.clip(target_size + rng.integers(-jitter, jitter + 1), 2, L))
+        sx = int(rng.integers(0, min(jitter, wd - 1) + 1))
+        sxi = int(rng.integers(0, min(jitter, ht - 1) + 1))
         x0, xi0 = (ax - sx) % L, (axi - sxi) % L
         boxes.append((x0, xi0, wd, ht))
         covered[np.ix_((x0 + np.arange(wd)) % L, (xi0 + np.arange(ht)) % L)] = True
@@ -327,23 +322,6 @@ def gen_random_irregular(L: int, seed: int, target_size: int, overlap: float) ->
 #                           "values": [...]}]}
 # `values` is omitted when all 1.0; readers accept any key order.
 # ---------------------------------------------------------------------------
-
-def _json_array(value, kinds: str) -> np.ndarray | None:
-    """``value`` as an array if every entry has a dtype kind in ``kinds``, else None.
-
-    A JSON boolean is no number here, although numpy reads [true, 1] as [1, 1].
-    """
-    try:
-        arr = np.asarray(value)
-    except ValueError:  # ragged nesting
-        return None
-    if arr.dtype.kind not in kinds:
-        return None
-    entries = value
-    for _ in range(arr.ndim - 1):
-        entries = chain.from_iterable(entries)
-    return None if arr.ndim and bool in set(map(type, entries)) else arr
-
 
 def cover_from_dict(data) -> Cover:
     """Cover from parsed cover JSON; a malformed entry is an InvalidArgumentError."""

@@ -17,8 +17,8 @@ Time-Frequency Analysis, 6.3), block r acting on the samples r + j L/p,
 j < p (``core._residue_rows``).  The certificate, S^{-1} in reconstruction
 and the ``norm_equivalence_constants`` sums all work on those blocks; p = L
 is one block, the dense operator.  A stored frame keeps its p
-(``write_frame``), and ``read_frame`` checks it as that commutation,
-S pi(0, p) = pi(0, p) S.
+(``write_frame``), and every frame, built, read or replaced, checks it as
+that commutation, S pi(0, p) = pi(0, p) S (``EigenFrame``).
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import _INT64_MAX, Signal, _from_residue_rows, _gram_blocks, _residue_rows, read_json, write_json
+from .core import (_INT64_MAX, Signal, _from_residue_rows, _gram_blocks, _json_array, _residue_rows, read_json,
+                   write_json)
 from .errors import (
     EmptyFrameError,
     InvalidArgumentError,
@@ -116,8 +117,8 @@ class EigenFrame:
     the region index, ``ks`` the 1-based eigenvalue index within the region and
     ``lams`` the eigenvalue.  ``frequency_period`` is the p of the cover the frame
     was built from (``Cover.frequency_period``), which sets the Walnut blocks of its
-    frame operator; a stored frame keeps it (``write_frame``).  A frame has at
-    least one atom.
+    frame operator; a stored frame keeps it (``write_frame``).  A p < L is checked
+    on construction: the atoms must have it.  A frame has at least one atom.
     """
 
     L: int
@@ -128,7 +129,7 @@ class EigenFrame:
     lams: np.ndarray
     weighted: bool
     frequency_period: int
-    source: str | None = None  # fingerprint of the inputs the frame was built from
+    source: str | None = None  # a stored frame's fingerprint of the inputs it was built from
 
     def __post_init__(self):
         n = self.lams.size
@@ -141,8 +142,17 @@ class EigenFrame:
             if getattr(self, name).shape != (n,):
                 raise InvalidArgumentError(f"{name} must hold one entry per atom ({n}), "
                                            f"not shape {getattr(self, name).shape}")
-        if self.frequency_period < 1 or self.L % self.frequency_period:
-            raise InvalidArgumentError(f"frequency period {self.frequency_period} must divide L={self.L}")
+        p, L = self.frequency_period, self.L
+        if p < 1 or L % p:
+            raise InvalidArgumentError(f"frequency period {p} must divide L={L}")
+        if p < L:
+            # S keeps to its Walnut blocks iff S M u = M S u, M = pi(0, p), u a fixed probe; NaN weights pass here
+            t = np.arange(L, dtype=np.float64)
+            u, M = np.exp(1j * t**2), np.exp(2j * np.pi * p * t / L)
+            w2 = (self.weights / (self.weights.max() or 1.0)) ** 2
+            SU = self.atoms.T @ (w2[:, None] * np.conj(self.atoms @ np.conj(np.column_stack([u, M * u]))))
+            if np.linalg.norm(SU[:, 1] - M * SU[:, 0]) > 1e-10 * np.linalg.norm(SU[:, 0]):
+                raise InvalidArgumentError(f"the atoms lack frequency period {p}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,8 +399,10 @@ def epsilon_sweep(cover: Cover, phi: Window, epsilons) -> list[tuple[float, floa
 _ATOM_JSON = '  {\n   "gamma": %d,\n   "k": %d,\n   "lambda": %r,\n   "weight": %r,\n   "offset": %d\n  }'
 
 
-def write_frame(manifest_path, atoms_path, frame: EigenFrame) -> None:
-    """The atoms file, ``frame.atoms`` written whole as its records, and the manifest in ``write_json``'s bytes."""
+def write_frame(manifest_path, atoms_path, frame: EigenFrame, source: str | None = None) -> None:
+    """The atoms file, ``frame.atoms`` written whole as its records, and the manifest in ``write_json``'s bytes,
+    with the fingerprint of the frame's inputs, ``source`` or else a read frame's ``frame.source``, if any."""
+    source = frame.source if source is None else source
     with open(atoms_path, "wb") as fh:
         fh.write(b"TFAT")
         fh.write(np.ascontiguousarray(frame.atoms, dtype="<c16").data)
@@ -398,8 +410,8 @@ def write_frame(manifest_path, atoms_path, frame: EigenFrame) -> None:
     columns = zip(frame.gammas.tolist(), frame.ks.tolist(), frame.lams.tolist(),
                   frame.weights.tolist(), offsets)
     head = f'{{\n "L": {frame.L},\n "weighted": {"true" if frame.weighted else "false"},\n'
-    if frame.source is not None:
-        head += f' "source": {json.dumps(frame.source)},\n'
+    if source is not None:
+        head += f' "source": {json.dumps(source)},\n'
     with open(manifest_path, "w", newline="") as fh:
         fh.write(head + f' "frequency_period": {frame.frequency_period},\n "atoms": [\n')
         fh.write(",\n".join([_ATOM_JSON % row for row in columns]))
@@ -409,25 +421,22 @@ def write_frame(manifest_path, atoms_path, frame: EigenFrame) -> None:
 def _manifest_columns(entries) -> list[np.ndarray]:
     """The offset, weight, gamma, k and lambda columns of the manifest's atom entries.
 
-    ValueError if an entry is malformed: the integers must be JSON integers
-    in the 64-bit range (offset, gamma >= 0, k >= 1), the weight a finite
-    number >= 0 and lambda a finite number; a JSON boolean is neither.
+    ValueError unless each is a JSON number array (``core._json_array``: no boolean) in range: the
+    integers in the 64-bit range (offset, gamma >= 0, k >= 1), the weight finite and >= 0, lambda finite.
     """
-    cols = {key: [e[key] for e in entries] for key in ("offset", "weight", "gamma", "k", "lambda")}
-    for key, low in (("offset", 0), ("gamma", 0), ("k", 1)):
-        bad = [v for v in cols[key] if type(v) is not int or not low <= v <= _INT64_MAX]
-        if bad:
-            raise ValueError(f"{key} must be an integer in [{low}, {_INT64_MAX}], not {bad[0]!r}")
-    for key in ("weight", "lambda"):
-        # NaN fails the comparison, and so does an int past the float range
-        bad = [v for v in cols[key] if type(v) not in (int, float) or not abs(v) <= sys.float_info.max]
-        if bad:
-            raise ValueError(f"{key} must be a finite number, not {bad[0]!r}")
-    bad = [v for v in cols["weight"] if v < 0]
-    if bad:
-        raise ValueError(f"weight must be >= 0, not {bad[0]!r}")
-    return [np.array(v, dtype=np.float64 if key in ("weight", "lambda") else np.int64)
-            for key, v in cols.items()]
+    columns = []
+    # key, the dtype kinds its array may have, its range (NaN is outside), the range in words, the column's dtype
+    for key, kinds, low, high, what, dtype in (
+            ("offset", "iu", 0, _INT64_MAX, f"an integer in [0, {_INT64_MAX}]", np.int64),
+            ("weight", "iuf", 0.0, sys.float_info.max, "a finite number >= 0", np.float64),
+            ("gamma", "iu", 0, _INT64_MAX, f"an integer in [0, {_INT64_MAX}]", np.int64),
+            ("k", "iu", 1, _INT64_MAX, f"an integer in [1, {_INT64_MAX}]", np.int64),
+            ("lambda", "iuf", -sys.float_info.max, sys.float_info.max, "a finite number", np.float64)):
+        column = _json_array([e[key] for e in entries], kinds)
+        if column is None or column.ndim != 1 or not ((column >= low) & (column <= high)).all():
+            raise ValueError(f"{key} must be {what} in every atom entry")
+        columns.append(column.astype(dtype))
+    return columns
 
 
 def read_frame(manifest_path, atoms_path) -> EigenFrame:
@@ -443,9 +452,9 @@ def read_frame(manifest_path, atoms_path) -> EigenFrame:
         p = manifest.get("frequency_period", L)  # absent in older files: one block, which any atoms keep
         if type(p) is not int or p < 1 or L % p:
             raise ValueError(f"frequency_period must be an integer >= 1 dividing L={L}, not {p!r}")
-        offsets, weights, gammas, ks, lams = _manifest_columns(manifest["atoms"])
-        if not offsets.size:
+        if not manifest["atoms"]:
             raise ValueError("the manifest lists no atoms")
+        offsets, weights, gammas, ks, lams = _manifest_columns(manifest["atoms"])
         want = lams if weighted else np.ones_like(lams)  # the only weights write_frame writes
         bad = np.flatnonzero(weights != want)
         if bad.size:
@@ -475,15 +484,11 @@ def read_frame(manifest_path, atoms_path) -> EigenFrame:
     if bad.size:
         raise InvalidArgumentError(f"atom record at offset {offsets[bad[0]]} is not a finite unit vector",
                                    path=str(atoms_path))
-    if p < L:
-        # S keeps to its Walnut blocks iff it commutes with M = pi(0, p): S M u = M S u, checked on one
-        # fixed probe u of phase t^2, S v = sum w_i^2 <v, v_i> v_i with weights scaled to a largest of 1
-        t = np.arange(L, dtype=np.float64)
-        u, M, w2 = np.exp(1j * t**2), np.exp(2j * np.pi * p * t / L), (weights / (weights.max() or 1.0)) ** 2
-        SU = atoms.T @ (w2[:, None] * np.conj(atoms @ np.conj(np.column_stack([u, M * u]))))
-        if not np.linalg.norm(SU[:, 1] - M * SU[:, 0]) <= 1e-10 * np.linalg.norm(SU[:, 0]):
-            raise InvalidArgumentError(f"the atoms lack frequency period {p}", path=str(manifest_path))
-    return EigenFrame(L, atoms, weights, gammas, ks, lams, weighted, p, source)
+    try:  # the atoms are checked for the period p on construction
+        return EigenFrame(L, atoms, weights, gammas, ks, lams, weighted, p, source)
+    except InvalidArgumentError as exc:
+        exc.context.setdefault("path", str(manifest_path))
+        raise
 
 
 def write_certificate_json(path, cert: FrameCertificate) -> None:

@@ -23,11 +23,11 @@ For a real window, conjugation gives conj(H_eta) = H_{eta(x, -xi)}.  So when
 eta is symmetric in frequency about an axis c2, eta(x, (c2 - xi) mod L) =
 eta(x, xi) on every cell, as a box, a wedge box and a lattice box are, then
 D* H D is real symmetric, D = diag(e^{i pi c2 t / L}).  The class stream tests
-this exactly (``_frequency_axis``: one candidate axis, then a multiset
-equality of cells and values) and, when it holds and the window is real,
-assembles and eigensolves the block of D* H D in real arithmetic; the
-eigenvectors u map back to D u.  Any other symbol or window gets the complex
-block from the same assembly (``_block_operator``).
+this exactly (``_frequency_axis``: one candidate axis, then an equality of
+mirrored cells and values in each time group) and, when it holds and the
+window is real, assembles and eigensolves the block of D* H D in real
+arithmetic; the eigenvectors u map back to D u.  Any other symbol or window
+gets the complex block from the same assembly (``_block_operator``).
 
 Phase convention: ``eigendecomp`` scales each solved eigenvector so that its
 anchor entry is real and positive.  The anchor is the lowest index whose
@@ -100,11 +100,12 @@ class Spectrum:
         return out
 
 
-def _time_groups(eta: Symbol) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _time_groups(eta: Symbol) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(xs, xis, values): eta's distinct time shifts grouped by equal (xi, value) rows.
 
-    Each group is the time shifts ``xs`` whose cells are exactly
-    (x, xis[k]) with the values ``values[k]``; a box is one group.
+    Each group is the time shifts ``xs`` whose cells are exactly (x, xis[k]),
+    xis ascending, with the values ``values[k]``; a box is one group, and
+    the first group holds eta's least x.
     """
     order = np.lexsort((eta.cells[:, 1], eta.cells[:, 0]))
     cells, values = eta.cells[order], eta.values[order]
@@ -113,35 +114,34 @@ def _time_groups(eta: Symbol) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarr
     for x, lo, hi in zip(xs.tolist(), starts, [*starts[1:], cells.shape[0]]):
         xis, vals = cells[lo:hi, 1], values[lo:hi]
         groups.setdefault((xis.tobytes(), vals.tobytes()), (xis, vals, []))[2].append(x)
-    return ((np.array(g), xis, vals) for xis, vals, g in groups.values())
+    return [(np.array(g), xis, vals) for xis, vals, g in groups.values()]
 
 
-def _frequency_axis(eta: Symbol) -> int | None:
-    """A c2 with eta(x, (c2 - xi) mod L) = eta(x, xi) on every cell, or None.
+def _frequency_axis(groups: list, L: int) -> int | None:
+    """A c2 with eta(x, (c2 - xi) mod L) = eta(x, xi) on every cell, or None, from eta's time groups.
 
     The one candidate mirrors the arc of the first time column: the xi of
     its cells, read around the circle from past its widest gap.  The test is
-    exact, a multiset equality of cells and values.
+    exact: in each group, the mirrored xis, sorted, are its xis, with their values.
     """
-    L = eta.L
-    col = np.sort(eta.cells[eta.cells[:, 0] == eta.cells[:, 0].min(), 1])
+    col = groups[0][1]
     gaps = np.diff(col, append=col[0] + L)
     i = int(np.argmax(gaps))
     c2 = int(col[i] + col[(i + 1) % col.size]) + (L if i + 1 < col.size else 0)
-    flat = eta.cells[:, 0] * L + eta.cells[:, 1]
-    mirrored = flat - eta.cells[:, 1] + (c2 - eta.cells[:, 1]) % L
-    a, b = np.argsort(flat), np.argsort(mirrored)
-    if np.array_equal(flat[a], mirrored[b]) and np.array_equal(eta.values[a], eta.values[b]):
-        return c2 % (2 * L)
-    return None
+    for _, xis, vals in groups:
+        mirrored = (c2 - xis) % L
+        order = np.argsort(mirrored)
+        if not (np.array_equal(mirrored[order], xis) and np.array_equal(vals[order], vals)):
+            return None
+    return c2 % (2 * L)
 
 
-def _block_operator(eta: Symbol, w: np.ndarray, rows: np.ndarray, axis: int | None = None) -> np.ndarray:
-    """The principal block H_eta[rows, rows], or its real form given a frequency axis.
+def _block_operator(groups: list, w: np.ndarray, rows: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """The principal block H_eta[rows, rows] from eta's time groups, or its real form given a frequency axis.
 
     Summing the modulations of one time group g (``_time_groups``) leaves
     a Toeplitz factor: H[t, t'] = (1/L) sum_g (sum_{x in g} w(t - x)
-    conj(w(t' - x))) k_g(t - t'), k_g(s) = sum_xi eta(x, xi) e^{2 pi i xi s / L}.
+    conj(w(t' - x))) k_g(t - t'), k_g(s) = sum_xi eta(x, xi) e^{2 pi i xi s / L}, L = |w|.
     Given ``axis`` c2 (``_frequency_axis``) and a real window, the block
     returned is D* H[rows, rows] D, D = diag(e^{i pi c2 t / L}), assembled in
     real arithmetic: its kernel is d_g(s) = sum_xi eta cos(pi (2 xi - c2) s / L),
@@ -149,7 +149,7 @@ def _block_operator(eta: Symbol, w: np.ndarray, rows: np.ndarray, axis: int | No
     the 2L-th roots of unity at an exact integer index.  O(|rows|^2 |supp eta|)
     at worst; a box costs one |rows| x |rows| product over its time shifts.
     """
-    L = eta.L
+    L = w.size
     roots = _unit_roots(2 * L)
     if axis is None:
         axis = 0
@@ -158,7 +158,7 @@ def _block_operator(eta: Symbol, w: np.ndarray, rows: np.ndarray, axis: int | No
     lags = np.arange(1 - L, L)[:, None]
     at = rows[:, None] - rows[None, :] + (L - 1)
     M = np.zeros((rows.size, rows.size), dtype=roots.dtype)
-    for xs, xis, vals in _time_groups(eta):
+    for xs, xis, vals in groups:
         kernel = roots[(lags * (2 * xis - axis)[None, :]) % (2 * L)] @ vals
         W = w[(rows[:, None] - xs[None, :]) % L]
         M += (W @ W.conj().T) * kernel[at]
@@ -167,7 +167,7 @@ def _block_operator(eta: Symbol, w: np.ndarray, rows: np.ndarray, axis: int | No
 
 def assemble_locop(eta: Symbol, phi: Window) -> np.ndarray:
     """H_eta as a dense L x L matrix (``_block_operator`` on all rows)."""
-    return _block_operator(eta, _as_complex_vector(phi.samples, eta.L), np.arange(eta.L))
+    return _block_operator(_time_groups(eta), _as_complex_vector(phi.samples, eta.L), np.arange(eta.L))
 
 
 def _time_support(eta: Symbol, w: np.ndarray) -> np.ndarray:
@@ -234,8 +234,9 @@ def _class_spectrum(cls: ShapeClass, phi: Window) -> ClassSpectrum:
     L = rep.L
     w = _as_complex_vector(phi.samples, L)
     J = _time_support(rep, w)
-    axis = None if w.imag.any() else _frequency_axis(rep)
-    block = eigendecomp(_block_operator(rep, w, J, axis))
+    groups = _time_groups(rep)
+    axis = None if w.imag.any() else _frequency_axis(groups, L)
+    block = eigendecomp(_block_operator(groups, w, J, axis))
     V = np.zeros((L, block.eigenvalues.size), dtype=np.complex128)
     V[J] = block.eigenvectors
     if axis is not None:

@@ -85,11 +85,15 @@ MANIFEST_KEYS = st.sampled_from(["L", "weighted", "source", "frequency_period", 
 ATOM_KEYS = st.sampled_from(["offset", "weight", "gamma", "k", "lambda"])
 NAN_BYTES = np.array([np.nan], "<f8").tobytes()
 # one corruption of a stored frame: a manifest field set or dropped (at the
-# top level or in the first or last atom entry), or the atoms file truncated,
-# given another magic, or overwritten at some position by NaN or other bytes
+# top level or in the first or last atom entry), one atom key set in both the
+# first and the last entry to values that numpy reads as another column type
+# (an int beside a bool; 2**63 beside 1, uint64 or float64 by numpy version;
+# an integer key's 1.0), or the atoms file truncated, given another magic, or
+# overwritten at some position by NaN or other bytes
 FRAME_EDITS = st.one_of(
     st.tuples(st.just("set"), st.none(), MANIFEST_KEYS, JSON_VALUES),
     st.tuples(st.just("set"), st.sampled_from([0, -1]), ATOM_KEYS, JSON_VALUES),
+    st.tuples(st.just("ends"), ATOM_KEYS, st.sampled_from([(1, True), (0, False), (2**63, 1), (1.0, 1.0)])),
     st.tuples(st.just("drop"), st.none(), MANIFEST_KEYS),
     st.tuples(st.just("drop"), st.sampled_from([0, -1]), ATOM_KEYS),
     st.tuples(st.just("truncate"), st.floats(0.0, 1.0)),
@@ -105,6 +109,10 @@ FRAME_EDITS = st.one_of(
 def corrupt(manifest, blob, edit):
     """Apply one FRAME_EDITS entry: (the file it changes, that file's new bytes)."""
     kind, *args = edit
+    if kind == "ends":
+        key, (first, last) = args
+        manifest["atoms"][0][key], manifest["atoms"][-1][key] = first, last
+        return "manifest", json.dumps(manifest).encode()
     if kind in ("set", "drop"):
         where, key = args[:2]
         entry = manifest if where is None else manifest["atoms"][where]
@@ -608,6 +616,17 @@ class TestWalnutBlocks:
     def test_period_must_divide_L(self, frame16, p):
         with pytest.raises(InvalidArgumentError, match="frequency period"):
             dataclasses.replace(frame16, frequency_period=p)
+
+    def test_a_built_frame_lacking_its_period_is_refused(self, tmp_path):
+        # p = 1 divides L but is not the cover's period 8: certified in 64 blocks of order 1,
+        # S would look diagonal, with wrong bounds and a wrong dual
+        cfg = tmp_path / "regular64.json"
+        cfg.write_text(json.dumps(REGULAR64_CONFIG))
+        config = load_config(cfg)
+        frame = assemble_frame(resolve_cover(config), resolve_window(config), config.policy)
+        assert frame.frequency_period == 8
+        with pytest.raises(InvalidArgumentError, match="lack frequency period 1"):
+            dataclasses.replace(frame, frequency_period=1)
 
 
 class TestReconstruct:

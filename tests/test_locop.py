@@ -12,6 +12,7 @@ from tfloc.locop import (
     _SUPPORT_RTOL,
     RANK_RTOL,
     _frequency_axis,
+    _time_groups,
     _time_support,
     assemble_locop,
     class_spectra,
@@ -428,7 +429,7 @@ class TestClassStream:
         phi = resolve_window(load_config(tmp_path / "config.json"))
         symbols = gen_random_irregular(32, 9, 8, 0.5).regions
         assert all(_time_support(s, phi.samples).size == 32 for s in symbols)
-        assert all(_frequency_axis(s) is not None for s in symbols)
+        assert all(_frequency_axis(_time_groups(s), 32) is not None for s in symbols)
         assert set(assert_stream_matches_dense(symbols, phi)) == {32}
         assert solved == COMPLEX
 
@@ -445,12 +446,16 @@ class TestClassStream:
         ([(x, xi) for x in range(8) for xi in range(x + 1)], None, None),
         # a box whose values grow along xi
         ([(x, xi) for x in range(8) for xi in range(8)], [1.0 + xi for x in range(8) for xi in range(8)], None),
-    ], ids=["wrapping", "lattice-column", "valued", "triangle", "valued-box"])
+        # two time groups: the first column, 4..8, mirrors about c2 = 12, and the
+        # second, 4..9, does not
+        ([(x, xi) for x in range(3) for xi in range(4, 9)] + [(x, xi) for x in range(3, 6) for xi in range(4, 10)],
+         None, None),
+    ], ids=["wrapping", "lattice-column", "valued", "triangle", "valued-box", "second-group"])
     def test_frequency_axis_selects_the_solve(self, cells, values, axis, solved):
         L = 64
         values = np.ones(len(cells)) if values is None else np.array(values)
         s = Symbol(L, cells[len(cells) // 2], cells, values)
-        assert _frequency_axis(s) == axis
+        assert _frequency_axis(_time_groups(s), L) == axis
         assert_stream_matches_dense([s], gauss_window(L))
         assert solved == (COMPLEX if axis is None else REAL)
 
