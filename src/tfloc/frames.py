@@ -3,9 +3,10 @@
 For each region, the top eigenvectors of its localization operator are selected
 (by an eigenvalue threshold or by a count proportional to the region's trace
 measure) and collected as the rows of one atom array, the layout of the frame
-file's records, weighted by their eigenvalues or left unweighted.  The frame
-operator S = sum w^2 |v><v| certifies the frame bounds A = lambda_min(S),
-B = lambda_max(S), and the canonical dual frame reconstructs
+file's records, weighted by their eigenvalues or left unweighted.  A frame stores
+those eigenpairs and their regions; each weight and each index within a region
+follow from them.  The frame operator S = sum w^2 |v><v| certifies the bounds
+A = lambda_min(S), B = lambda_max(S), and the canonical dual frame reconstructs
 f = sum_i <f, g_i> S^{-1} g_i = S^{-1} G G* f, G the weighted atoms as columns.
 
 The atoms of a region are its class's selected eigenvectors translated by
@@ -37,13 +38,7 @@ import numpy as np
 
 from .core import (_INT64_MAX, Signal, _from_residue_rows, _gram_blocks, _json_array, _residue_rows, read_json,
                    write_json)
-from .errors import (
-    EmptyFrameError,
-    InvalidArgumentError,
-    NotAFrameError,
-    NumericError,
-    PreconditionViolation,
-)
+from .errors import EmptyFrameError, InvalidArgumentError, NotAFrameError, NumericError, PreconditionViolation
 
 if TYPE_CHECKING:  # a stored frame is read, certified and reconstructed without these modules
     from .core import Window
@@ -107,41 +102,44 @@ def select_eigenfunctions(spec: Spectrum, measure: float, policy: SelectionPolic
     return min(n, policy.n_max, spec.eigenvalues.size)
 
 
+def _ranks(gammas: np.ndarray) -> np.ndarray:
+    """Each atom's k: its 1-based rank among the atoms of its region gamma, in atom order."""
+    order = np.argsort(gammas, kind="stable")
+    ranks, grouped = np.empty_like(gammas), gammas[order]
+    ranks[order] = np.arange(1, gammas.size + 1) - np.searchsorted(grouped, grouped)
+    return ranks
+
+
 @dataclass(frozen=True, eq=False)
 class EigenFrame:
     """The atoms v_i as rows, in region order, with one array entry per atom.
 
-    ``atoms`` is the one C-contiguous n x L complex array whose row i is the unit
-    vector v_i, the layout of the atoms file's records, however the frame was made
-    (``eigenframe_from_classes``, ``read_frame``).  ``weights`` holds w_i, ``gammas``
-    the region index, ``ks`` the 1-based eigenvalue index within the region and
-    ``lams`` the eigenvalue.  ``frequency_period`` is the p of the cover the frame
-    was built from (``Cover.frequency_period``), which sets the Walnut blocks of its
-    frame operator; a stored frame keeps it (``write_frame``).  A p < L is checked
-    on construction: the atoms must have it.  A frame has at least one atom.
+    ``atoms`` is the one C-contiguous n x L complex array whose row i is the unit vector
+    v_i, the layout of the atoms file's records, however the frame was made, ``lams`` the
+    eigenvalue and ``gammas`` the region; L, the weight w_i (lambda_i if ``weighted``, else
+    1) and k_i, the 1-based index of lambda_i in its region (``_ranks``), follow from them.
+    ``frequency_period`` is the p of the cover the frame was built from (``Cover.frequency_period``),
+    which sets the Walnut blocks of its frame operator; a stored frame keeps it (``write_frame``).
+    A p < L is checked on construction: the atoms must have it.  A frame has at least one atom.
     """
 
-    L: int
     atoms: np.ndarray
-    weights: np.ndarray
-    gammas: np.ndarray
-    ks: np.ndarray
     lams: np.ndarray
+    gammas: np.ndarray
     weighted: bool
     frequency_period: int
     source: str | None = None  # a stored frame's fingerprint of the inputs it was built from
 
     def __post_init__(self):
-        n = self.lams.size
+        n, shape = self.lams.size, self.atoms.shape
         if not n:
             raise EmptyFrameError("frame has no atoms")
-        if self.atoms.dtype != np.complex128 or self.atoms.shape != (n, self.L):
-            raise InvalidArgumentError(f"atoms must be a complex {n} x {self.L} array, "
-                                       f"not {self.atoms.dtype} of shape {self.atoms.shape}")
-        for name in ("weights", "gammas", "ks", "lams"):
-            if getattr(self, name).shape != (n,):
-                raise InvalidArgumentError(f"{name} must hold one entry per atom ({n}), "
-                                           f"not shape {getattr(self, name).shape}")
+        if self.atoms.dtype != np.complex128 or len(shape) != 2 or shape[0] != n or shape[1] < 1:
+            raise InvalidArgumentError(f"atoms must be a complex {n} x L array, L >= 1, "
+                                       f"not {self.atoms.dtype} of shape {shape}")
+        if self.lams.shape != (n,) or self.gammas.shape != (n,):
+            raise InvalidArgumentError(f"lams and gammas must hold one entry per atom ({n}), "
+                                       f"not shapes {self.lams.shape} and {self.gammas.shape}")
         p, L = self.frequency_period, self.L
         if p < 1 or L % p:
             raise InvalidArgumentError(f"frequency period {p} must divide L={L}")
@@ -154,19 +152,40 @@ class EigenFrame:
             if np.linalg.norm(SU[:, 1] - M * SU[:, 0]) > 1e-10 * np.linalg.norm(SU[:, 0]):
                 raise InvalidArgumentError(f"the atoms lack frequency period {p}")
 
+    @property
+    def L(self) -> int:
+        return self.atoms.shape[1]
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return self.lams if self.weighted else np.ones_like(self.lams)
+
+    @cached_property
+    def ks(self) -> np.ndarray:
+        return _ranks(self.gammas)
+
 
 @dataclass(frozen=True, eq=False)
 class FrameCertificate:
     """The frame bounds of ``frame``, the frame object it certified (``frame_certificate``), and
-    its S as (L/p, p, p) Walnut blocks: blocks[r, j, k] = S[r + j L/p, r + k L/p]."""
+    its S as (L/p, p, p) Walnut blocks: blocks[r, j, k] = S[r + j L/p, r + k L/p]; the rest follows from A, B."""
 
     A: float
     B: float
-    condition: float | None  # B / A; None where that is not finite
     blocks: np.ndarray
-    is_frame: bool
-    a_tol: float
     frame: EigenFrame = field(repr=False)
+
+    @property
+    def a_tol(self) -> float:
+        return LOWER_BOUND_RTOL * self.B
+
+    @property
+    def is_frame(self) -> bool:
+        return self.A > self.a_tol
+
+    @property
+    def condition(self) -> float | None:  # None where B / A is not finite
+        return self.B / self.A if self.A > 0.0 and self.B / self.A < math.inf else None
 
     def solve(self, Y: np.ndarray) -> np.ndarray:
         """S^{-1} Y for an L x k ``Y``: one batched solve over the blocks."""
@@ -237,17 +256,10 @@ def eigenframe_from_classes(L: int, classes: Iterable[ClassSpectrum], policy: Se
             rows = start[members][:, None] + np.arange(kept.eigenvalues.size)
             atoms[rows] = vectors.transpose(0, 2, 1)
             lams[rows] = kept.eigenvalues
-    ks = np.arange(1, sizes.sum() + 1) - np.repeat(start, sizes)
-    return EigenFrame(L, atoms, lams if weighted else np.ones_like(lams), np.repeat(np.arange(sizes.size), sizes),
-                      ks, lams, weighted, frequency_period)
+    return EigenFrame(atoms, lams, np.repeat(np.arange(sizes.size), sizes), weighted, frequency_period)
 
 
-def assemble_frame(
-    cover: Cover,
-    phi: Window,
-    policy: SelectionPolicy,
-    weighted: bool = True,
-) -> EigenFrame:
+def assemble_frame(cover: Cover, phi: Window, policy: SelectionPolicy, weighted: bool = True) -> EigenFrame:
     """Build the eigenfunction frame of a cover.
 
     Requires the cover to actually cover the grid; the unweighted variant
@@ -258,10 +270,8 @@ def assemble_frame(
     classes = region_classes(cover, phi)
     inner = int(cover.radii[:, 1].min())
     if not weighted and inner < 1:
-        raise PreconditionViolation(
-            "unweighted frames need inner regularity: every center's radius-1 ball must lie "
-            f"inside its region's support (measured min inner radius {inner})"
-        )
+        raise PreconditionViolation("unweighted frames need inner regularity: every center's radius-1 ball "
+                                    f"must lie inside its region's support (measured min inner radius {inner})")
     return eigenframe_from_classes(cover.L, classes, policy, weighted, cover.frequency_period)
 
 
@@ -285,14 +295,10 @@ def frame_certificate(frame: EigenFrame) -> FrameCertificate:
                for lo in range(0, frame.lams.size, step))  # each the L x m columns w_i v_i
     S = reduce(operator.iadd, (_gram_blocks(G, p) for G in batches))  # summed in place
     A, B = _block_extremes(S, "frame operator has non-finite entries; the atom weights overflow it")
-    a_tol = LOWER_BOUND_RTOL * B
-    condition = B / A if A > 0.0 and B / A < math.inf else None
-    return FrameCertificate(A, B, condition, S, A > a_tol, a_tol, frame)
+    return FrameCertificate(A, B, S, frame)
 
 
-def reconstruct(
-    frame: EigenFrame, f: Signal, certificate: FrameCertificate | None = None
-) -> tuple[Signal, float]:
+def reconstruct(frame: EigenFrame, f: Signal, certificate: FrameCertificate | None = None) -> tuple[Signal, float]:
     """Canonical dual reconstruction f_rec = sum_i <f, g_i> S^{-1} g_i, g_i = w_i v_i.
 
     A certificate must be of this frame object (``FrameCertificate.frame``);
@@ -310,9 +316,7 @@ def reconstruct(
     if cert.frame is not frame:
         raise InvalidArgumentError("the certificate was made for another frame; certify this one")
     if not cert.is_frame:
-        raise NotAFrameError(
-            f"lower frame bound {cert.A!r} is below tolerance {cert.a_tol!r}"
-        )
+        raise NotAFrameError(f"lower frame bound {cert.A!r} is below tolerance {cert.a_tol!r}")
     if f.length != frame.L:
         raise InvalidArgumentError(f"signal length {f.length} != frame length {frame.L}")
     peak = np.abs(f.samples).max()
@@ -389,9 +393,9 @@ def epsilon_sweep(cover: Cover, phi: Window, epsilons) -> list[tuple[float, floa
 
 
 # ---------------------------------------------------------------------------
-# Frame files: JSON manifest + binary atom sidecar (magic b"TFAT", then
-# consecutive length-L complex f64 records at the byte offsets recorded in
-# the manifest).  Certificate JSON uses the fixed key set below.
+# Frame files: JSON manifest + binary atom sidecar (magic b"TFAT", then the
+# n consecutive length-L complex f64 records, record i at the byte offset
+# 4 + 16 L i the manifest records).  Certificate JSON uses the fixed key set below.
 # ---------------------------------------------------------------------------
 
 # one manifest atom entry as json.dump(..., indent=1) writes it: integers as
@@ -407,8 +411,7 @@ def write_frame(manifest_path, atoms_path, frame: EigenFrame, source: str | None
         fh.write(b"TFAT")
         fh.write(np.ascontiguousarray(frame.atoms, dtype="<c16").data)
     offsets = range(4, 4 + frame.lams.size * frame.L * 16, frame.L * 16)
-    columns = zip(frame.gammas.tolist(), frame.ks.tolist(), frame.lams.tolist(),
-                  frame.weights.tolist(), offsets)
+    columns = zip(frame.gammas.tolist(), frame.ks.tolist(), frame.lams.tolist(), frame.weights.tolist(), offsets)
     head = f'{{\n "L": {frame.L},\n "weighted": {"true" if frame.weighted else "false"},\n'
     if source is not None:
         head += f' "source": {json.dumps(source)},\n'
@@ -440,6 +443,8 @@ def _manifest_columns(entries) -> list[np.ndarray]:
 
 
 def read_frame(manifest_path, atoms_path) -> EigenFrame:
+    """The frame ``write_frame`` wrote: no other weight, k or offset columns, and an atoms file of exactly
+    4 + 16 L n bytes, a size checked before the atoms are allocated and read in one ``readinto``."""
     manifest = read_json(manifest_path, "frame manifest")
     try:
         L, weighted, source = manifest["L"], manifest["weighted"], manifest.get("source")
@@ -455,28 +460,29 @@ def read_frame(manifest_path, atoms_path) -> EigenFrame:
         if not manifest["atoms"]:
             raise ValueError("the manifest lists no atoms")
         offsets, weights, gammas, ks, lams = _manifest_columns(manifest["atoms"])
-        want = lams if weighted else np.ones_like(lams)  # the only weights write_frame writes
-        bad = np.flatnonzero(weights != want)
-        if bad.size:
-            raise ValueError(f"atom {bad[0]} has weight {float(weights[bad[0]])!r}, not {float(want[bad[0]])!r}")
+        n, record = lams.size, 16 * L  # as Python ints: the file's size can be past the 64-bit range
+        if 4 + n * record > _INT64_MAX:
+            raise ValueError(f"n = {n} atoms of length L = {L} are past the 64-bit range of a file's size")
+        for key, column, written in (("weight", weights, lams if weighted else np.ones_like(lams)),
+                                     ("k", ks, _ranks(gammas)),
+                                     ("offset", offsets, np.arange(4, 4 + n * record, record))):
+            bad = np.flatnonzero(column != written)
+            if bad.size:
+                raise ValueError(f"atom {bad[0]} has {key} {column[bad[0]].item()!r}, not {written[bad[0]].item()!r}")
     except (ValueError, KeyError, TypeError) as exc:
-        raise InvalidArgumentError(
-            f"malformed frame manifest ({type(exc).__name__}: {exc})", path=str(manifest_path)
-        ) from None
+        raise InvalidArgumentError(f"malformed frame manifest ({type(exc).__name__}: {exc})",
+                                   path=str(manifest_path)) from None
     del manifest  # its parsed entries are not held beside the atoms
     with open(atoms_path, "rb") as fh:
         magic, size = fh.read(4), fh.seek(0, 2)  # the file's size is the offset of its end
         if magic != b"TFAT":
             raise InvalidArgumentError(f"bad atoms magic {magic!r}", path=str(atoms_path))
-        # as Python ints: a record's 16 L bytes can be past the 64-bit range
-        bad = [off for off in offsets.tolist() if off < 4 or off + 16 * L > size]
-        if bad:
-            raise InvalidArgumentError(f"atom record at offset {bad[0]} overruns the atoms file",
-                                       path=str(atoms_path))
-        atoms = np.empty((offsets.size, L), "<c16")
-        for row, off in zip(atoms, offsets.tolist()):  # each record read straight into its row
-            fh.seek(off)
-            fh.readinto(row)
+        if size != 4 + n * record:
+            raise InvalidArgumentError(f"the atoms file has {size} bytes, not the 4 + 16 L n = {4 + n * record} "
+                                       f"of n = {n} atoms of length L = {L}", path=str(atoms_path))
+        atoms = np.empty((n, L), "<c16")
+        fh.seek(4)
+        fh.readinto(atoms)
     # NaN, infinite and overflowing entries fail this too; a row of floats is an atom's parts
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.sqrt(np.einsum("ij,ij->i", atoms.view("<f8"), atoms.view("<f8")))
@@ -485,18 +491,12 @@ def read_frame(manifest_path, atoms_path) -> EigenFrame:
         raise InvalidArgumentError(f"atom record at offset {offsets[bad[0]]} is not a finite unit vector",
                                    path=str(atoms_path))
     try:  # the atoms are checked for the period p on construction
-        return EigenFrame(L, atoms, weights, gammas, ks, lams, weighted, p, source)
+        return EigenFrame(atoms, lams, gammas, weighted, p, source)
     except InvalidArgumentError as exc:
         exc.context.setdefault("path", str(manifest_path))
         raise
 
 
 def write_certificate_json(path, cert: FrameCertificate) -> None:
-    payload = {
-        "A": cert.A,
-        "B": cert.B,
-        "condition": cert.condition,
-        "is_frame": cert.is_frame,
-        "atol": cert.a_tol,
-    }
-    write_json(path, payload)
+    write_json(path, {"A": cert.A, "B": cert.B, "condition": cert.condition, "is_frame": cert.is_frame,
+                      "atol": cert.a_tol})

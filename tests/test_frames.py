@@ -88,14 +88,17 @@ NAN_BYTES = np.array([np.nan], "<f8").tobytes()
 # top level or in the first or last atom entry), one atom key set in both the
 # first and the last entry to values that numpy reads as another column type
 # (an int beside a bool; 2**63 beside 1, uint64 or float64 by numpy version;
-# an integer key's 1.0), or the atoms file truncated, given another magic, or
-# overwritten at some position by NaN or other bytes
+# an integer key's 1.0), two atom entries' k or offset swapped, or the atoms
+# file truncated, given another magic, or overwritten at some position by NaN
+# or other bytes
 FRAME_EDITS = st.one_of(
     st.tuples(st.just("set"), st.none(), MANIFEST_KEYS, JSON_VALUES),
     st.tuples(st.just("set"), st.sampled_from([0, -1]), ATOM_KEYS, JSON_VALUES),
     st.tuples(st.just("ends"), ATOM_KEYS, st.sampled_from([(1, True), (0, False), (2**63, 1), (1.0, 1.0)])),
     st.tuples(st.just("drop"), st.none(), MANIFEST_KEYS),
     st.tuples(st.just("drop"), st.sampled_from([0, -1]), ATOM_KEYS),
+    st.tuples(st.just("swap"), st.sampled_from(["k", "offset"]), st.floats(0.0, 1.0, exclude_max=True),
+              st.floats(0.0, 1.0, exclude_max=True)),
     st.tuples(st.just("truncate"), st.floats(0.0, 1.0)),
     st.tuples(st.just("magic"), st.binary(max_size=4)),
     st.tuples(
@@ -112,6 +115,11 @@ def corrupt(manifest, blob, edit):
     if kind == "ends":
         key, (first, last) = args
         manifest["atoms"][0][key], manifest["atoms"][-1][key] = first, last
+        return "manifest", json.dumps(manifest).encode()
+    if kind == "swap":
+        key, entries = args[0], manifest["atoms"]
+        first, second = (entries[int(at * len(entries))] for at in args[1:])
+        first[key], second[key] = second[key], first[key]
         return "manifest", json.dumps(manifest).encode()
     if kind in ("set", "drop"):
         where, key = args[:2]
@@ -519,18 +527,43 @@ class TestCertificate:
 
         cert = frame_certificate(frame16)
         f = frame16
-        columns = (np.tile(c, 2) for c in (f.weights, f.gammas, f.ks, f.lams))
-        doubled = EigenFrame(L16, np.vstack([f.atoms, f.atoms]), *columns, f.weighted, f.frequency_period)
+        atoms, lams, gammas = np.vstack([f.atoms, f.atoms]), np.tile(f.lams, 2), np.tile(f.gammas, 2)
+        doubled = EigenFrame(atoms, lams, gammas, f.weighted, f.frequency_period)
         cert2 = frame_certificate(doubled)
         assert cert2.A == pytest.approx(2 * cert.A, rel=1e-9)
         assert cert2.B == pytest.approx(2 * cert.B, rel=1e-9)
-        # one region's block of atoms too few, or its weights left out, is refused on construction
-        atoms, weights, *rest = doubled.atoms, doubled.weights, doubled.gammas, doubled.ks, doubled.lams
-        for args, match in (([atoms[2:], weights, *rest], "atoms must be"),
-                            ([atoms, weights[2:], *rest], "weights must hold")):
+        # each region's second copy of its atoms ranks after its first
+        n = f.lams.size
+        np.testing.assert_array_equal(doubled.ks[n:], f.ks + np.bincount(f.gammas)[f.gammas])
+        # one region's block of atoms too few, or its regions left out, is refused on construction
+        for args, match in (([atoms[2:], lams, gammas], "atoms must be"),
+                            ([atoms, lams, gammas[2:]], "gammas must hold")):
             with pytest.raises(InvalidArgumentError, match=match) as info:
-                EigenFrame(L16, *args, f.weighted, f.frequency_period)
+                EigenFrame(*args, f.weighted, f.frequency_period)
             assert info.value.code == "invalid-argument"
+
+    @pytest.mark.parametrize("change", ["unweighted", "lambdas doubled"])
+    def test_a_replaced_frame_has_the_weights_its_eigenpairs_imply(self, frame16, tmp_path, change):
+        # w_i is lambda_i in a weighted frame and 1 in an unweighted one, also after a replace: the
+        # certificate and the stored frame use those weights
+        if change == "unweighted":
+            frame, weights = dataclasses.replace(frame16, weighted=False), np.ones(frame16.lams.size)
+        else:
+            frame, weights = dataclasses.replace(frame16, lams=2 * frame16.lams), 2 * frame16.lams
+        G = frame16.atoms.T * weights  # the dense S = G G* of those weights
+        ev = np.linalg.eigvalsh(G @ G.conj().T)
+        cert = frame_certificate(frame)
+        np.testing.assert_allclose([cert.A, cert.B], ev[[0, -1]], rtol=0, atol=1e-12 * ev[-1])
+        files = tmp_path / "frame.json", tmp_path / "atoms.tfat"
+        write_frame(*files, frame)
+        back = read_frame(*files)
+        assert back.weighted == frame.weighted
+        for column in ("atoms", "lams", "gammas"):
+            np.testing.assert_array_equal(getattr(back, column), getattr(frame, column))
+        for f in (frame, back):
+            np.testing.assert_array_equal(f.weights, weights)
+        again = frame_certificate(back)
+        assert (again.A, again.B) == (cert.A, cert.B)
 
     def test_parseval_consistency(self, frame16):
         rng = np.random.default_rng(30)
@@ -878,33 +911,67 @@ class TestFrameIo:
         ]
         assert manifest.read_bytes() == (json.dumps(payload, indent=1) + "\n").encode()
 
-    def test_records_read_at_manifest_offsets(self, frame16, tmp_path):
-        # records in reverse order, each after 3 bytes of padding, so no offset is 8-byte aligned
+    @pytest.mark.parametrize("case", ["k", "offset", "short", "long"])
+    def test_files_write_frame_never_writes_are_invalid_argument(self, frame16, tmp_path, case):
+        # a manifest with k permuted within a region, or with offsets pointing at moved records (in reverse
+        # order, each after 3 bytes of padding), or an atoms file one byte short or one byte long
         manifest, atoms = tmp_path / "frame.json", tmp_path / "atoms.tfat"
         write_frame(manifest, atoms, frame16)
         parsed, blob = json.loads(manifest.read_text()), atoms.read_bytes()
-        record_len = 16 * L16
-        records = [blob[e["offset"]:e["offset"] + record_len] for e in parsed["atoms"]]
-        moved = b"TFAT"
-        for i in reversed(range(len(records))):
-            moved += b"\xff" * 3
-            parsed["atoms"][i]["offset"] = len(moved)
-            moved += records[i]
+        record_len, entries = 16 * L16, parsed["atoms"]
+        if case == "k":
+            assert entries[0]["gamma"] == entries[1]["gamma"] and (entries[0]["k"], entries[1]["k"]) == (1, 2)
+            entries[0]["k"], entries[1]["k"] = 2, 1
+            target, match = manifest, "atom 0 has k 2, not 1"
+        elif case == "offset":
+            records = [blob[e["offset"]:e["offset"] + record_len] for e in entries]
+            blob = b"TFAT"
+            for i in reversed(range(len(records))):
+                blob += b"\xff" * 3
+                entries[i]["offset"] = len(blob)
+                blob += records[i]
+            target, match = manifest, f"atom 0 has offset {entries[0]['offset']}, not 4"
+        else:
+            blob = blob[:-1] if case == "short" else blob + b"\0"
+            target, match = atoms, f"has {len(blob)} bytes, not the 4 \\+ 16 L n = {4 + record_len * len(entries)} of"
         manifest.write_text(json.dumps(parsed))
-        atoms.write_bytes(moved)
-        back = read_frame(manifest, atoms)
-        np.testing.assert_array_equal(back.atoms, frame16.atoms)
+        atoms.write_bytes(blob)
+        with pytest.raises(InvalidArgumentError, match=match) as info:
+            read_frame(manifest, atoms)
+        assert info.value.code == "invalid-argument" and info.value.context["path"] == str(target)
 
-    def test_rewriting_a_read_frame_keeps_its_bytes(self, frame16, tmp_path, monkeypatch):
-        # frame16, the lattice frame of gabor16.json, and a frame at L=64 built and certified with
-        # one member per gather and 4 atoms per certificate batch (32 batches)
+    @pytest.mark.parametrize("L", [2**40, 2**59])
+    def test_a_huge_L_is_refused_before_allocating(self, frame16, tmp_path, L):
+        # one atom of L = 2^40 would take 16 TiB, so the atoms file's size is checked first; at L = 2^59 a
+        # record's 16 L bytes are past the 64-bit range of a file's size, which the manifest check refuses
+        manifest, atoms = tmp_path / "frame.json", tmp_path / "atoms.tfat"
+        write_frame(manifest, atoms, frame16)
+        parsed = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**parsed, "L": L, "frequency_period": L, "atoms": parsed["atoms"][:1]}))
+        target, match = ((atoms, f"not the 4 \\+ 16 L n = {4 + 16 * L} of n = 1 atoms of length L = {L}")
+                         if L == 2**40 else (manifest, f"n = 1 atoms of length L = {L} are past the 64-bit range"))
+
+        def read():
+            with pytest.raises(InvalidArgumentError, match=match) as info:
+                read_frame(manifest, atoms)
+            assert info.value.code == "invalid-argument" and info.value.context["path"] == str(target)
+
+        assert traced_peak_bytes(read) < 1 << 20
+
+    def test_rewriting_a_read_frame_keeps_its_bytes(self, boxes16, phi16, frame16, tmp_path, monkeypatch):
+        # frame16, its unweighted variant (every weight the 1.0 it implies), the lattice frame of gabor16.json,
+        # and a frame at L=64 built and certified with one member per gather and 4 atoms per certificate
+        # batch (32 batches)
         write_frame(tmp_path / "frame16.json", tmp_path / "frame16.tfat", frame16)
+        unweighted = assemble_frame(boxes16, phi16, SelectionPolicy("epsilon", epsilon=0.2), weighted=False)
+        write_frame(tmp_path / "unweighted.json", tmp_path / "unweighted.tfat", unweighted)
+        assert {e["weight"] for e in json.loads((tmp_path / "unweighted.json").read_text())["atoms"]} == {1.0}
         assert main(["frame", "--config", str(CONFIG_DIR / "gabor16.json"), "--out", str(tmp_path / "gabor")]) == 0
         cfg = tmp_path / "regular64.json"
         cfg.write_text(json.dumps(REGULAR64_CONFIG))
         monkeypatch.setattr(tfloc.frames, "_BATCH_ENTRIES", 4 * 64)
         assert main(["frame", "--config", str(cfg), "--out", str(tmp_path / "regular64")]) == 0
-        stored = [(tmp_path / "frame16.json", tmp_path / "frame16.tfat")]
+        stored = [(tmp_path / f"{name}.json", tmp_path / f"{name}.tfat") for name in ("frame16", "unweighted")]
         stored += [(tmp_path / d / "frame.json", tmp_path / d / "frame_atoms.tfat") for d in ("gabor", "regular64")]
         for manifest, atoms in stored:
             again = tmp_path / "again.json", tmp_path / "again.tfat"
@@ -929,7 +996,7 @@ class TestFrameIo:
             assert info.value.code == "invalid-argument" and info.value.context["path"] == str(manifest)
 
     def test_read_holds_the_atoms_once(self, tmp_path):
-        # each record is read straight into its row, and the period check multiplies the rows as
+        # the records are read into the atoms in one readinto, and the period check multiplies the rows as
         # they are, S M u = M S u in two matrix products, so reading a stored frame holds about its
         # atoms, not the file's bytes beside a copy of them
         L = 256
@@ -1012,8 +1079,9 @@ class TestFrameIo:
             assert info.value.context["path"] == str(manifest)
 
     def test_non_finite_condition_is_null(self, frame16, tmp_path):
-        # atoms of weight 0 give S = 0: A = 0 and no finite condition, which strict JSON cannot write
-        cert = frame_certificate(dataclasses.replace(frame16, weights=np.zeros_like(frame16.weights)))
+        # atoms of weight 0 (a weighted frame's lambdas set to 0) give S = 0: A = 0 and no finite
+        # condition, which strict JSON cannot write
+        cert = frame_certificate(dataclasses.replace(frame16, lams=np.zeros_like(frame16.lams)))
         assert cert.A == 0.0 and cert.condition is None and not cert.is_frame
         write_certificate_json(tmp_path / "cert.json", cert)
         assert json.loads((tmp_path / "cert.json").read_text())["condition"] is None
