@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, NoReturn
 import numpy as np
 
 from . import __version__
-from .core import Signal, Window, gauss_window, read_json, read_signal_csv, stft, write_json
+from .core import Signal, Window, _json_keys, gauss_window, read_json, read_signal_csv, stft, write_json
 from .covers import (
     Cover,
     gen_random_irregular,
@@ -60,6 +60,8 @@ SWEEP_EPSILONS = [round(0.1 * i, 1) for i in range(10)]
 # the largest grid a config may ask for; one L x L complex matrix is then 268 MB
 MAX_L = 4096
 INT64_RANGE = (-(2**63), 2**63 - 1)
+# the parameters of each cover generator a config may name
+_GENERATOR_KEYS = {"regular": ("bx", "by"), "wedge": ("bands",), "irregular": ("seed", "target_size", "overlap")}
 
 
 @dataclass
@@ -98,13 +100,14 @@ def _number(section: dict, key: str, default=None, integer: bool = False,
     return value
 
 
-def _object(section: dict, key: str) -> dict:
-    """A JSON object from the config; ``{}`` when the key is absent or null."""
+def _object(section: dict, key: str, known) -> dict:
+    """A JSON object from the config with no key outside ``known``; ``{}`` when the key is absent or null."""
     value = section.get(key)
     if value is None:
         return {}
     if not isinstance(value, dict):
         raise InvalidArgumentError(f"config {key!r} must be an object, not {value!r}")
+    _json_keys(value, known, f"config {key!r}")
     return value
 
 
@@ -144,6 +147,8 @@ def load_config(path) -> RunConfig:
 def _parse_config(raw, path: Path) -> RunConfig:
     if not isinstance(raw, dict):
         raise InvalidArgumentError(f"config must be a JSON object, not {type(raw).__name__}")
+    _json_keys(raw, ("L", "window", "cover", "policy", "weighted", "lattice", "admissibility", "reconstruct_tol",
+                     "output_dir"), "config")
     L = _number(raw, "L", integer=True, required=True, bounds=(1, MAX_L))
 
     window = raw.get("window")
@@ -154,20 +159,19 @@ def _parse_config(raw, path: Path) -> RunConfig:
     else:
         raise InvalidArgumentError(f'config "window" must be "gauss" or {{"file": path}}, not {window!r}')
 
-    cover = _object(raw, "cover")
-    known = [k for k in ("regular", "wedge", "irregular", "file") if k in cover]
-    if len(known) != 1:
-        raise InvalidArgumentError(f"config needs exactly one cover source, got {known or 'none'}")
-    kind = known[0]
+    cover = _object(raw, "cover", (*_GENERATOR_KEYS, "file"))
+    if len(cover) != 1:
+        raise InvalidArgumentError(f"config needs exactly one cover source, got {list(cover) or 'none'}")
+    [kind] = cover
     cover_source: tuple[str, dict] | Path
     if kind == "file":
         if not isinstance(cover["file"], str):
             raise InvalidArgumentError('config cover "file" must be a path')
         cover_source = path.parent / cover["file"]
     else:
-        cover_source = (kind, _cover_params(kind, _object(cover, kind)))
+        cover_source = (kind, _cover_params(kind, _object(cover, kind, _GENERATOR_KEYS[kind])))
 
-    pol = _object(raw, "policy")
+    pol = _object(raw, "policy", ("mode", "alpha", "epsilon", "n_max"))
     policy = SelectionPolicy(
         mode=pol.get("mode", "epsilon"),
         alpha=_number(pol, "alpha"),
@@ -179,14 +183,14 @@ def _parse_config(raw, path: Path) -> RunConfig:
     if raw.get("lattice") is not None:
         from .gabor import Lattice
 
-        lat = _object(raw, "lattice")
+        lat = _object(raw, "lattice", ("a", "b"))
         lattice = Lattice(L, *(_number(lat, k, integer=True, required=True) for k in ("a", "b")))
 
     weighted = True if raw.get("weighted") is None else raw["weighted"]
     if not isinstance(weighted, bool):
         raise InvalidArgumentError(f'config "weighted" must be true or false, not {weighted!r}')
 
-    adm = _object(raw, "admissibility")
+    adm = _object(raw, "admissibility", ("R", "r", "w"))
     reconstruct_tol = float(_number(raw, "reconstruct_tol", 1e-8))
     if reconstruct_tol < 0.0:
         raise InvalidArgumentError(f"config 'reconstruct_tol' must be >= 0, not {reconstruct_tol!r}")

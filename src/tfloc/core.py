@@ -181,6 +181,13 @@ def _json_array(value, kinds: str) -> np.ndarray | None:
     return None if arr.ndim and bool in set(map(type, entries)) else arr
 
 
+def _json_keys(obj: dict, known, what: str) -> None:
+    """InvalidArgumentError naming ``what`` and the first key of the JSON object ``obj`` that is not in ``known``."""
+    for key in obj:
+        if key not in known:
+            raise InvalidArgumentError(f"{what} has unknown key {key!r}, not one of {', '.join(known)}")
+
+
 def read_json(path, what: str):
     """The parsed JSON file at ``path``.
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import _INT64_MAX, _json_array, read_json
+from .core import _INT64_MAX, _json_array, _json_keys, read_json
 from .errors import InvalidArgumentError
 
 
@@ -330,10 +330,12 @@ def cover_from_dict(data) -> Cover:
         raise InvalidArgumentError('cover JSON must be an object with an integer "L" and a "regions" list')
     if not 1 <= L <= _INT64_MAX:
         raise InvalidArgumentError(f'cover "L" must be an integer in [1, {_INT64_MAX}], not {L}')
+    _json_keys(data, ("L", "regions"), "cover JSON")
     regions = []
     for i, entry in enumerate(data["regions"]):
         if not isinstance(entry, dict):
             raise InvalidArgumentError(f"region {i} must be an object")
+        _json_keys(entry, ("center", "cells", "values"), f"region {i}")
         center = _json_array(entry.get("center"), "iu")
         if center is None or center.shape != (2,):
             raise InvalidArgumentError(f'region {i}: "center" must be [x, xi] integers')

@@ -7,7 +7,7 @@ file's records, weighted by their eigenvalues or left unweighted.  A frame store
 those eigenpairs and their regions; each weight and each index within a region
 follow from them.  The frame operator S = sum w^2 |v><v| certifies the bounds
 A = lambda_min(S), B = lambda_max(S), and the canonical dual frame reconstructs
-f = sum_i <f, g_i> S^{-1} g_i = S^{-1} G G* f, G the weighted atoms as columns.
+f = sum_i <f, g_i> S^{-1} g_i = S^{-1} S f, g_i = w_i v_i (``reconstruct``).
 
 The atoms of a region are its class's selected eigenvectors translated by
 the region's shift z, so S = sum_z pi(z) K pi(z)* class by class.  When every
@@ -102,6 +102,11 @@ def select_eigenfunctions(spec: Spectrum, measure: float, policy: SelectionPolic
     return min(n, policy.n_max, spec.eigenvalues.size)
 
 
+def _apply_S(atoms: np.ndarray, w2: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """S X = sum_i w2_i <X, v_i> v_i for an L x k ``X``, in two products over the atom rows, which copy no atom."""
+    return atoms.T @ (w2[:, None] * np.conj(atoms @ np.conj(X)))
+
+
 def _ranks(gammas: np.ndarray) -> np.ndarray:
     """Each atom's k: its 1-based rank among the atoms of its region gamma, in atom order."""
     order = np.argsort(gammas, kind="stable")
@@ -147,8 +152,7 @@ class EigenFrame:
             # S keeps to its Walnut blocks iff S M u = M S u, M = pi(0, p), u a fixed probe; NaN weights pass here
             t = np.arange(L, dtype=np.float64)
             u, M = np.exp(1j * t**2), np.exp(2j * np.pi * p * t / L)
-            w2 = (self.weights / (self.weights.max() or 1.0)) ** 2
-            SU = self.atoms.T @ (w2[:, None] * np.conj(self.atoms @ np.conj(np.column_stack([u, M * u]))))
+            SU = _apply_S(self.atoms, (self.weights / (self.weights.max() or 1.0)) ** 2, np.column_stack([u, M * u]))
             if np.linalg.norm(SU[:, 1] - M * SU[:, 0]) > 1e-10 * np.linalg.norm(SU[:, 0]):
                 raise InvalidArgumentError(f"the atoms lack frequency period {p}")
 
@@ -167,8 +171,9 @@ class EigenFrame:
 
 @dataclass(frozen=True, eq=False)
 class FrameCertificate:
-    """The frame bounds of ``frame``, the frame object it certified (``frame_certificate``), and
-    its S as (L/p, p, p) Walnut blocks: blocks[r, j, k] = S[r + j L/p, r + k L/p]; the rest follows from A, B."""
+    """The frame bounds of ``frame``, the frame object it certified (``frame_certificate``), and its S as
+    (L/p, p, p) Walnut blocks, blocks[r, j, k] = S[r + j L/p, r + k L/p]; the rest follows from A and B,
+    but ``inverse``: a stream's G and inverted blocks, which one signal's ``reconstruct`` does without."""
 
     A: float
     B: float
@@ -186,10 +191,6 @@ class FrameCertificate:
     @property
     def condition(self) -> float | None:  # None where B / A is not finite
         return self.B / self.A if self.A > 0.0 and self.B / self.A < math.inf else None
-
-    def solve(self, Y: np.ndarray) -> np.ndarray:
-        """S^{-1} Y for an L x k ``Y``: one batched solve over the blocks."""
-        return _from_residue_rows(np.linalg.solve(self.blocks, _residue_rows(Y, self.blocks.shape[1])))
 
     @cached_property
     def inverse(self) -> tuple[np.ndarray, np.ndarray]:
@@ -303,13 +304,13 @@ def reconstruct(frame: EigenFrame, f: Signal, certificate: FrameCertificate | No
 
     A certificate must be of this frame object (``FrameCertificate.frame``);
     another frame's, even one with the same atoms, is an InvalidArgumentError.
-    Each call forms y = G (G* f), G the weighted atoms and G* f computed as
-    conj(G^T conj(f)), so G is not conjugated.  With a certificate, G and the
-    inverted Walnut blocks of S are its ``inverse``; without one, the frame is
-    certified here, G formed once and S solved against y alone (``solve``): an
-    inverse costs O(L p^2).  Returns (f_rec, relative error), both norms taken
-    after scaling by a power of two near the peak sample so that they neither
-    overflow nor underflow; the zero signal gives zero with error 0, and a
+    Each call forms y = S f, then S^{-1} y in S's Walnut blocks.  Without a certificate, the
+    frame is certified here, y is formed over the atom rows as the period check forms S u
+    (``EigenFrame``) and the blocks are solved against y alone: no copy of the atoms, and no
+    O(L p^2) inverse.  A stream passes a certificate, whose ``inverse`` keeps G, the weighted atoms
+    as columns, and the inverted blocks: y = G conj(G^T conj(f)), faster per signal.  Returns
+    (f_rec, relative error), both norms taken after scaling by a power of two near the peak sample
+    so that they neither overflow nor underflow; the zero signal gives zero with error 0, and a
     reconstruction that overflows is a NumericError.
     """
     cert = certificate if certificate is not None else frame_certificate(frame)
@@ -322,11 +323,12 @@ def reconstruct(frame: EigenFrame, f: Signal, certificate: FrameCertificate | No
     peak = np.abs(f.samples).max()
     if peak == 0.0:
         return Signal(np.zeros(frame.L, dtype=np.complex128)), 0.0
-    G, inverse = cert.inverse if certificate else (np.multiply(frame.atoms.T, frame.weights, order="C"), None)
-    y = G @ np.conj(G.T @ np.conj(f.samples))
-    if inverse is None:
-        f_rec = cert.solve(y[:, None])[:, 0]
+    if certificate is None:
+        y = _apply_S(frame.atoms, frame.weights**2, f.samples[:, None])
+        f_rec = _from_residue_rows(np.linalg.solve(cert.blocks, _residue_rows(y, frame.frequency_period)))[:, 0]
     else:
+        G, inverse = cert.inverse
+        y = G @ np.conj(G.T @ np.conj(f.samples))
         f_rec = _from_residue_rows((inverse @ _residue_rows(y, inverse.shape[1])[:, :, None])[:, :, 0])
     # exact for every sample that stays normal, so an ordinary signal's error keeps its bits
     scale = math.ldexp(1.0, min(-math.frexp(peak)[1], 1023))
@@ -454,7 +456,7 @@ def read_frame(manifest_path, atoms_path) -> EigenFrame:
             raise ValueError(f"weighted must be true or false, not {weighted!r}")
         if source is not None and not isinstance(source, str):
             raise ValueError(f"source must be a string, not {source!r}")
-        p = manifest.get("frequency_period", L)  # absent in older files: one block, which any atoms keep
+        p = manifest["frequency_period"]
         if type(p) is not int or p < 1 or L % p:
             raise ValueError(f"frequency_period must be an integer >= 1 dividing L={L}, not {p!r}")
         if not manifest["atoms"]:

@@ -185,6 +185,33 @@ class TestConfig:
         if key is not None:
             assert key in err["message"]
 
+    @pytest.mark.parametrize(
+        "name, section, key",
+        [
+            pytest.param("regular16.json", (), "weigthed", id="top"),
+            pytest.param("regular16.json", ("cover",), "regualr", id="cover"),
+            pytest.param("regular16.json", ("cover", "regular"), "bz", id="regular"),
+            pytest.param("irregular16.json", ("cover", "irregular"), "overlpa", id="irregular"),
+            pytest.param("wedge32.json", ("cover", "wedge"), "band", id="wedge"),
+            pytest.param("regular16.json", ("policy",), "nmax", id="policy"),
+            pytest.param("gabor16.json", ("lattice",), "c", id="lattice"),
+            pytest.param("regular16.json", ("admissibility",), "RR", id="admissibility"),
+        ],
+    )
+    def test_unknown_key_is_invalid_argument(self, tmp_path, name, section, key):
+        # a key tfloc does not read, a misspelled one above all, is refused, not ignored
+        payload = json.loads((CONFIG_DIR / name).read_text())
+        target = payload
+        for part in section:
+            target = target[part]
+        target[key] = 2
+        (tmp_path / "gabor16_cover.json").write_bytes((CONFIG_DIR / "gabor16_cover.json").read_bytes())
+        cfg, out = write_config(tmp_path, payload), tmp_path / "o"
+        assert main(["frame", "--config", str(cfg), "--out", str(out)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["code"] == "invalid-argument" and err["context"]["path"] == str(cfg)
+        assert f"unknown key {key!r}" in err["message"]
+
     @given(field=st.sampled_from(FUZZ_FIELDS), value=WRONG_TYPED | HUGE_INTEGERS)
     def test_fuzzed_config_field_exits_cleanly(self, field, value):
         payload = json.loads((CONFIG_DIR / "regular16.json").read_text())

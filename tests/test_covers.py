@@ -357,6 +357,24 @@ class TestCoverJson:
         cover = read_cover_json(path)
         assert cover.L == 4
 
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            pytest.param(lambda cover: {**cover, "l": 4}, "l", id="top"),
+            pytest.param(lambda cover: {**cover, "symbols": []}, "symbols", id="top-list"),
+            # a misspelled "values" would read as all ones
+            pytest.param(lambda cover: {**cover, "regions": [{**cover["regions"][0], "vals": [0.5, 0.5]}]},
+                         "vals", id="region"),
+        ],
+    )
+    def test_unknown_key_is_invalid_argument(self, tmp_path, edit, key):
+        path = tmp_path / "c.json"
+        cover = {"L": 4, "regions": [{"center": [0, 0], "cells": [[0, 0], [1, 1]]}]}
+        path.write_text(json.dumps(edit(cover)))
+        with pytest.raises(InvalidArgumentError, match=f"unknown key '{key}'") as info:
+            read_cover_json(path)
+        assert info.value.code == "invalid-argument" and info.value.context["path"] == str(path)
+
     def test_rejects_value_length_mismatch(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"L": 4, "regions": [{"center": [0, 0], "cells": [[0, 0]], "values": [1.0, 2.0]}]}))

@@ -780,6 +780,20 @@ class TestReconstruct:
         with pytest.raises(NotAFrameError):
             reconstruct(frame, Signal(random_signal(rng, L16)))
 
+    def test_one_signal_holds_no_copy_of_the_atoms(self, monkeypatch):
+        # on a frame of many certificate batches, one signal without a certificate forms S f over the
+        # atom rows and solves S's blocks, so it holds one batch, not a weighted copy of every atom,
+        # and it agrees with a stream's products with G and inverted blocks
+        L = 256
+        monkeypatch.setattr(tfloc.frames, "_BATCH_ENTRIES", 1 << 12)
+        frame = assemble_frame(gen_regular_boxes(L, 32, 32), gauss_window(L),
+                               SelectionPolicy("epsilon", epsilon=0.1, n_max=L))
+        f = Signal(random_signal(np.random.default_rng(40), L))
+        rec, _ = reconstruct(frame, f)  # the first run imports modules lazily; trace the second
+        assert traced_peak_bytes(lambda: reconstruct(frame, f)) < 0.5 * frame.atoms.nbytes
+        streamed, _ = reconstruct(frame, f, frame_certificate(frame))
+        assert np.linalg.norm(rec.samples - streamed.samples) <= 1e-12 * np.linalg.norm(streamed.samples)
+
 
 class TestNormEquivalence:
     def test_single_whole_region_is_identity(self, phi16):
@@ -1052,14 +1066,16 @@ class TestFrameIo:
         assert cert.A == pytest.approx(stored["A"], rel=1e-12)
         assert cert.B == pytest.approx(stored["B"], rel=1e-12)
 
-    def test_manifest_without_period_reads_as_one_block(self, frame16, tmp_path):
-        # a frame file written before the manifest kept the period
+    def test_manifest_without_period_is_invalid_argument(self, frame16, tmp_path):
+        # write_frame always writes the period, so a manifest without it is not one of its files
         manifest, atoms = tmp_path / "frame.json", tmp_path / "atoms.tfat"
         write_frame(manifest, atoms, frame16)
         parsed = json.loads(manifest.read_text())
         del parsed["frequency_period"]
         manifest.write_text(json.dumps(parsed))
-        assert read_frame(manifest, atoms).frequency_period == L16
+        with pytest.raises(InvalidArgumentError, match="frequency_period") as info:
+            read_frame(manifest, atoms)
+        assert info.value.code == "invalid-argument" and info.value.context["path"] == str(manifest)
 
     @pytest.mark.parametrize("name", ["regular16.json", "irregular16.json", "gabor16.json", "wedge32.json"])
     def test_probe_refuses_a_period_the_atoms_lack(self, tmp_path, name):
