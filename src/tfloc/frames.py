@@ -309,9 +309,10 @@ def reconstruct(frame: EigenFrame, f: Signal, certificate: FrameCertificate | No
     (``EigenFrame``) and the blocks are solved against y alone: no copy of the atoms, and no
     O(L p^2) inverse.  A stream passes a certificate, whose ``inverse`` keeps G, the weighted atoms
     as columns, and the inverted blocks: y = G conj(G^T conj(f)), faster per signal.  Returns
-    (f_rec, relative error), both norms taken after scaling by a power of two near the peak sample
-    so that they neither overflow nor underflow; the zero signal gives zero with error 0, and a
-    reconstruction that overflows is a NumericError.
+    (f_rec, relative error).  The error is ||d|| / ||x|| for d = s (f_rec - f) and x = s f, s a
+    power of two near 1 / peak sample, so that neither overflows nor underflows; the zero signal
+    gives zero with error 0, and a reconstruction that overflows is a NumericError.  A finite error
+    proves every sample of f_rec finite, so the returned Signal is not checked again.
     """
     cert = certificate if certificate is not None else frame_certificate(frame)
     if cert.frame is not frame:
@@ -332,10 +333,15 @@ def reconstruct(frame: EigenFrame, f: Signal, certificate: FrameCertificate | No
         f_rec = _from_residue_rows((inverse @ _residue_rows(y, inverse.shape[1])[:, :, None])[:, :, 0])
     # exact for every sample that stays normal, so an ordinary signal's error keeps its bits
     scale = math.ldexp(1.0, min(-math.frexp(peak)[1], 1023))
-    rel = float(np.linalg.norm(scale * (f_rec - f.samples)) / np.linalg.norm(scale * f.samples))
+    d = f_rec - f.samples
+    d *= scale
+    x = scale * f.samples
+    rel = math.sqrt(np.vdot(d, d).real / np.vdot(x, x).real)
     if not math.isfinite(rel):
         raise NumericError("the reconstruction overflows; the signal's samples are too large for this frame")
-    return Signal(f_rec), rel
+    rec = object.__new__(Signal)  # a finite error has every sample finite, so Signal's check is skipped
+    rec.__dict__.update(samples=f_rec)
+    return rec, rel
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import tfloc.locop
 from tfloc.cli import SWEEP_EPSILONS, load_config, main, resolve_cover, resolve_window
 from tfloc.core import Signal, Window, gauss_window
 from tfloc.covers import Cover, Symbol, cover_from_dict, gen_random_irregular, gen_regular_boxes, gen_wedge_cover
-from tfloc.errors import EmptyFrameError, InvalidArgumentError, NotAFrameError, PreconditionViolation
+from tfloc.errors import EmptyFrameError, InvalidArgumentError, NotAFrameError, NumericError, PreconditionViolation
 from tfloc.frames import (
     SelectionPolicy,
     assemble_frame,
@@ -681,16 +681,22 @@ class TestReconstruct:
         with pytest.raises(InvalidArgumentError, match="signal length 8 != frame length 16"):
             reconstruct(frame16, Signal(np.ones(8)))
 
-    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e160])
-    def test_error_of_a_tiny_or_huge_signal(self, scale):
+    @pytest.mark.parametrize("scale, certified", [
+        *(pytest.param(v, True, id=f"{v:g}") for v in (1e-170, 1e-160, 1e160)),
+        *(pytest.param(v, False, id=f"{v:g}-certificate=None") for v in (1e-170, 1e-160, 1e160)),
+    ])
+    def test_error_of_a_tiny_or_huge_signal(self, scale, certified):
         # unscaled, ||f||_2 underflows to 0 at 1e-170 and overflows at 1e160, and the
         # error read 0.0 at all three: the zero vector at 1e-170, though its error is 1
         cfg = load_config(CONFIG_DIR / "regular16.json")
         frame = assemble_frame(resolve_cover(cfg), gauss_window(cfg.L), cfg.policy, cfg.weighted)
-        cert = frame_certificate(frame)
+        cert = frame_certificate(frame) if certified else None
         s = random_signal(np.random.default_rng(39), L16)
         rec_s, rel_s = reconstruct(frame, Signal(s), cert)
         rec, rel = reconstruct(frame, Signal(scale * s), cert)
+        # the result skips Signal's check, so its samples are checked here
+        assert rec.samples.dtype == np.complex128 and rec.samples.shape == (L16,)
+        assert np.isfinite(rec.samples).all()
         true = np.linalg.norm(rec.samples / scale - s) / np.linalg.norm(s)
         assert 0.0 < rel <= 1e-12 and abs(rel - true) <= 1e-15
         # scaled by the nearest power of two every step is exact, so the error keeps its bits
@@ -698,6 +704,16 @@ class TestReconstruct:
         rec2, rel2 = reconstruct(frame, Signal(two * s), cert)
         np.testing.assert_array_equal(rec2.samples, two * rec_s.samples)
         assert rel2 == rel_s
+
+    @pytest.mark.parametrize("certified", [False, True], ids=["certificate=None", "frame_certificate"])
+    def test_a_non_finite_result_is_a_numeric_error(self, phi16, boxes16, certified):
+        # samples of 1e308 overflow G* f of the unit-weight atoms; the error's finiteness test
+        # is the only guard, since the result is not checked as a Signal
+        frame = assemble_frame(boxes16, phi16, SelectionPolicy("epsilon", epsilon=0.1, n_max=L16), weighted=False)
+        cert = frame_certificate(frame) if certified else None
+        with pytest.warns(RuntimeWarning), pytest.raises(NumericError) as err:
+            reconstruct(frame, Signal(np.full(L16, 1e308 + 0j)), cert)
+        assert err.value.code == "numeric-error"
 
     def test_wedge_cover_end_to_end(self):
         L = 32
