@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, NoReturn
 import numpy as np
 
 from . import __version__
-from .core import Signal, Window, _json_keys, gauss_window, read_json, read_signal_csv, stft, write_json
+from .core import Signal, Window, _json_keys, _naming, gauss_window, read_json, read_signal_csv, stft, write_json
 from .covers import (
     Cover,
     gen_random_irregular,
@@ -54,14 +54,12 @@ from .frames import (
 
 # tfloc.gabor is imported in the lattice branches only, so a grid config never loads it
 if TYPE_CHECKING:
-    from .gabor import Lattice, LatticeGaborSystem
+    from .gabor import Lattice
 
 SWEEP_EPSILONS = [round(0.1 * i, 1) for i in range(10)]
 # the largest grid a config may ask for; one L x L complex matrix is then 268 MB
 MAX_L = 4096
 INT64_RANGE = (-(2**63), 2**63 - 1)
-# the parameters of each cover generator a config may name
-_GENERATOR_KEYS = {"regular": ("bx", "by"), "wedge": ("bands",), "irregular": ("seed", "target_size", "overlap")}
 
 
 @dataclass
@@ -75,6 +73,7 @@ class RunConfig:
     admissibility: dict  # validate_cover keywords R, r, w
     reconstruct_tol: float
     output_dir: Path | None
+    path: Path  # the config file; an error in a value it sets names it
 
 
 def _number(section: dict, key: str, default=None, integer: bool = False,
@@ -98,6 +97,13 @@ def _number(section: dict, key: str, default=None, integer: bool = False,
             f"config {key!r} must be an integer in [{bounds[0]}, {bounds[1]}], not {value!r}"
         )
     return value
+
+
+def _generators() -> dict:
+    """Each cover kind a config may name: its generator and the names of the parameters it takes after L.
+    Built on each call from this module's names, which perfbench replaces with timing wrappers."""
+    return {"regular": (gen_regular_boxes, ("bx", "by")), "wedge": (gen_wedge_cover, ("bands",)),
+            "irregular": (gen_random_irregular, ("seed", "target_size", "overlap"))}
 
 
 def _object(section: dict, key: str, known) -> dict:
@@ -136,12 +142,8 @@ def _cover_params(kind: str, spec: dict) -> dict:
 def load_config(path) -> RunConfig:
     """Read and check a run config; every config error carries its path."""
     path = Path(path)
-    raw = read_json(path, "config")
-    try:
-        return _parse_config(raw, path)
-    except InvalidArgumentError as exc:
-        exc.context.setdefault("path", str(path))
-        raise
+    with _naming(path):
+        return _parse_config(read_json(path, "config"), path)
 
 
 def _parse_config(raw, path: Path) -> RunConfig:
@@ -159,7 +161,7 @@ def _parse_config(raw, path: Path) -> RunConfig:
     else:
         raise InvalidArgumentError(f'config "window" must be "gauss" or {{"file": path}}, not {window!r}')
 
-    cover = _object(raw, "cover", (*_GENERATOR_KEYS, "file"))
+    cover = _object(raw, "cover", (*_generators(), "file"))
     if len(cover) != 1:
         raise InvalidArgumentError(f"config needs exactly one cover source, got {list(cover) or 'none'}")
     [kind] = cover
@@ -169,7 +171,7 @@ def _parse_config(raw, path: Path) -> RunConfig:
             raise InvalidArgumentError('config cover "file" must be a path')
         cover_source = path.parent / cover["file"]
     else:
-        cover_source = (kind, _cover_params(kind, _object(cover, kind, _GENERATOR_KEYS[kind])))
+        cover_source = (kind, _cover_params(kind, _object(cover, kind, _generators()[kind][1])))
 
     pol = _object(raw, "policy", ("mode", "alpha", "epsilon", "n_max"))
     policy = SelectionPolicy(
@@ -211,39 +213,41 @@ def _parse_config(raw, path: Path) -> RunConfig:
         },
         reconstruct_tol=reconstruct_tol,
         output_dir=path.parent / out if out else None,
+        path=path,
     )
 
 
 def _read_signal(cfg: RunConfig, path) -> Signal:
     """A signal or window CSV of the config's length L."""
-    sig = read_signal_csv(path)
-    if sig.length != cfg.L:
-        raise InvalidArgumentError(f"signal length {sig.length} does not match config L={cfg.L}",
-                                   path=str(path))
+    with _naming(path):
+        sig = read_signal_csv(path)
+        if sig.length != cfg.L:
+            raise InvalidArgumentError(f"signal length {sig.length} does not match config L={cfg.L}")
     return sig
 
 
 def resolve_window(cfg: RunConfig) -> Window:
-    if cfg.window_source == "gauss":
-        return gauss_window(cfg.L)
-    return Window.unit(_read_signal(cfg, cfg.window_source).samples)
+    """The Gaussian of the config's L, or the window file's samples made unit-norm; an error names that file."""
+    gauss = cfg.window_source == "gauss"
+    with _naming(cfg.path if gauss else cfg.window_source):
+        return gauss_window(cfg.L) if gauss else Window.unit(_read_signal(cfg, cfg.window_source).samples)
+
+
+def _cover_file(cfg: RunConfig) -> Path:
+    """The file an error in the cover's regions names: the cover file, or the config of a generated cover."""
+    return cfg.cover_source if isinstance(cfg.cover_source, Path) else cfg.path
 
 
 def resolve_cover(cfg: RunConfig) -> Cover:
-    if isinstance(cfg.cover_source, Path):
-        cover = read_cover_json(cfg.cover_source)
-        if cover.L != cfg.L:
-            raise InvalidArgumentError(
-                f"cover file has L={cover.L}, config L={cfg.L}",
-                path=str(cfg.cover_source),
-            )
-        return cover
-    kind, params = cfg.cover_source
-    if kind == "regular":
-        return gen_regular_boxes(cfg.L, params["bx"], params["by"])
-    if kind == "wedge":
-        return gen_wedge_cover(cfg.L, params["bands"])
-    return gen_random_irregular(cfg.L, params["seed"], params["target_size"], params["overlap"])
+    with _naming(_cover_file(cfg)):
+        if isinstance(cfg.cover_source, Path):
+            cover = read_cover_json(cfg.cover_source)
+            if cover.L != cfg.L:
+                raise InvalidArgumentError(f"cover file has L={cover.L}, config L={cfg.L}")
+            return cover
+        kind, params = cfg.cover_source
+        generator, _ = _generators()[kind]
+        return generator(cfg.L, **params)
 
 
 def write_pgm(path: Path, values: np.ndarray) -> None:
@@ -282,41 +286,43 @@ def _region_rows(frame: EigenFrame, cover: Cover) -> list[dict]:
     ]
 
 
-def _inputs(cfg: RunConfig, out_dir: Path) -> tuple[Window, Cover, LatticeGaborSystem | None]:
-    """(window, cover, tight system or None for a grid config) of every command that reads the cover.
+def _inputs(cfg: RunConfig, out_dir: Path) -> tuple[Window, Cover]:
+    """(window, cover) of every command that reads the cover.
 
     The cover is validated, ``admissibility.json`` written and an outer radius
     above R refused; a lattice cover then passes ``require_lattice_cover``
-    before the canonical tight window is built."""
+    before a command builds the canonical tight window for it."""
     phi = resolve_window(cfg)
     cover = resolve_cover(cfg)
-    adm = asdict(validate_cover(cover, **cfg.admissibility))
+    with _naming(cfg.path):
+        adm = asdict(validate_cover(cover, **cfg.admissibility))
     if cfg.lattice is not None:
-        from .gabor import canonical_tight, lattice_coverage_min, require_lattice_cover
+        from .gabor import lattice_coverage_min, require_lattice_cover
 
         # symbols are restricted to the lattice: coverage is judged there,
         # outer radius stays a full-grid notion
-        lat_min = lattice_coverage_min(cover, cfg.lattice)
+        with _naming(_cover_file(cfg)):
+            lat_min = lattice_coverage_min(cover, cfg.lattice)
         adm.update(lattice_sum_min=lat_min, covers_lattice=lat_min > 0.0)
     write_json(out_dir / "admissibility.json", adm)
     if not adm["outer_radius_ok"]:
         raise PreconditionViolation(
             f"outer radius {adm['max_outer_radius']} exceeds configured R={cfg.admissibility['R']}"
         )
+    if cfg.lattice is not None:
+        with _naming(_cover_file(cfg)):
+            require_lattice_cover(cover, cfg.lattice)
+    return phi, cover
+
+
+def _build_frame(cfg: RunConfig, cover: Cover, phi: Window) -> tuple[EigenFrame, dict]:
+    """Grid pipeline, or lattice pipeline on the config's canonical tight system; returns (frame, extras-for-report)."""
     if cfg.lattice is None:
-        return phi, cover, None
-    require_lattice_cover(cover, cfg.lattice)
-    return phi, cover, canonical_tight(phi, cfg.lattice)
-
-
-def _build_frame(cfg: RunConfig, cover: Cover, phi: Window,
-                 system: LatticeGaborSystem | None) -> tuple[EigenFrame, dict]:
-    """Grid pipeline, or lattice pipeline when there is a ``system``; returns (frame, extras-for-report)."""
-    if system is None:
         frame = assemble_frame(cover, phi, cfg.policy, cfg.weighted)
         return frame, {"lattice": None, "measure": "l1_mass / L (operator trace)"}
-    from .gabor import gabor_eigenframe
+    from .gabor import canonical_tight, gabor_eigenframe
 
+    system = canonical_tight(phi, cfg.lattice)
     frame = gabor_eigenframe(cover, system, cfg.policy, cfg.weighted)
     return frame, {
         "lattice": {"a": system.lattice.a, "b": system.lattice.b},
@@ -360,9 +366,9 @@ def cmd_frame(cfg: RunConfig, out_dir: Path, timings: bool = False) -> int:
     from .locop import RANK_RTOL
 
     t0 = time.perf_counter()
-    phi, cover, system = _inputs(cfg, out_dir)
+    phi, cover = _inputs(cfg, out_dir)
     t1 = time.perf_counter()
-    frame, extras = _build_frame(cfg, cover, phi, system)
+    frame, extras = _build_frame(cfg, cover, phi)
     t2 = time.perf_counter()
     cert = frame_certificate(frame)
     t3 = time.perf_counter()
@@ -403,10 +409,10 @@ def _load_or_build_frame(cfg: RunConfig, out_dir: Path) -> EigenFrame:
     manifest = out_dir / "frame.json"
     atoms = out_dir / "frame_atoms.tfat"
     stored = read_frame(manifest, atoms) if manifest.exists() and atoms.exists() else None
-    phi, cover, system = _inputs(cfg, out_dir)
+    phi, cover = _inputs(cfg, out_dir)
     if stored is not None and stored.source == _frame_source(cfg, cover, phi):
         return stored
-    return _build_frame(cfg, cover, phi, system)[0]
+    return _build_frame(cfg, cover, phi)[0]
 
 
 def cmd_reconstruct(cfg: RunConfig, signal_path, out_dir: Path) -> int:
@@ -422,13 +428,13 @@ def cmd_reconstruct(cfg: RunConfig, signal_path, out_dir: Path) -> int:
 
 
 def cmd_diagnose(cfg: RunConfig, out_dir: Path) -> int:
-    phi, cover, system = _inputs(cfg, out_dir)
-    if system is None:
+    phi, cover = _inputs(cfg, out_dir)
+    if cfg.lattice is None:
         classes = region_classes(cover, phi)
     else:
-        from .gabor import multiplier_classes
+        from .gabor import canonical_tight, multiplier_classes
 
-        classes = multiplier_classes(cover, system)
+        classes = multiplier_classes(cover, canonical_tight(phi, cfg.lattice))
     eps = cfg.policy.epsilon if cfg.policy.mode == "epsilon" else 1.0 / cfg.policy.alpha
     (c_plain, C_plain), (c_sq, C_sq), [(c_th, C_th), *rows] = norm_equivalence_constants(
         classes, [eps, *SWEEP_EPSILONS], cover.frequency_period)
@@ -506,9 +512,7 @@ def main(argv=None) -> int:
             return cmd_frame(cfg, out_dir, timings=args.timings)
         if args.command == "reconstruct":
             return cmd_reconstruct(cfg, args.signal, out_dir)
-        if args.command == "diagnose":
-            return cmd_diagnose(cfg, out_dir)
-        raise InternalError(f"unhandled command {args.command!r}")
+        return cmd_diagnose(cfg, out_dir)
     except (TflocError, OSError) as exc:
         payload = _error_payload(exc)
         if out_dir is not None:

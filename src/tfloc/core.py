@@ -15,6 +15,7 @@ localization operator with unit symbol the identity.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 
@@ -131,6 +132,16 @@ def stft(f: Signal, phi: Window) -> np.ndarray:
     return V
 
 
+@contextmanager
+def _naming(path):
+    """Adds ``path`` to the context of an InvalidArgumentError raised inside that names no path yet."""
+    try:
+        yield
+    except InvalidArgumentError as exc:
+        exc.context.setdefault("path", str(path))
+        raise
+
+
 # ---------------------------------------------------------------------------
 # Signal CSV format: `t,re,im`, one row per sample t = 0 .. L-1.
 # Floats are printed with repr() (shortest round-trip form).
@@ -140,10 +151,12 @@ def read_signal_csv(path) -> Signal:
     """The signal in the CSV file at ``path``; a file that is not UTF-8 text
     in this format, or holds no finite samples, is an InvalidArgumentError
     with the path."""
-    try:
-        with open(path, encoding="utf-8") as fh:
+    with _naming(path), open(path, encoding="utf-8") as fh:
+        try:
             header = fh.readline().strip()
             rows = [line.strip() for line in fh if line.strip()]
+        except UnicodeDecodeError as exc:
+            raise InvalidArgumentError(f"signal CSV is not UTF-8 text: {exc}") from None
         if header != "t,re,im":
             raise InvalidArgumentError(f"bad signal CSV header {header!r}")
         samples = np.empty(len(rows), dtype=np.complex128)
@@ -157,11 +170,6 @@ def read_signal_csv(path) -> Signal:
                 raise InvalidArgumentError(f"non-contiguous sample index {t_s}")
             samples[i] = value
         return Signal(samples)
-    except UnicodeDecodeError as exc:
-        raise InvalidArgumentError(f"signal CSV is not UTF-8 text: {exc}", path=str(path)) from None
-    except InvalidArgumentError as exc:
-        exc.context.setdefault("path", str(path))
-        raise
 
 
 def _json_array(value, kinds: str) -> np.ndarray | None:

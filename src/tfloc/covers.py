@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import _INT64_MAX, _json_array, _json_keys, read_json
+from .core import _INT64_MAX, _json_array, _json_keys, _naming, read_json
 from .errors import InvalidArgumentError
 
 
@@ -395,9 +395,5 @@ def write_cover_json(path, cover: Cover) -> None:
 
 def read_cover_json(path) -> Cover:
     """Cover from a JSON file; a malformed file is an InvalidArgumentError with its path."""
-    data = read_json(path, "cover")
-    try:
-        return cover_from_dict(data)
-    except InvalidArgumentError as exc:
-        exc.context.setdefault("path", str(path))
-        raise
+    with _naming(path):
+        return cover_from_dict(read_json(path, "cover"))

@@ -36,8 +36,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import (_INT64_MAX, Signal, _from_residue_rows, _gram_blocks, _json_array, _residue_rows, read_json,
-                   write_json)
+from .core import (_INT64_MAX, Signal, _from_residue_rows, _gram_blocks, _json_array, _naming, _residue_rows,
+                   read_json, write_json)
 from .errors import EmptyFrameError, InvalidArgumentError, NotAFrameError, NumericError, PreconditionViolation
 
 if TYPE_CHECKING:  # a stored frame is read, certified and reconstructed without these modules
@@ -481,28 +481,24 @@ def read_frame(manifest_path, atoms_path) -> EigenFrame:
         raise InvalidArgumentError(f"malformed frame manifest ({type(exc).__name__}: {exc})",
                                    path=str(manifest_path)) from None
     del manifest  # its parsed entries are not held beside the atoms
-    with open(atoms_path, "rb") as fh:
+    with _naming(atoms_path), open(atoms_path, "rb") as fh:
         magic, size = fh.read(4), fh.seek(0, 2)  # the file's size is the offset of its end
         if magic != b"TFAT":
-            raise InvalidArgumentError(f"bad atoms magic {magic!r}", path=str(atoms_path))
+            raise InvalidArgumentError(f"bad atoms magic {magic!r}")
         if size != 4 + n * record:
             raise InvalidArgumentError(f"the atoms file has {size} bytes, not the 4 + 16 L n = {4 + n * record} "
-                                       f"of n = {n} atoms of length L = {L}", path=str(atoms_path))
+                                       f"of n = {n} atoms of length L = {L}")
         atoms = np.empty((n, L), "<c16")
         fh.seek(4)
         fh.readinto(atoms)
-    # NaN, infinite and overflowing entries fail this too; a row of floats is an atom's parts
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.sqrt(np.einsum("ij,ij->i", atoms.view("<f8"), atoms.view("<f8")))
-    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= _UNIT_NORM_TOL))
-    if bad.size:
-        raise InvalidArgumentError(f"atom record at offset {offsets[bad[0]]} is not a finite unit vector",
-                                   path=str(atoms_path))
-    try:  # the atoms are checked for the period p on construction
+        # NaN, infinite and overflowing entries fail this too; a row of floats is an atom's parts
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.sqrt(np.einsum("ij,ij->i", atoms.view("<f8"), atoms.view("<f8")))
+        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= _UNIT_NORM_TOL))
+        if bad.size:
+            raise InvalidArgumentError(f"atom record at offset {offsets[bad[0]]} is not a finite unit vector")
+    with _naming(manifest_path):  # the atoms are checked for the period p on construction
         return EigenFrame(atoms, lams, gammas, weighted, p, source)
-    except InvalidArgumentError as exc:
-        exc.context.setdefault("path", str(manifest_path))
-        raise
 
 
 def write_certificate_json(path, cert: FrameCertificate) -> None:

@@ -317,8 +317,82 @@ def run_cover_command(tmp_path, command, cfg, out):
     return main(args)
 
 
+def lattice_cover_config(tmp_path, edit):
+    """configs/gabor16.json over a copy of its cover file in ``tmp_path`` whose region 0 is ``edit(region 0)``."""
+    cover = json.loads((CONFIG_DIR / "gabor16_cover.json").read_text())
+    cover["regions"][0] = edit(cover["regions"][0])
+    (tmp_path / "cover.json").write_text(json.dumps(cover))
+    return {**json.loads((CONFIG_DIR / "gabor16.json").read_text()), "cover": {"file": "cover.json"}}
+
+
+def zero_window_config(tmp_path):
+    write_signal_csv(tmp_path / "window.csv", np.zeros(16))
+    return basic_config(window={"file": "window.csv"})
+
+
+# inputs refused by a check that runs after their files are read: the config's payload, made in a
+# directory, the file in that directory the error names, and the error's message
+REFUSED_AFTER_READING = [
+    pytest.param(lambda d: basic_config(L=1), "config.json", "gauss_window requires L >= 2, got 1", id="L=1"),
+    pytest.param(lambda d: basic_config(cover={"regular": {"bx": 3, "by": 4}}), "config.json",
+                 "box sides (3, 4) must divide L=16", id="regular-bx=3"),
+    pytest.param(lambda d: basic_config(cover={"irregular": {"seed": 0, "target_size": 1}}), "config.json",
+                 "target_size must be in [2, L], got 1", id="irregular-target_size=1"),
+    pytest.param(lambda d: basic_config(cover={"irregular": {"seed": 0, "target_size": 4, "overlap": 1.5}}),
+                 "config.json", "overlap must be in [0, 1], got 1.5", id="irregular-overlap=1.5"),
+    pytest.param(lambda d: basic_config(cover={"wedge": {"bands": [[0, 16, 3]]}}), "config.json",
+                 "time_step 3 must divide L=16", id="wedge-time_step=3"),
+    pytest.param(lambda d: basic_config(cover={"wedge": {"bands": [[0, 6, 4], [8, 16, 4]]}}), "config.json",
+                 "bands overlap or leave a gap at xi=6", id="wedge-gap"),
+    pytest.param(lambda d: basic_config(admissibility={"R": -1}), "config.json", "bad radii R=-1, r=None, w=1",
+                 id="R=-1"),
+    pytest.param(lambda d: basic_config(admissibility={"r": -1}), "config.json", "bad radii R=8, r=-1, w=1",
+                 id="r=-1"),
+    pytest.param(lambda d: basic_config(admissibility={"w": 0}), "config.json", "bad radii R=8, r=None, w=0",
+                 id="w=0"),
+    pytest.param(zero_window_config, "window.csv", "cannot normalize the zero window", id="zero-window"),
+    pytest.param(lambda d: lattice_cover_config(d, lambda r: {**r, "cells": [[1, 2], *r["cells"][1:]]}),
+                 "cover.json", "cell (1, 2) of region 0 is not a lattice point", id="cover-file-cell-off-lattice"),
+    pytest.param(lambda d: lattice_cover_config(d, lambda r: {**r, "center": [5, 4]}), "cover.json",
+                 "region 0 center (5, 4) is not a lattice point", id="cover-file-center-off-lattice"),
+    pytest.param(lambda d: basic_config(lattice={"a": 2, "b": 2}), "config.json",
+                 "cell (0, 1) of region 0 is not a lattice point", id="generated-cover-off-lattice"),
+]
+
+
 class TestCoverInputs:
     """frame, diagnose and reconstruct check the cover on one path, and write the same admissibility.json."""
+
+    @pytest.mark.parametrize("command", ["frame", "diagnose"])
+    @pytest.mark.parametrize(("payload", "named", "message"), REFUSED_AFTER_READING)
+    def test_a_value_refused_after_reading_names_its_file(self, tmp_path, command, payload, named, message):
+        cfg = write_config(tmp_path, payload(tmp_path))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert (err["code"], err["message"]) == ("invalid-argument", message)
+        assert err["context"]["path"] == str(tmp_path / named)
+
+    @pytest.mark.parametrize(("name", "generator"), [("regular16.json", "gen_regular_boxes"),
+                                                      ("irregular16.json", "gen_random_irregular"),
+                                                      ("wedge32.json", "gen_wedge_cover")])
+    def test_a_generator_is_looked_up_when_it_runs(self, tmp_path, monkeypatch, name, generator):
+        # perfbench times a cover generator by replacing its name in tfloc.cli
+        calls, generate = [], getattr(tfloc.cli, generator)
+        monkeypatch.setattr(tfloc.cli, generator, lambda *a, **k: calls.append(a) or generate(*a, **k))
+        assert main(["frame", "--config", str(CONFIG_DIR / name), "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
+
+    def test_the_tight_window_is_built_only_where_it_is_used(self, tmp_path, monkeypatch):
+        calls, tight = [], tfloc.gabor.canonical_tight
+        monkeypatch.setattr(tfloc.gabor, "canonical_tight", lambda *a: calls.append(a) or tight(*a))
+        out = tmp_path / "o"
+        # frame and diagnose use it; a reconstruct uses it only when it must build its frame
+        for command, where, count in (("frame", out, 1), ("diagnose", out, 1), ("reconstruct", out, 0),
+                                      ("reconstruct", tmp_path / "fresh", 1)):
+            calls.clear()
+            assert run_cover_command(tmp_path, command, CONFIG_DIR / "gabor16.json", where) == 0
+            assert len(calls) == count, (command, where)
 
     @pytest.mark.parametrize("command", ["frame", "diagnose", "reconstruct"])
     def test_outer_radius_above_R_is_refused(self, tmp_path, command):
