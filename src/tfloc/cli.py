@@ -463,9 +463,11 @@ def cmd_diagnose(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _error_payload(exc: TflocError | OSError) -> dict:
+def _error_payload(exc: TflocError | OSError | MemoryError) -> dict:
     if isinstance(exc, TflocError):
         return {"code": exc.code, "message": str(exc), "context": exc.context}
+    if isinstance(exc, MemoryError):
+        return {"code": "out-of-memory", "message": str(exc) or "out of memory", "context": {}}
     ctx = {"path": exc.filename} if exc.filename else {}
     return {"code": "io-error", "message": str(exc), "context": ctx}
 
@@ -513,7 +515,7 @@ def main(argv=None) -> int:
         if args.command == "reconstruct":
             return cmd_reconstruct(cfg, args.signal, out_dir)
         return cmd_diagnose(cfg, out_dir)
-    except (TflocError, OSError) as exc:
+    except (TflocError, OSError, MemoryError) as exc:
         payload = _error_payload(exc)
         if out_dir is not None:
             # an --out that names a file, or a path under one, gets no error.json

@@ -216,42 +216,45 @@ def region_classes(cover: Cover, phi: Window) -> Iterator[ClassSpectrum]:
 
 
 def _member_batches(spec: Spectrum, cls: ShapeClass) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(members, vectors): ``spec`` translated to each batch of the class's members, (m, L, r) with
-    at most min(_BATCH_ENTRIES, L^2) / 2 entries, so that with its conjugate it is one L x L at most."""
+    """(members, vectors): ``spec``, which must hold r >= 1 eigenpairs, translated to each batch of the class's
+    members, (m, L, r) with at most min(_BATCH_ENTRIES, L^2) / 2 entries: with its conjugate, one L x L at most."""
     L, r = spec.eigenvectors.shape
-    step = max(1, min(_BATCH_ENTRIES, L * L) // max(2 * L * r, 1))
+    step = max(1, min(_BATCH_ENTRIES, L * L) // (2 * L * r))
     for lo in range(0, cls.members.size, step):
         yield cls.members[lo:lo + step], spec.translated(cls.shifts[lo:lo + step])
 
 
-def eigenframe_from_classes(L: int, classes: Iterable[ClassSpectrum], policy: SelectionPolicy,
+def eigenframe_from_classes(classes: Iterable[ClassSpectrum], policy: SelectionPolicy,
                             weighted: bool, frequency_period: int) -> EigenFrame:
     """Frame of the selected eigenpairs of each region, counted with its class measure ||eta||_1 / L.
 
-    ``classes`` is a shape-class stream (``class_spectra``), consumed in a
-    single pass.  The count is selected once per class, and only the selected
-    eigenpairs, their eigenvectors copied, outlive the class spectrum; an
-    empty spectrum, a numerically zero operator, gives a warning and no atoms.
-    Then the atoms array is allocated once, and each class's selected vectors
-    are translated to its members in a few gathers (``_member_batches``)
-    and written to their rows.  The frame records ``frequency_period``, the cover's.
+    ``classes`` is a shape-class stream (``class_spectra``), consumed in a single
+    pass; L and the measure are the representative's.  The count is selected once
+    per class, and only a class that selects any is kept, with its selected
+    eigenpairs, their eigenvectors copied; an empty spectrum, a numerically zero
+    operator, gives a warning.  Then the atoms array is allocated once, and each
+    kept class's vectors are translated to its members in a few gathers
+    (``_member_batches``) and written to their rows.  The frame records ``frequency_period``, the cover's.
     """
     from .locop import Spectrum
 
-    selected = []  # each class's selected eigenpairs
-    for spec, measure, cls in classes:
+    selected, n_regions = [], 0  # the selected eigenpairs of each class that keeps any
+    for spec, cls in classes:
+        rep = cls.representative
+        n_regions += cls.members.size
         if not spec.eigenvalues.size:
             for gamma in cls.members.tolist():
                 warnings.warn(f"region {gamma} has a numerically zero operator; contributing no atoms",
                               stacklevel=3)
-        n = select_eigenfunctions(spec, measure, policy)
-        selected.append((Spectrum(spec.eigenvalues[:n], spec.eigenvectors[:, :n].copy()), cls))
+        n = select_eigenfunctions(spec, rep.mass / rep.L, policy)
+        if n:
+            selected.append((Spectrum(spec.eigenvalues[:n], spec.eigenvectors[:, :n].copy()), cls))
         del spec
-    sizes = np.empty(sum(cls.members.size for _, cls in selected), dtype=np.int64)  # each region's atom count
+    sizes = np.zeros(n_regions, dtype=np.int64)  # each region's atom count
     for kept, cls in selected:  # the classes partition the regions, so each count is set once
         sizes[cls.members] = kept.eigenvalues.size
     start = np.cumsum(sizes) - sizes  # each region's first atom
-    atoms, lams = np.empty((int(sizes.sum()), L), dtype=np.complex128), np.empty(int(sizes.sum()))
+    atoms, lams = np.empty((int(sizes.sum()), rep.L), dtype=np.complex128), np.empty(int(sizes.sum()))
     for kept, cls in selected:
         for members, vectors in _member_batches(kept, cls):
             rows = start[members][:, None] + np.arange(kept.eigenvalues.size)
@@ -273,7 +276,7 @@ def assemble_frame(cover: Cover, phi: Window, policy: SelectionPolicy, weighted:
     if not weighted and inner < 1:
         raise PreconditionViolation("unweighted frames need inner regularity: every center's radius-1 ball "
                                     f"must lie inside its region's support (measured min inner radius {inner})")
-    return eigenframe_from_classes(cover.L, classes, policy, weighted, cover.frequency_period)
+    return eigenframe_from_classes(classes, policy, weighted, cover.frequency_period)
 
 
 def _block_extremes(blocks: np.ndarray, overflow: str) -> tuple[float, float]:
@@ -345,9 +348,9 @@ def reconstruct(frame: EigenFrame, f: Signal, certificate: FrameCertificate | No
 
 
 # ---------------------------------------------------------------------------
-# Norm-equivalence diagnostics: extreme eigenvalues of G = sum_gamma K'K with
-# K per region being H (plain), H^2 (squared), or the thresholded H^eps
-# (thresholded); the equivalence constants are their square roots.
+# Norm-equivalence diagnostics: the extreme eigenvalues c, C of G = sum_gamma K'K,
+# K per region being H (plain), H^2 (squared) or the thresholded H^eps, are the
+# constants of c ||f||^2 <= sum_gamma ||K f||^2 <= C ||f||^2, in squared-norm form.
 # ---------------------------------------------------------------------------
 
 def norm_equivalence_constants(
@@ -369,10 +372,14 @@ def norm_equivalence_constants(
     formed (``core._gram_blocks``) and eigensolved as Walnut blocks of order
     ``frequency_period``, the cover's, like the frame operator.
     """
-    cuts = sorted({0.0, *epsilons}, reverse=True)
-    sums = [0] * (len(cuts) + 1)  # the band sums, then the squared sum; each is blocks from its first add
-    for spec, _, cls in classes:
+    cuts, p = sorted({0.0, *epsilons}, reverse=True), frequency_period
+    sums = None  # the band sums, then the squared sum: one stack of Walnut blocks, zeros at the first class
+    for spec, cls in classes:
         lam = spec.eigenvalues
+        if sums is None:
+            sums = np.zeros((len(cuts) + 1, cls.representative.L // p, p, p), dtype=np.complex128)
+        if not lam.size:  # a numerically zero operator adds nothing
+            continue
         # band j is lam[ends[j]:ends[j + 1]], the eigenvalues in (cuts[j], cuts[j - 1]]
         ends = [0, *(int(np.sum(lam > eps)) for eps in cuts)]
         for _, vectors in _member_batches(spec, cls):
@@ -380,13 +387,12 @@ def norm_equivalence_constants(
             G = np.multiply(vectors.transpose(1, 2, 0), lam[:, None], order="C")
             del vectors  # the batch is dropped before the products
             for i, (lo, hi) in enumerate(zip(ends, ends[1:])):
-                if hi > lo or not np.ndim(sums[i]):  # an empty band adds its zeros once, to be blocks
-                    sums[i] += _gram_blocks(G[:, lo:hi].reshape(len(G), -1), frequency_period)
+                if hi > lo:
+                    sums[i] += _gram_blocks(G[:, lo:hi].reshape(len(G), -1), p)
             G *= lam[:, None]
-            sums[-1] += _gram_blocks(G.reshape(len(G), -1), frequency_period)
+            sums[-1] += _gram_blocks(G.reshape(len(G), -1), p)
         del spec, G
-    for j in range(1, len(cuts)):
-        sums[j] += sums[j - 1]
+    np.cumsum(sums[:-1], axis=0, out=sums[:-1])
     extremes = [_block_extremes(gram, "a Gram sum has non-finite entries; the symbol values overflow it")
                 for gram in sums]
     thresholded = dict(zip(cuts, extremes))

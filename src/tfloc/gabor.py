@@ -197,5 +197,4 @@ def gabor_eigenframe(
     Selection runs through the grid pipeline's back end with the multiplier
     trace as the region measure; ``frame_certificate`` certifies the frame.
     """
-    return eigenframe_from_classes(cover.L, multiplier_classes(cover, sys), policy, weighted,
-                                   cover.frequency_period)
+    return eigenframe_from_classes(multiplier_classes(cover, sys), policy, weighted, cover.frequency_period)

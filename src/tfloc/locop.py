@@ -209,8 +209,8 @@ def eigendecomp(H: np.ndarray) -> Spectrum:
     return Spectrum(w, Q * (np.conj(ph) / np.abs(ph))[None, :])
 
 
-# one shape class: the representative's spectrum and trace measure ||eta||_1 / L, and the class
-ClassSpectrum = tuple[Spectrum, float, ShapeClass]
+# one shape class: the representative's spectrum, and the class
+ClassSpectrum = tuple[Spectrum, ShapeClass]
 
 
 def class_spectra(classes: Iterable[ShapeClass], phi: Window) -> Iterator[ClassSpectrum]:
@@ -241,4 +241,4 @@ def _class_spectrum(cls: ShapeClass, phi: Window) -> ClassSpectrum:
     V[J] = block.eigenvectors
     if axis is not None:
         V[J] *= _unit_roots(2 * L)[(axis * J[:, None]) % (2 * L)]  # D u
-    return Spectrum(block.eigenvalues, V), rep.mass / L, cls
+    return Spectrum(block.eigenvalues, V), cls

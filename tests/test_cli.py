@@ -595,6 +595,23 @@ class TestFrame:
         cert = json.loads((out / "certificate.json").read_text())
         assert cert["is_frame"] is False
 
+    NUMPY_MESSAGE = "Unable to allocate 3.02 GiB for an array with shape (1024, 1024, 386) and data type complex128"
+
+    @pytest.mark.parametrize("message, written", [(NUMPY_MESSAGE, NUMPY_MESSAGE), ("", "out of memory")],
+                             ids=["numpy", "bare"])
+    def test_running_out_of_memory_is_a_typed_error(self, tmp_path, monkeypatch, capsys, message, written):
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(tfloc.cli, "assemble_frame", exhausted)
+        out = tmp_path / "o"
+        assert main(["frame", "--config", str(CONFIG_DIR / "regular16.json"), "--out", str(out)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err == {"code": "out-of-memory", "message": written, "context": {}}
+        stderr = capsys.readouterr().err
+        assert stderr == f"error [out-of-memory]: {written}\n" and "Traceback" not in stderr
+        assert not (out / "frame.json").exists()
+
     def test_success_removes_a_stale_error_json(self, tmp_path):
         broken = write_config(tmp_path, basic_config(cover=None), name="broken.json")
         out = tmp_path / "o"

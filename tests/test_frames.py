@@ -18,6 +18,7 @@ from tfloc.errors import EmptyFrameError, InvalidArgumentError, NotAFrameError, 
 from tfloc.frames import (
     SelectionPolicy,
     assemble_frame,
+    eigenframe_from_classes,
     epsilon_sweep,
     frame_certificate,
     norm_equivalence_constants,
@@ -521,6 +522,48 @@ class TestOnePass:
         assert peak < 32 * self.L**2 * 16
 
 
+class TestClassesThatKeepNothing:
+    """A class that keeps no eigenpair is never translated to its members, so its cost does
+    not grow with them; one L x L complex array is L^2 * 16 bytes."""
+
+    def test_an_empty_frame_translates_nothing(self):
+        # 4,096 2x2 boxes at L = 128 are one class whose largest eigenvalue, at most its
+        # measure 4 / 128, is below epsilon = 0.1
+        L = 128
+        cover = gen_regular_boxes(L, 2, 2)
+        classes = list(region_classes(cover, gauss_window(L)))
+        assert len(classes) == 1 and 0 < classes[0][0].eigenvalues[0] < 0.1
+
+        def build():
+            with pytest.raises(EmptyFrameError):
+                eigenframe_from_classes(classes, SelectionPolicy("epsilon", epsilon=0.1, n_max=L), True,
+                                        cover.frequency_period)
+
+        build()  # the first run imports modules lazily; trace the second
+        assert traced_peak_bytes(build) <= 2 * L**2 * 16
+
+    def test_a_zero_class_adds_nothing_to_the_constants(self):
+        # one whole-grid region of value 1, and a zero-valued region on every cell: the zero
+        # regions are one class of 4,096 members whose spectrum is empty
+        L, epsilons = 64, [0.1, 0.5]
+        grid = [(x, xi) for x in range(L) for xi in range(L)]
+        whole = Symbol.indicator(L, (0, 0), grid)
+        cover = Cover(L, (whole, *(Symbol(L, z, [z], [0.0]) for z in grid)))
+        alone = Cover(L, (whole,))
+        phi = gauss_window(L)
+        classes = list(region_classes(cover, phi))
+        assert [(spec.eigenvalues.size, cls.members.size) for spec, cls in classes] == [(L, 1), (0, L * L)]
+        assert cover.frequency_period == alone.frequency_period
+
+        def constants():
+            return norm_equivalence_constants(classes, epsilons, cover.frequency_period)
+
+        constants()  # the first run imports modules lazily; trace the second
+        assert traced_peak_bytes(constants) <= 10 * L**2 * 16
+        assert constants() == norm_equivalence_constants(region_classes(alone, phi), epsilons,
+                                                          alone.frequency_period)  # bit for bit
+
+
 class TestCertificate:
     def test_duplicate_frame_doubles_bounds(self, frame16):
         from tfloc.frames import EigenFrame
@@ -868,7 +911,7 @@ class TestNormEquivalence:
         # one class of 64 members: its spectrum is translated to them a batch at a time
         cover = gen_regular_boxes(64, 8, 8)
         classes = list(region_classes(cover, gauss_window(64)))
-        assert len(classes) == 1 and classes[0][2].members.size == 64
+        assert len(classes) == 1 and classes[0][1].members.size == 64
         calls = []
         translated = tfloc.locop.Spectrum.translated
         monkeypatch.setattr(tfloc.locop.Spectrum, "translated",
@@ -1299,6 +1342,6 @@ class TestRandomCovers:
         cfg = load_config(CONFIG_DIR / "gabor16.json")
         cover = resolve_cover(cfg)
         classes = list(multiplier_classes(cover, canonical_tight(resolve_window(cfg), cfg.lattice)))
-        assert max(cls.members.size for _, _, cls in classes) > 1
+        assert max(cls.members.size for _, cls in classes) > 1
         self.assert_batch_free(classes, [cfg.policy.epsilon, *SWEEP_EPSILONS], cover.frequency_period,
                                len(cover.regions))

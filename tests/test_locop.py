@@ -324,7 +324,7 @@ def assert_stream_matches_dense(symbols, phi):
     and the selected subspaces' projectors to 1e-12 where the cutoff gap is
     at least 1e-3 lambda_1.  Returns the sizes of J."""
     sizes, compared = [], 0
-    for spec, measure, cls in class_spectra(Cover(phi.length, tuple(symbols)).classes, phi):
+    for spec, cls in class_spectra(Cover(phi.length, tuple(symbols)).classes, phi):
         rep = cls.representative
         H = assemble_locop(rep, phi)
         ev = np.linalg.eigvalsh(H)[::-1]
@@ -338,7 +338,7 @@ def assert_stream_matches_dense(symbols, phi):
         sizes.append(J.size)
         assert spec.eigenvectors.shape == (rep.L, r)
         assert not np.delete(spec.eigenvectors, J, axis=0).any()
-        assert measure == rep.mass / rep.L
+        measure = rep.mass / rep.L
         assert measure == pytest.approx(np.trace(H).real, rel=1e-12)
         for policy in STREAM_POLICIES:
             n = select_eigenfunctions(dense, measure, policy)
@@ -488,8 +488,8 @@ class TestClassStream:
 
     def test_zero_symbol_reports_zero_eigenvalue(self, phi16):
         zero = Symbol(L16, (3, 3), [(3, 3), (3, 4)], [0.0, 0.0])
-        [(spec, measure, _)] = class_spectra(Cover(L16, (zero,)).classes, phi16)
-        assert spec.eigenvalues.size == 0 and spec.eigenvectors.shape == (L16, 0) and measure == 0.0
+        [(spec, cls)] = class_spectra(Cover(L16, (zero,)).classes, phi16)
+        assert spec.eigenvalues.size == 0 and spec.eigenvectors.shape == (L16, 0) and cls.representative.mass == 0.0
 
     def test_spectra_hold_only_numerically_nonzero_eigenpairs(self, phi16):
         # a 4x4 box has rank 12 of 16, a point rank 1, the whole grid rank 16,
@@ -499,8 +499,8 @@ class TestClassStream:
         zero = Symbol(L16, (3, 3), [(3, 3), (3, 4)], [0.0, 0.0])
         symbols = [box, point, full_grid(L16), zero]
         spectra = list(class_spectra(Cover(L16, tuple(symbols)).classes, phi16))
-        assert [spec.eigenvalues.size for spec, _, _ in spectra] == [12, 1, 16, 0]
-        for (spec, _, _), s in zip(spectra, symbols):
+        assert [spec.eigenvalues.size for spec, _ in spectra] == [12, 1, 16, 0]
+        for (spec, _), s in zip(spectra, symbols):
             H = assemble_locop(s, phi16)
             ev = np.linalg.eigvalsh(H)
             r = int(np.sum(ev > RANK_RTOL * ev[-1]))
@@ -508,5 +508,5 @@ class TestClassStream:
                 assert lam.size == r
                 assert np.all(lam > RANK_RTOL * ev[-1])
         with pytest.warns(UserWarning, match="region 3 has a numerically zero operator"):
-            frame = eigenframe_from_classes(L16, spectra, SelectionPolicy("epsilon", epsilon=0.0), False, L16)
+            frame = eigenframe_from_classes(spectra, SelectionPolicy("epsilon", epsilon=0.0), False, L16)
         assert frame.lams.size == 12 + 1 + 16 and 3 not in frame.gammas
