@@ -25,6 +25,9 @@ from .errors import DimensionError, InvalidArgumentError, NumericError
 
 GAUSS_PERIODIZATION_TERMS = 6  # |n| <= 6; tail below double precision for L >= 2
 _INT64_MAX = 2**63 - 1
+# the one working-set bound: a cover's cells are summed, and a frame's atoms translated and weighted,
+# at most this many entries at a time; every bench input's and configs/* frame is one certificate batch
+_BATCH_ENTRIES = 1 << 18
 
 
 def _as_complex_vector(samples, L: int | None = None) -> np.ndarray:

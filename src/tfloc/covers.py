@@ -9,13 +9,14 @@ of centers per window.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
+from . import core
 from .core import _INT64_MAX, _json_array, _json_keys, _naming, read_json
 from .errors import InvalidArgumentError
 
@@ -89,6 +90,7 @@ class Cover:
     regions: tuple[Symbol, ...]
     shape_keys: InitVar[Sequence | None] = None
     classes: tuple[ShapeClass, ...] = field(init=False, repr=False)
+    centers: np.ndarray = field(init=False, repr=False)  # the (n, 2) region centers, read-only
 
     def __post_init__(self, shape_keys):
         regions = tuple(self.regions)
@@ -108,30 +110,41 @@ class Cover:
         for gamma, key in enumerate(shape_keys):
             groups.setdefault(key, []).append(gamma)
         centers = np.array([s.center for s in regions])
+        centers.flags.writeable = False
+        object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "classes", tuple(
             ShapeClass(regions[m[0]], np.array(m), (centers[m] - centers[m[0]]) % self.L)
             for m in groups.values()
         ))
 
-    @cached_property
-    def coverage(self) -> tuple[np.ndarray, float, float]:
-        """The pointwise sum of all symbols, read-only, and its extremes, formed on first use by one
-        bincount, each cell adding its values in region order; the flat index x L + xi is filled in place."""
-        L = self.L
-        flat = np.concatenate([s.cells[:, 0] for s in self.regions])
-        flat *= L
-        for s, part in zip(self.regions, np.split(flat, np.cumsum([len(s.cells) for s in self.regions]))):
-            part += s.cells[:, 1]
-        total = np.bincount(flat, np.concatenate([s.values for s in self.regions]), minlength=L * L).reshape(L, L)
-        total.flags.writeable = False
-        return total, float(total.min()), float(total.max())
+    def _cell_runs(self) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """(i, starts, x, xi, values): the regions in order, in runs i, i + 1, ... of at most core._BATCH_ENTRIES
+        cells in all (or of one larger region), their cells' x and xi and their values concatenated, ``starts``
+        each one's first cell there.  x and xi are gathered apart: a freed 16-byte-a-cell block raises glibc's
+        mmap threshold, which raised the peak of a later ``frame`` at L = 256 by 2 MB."""
+        ends = np.cumsum([0, *(len(s.cells) for s in self.regions)])
+        i = 0
+        while i < len(self.regions):
+            j = max(i + 1, int(np.searchsorted(ends, ends[i] + core._BATCH_ENTRIES, side="right")) - 1)
+            run = self.regions[i:j]
+            yield (i, ends[i:j] - ends[i], *(np.concatenate([s.cells[:, k] for s in run]) for k in (0, 1)),
+                   np.concatenate([s.values for s in run]))
+            i = j
 
     @cached_property
-    def cell_steps(self) -> tuple[int, int]:
-        """gcd(L, every cell's x) and gcd(L, every cell's xi), one gathered column at a time:
-        they all lie on the lattice aZ x bZ iff a divides the first and b the second."""
-        columns = (np.concatenate([s.cells[:, k] for s in self.regions]) for k in (0, 1))
-        return tuple(int(np.gcd.reduce(column, initial=self.L)) for column in columns)
+    def coverage(self) -> tuple[np.ndarray, float, float]:
+        """The pointwise sum of all symbols, read-only, and its extremes, formed on first use a run of regions
+        at a time (``_cell_runs``) by ``np.add.at``, which adds in array order as ``np.bincount`` does: each
+        cell sums its values in region order, from zero, so the bits do not depend on the runs."""
+        L = self.L
+        total = np.zeros((L, L))
+        for _, _, x, xi, values in self._cell_runs():
+            x *= L
+            x += xi  # the flat index x L + xi, in the run's own x
+            np.add.at(total.reshape(-1), x, values)
+            del x, xi, values  # the next run is gathered without this one
+        total.flags.writeable = False
+        return total, float(total.min()), float(total.max())
 
     @cached_property
     def radii(self) -> np.ndarray:
@@ -195,27 +208,26 @@ def _radii(s: Symbol) -> tuple[int, int]:
 def validate_cover(cover: Cover, R: int, r: int | None = None, w: int = 1) -> AdmissibilityReport:
     """Admissibility report for a cover; pure, never raises on well-formed input.
 
-    Outer radius and inner radius are exact integer computations on supports,
-    in the wrapped sup metric, once per shape class (``Cover.radii``);
-    coverage is sum_min > 0 (``Cover.coverage``); spreadness is the max
-    number of centers in any wrapped half-open ``w`` x ``w`` window.
+    Outer radius and inner radius are exact integer computations on supports, in the wrapped sup metric,
+    once per shape class (``Cover.radii``); coverage is sum_min > 0 (``Cover.coverage``); spreadness is the
+    max number of centers in any wrapped half-open ``w`` x ``w`` window, counted in one (L + min(w, L)) x L buffer.
     """
     if R < 0 or w < 1 or (r is not None and r < 0):
         raise InvalidArgumentError(f"bad radii R={R}, r={r}, w={w}")
-    L = cover.L
+    L, w_ = cover.L, min(w, cover.L)
     _, sum_min, sum_max = cover.coverage
     max_outer = int(cover.radii[:, 0].max())
     min_inner = None if r is None else int(cover.radii[:, 1].min())
 
-    centers = np.array([s.center for s in cover.regions])
-    counts = np.bincount(centers[:, 0] * L + centers[:, 1], minlength=L * L).reshape(L, L)
+    counts = np.zeros((L + w_, L), dtype=np.int32)
+    np.add.at(counts, tuple(cover.centers.T), 1)
     duplicate_centers = bool(counts.max() > 1)
-    # wrapped window sums along each axis in turn, from a cumulative sum of the counts
-    # extended by their first w rows; row a sums the window at a + 1, so the max is unchanged
-    w_ = min(w, L)
+    # wrapped window sums along each axis in turn: the counts, extended by their first w rows, are cumulated in
+    # place, and row a of the difference sums the window at a + 1; an int32 sum may wrap, but no difference does
     for _ in range(2):
-        c = np.cumsum(np.concatenate([counts, counts[:w_]]), axis=0)
-        counts = (c[w_:] - c[:L]).T
+        counts[L:] = counts[:w_]
+        np.cumsum(counts, axis=0, dtype=np.int32, out=counts)
+        counts[:L] = (counts[w_:] - counts[:L]).T
 
     return AdmissibilityReport(
         covers_grid=sum_min > 0.0,
@@ -223,7 +235,7 @@ def validate_cover(cover: Cover, R: int, r: int | None = None, w: int = 1) -> Ad
         max_outer_radius=max_outer,
         inner_radius_ok=None if r is None else min_inner >= r,
         min_inner_radius=min_inner,
-        spreadness=int(counts.max()),
+        spreadness=int(counts[:L].max()),
         window=w,
         sum_min=sum_min,
         sum_max=sum_max,

@@ -36,8 +36,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import (_INT64_MAX, Signal, _from_residue_rows, _gram_blocks, _json_array, _naming, _residue_rows,
-                   read_json, write_json)
+from .core import (_BATCH_ENTRIES, _INT64_MAX, Signal, _from_residue_rows, _gram_blocks, _json_array, _naming,
+                   _residue_rows, read_json, write_json)
 from .errors import EmptyFrameError, InvalidArgumentError, NotAFrameError, NumericError, PreconditionViolation
 
 if TYPE_CHECKING:  # a stored frame is read, certified and reconstructed without these modules
@@ -47,9 +47,6 @@ if TYPE_CHECKING:  # a stored frame is read, certified and reconstructed without
 
 _UNIT_NORM_TOL = 1e-9
 LOWER_BOUND_RTOL = 1e-9  # a lower frame bound or constant is positive above this share of the upper
-# atoms are translated and weighted at most this many entries at a time, which keeps the
-# temporaries small; every bench input's and configs/* frame is one certificate batch
-_BATCH_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -232,7 +229,7 @@ def eigenframe_from_classes(classes: Iterable[ClassSpectrum], policy: SelectionP
     pass; L and the measure are the representative's.  The count is selected once
     per class, and only a class that selects any is kept, with its selected
     eigenpairs, their eigenvectors copied; an empty spectrum, a numerically zero
-    operator, gives a warning.  Then the atoms array is allocated once, and each
+    operator, gives one warning for its class.  Then the atoms array is allocated once, and each
     kept class's vectors are translated to its members in a few gathers
     (``_member_batches``) and written to their rows.  The frame records ``frequency_period``, the cover's.
     """
@@ -243,9 +240,8 @@ def eigenframe_from_classes(classes: Iterable[ClassSpectrum], policy: SelectionP
         rep = cls.representative
         n_regions += cls.members.size
         if not spec.eigenvalues.size:
-            for gamma in cls.members.tolist():
-                warnings.warn(f"region {gamma} has a numerically zero operator; contributing no atoms",
-                              stacklevel=3)
+            warnings.warn(f"region {cls.members[0]} has a numerically zero operator, as has each region of its "
+                          f"shape class ({cls.members.size} in all); contributing no atoms", stacklevel=3)
         n = select_eigenfunctions(spec, rep.mass / rep.L, policy)
         if n:
             selected.append((Spectrum(spec.eigenvalues[:n], spec.eigenvectors[:, :n].copy()), cls))

@@ -149,14 +149,14 @@ def gabor_multiplier(m, sys: LatticeGaborSystem) -> np.ndarray:
 
 
 def lattice_coverage_min(cover: Cover, lattice: Lattice) -> float:
-    """Min over lattice points of the pointwise symbol sum; an off-lattice cell is an error."""
-    a, b = cover.cell_steps
-    for i, s in enumerate(cover.regions) if a % lattice.a or b % lattice.b else ():
-        off = np.flatnonzero((s.cells % [lattice.a, lattice.b]).any(axis=1))
+    """Min over lattice points of the pointwise symbol sum; the first off-lattice cell, found a run of
+    regions at a time (``Cover._cell_runs``), is an error."""
+    for i, starts, x, xi, _ in cover._cell_runs():
+        off = np.flatnonzero((x % lattice.a) | (xi % lattice.b))
         if off.size:
-            x, xi = s.cells[off[0]]
-            raise InvalidArgumentError(f"cell ({x}, {xi}) of region {i} is not a lattice point",
-                                       region=i, cell_index=int(off[0]))
+            c, k = off[0], int(np.searchsorted(starts, off[0], side="right")) - 1  # the cell is in region i + k
+            raise InvalidArgumentError(f"cell ({x[c]}, {xi[c]}) of region {i + k} is not a lattice point",
+                                       region=i + k, cell_index=int(c - starts[k]))
     return float(cover.coverage[0][:: lattice.a, :: lattice.b].min())
 
 
@@ -168,9 +168,9 @@ def require_lattice_cover(cover: Cover, lattice: Lattice) -> None:
     lat_min = lattice_coverage_min(cover, lattice)
     if lat_min <= 0.0:
         raise PreconditionViolation(f"cover does not cover the lattice (min symbol sum {lat_min!r})")
-    for i, s in enumerate(cover.regions):
-        if s.center[0] % lattice.a or s.center[1] % lattice.b:
-            raise InvalidArgumentError(f"region {i} center {s.center} is not a lattice point")
+    off = np.flatnonzero((cover.centers % [lattice.a, lattice.b]).any(axis=1))
+    if off.size:
+        raise InvalidArgumentError(f"region {off[0]} center {cover.regions[off[0]].center} is not a lattice point")
 
 
 def multiplier_classes(cover: Cover, sys: LatticeGaborSystem) -> Iterator[ClassSpectrum]:

@@ -108,6 +108,25 @@ def direct_coverage(cover):
     return total
 
 
+def bincount_coverage(cover):
+    """The pointwise sum of a cover's symbols: one ``np.bincount`` per region, added in region order."""
+    L = cover.L
+    total = np.zeros(L * L)
+    for s in cover.regions:
+        total += np.bincount(s.cells[:, 0] * L + s.cells[:, 1], s.values, minlength=L * L)
+    return total.reshape(L, L)
+
+
+def rolled_spreadness(centers, L, w):
+    """The most of ``centers`` in any wrapped w x w window: int64 counts per grid point,
+    summed over the min(w, L) cyclic shifts along one axis and then the other."""
+    counts = np.zeros((L, L), dtype=np.int64)
+    np.add.at(counts, tuple(np.asarray(centers).T), 1)
+    for axis in (0, 1):
+        counts = sum(np.roll(counts, -d, axis=axis) for d in range(min(w, L)))
+    return int(counts.max())
+
+
 def direct_spreadness(cover, w):
     """The most centers in any wrapped half-open w x w window [a, a + w) x [b, b + w),
     counting the centers of each window one by one."""

@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import tfloc.cli
+import tfloc.core
 import tfloc.covers
 import tfloc.frames
 import tfloc.locop
@@ -317,10 +318,10 @@ def run_cover_command(tmp_path, command, cfg, out):
     return main(args)
 
 
-def lattice_cover_config(tmp_path, edit):
-    """configs/gabor16.json over a copy of its cover file in ``tmp_path`` whose region 0 is ``edit(region 0)``."""
+def lattice_cover_config(tmp_path, edit, region=0):
+    """configs/gabor16.json over a copy of its cover file in ``tmp_path`` whose ``region`` is ``edit(region)``."""
     cover = json.loads((CONFIG_DIR / "gabor16_cover.json").read_text())
-    cover["regions"][0] = edit(cover["regions"][0])
+    cover["regions"][region] = edit(cover["regions"][region])
     (tmp_path / "cover.json").write_text(json.dumps(cover))
     return {**json.loads((CONFIG_DIR / "gabor16.json").read_text()), "cover": {"file": "cover.json"}}
 
@@ -353,8 +354,13 @@ REFUSED_AFTER_READING = [
     pytest.param(zero_window_config, "window.csv", "cannot normalize the zero window", id="zero-window"),
     pytest.param(lambda d: lattice_cover_config(d, lambda r: {**r, "cells": [[1, 2], *r["cells"][1:]]}),
                  "cover.json", "cell (1, 2) of region 0 is not a lattice point", id="cover-file-cell-off-lattice"),
+    pytest.param(lambda d: lattice_cover_config(d, lambda r: {**r, "cells": [*r["cells"][:5], [9, 3], *r["cells"][6:]]},
+                                                region=2),
+                 "cover.json", "cell (9, 3) of region 2 is not a lattice point", id="cover-file-later-cell-off-lattice"),
     pytest.param(lambda d: lattice_cover_config(d, lambda r: {**r, "center": [5, 4]}), "cover.json",
                  "region 0 center (5, 4) is not a lattice point", id="cover-file-center-off-lattice"),
+    pytest.param(lambda d: lattice_cover_config(d, lambda r: {**r, "center": [13, 12]}, region=3), "cover.json",
+                 "region 3 center (13, 12) is not a lattice point", id="cover-file-later-center-off-lattice"),
     pytest.param(lambda d: basic_config(lattice={"a": 2, "b": 2}), "config.json",
                  "cell (0, 1) of region 0 is not a lattice point", id="generated-cover-off-lattice"),
 ]
@@ -874,10 +880,10 @@ class TestFrame:
         # one admissibility pass: the radii of each shape class, once
         assert len(radii) == len(resolve_cover(load_config(cfg)).classes)
 
-    def test_lattice_frame_scans_the_cells_once(self, tmp_path, monkeypatch):
-        # the lattice256_stream bench input: 32x32 tiles on the lattice (4Z)^2 at L = 256;
-        # the admissibility report, the lattice checks and the multiplier stream all read
-        # the one scan kept with the cover
+    def test_lattice_frame_bytes_do_not_depend_on_the_cell_runs(self, tmp_path, monkeypatch):
+        # the lattice256_stream bench input: 32x32 tiles on the lattice (4Z)^2 at L = 256; the
+        # coverage sum and the three lattice checks read the cells a run of regions at a time,
+        # here the whole cover in one run and then one 64-cell region a run
         L, box, step = 256, 32, 4
         regions = [{"center": [x0 + box // 2, xi0 + box // 2],
                     "cells": [[x, xi] for x in range(x0, x0 + box, step) for xi in range(xi0, xi0 + box, step)]}
@@ -886,11 +892,13 @@ class TestFrame:
         cfg = write_config(tmp_path, basic_config(
             L=L, cover={"file": "cover.json"}, lattice={"a": step, "b": step},
             policy={"mode": "epsilon", "epsilon": 0.1, "n_max": L}))
-        scans = []
-        steps = tfloc.covers.Cover.__dict__["cell_steps"]
-        monkeypatch.setattr(steps, "func", lambda cover, scan=steps.func: scans.append(1) or scan(cover))
-        assert main(["frame", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-        assert len(scans) == 1
+        outputs = []
+        for bound in (tfloc.core._BATCH_ENTRIES, 100):
+            monkeypatch.setattr(tfloc.core, "_BATCH_ENTRIES", bound)
+            out = tmp_path / f"o{bound}"
+            assert main(["frame", "--config", str(cfg), "--out", str(out)]) == 0
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1] and "admissibility.json" in outputs[0]
 
     @pytest.mark.parametrize("command", ["frame", "diagnose"])
     def test_ill_conditioned_window_names_the_tightness_condition(self, tmp_path, command):

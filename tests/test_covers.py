@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tfloc import core
 from tfloc.cli import load_config, resolve_cover
 from tfloc.covers import (
     Cover,
@@ -23,11 +25,13 @@ from tfloc.errors import InvalidArgumentError
 
 from helpers import (
     ball,
+    bincount_coverage,
     cover_dict,
     direct_coverage,
     direct_frequency_period,
     direct_radii,
     direct_spreadness,
+    rolled_spreadness,
     shape_classes,
     shifted_symbol,
     wrapped_sup_distance,
@@ -106,6 +110,62 @@ class TestSumSymbols:
         cover = gen_random_irregular(32, seed=7, target_size=8, overlap=0.5)
         _, lo, _ = cover.coverage
         assert lo >= 1.0
+
+
+class TestWholeGridPasses:
+    """``Cover.coverage`` and the spreadness count of ``validate_cover``, each one pass over a bounded working set."""
+
+    @pytest.mark.parametrize("bound", [1 << 18, 25, 1])
+    def test_coverage_is_the_per_region_bincount_sum_in_any_runs(self, monkeypatch, bound):
+        # overlapping regions of random cells and values; a bound of 25 cells makes runs of two regions,
+        # of one region under the bound and of one larger region (the whole grid), and 1 a run per region
+        L, rng = 12, np.random.default_rng(11)
+        regions = []
+        for size in (5, 9, 20, L * L, 3, 30, 12, 7):
+            flat = rng.choice(L * L, size, replace=False)
+            regions.append(Symbol(L, tuple(rng.integers(0, L, 2)), np.column_stack(divmod(flat, L)), rng.random(size)))
+        cover = Cover(L, tuple(regions))
+        monkeypatch.setattr(core, "_BATCH_ENTRIES", bound)
+        runs = list(cover._cell_runs())
+        assert [i for i, *_ in runs] == np.cumsum([0, *(len(run[1]) for run in runs[:-1])]).tolist()
+        assert sum(len(run[1]) for run in runs) == len(regions)
+        for i, starts, x, xi, values in runs:
+            run = cover.regions[i:i + len(starts)]
+            assert len(x) <= bound or len(run) == 1
+            assert starts.tolist() == np.cumsum([0, *(len(s.cells) for s in run[:-1])]).tolist()
+            assert np.array_equal(np.column_stack([x, xi]), np.concatenate([s.cells for s in run]))
+            assert np.array_equal(values, np.concatenate([s.values for s in run]))
+        if bound == 25:
+            assert [len(run[1]) for run in runs] == [2, 1, 1, 1, 1, 2]
+        total, lo, hi = cover.coverage
+        expected = bincount_coverage(cover)
+        assert total.tobytes() == expected.tobytes() and not total.flags.writeable
+        assert (lo, hi) == (expected.min(), expected.max())
+
+    def test_coverage_peaks_within_the_grid_and_two_runs(self, monkeypatch):
+        # 4,096 regions of 16 cells, in runs of 4,096 cells: a run gathers 24 bytes a cell,
+        # its x (which becomes its flat indices), its xi and its values
+        monkeypatch.setattr(core, "_BATCH_ENTRIES", 4096)
+        cover = gen_regular_boxes(256, 4, 4)
+        tracemalloc.start()
+        try:
+            cover.coverage
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 256 * 256 * 8 + 2 * 4096 * 24
+
+    @pytest.mark.parametrize("w", [1, 3, 16], ids=["w=1", "w=3", "w=L"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_spreadness_matches_an_int64_oracle(self, seed, w):
+        # 100 one-cell regions centered at points drawn from a pool of 30, so centers repeat
+        L, rng = 16, np.random.default_rng(300 + seed)
+        centers = rng.integers(0, L, (30, 2))[rng.integers(0, 30, 100)]
+        cover = Cover(L, tuple(Symbol.indicator(L, tuple(c), [c]) for c in centers))
+        assert np.array_equal(cover.centers, centers) and not cover.centers.flags.writeable
+        rep = validate_cover(cover, R=L, w=w)
+        assert rep.spreadness == rolled_spreadness(centers, L, w)
+        assert rep.duplicate_centers
 
 
 class TestValidateCover:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -299,6 +300,18 @@ class TestAssembleFrame:
             frame = assemble_frame(
                 cover, phi16, SelectionPolicy("epsilon", epsilon=0.5, n_max=L16)
             )
+        assert np.all(frame.gammas == 0)
+
+    def test_a_zero_class_warns_once(self, phi16):
+        # a whole-grid region beside 256 zero-valued one-cell regions, which are one shape class
+        dead = [Symbol(L16, (x, xi), [(x, xi)], [0.0]) for x in range(L16) for xi in range(L16)]
+        cover = Cover(L16, (whole_grid_cover(L16).regions[0], *dead))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            frame = assemble_frame(cover, phi16, SelectionPolicy("epsilon", epsilon=0.5, n_max=L16))
+        assert [str(w.message) for w in caught] == [
+            "region 1 has a numerically zero operator, as has each region of its shape class (256 in all); "
+            "contributing no atoms"]
         assert np.all(frame.gammas == 0)
 
     def test_frame_operator_identity(self, boxes16, phi16, frame16):

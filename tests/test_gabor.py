@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import fractional_matrix_power
 
-from tfloc import gabor, locop
+from tfloc import core, gabor, locop
 from tfloc.core import Window, gauss_window
 from tfloc.covers import Cover, Symbol
 from tfloc.errors import InvalidArgumentError, NotAFrameError, PreconditionViolation
@@ -288,6 +288,25 @@ class TestLatticeSymbols:
             lattice_coverage_min(Cover(L16, (full, s)), lat22)
         assert err.value.context["cell_index"] == 1 and err.value.context["region"] == 1
         assert "(3, 4) of region 1" in str(err.value)
+
+    @pytest.mark.parametrize("bound", [1 << 18, 40, 1])
+    def test_the_first_off_lattice_cell_is_named_in_any_run(self, lat22, monkeypatch, bound):
+        # six 16-cell regions; region 3 has an off-lattice cell at index 5 and region 5 at index 0.
+        # A bound of 40 cells puts region 3 second in a run of two, 1 puts each region in its own run
+        points = lat22.points()
+        regions = [Symbol.indicator(L16, (0, 0), points[16 * (k % 4):16 * (k % 4) + 16]) for k in range(6)]
+        regions[3] = Symbol.indicator(L16, (0, 0), [(3, 4) if k == 5 else p for k, p in enumerate(points[:16])])
+        regions[5] = Symbol.indicator(L16, (0, 0), [(1, 1), *points[1:16]])
+        cover = Cover(L16, tuple(regions))
+        # the first region with an off-lattice cell, and the first such cell in it
+        region = next(i for i, s in enumerate(cover.regions) if (s.cells % 2).any())
+        cell = int(np.flatnonzero((cover.regions[region].cells % 2).any(axis=1))[0])
+        assert (region, cell) == (3, 5)
+        monkeypatch.setattr(core, "_BATCH_ENTRIES", bound)
+        with pytest.raises(InvalidArgumentError) as err:
+            lattice_coverage_min(cover, lat22)
+        assert (err.value.context["region"], err.value.context["cell_index"]) == (region, cell)
+        assert str(err.value) == "cell (3, 4) of region 3 is not a lattice point"
 
     def test_masses_match_direct_sums(self, lat22):
         cover = lattice_block_cover()
