@@ -10,8 +10,8 @@ _EXPORTS = {
     "core": ("Signal", "Window", "gauss_window", "stft"),
     "covers": ("AdmissibilityReport", "Cover", "Symbol", "gen_random_irregular", "gen_regular_boxes",
                "gen_wedge_cover", "read_cover_json", "validate_cover", "write_cover_json"),
-    "errors": ("DimensionError", "EmptyFrameError", "InternalError", "InvalidArgumentError",
-               "NotAFrameError", "NumericError", "PreconditionViolation", "TflocError"),
+    "errors": ("EmptyFrameError", "InternalError", "InvalidArgumentError", "NotAFrameError", "NumericError",
+               "PreconditionViolation", "TflocError"),
     "frames": ("EigenFrame", "FrameCertificate", "SelectionPolicy", "assemble_frame", "epsilon_sweep",
                "frame_certificate", "norm_equivalence_constants", "read_frame", "reconstruct",
                "select_eigenfunctions", "write_frame"),

@@ -21,7 +21,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DimensionError, InvalidArgumentError, NumericError
+from .errors import InvalidArgumentError, NumericError
 
 GAUSS_PERIODIZATION_TERMS = 6  # |n| <= 6; tail below double precision for L >= 2
 _INT64_MAX = 2**63 - 1
@@ -35,7 +35,7 @@ def _as_complex_vector(samples, L: int | None = None) -> np.ndarray:
     if arr.ndim != 1:
         raise InvalidArgumentError(f"expected a 1-d sample vector, got shape {arr.shape}")
     if L is not None and arr.shape[0] != L:
-        raise DimensionError(f"expected length {L}, got {arr.shape[0]}")
+        raise InvalidArgumentError(f"expected length {L}, got {arr.shape[0]}")
     if not np.isfinite(arr).all():
         raise InvalidArgumentError("samples contain NaN or Inf entries")
     return arr

@@ -131,11 +131,10 @@ class Cover:
                    np.concatenate([s.values for s in run]))
             i = j
 
-    @cached_property
-    def coverage(self) -> tuple[np.ndarray, float, float]:
-        """The pointwise sum of all symbols, read-only, and its extremes, formed on first use a run of regions
-        at a time (``_cell_runs``) by ``np.add.at``, which adds in array order as ``np.bincount`` does: each
-        cell sums its values in region order, from zero, so the bits do not depend on the runs."""
+    def _symbol_sum(self) -> np.ndarray:
+        """The pointwise sum of all symbols, L x L, formed a run of regions at a time (``_cell_runs``) by
+        ``np.add.at``, which adds in array order as ``np.bincount`` does: each cell sums its values in region
+        order, from zero, so the bits do not depend on the runs."""
         L = self.L
         total = np.zeros((L, L))
         for _, _, x, xi, values in self._cell_runs():
@@ -143,8 +142,13 @@ class Cover:
             x += xi  # the flat index x L + xi, in the run's own x
             np.add.at(total.reshape(-1), x, values)
             del x, xi, values  # the next run is gathered without this one
-        total.flags.writeable = False
-        return total, float(total.min()), float(total.max())
+        return total
+
+    @cached_property
+    def coverage(self) -> tuple[float, float]:
+        """(sum_min, sum_max), the extremes of the pointwise symbol sum (``_symbol_sum``); the sum is not kept."""
+        total = self._symbol_sum()
+        return float(total.min()), float(total.max())
 
     @cached_property
     def radii(self) -> np.ndarray:
@@ -209,13 +213,14 @@ def validate_cover(cover: Cover, R: int, r: int | None = None, w: int = 1) -> Ad
     """Admissibility report for a cover; pure, never raises on well-formed input.
 
     Outer radius and inner radius are exact integer computations on supports, in the wrapped sup metric,
-    once per shape class (``Cover.radii``); coverage is sum_min > 0 (``Cover.coverage``); spreadness is the
-    max number of centers in any wrapped half-open ``w`` x ``w`` window, counted in one (L + min(w, L)) x L buffer.
+    once per shape class (``Cover.radii``); coverage is sum_min > 0, from the two extremes ``Cover.coverage``
+    keeps; spreadness is the max number of centers in any wrapped half-open ``w`` x ``w`` window, counted in one
+    (L + min(w, L)) x L buffer, which is allocated after the symbol sum is freed.
     """
     if R < 0 or w < 1 or (r is not None and r < 0):
         raise InvalidArgumentError(f"bad radii R={R}, r={r}, w={w}")
     L, w_ = cover.L, min(w, cover.L)
-    _, sum_min, sum_max = cover.coverage
+    sum_min, sum_max = cover.coverage
     max_outer = int(cover.radii[:, 0].max())
     min_inner = None if r is None else int(cover.radii[:, 1].min())
 
@@ -314,9 +319,9 @@ def gen_random_irregular(L: int, seed: int, target_size: int, overlap: float) ->
     rng = np.random.default_rng(seed)
     jitter = int(overlap * target_size / 2)
     covered = np.zeros((L, L), dtype=bool)
-    boxes = []
-    while not covered.all():
-        flat = int(np.argmin(covered))  # first uncovered cell, row-major
+    cells, flat, boxes = covered.reshape(-1), 0, []
+    # the anchor is the first uncovered cell, row-major; the cells before the last one are covered: resume there
+    while not cells[flat := flat + int(np.argmin(cells[flat:]))]:
         ax, axi = divmod(flat, L)
         wd = int(np.clip(target_size + rng.integers(-jitter, jitter + 1), 2, L))
         ht = int(np.clip(target_size + rng.integers(-jitter, jitter + 1), 2, L))

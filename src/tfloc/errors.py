@@ -21,10 +21,6 @@ class InvalidArgumentError(TflocError, ValueError):
     code = "invalid-argument"
 
 
-class DimensionError(TflocError, ValueError):
-    code = "dimension-error"
-
-
 class NumericError(TflocError, ArithmeticError):
     code = "numeric-error"
 

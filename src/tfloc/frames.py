@@ -204,7 +204,7 @@ def region_classes(cover: Cover, phi: Window) -> Iterator[ClassSpectrum]:
     The cover must cover the grid; that is checked here, before the first
     operator is built.
     """
-    sum_min = cover.coverage[1]
+    sum_min = cover.coverage[0]
     if sum_min <= 0.0:
         raise PreconditionViolation(f"cover does not cover the grid (min symbol sum {sum_min!r})")
     from .locop import class_spectra

@@ -121,17 +121,10 @@ def canonical_tight(phi: Window, lattice: Lattice) -> LatticeGaborSystem:
 
 
 def _multiplier_symbol(symbol: Symbol, sys: LatticeGaborSystem) -> Symbol:
-    """The grid symbol A L eta of a lattice symbol eta, so that H_{A L eta} = GM_eta.
-
-    Its support is eta's cells with eta > 0, in lattice.points() order; an
-    all-zero eta keeps one zero-weight cell, which gives the zero operator.
-    """
-    order = np.lexsort((symbol.cells[:, 1], symbol.cells[:, 0]))
-    values = symbol.values[order]
-    keep = values > 0.0
-    keep[0] |= not keep.any()
+    """The grid symbol A L eta of a lattice symbol eta, so that H_{A L eta} = GM_eta: eta's cells as given,
+    zero-valued ones too, as the grid path takes a symbol (the assembly orders the cells itself)."""
     L = sys.lattice.L
-    return Symbol(L, symbol.center, symbol.cells[order][keep], sys.tight_constant * L * values[keep])
+    return Symbol(L, symbol.center, symbol.cells, sys.tight_constant * L * symbol.values)
 
 
 def gabor_multiplier(m, sys: LatticeGaborSystem) -> np.ndarray:
@@ -149,15 +142,20 @@ def gabor_multiplier(m, sys: LatticeGaborSystem) -> np.ndarray:
 
 
 def lattice_coverage_min(cover: Cover, lattice: Lattice) -> float:
-    """Min over lattice points of the pointwise symbol sum; the first off-lattice cell, found a run of
-    regions at a time (``Cover._cell_runs``), is an error."""
-    for i, starts, x, xi, _ in cover._cell_runs():
-        off = np.flatnonzero((x % lattice.a) | (xi % lattice.b))
+    """Min over lattice points of the pointwise symbol sum, from one pass over the cells a run of regions at a
+    time (``Cover._cell_runs``): the first off-lattice cell is an error, and the cells are added into the
+    (L/a, L/b) lattice index grid by ``np.add.at``, in region order from zero, so each sum has the bits of
+    ``Cover._symbol_sum`` at its lattice point."""
+    a, b = lattice.a, lattice.b
+    total = np.zeros(lattice.n_points)
+    for i, starts, x, xi, values in cover._cell_runs():
+        off = np.flatnonzero((x % a) | (xi % b))
         if off.size:
             c, k = off[0], int(np.searchsorted(starts, off[0], side="right")) - 1  # the cell is in region i + k
             raise InvalidArgumentError(f"cell ({x[c]}, {xi[c]}) of region {i + k} is not a lattice point",
                                        region=i + k, cell_index=int(c - starts[k]))
-    return float(cover.coverage[0][:: lattice.a, :: lattice.b].min())
+        np.add.at(total, x // a * (lattice.L // b) + xi // b, values)  # the flat index j L/b + k of (ja, kb)
+    return float(total.min())
 
 
 def require_lattice_cover(cover: Cover, lattice: Lattice) -> None:

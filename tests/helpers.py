@@ -127,6 +127,25 @@ def rolled_spreadness(centers, L, w):
     return int(counts.max())
 
 
+def rescanning_irregular_boxes(L, seed, target_size, overlap):
+    """The boxes (x0, xi0, wd, ht) of ``gen_random_irregular``, each anchored at the first uncovered
+    cell found by a scan of the whole grid from its first cell."""
+    rng = np.random.default_rng(seed)
+    jitter = int(overlap * target_size / 2)
+    covered = np.zeros((L, L), dtype=bool)
+    boxes = []
+    while not covered.all():
+        ax, axi = divmod(int(np.argmin(covered)), L)
+        wd = int(np.clip(target_size + rng.integers(-jitter, jitter + 1), 2, L))
+        ht = int(np.clip(target_size + rng.integers(-jitter, jitter + 1), 2, L))
+        sx = int(rng.integers(0, min(jitter, wd - 1) + 1))
+        sxi = int(rng.integers(0, min(jitter, ht - 1) + 1))
+        x0, xi0 = (ax - sx) % L, (axi - sxi) % L
+        boxes.append((x0, xi0, wd, ht))
+        covered[np.ix_((x0 + np.arange(wd)) % L, (xi0 + np.arange(ht)) % L)] = True
+    return boxes
+
+
 def direct_spreadness(cover, w):
     """The most centers in any wrapped half-open w x w window [a, a + w) x [b, b + w),
     counting the centers of each window one by one."""

@@ -883,7 +883,10 @@ class TestFrame:
     def test_lattice_frame_bytes_do_not_depend_on_the_cell_runs(self, tmp_path, monkeypatch):
         # the lattice256_stream bench input: 32x32 tiles on the lattice (4Z)^2 at L = 256; the
         # coverage sum and the three lattice checks read the cells a run of regions at a time,
-        # here the whole cover in one run and then one 64-cell region a run
+        # here the whole cover in one run and then one 64-cell region a run.  Only the cell runs
+        # vary: frames binds the bound's value at import, so the certificate's batches do not,
+        # and its bits do depend on them (A, B and the Walnut blocks move in their last bits
+        # when its Gram batches are summed in another order)
         L, box, step = 256, 32, 4
         regions = [{"center": [x0 + box // 2, xi0 + box // 2],
                     "cells": [[x, xi] for x in range(x0, x0 + box, step) for xi in range(xi0, xi0 + box, step)]}

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tfloc.core import Signal, Window, gauss_window, read_signal_csv, stft, write_json
-from tfloc.errors import DimensionError, InvalidArgumentError, NumericError
+from tfloc.errors import InvalidArgumentError, NumericError
 from tfloc.locop import Spectrum
 
 from helpers import direct_istft, direct_shift, direct_stft, random_signal, write_signal_csv
@@ -156,7 +156,7 @@ class TestStft:
             np.testing.assert_allclose(Vs, rolled, atol=1e-10)
 
     def test_rejects_length_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(InvalidArgumentError, match="expected length 8, got 16"):
             stft(delta(8), gauss_window(16))
 
     def test_rejects_unnormalized_window(self):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tfloc import core
+from tfloc import core, covers
 from tfloc.cli import load_config, resolve_cover
 from tfloc.covers import (
     Cover,
@@ -31,6 +31,7 @@ from helpers import (
     direct_frequency_period,
     direct_radii,
     direct_spreadness,
+    rescanning_irregular_boxes,
     rolled_spreadness,
     shape_classes,
     shifted_symbol,
@@ -74,7 +75,7 @@ class TestSymbol:
     def test_mass_and_dense(self):
         s = Symbol(4, (1, 1), [(0, 0), (1, 2)], [0.5, 2.0])
         assert s.mass == pytest.approx(2.5, rel=1e-12)
-        d, _, _ = Cover(4, (s,)).coverage
+        d = Cover(4, (s,))._symbol_sum()
         assert d[0, 0] == 0.5 and d[1, 2] == 2.0 and d.sum() == pytest.approx(2.5)
 
     def test_shifted_wraps(self):
@@ -96,19 +97,19 @@ class TestSymbol:
 class TestSumSymbols:
     def test_exact_partition_sums_to_one(self):
         cover = gen_regular_boxes(16, 4, 4)
-        total, lo, hi = cover.coverage
+        lo, hi = cover.coverage
         assert lo == 1.0 and hi == 1.0
-        assert (total == 1.0).all()
+        assert (cover._symbol_sum() == 1.0).all()
 
     def test_duplicated_regions_double(self):
         base = gen_regular_boxes(8, 4, 4)
         doubled = Cover(8, base.regions + base.regions)
-        _, lo, hi = doubled.coverage
+        lo, hi = doubled.coverage
         assert lo == 2.0 and hi == 2.0
 
     def test_irregular_generator_covers(self):
         cover = gen_random_irregular(32, seed=7, target_size=8, overlap=0.5)
-        _, lo, _ = cover.coverage
+        lo, _ = cover.coverage
         assert lo >= 1.0
 
 
@@ -137,9 +138,9 @@ class TestWholeGridPasses:
             assert np.array_equal(values, np.concatenate([s.values for s in run]))
         if bound == 25:
             assert [len(run[1]) for run in runs] == [2, 1, 1, 1, 1, 2]
-        total, lo, hi = cover.coverage
+        total, (lo, hi) = cover._symbol_sum(), cover.coverage
         expected = bincount_coverage(cover)
-        assert total.tobytes() == expected.tobytes() and not total.flags.writeable
+        assert total.tobytes() == expected.tobytes()
         assert (lo, hi) == (expected.min(), expected.max())
 
     def test_coverage_peaks_within_the_grid_and_two_runs(self, monkeypatch):
@@ -154,6 +155,19 @@ class TestWholeGridPasses:
         finally:
             tracemalloc.stop()
         assert peak <= 256 * 256 * 8 + 2 * 4096 * 24
+
+    def test_a_validated_cover_keeps_two_numbers_not_the_grid(self):
+        # the L x L float sum (8 L^2 bytes) is freed once its extremes are read
+        L = 256
+        cover = gen_regular_boxes(L, 16, 16)
+        tracemalloc.start()
+        try:
+            rep = validate_cover(cover, R=L, w=16)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 2 * L * L
+        assert cover.coverage == (rep.sum_min, rep.sum_max) == (1.0, 1.0)
 
     @pytest.mark.parametrize("w", [1, 3, 16], ids=["w=1", "w=3", "w=L"])
     @pytest.mark.parametrize("seed", range(4))
@@ -292,7 +306,7 @@ class TestRegularBoxes:
         cover = gen_regular_boxes(12, 3, 4)
         assert len(cover.regions) == 12
         assert all(s.mass == 12.0 for s in cover.regions)
-        _, lo, hi = cover.coverage
+        lo, hi = cover.coverage
         assert lo == 1.0 and hi == 1.0
 
     def test_rejects_non_divisor(self):
@@ -309,7 +323,7 @@ class TestWedgeCover:
     def test_two_band_counting(self):
         cover = gen_wedge_cover(16, [(0, 8, 2), (8, 16, 8)])
         assert len(cover.regions) == 8 + 2
-        _, lo, hi = cover.coverage
+        lo, hi = cover.coverage
         assert lo == 1.0 and hi == 1.0
 
     def test_dyadic_band_counts(self):
@@ -317,7 +331,7 @@ class TestWedgeCover:
         cover = gen_wedge_cover(64, bands)
         expected = sum(64 // step for _, _, step in bands)
         assert len(cover.regions) == expected
-        _, lo, hi = cover.coverage
+        lo, hi = cover.coverage
         assert lo == 1.0 and hi == 1.0
 
     def test_rejects_gap(self):
@@ -364,6 +378,14 @@ class TestRandomIrregular:
         rep = validate_cover(cover, R=2 * ts)
         assert rep.covers_grid
         assert rep.outer_radius_ok
+
+    @pytest.mark.parametrize("L, target_size, overlap", [(16, 4, 0.5), (32, 8, 1.0), (48, 6, 0.3), (64, 16, 1.0),
+                                                         (32, 2, 0.0), (40, 40, 1.0)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_boxes_match_the_rescanning_oracle(self, monkeypatch, seed, L, target_size, overlap):
+        monkeypatch.setattr(covers, "_box_cover", lambda L, boxes: boxes)
+        boxes = gen_random_irregular(L, seed, target_size, overlap)
+        assert boxes == rescanning_irregular_boxes(L, seed, target_size, overlap)
 
     def test_rejects_bad_target(self):
         with pytest.raises(InvalidArgumentError):
@@ -482,7 +504,7 @@ def assert_validate_matches_oracles(cover, w):
     assert rep.max_outer_radius == max(outer for outer, _ in radii)
     assert rep.min_inner_radius == min(inner for _, inner in radii)
     total = direct_coverage(cover)
-    assert np.array_equal(cover.coverage[0], total)
+    assert np.array_equal(cover._symbol_sum(), total)
     assert (rep.sum_min, rep.sum_max) == (total.min(), total.max())
     assert rep.covers_grid == (total.min() > 0.0)
     assert rep.spreadness == direct_spreadness(cover, w)

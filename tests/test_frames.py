@@ -900,7 +900,7 @@ class TestNormEquivalence:
 
     def test_symbol_sum_lower_bounds_operator_sum(self, phi16):
         cover = gen_random_irregular(L16, seed=3, target_size=6, overlap=0.6)
-        _, sum_min, _ = cover.coverage
+        sum_min, _ = cover.coverage
         total = np.zeros((L16, L16), complex)
         for op in region_operators(cover, phi16):
             total += op

@@ -18,6 +18,7 @@ from tfloc.gabor import (
 from tfloc.locop import assemble_locop, eigendecomp
 
 from helpers import (
+    bincount_coverage,
     dense_gabor_frame_operator,
     direct_gabor_multiplier,
     frame_operator,
@@ -270,16 +271,17 @@ def random_lattice_cover(rng, L, a, b, n_regions):
 
 class TestLatticeSymbols:
     def test_symbol_restriction(self, tight22):
-        # cells in lattice.points() order, zero values dropped, values scaled by A L
+        # eta's cells as given, zero-valued ones too, and its values scaled by A L
         s = Symbol(L16, (2, 2), [(2, 4), (0, 6), (4, 0), (0, 0)], [2.0, 0.0, 1.5, 0.5])
         m = gabor._multiplier_symbol(s, tight22)
         assert m.center == (2, 2)
-        assert m.cells.tolist() == [[0, 0], [2, 4], [4, 0]]
+        assert m.cells.tolist() == [[2, 4], [0, 6], [4, 0], [0, 0]]
         scale = tight22.tight_constant * L16
-        assert m.values.tolist() == [scale * 0.5, scale * 2.0, scale * 1.5]
-        # an all-zero symbol keeps one zero-weight cell: the zero operator
+        assert m.values.tolist() == [scale * 2.0, 0.0, scale * 1.5, scale * 0.5]
+        # an all-zero symbol keeps its zero-valued cells: the zero operator
         zero = gabor._multiplier_symbol(Symbol(L16, (2, 2), [(2, 4), (2, 2)], [0.0, 0.0]), tight22)
-        assert zero.cells.tolist() == [[2, 2]] and zero.values.tolist() == [0.0]
+        assert zero.cells.tolist() == [[2, 4], [2, 2]] and zero.values.tolist() == [0.0, 0.0]
+        assert not assemble_locop(zero, tight22.window).any()
 
     def test_off_lattice_cell_rejected_with_index(self, lat22):
         full = Symbol.indicator(L16, (0, 0), lat22.points())
@@ -313,6 +315,26 @@ class TestLatticeSymbols:
         assert [s.mass for s in cover.regions] == [16.0, 16.0, 16.0, 16.0]
         assert [lattice_mask(s, lat22).sum() for s in cover.regions] == [16.0, 16.0, 16.0, 16.0]
         assert lattice_coverage_min(cover, lat22) == 1.0
+
+    @pytest.mark.parametrize("bound", [1 << 18, 40, 1])
+    def test_coverage_min_has_the_bits_of_the_grid_sum(self, monkeypatch, bound):
+        # the lattice sums are added in region order, as the grid's are, in one run, in runs of a few
+        # regions and a run per region: on overlapping regions of random values, cells in random order,
+        # and where the least sum, 0.1 + 0.2 + 0.3 at one point, is split over the two runs of 40 cells
+        # [24 cells, 0.1], [23 cells, 0.2, 0.3] and reads 0.6, not 0.6000000000000001, if a run is summed first
+        rng = np.random.default_rng(40)
+        L, a, b = 24, 4, 3
+        lat = Lattice(L, a, b)
+        whole = Symbol(L, (0, 0), lat.points(), 0.5 + rng.random(lat.n_points))
+        random_cover = Cover(L, (*random_lattice_cover(rng, L, a, b, n_regions=10).regions, whole))
+        p, rest = lat.points()[:1], lat.points()[1:]
+        split = Cover(L, tuple(Symbol(L, (0, 0), cells, np.full(len(cells), v))
+                               for cells, v in [(rest[:24], 5.0), (p, 0.1), (rest[24:], 5.0), (p, 0.2), (p, 0.3)]))
+        assert bincount_coverage(split)[::a, ::b].min() == 0.1 + 0.2 + 0.3 != 0.6
+        monkeypatch.setattr(core, "_BATCH_ENTRIES", bound)
+        for cover in (random_cover, split):
+            expected = bincount_coverage(cover)[::a, ::b].min()
+            assert np.float64(lattice_coverage_min(cover, lat)).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_coverage_min_matches_oracle(self, seed):
